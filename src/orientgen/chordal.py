@@ -1,17 +1,21 @@
 """Arc-flip Gray codes for acyclic orientations of chordal graphs.
 
 The generator walks all acyclic orientations so that consecutive ones
-differ in a single arc, using only a constant amount of bookkeeping per
-step outside the per-sweep neighbor sort.  Vertices are swept largest
-first; each sweep slides one vertex between being a source and being a
-sink inside its prefix subgraph, which in permutation terms is a sequence
-of minimal jumps.
+differ in a single arc.  Vertices are swept largest first; each sweep
+slides one vertex between being a source and being a sink inside its
+prefix subgraph, which in permutation terms is a sequence of minimal
+jumps (plain changes when the graph is complete).  A step costs what it
+changes: one bit of the orientation mask and, once the canonical
+permutation has been read, the positions of the values the swept vertex
+jumps in it, plus one sort of the vertex's smaller neighbors per sweep.
+Snapshots are read off that state rather than rebuilt, and no table grows
+faster than n + m.
 """
 
 from functools import cmp_to_key
 
 from .errors import InputError
-from .graphs import Digraph, find_peo, is_acyclic, is_peo, relabel_graph
+from .graphs import Digraph, find_peo, is_acyclic, is_peo, relabel_digraph
 
 
 def decode(g, pi):
@@ -58,15 +62,28 @@ class ChordalRun:
 
     Iteration yields None for the first orientation and afterwards the
     flipped arc (u, w) in original vertex labels, meaning that edge is now
-    oriented u -> w.  The current orientation can be snapshot at any visit
-    through mask() and digraph(); both are valid only until the next step.
-    Counter attributes `visits`, `comparisons`, `flips`, and
+    oriented u -> w.  Snapshots of the current orientation are valid only
+    until the next step:
+
+    - mask(): the orientation bitmask, kept by one XOR per flip and read
+      in O(1);
+    - permutation(): the canonical permutation (``encode`` of the
+      orientation in elimination coordinates).  From its first call on,
+      each flip moves the swept vertex across the block of values it
+      jumps in a position-indexed pair, and a read copies n entries.  A
+      first call after the first flip pays one ``encode``;
+    - digraph(): a Digraph built from the mask in O(n + m), for callers at
+      the API edge.
+
+    Sorting a clique compares its members through the mask bits of the
+    edges between them, so state stays linear in n + m.  Counter
+    attributes `visits`, `comparisons`, `flips`, and
     `max_step_comparisons` accumulate as the run advances.
     """
 
-    __slots__ = ("graph", "order", "visits", "comparisons", "flips",
-                 "max_step_comparisons", "_rows", "_nbrs", "_pos", "_orig",
-                 "_gen")
+    __slots__ = ("graph", "order", "visits", "comparisons",
+                 "max_step_comparisons", "_mask", "_mask0", "_pi", "_pos",
+                 "_eid", "_orig", "_gen")
 
     def __init__(self, g, order):
         order = tuple(order)
@@ -74,78 +91,110 @@ class ChordalRun:
             raise InputError("order is not a perfect elimination order")
         self.graph = g
         self.order = order
-        rg = relabel_graph(g, order)
         n = g.n
-        self._orig = (0,) + order
-        pos = [0] * (n + 1)
+        rank = [0] * (n + 1)
         for k, v in enumerate(order):
-            pos[v] = k + 1
-        self._pos = pos
-        rows = [bytearray(n + 1) for _ in range(n + 1)]
-        nbrs = [()] * (n + 1)
-        for a, b in rg.edges:
-            nbrs[b] = nbrs[b] + (a,)
-            rows[a][b] = 1  # every arc starts oriented toward the larger end
-        self._rows = rows
-        self._nbrs = nbrs
+            rank[v] = k + 1
+        # eid[b][a] = k for edge k = {a, b}, a < b in elimination
+        # coordinates; the keys of eid[b] are b's smaller neighbors in
+        # edge order
+        eid = [{} for _ in range(n + 1)]
+        flipped = ["0"] * len(g.edges)  # bit k of the initial mask
+        for k, (x, y) in enumerate(g.edges):
+            a = rank[x]
+            b = rank[y]
+            if a > b:
+                # every arc starts toward its later end in the order, here x
+                a, b = b, a
+                flipped[k] = "1"
+            eid[b][a] = k
+        self._mask = self._mask0 = int("".join(reversed(flipped)) or "0", 2)
+        self._eid = eid
+        self._orig = (0,) + order
+        self._pi = None  # tracked from the first permutation() on
+        self._pos = None
         self.visits = 0
         self.comparisons = 0
-        self.flips = 0
         self.max_step_comparisons = 0
         self._gen = self._iterate()
 
     def __iter__(self):
-        return self
+        # a for loop steps the generator directly; next(run) steps the
+        # same generator
+        return self._gen
 
     def __next__(self):
         return next(self._gen)
+
+    @property
+    def flips(self):
+        """Arc flips so far: one per visit after the first."""
+        return max(self.visits - 1, 0)
 
     def mask(self):
         """Bitmask of the current orientation over the original edge
         list: bit k set iff edge k points from its larger endpoint to its
         smaller one."""
-        rows = self._rows
-        pos = self._pos
-        mask = 0
-        for k, (x, y) in enumerate(self.graph.edges):
-            if rows[pos[y]][pos[x]]:
-                mask |= 1 << k
-        return mask
+        return self._mask
+
+    def permutation(self):
+        """Current canonical permutation, in elimination coordinates."""
+        if self._pi is None:
+            if self.flips:
+                pi = list(encode(relabel_digraph(self.digraph(), self.order)))
+            else:
+                pi = list(range(1, self.graph.n + 1))
+            pos = [-1] * (len(pi) + 1)
+            for k, v in enumerate(pi):
+                pos[v] = k
+            self._pos = pos
+            self._pi = pi
+        return tuple(self._pi)
 
     def digraph(self):
         """Digraph snapshot of the current orientation, original labels,
         arc k corresponding to edge k."""
-        rows = self._rows
-        pos = self._pos
-        arcs = [(x, y) if rows[pos[x]][pos[y]] else (y, x)
-                for x, y in self.graph.edges]
-        return Digraph(self.graph.n, arcs)
+        edges = self.graph.edges
+        flipped = format(self._mask, "0%db" % len(edges))[::-1]
+        return Digraph(self.graph.n, [
+            (y, x) if flipped[k] == "1" else (x, y)
+            for k, (x, y) in enumerate(edges)])
 
-    def _sorted_path(self, vertices):
+    def _sorted_path(self, items):
         """Current linear order of a clique, source first, by orientation
-        lookups; returns the list and the number of lookups."""
-        rows = self._rows
+        lookups; ``items`` are tuples led by the members.  Returns the
+        list and the number of lookups."""
+        back = self._mask ^ self._mask0  # edges now toward their earlier end
+        eid = self._eid
         count = [0]
 
-        def cmp(u, v):
+        def cmp(r, s):
             count[0] += 1
-            return -1 if rows[u][v] else 1
+            u = r[0]
+            v = s[0]
+            if u < v:
+                return 1 if back >> eid[v][u] & 1 else -1
+            return -1 if back >> eid[u][v] & 1 else 1
 
-        path = sorted(vertices, key=cmp_to_key(cmp))
+        path = sorted(items, key=cmp_to_key(cmp))
         return path, count[0]
 
     def _iterate(self):
         n = self.graph.n
-        rows = self._rows
-        nbrs = self._nbrs
+        eid = self._eid
         orig = self._orig
-        movable = [j for j in range(1, n + 1) if nbrs[j]]
+        # per vertex j, per smaller neighbor i in edge order: i, the edge,
+        # and the arc a flip makes when j sweeps left, and right
+        recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]))
+                 for i, k in eid[j].items()] for j in range(n + 1)]
+        deg = [len(r) for r in recs]
+        movable = [j for j in range(1, n + 1) if deg[j]]
         prevm = [0] * (n + 1)
         last = 0
         for j in movable:
             prevm[j] = last
             last = j
-        T = [None] * (n + 1)
+        T = [None] * (n + 1)  # recs[j] in the order j's sweep crosses them
         t = [0] * (n + 1)
         left = [True] * (n + 1)
         s = list(range(n + 1))
@@ -154,39 +203,62 @@ class ChordalRun:
         if last == 0:
             return
         sorted_path = self._sorted_path
+        mask = self._mask
         while True:
             j = s[last]
             if j == 0:
                 return
             tj = t[j]
+            lj = left[j]
             if tj == 0:
-                path, c = sorted_path(nbrs[j])
+                path, c = sorted_path(recs[j])
                 self.comparisons += c
                 if c > self.max_step_comparisons:
                     self.max_step_comparisons = c
-                if left[j]:
+                if lj:
                     path.reverse()
                 T[j] = path
-            i = T[j][tj]
-            t[j] = tj + 1
-            if left[j]:
-                rows[i][j] = 0
-                rows[j][i] = 1
-                arc = (orig[j], orig[i])
-            else:
-                rows[j][i] = 0
-                rows[i][j] = 1
-                arc = (orig[i], orig[j])
+            Tj = T[j]
+            i, k, leftarc, rightarc = Tj[tj]
+            tj += 1
+            mask ^= 1 << k
+            self._mask = mask
+            ended = tj == deg[j]
+            pi = self._pi
+            if pi is not None:
+                pos = self._pos
+                p = pos[j]
+                if not ended:
+                    # directly before j's first out-neighbor: i after a
+                    # jump left, the next one in line after a jump right
+                    q = pos[i] if lj else pos[Tj[tj][0]] - 1
+                elif lj:
+                    # a source now: left of every smaller value next to it
+                    q = p - 1
+                    while q >= 0 and pi[q] < j:
+                        q -= 1
+                    q += 1
+                else:
+                    # a sink now: right of every smaller value next to it
+                    q = p + 1
+                    while q < n and pi[q] < j:
+                        q += 1
+                    q -= 1
+                del pi[p]
+                pi.insert(q, j)
+                for x in range(q, p + 1) if lj else range(p, q + 1):
+                    pos[pi[x]] = x
             s[last] = last
-            if t[j] == len(nbrs[j]):
-                left[j] = not left[j]
+            if ended:
+                left[j] = not lj
                 t[j] = 0
                 pj = prevm[j]
                 s[j] = s[pj]
                 s[pj] = pj
+            else:
+                t[j] = tj
             self.visits += 1
-            self.flips += 1
-            yield arc
+            yield leftarc if lj else rightarc
 
 
 def generate(g, order=None):
@@ -203,7 +275,3 @@ def generate(g, order=None):
             raise InputError("graph is not chordal")
     return ChordalRun(g, order)
 
-
-def cost_counters(run):
-    """(visits, comparisons, flips) accumulated by a run."""
-    return (run.visits, run.comparisons, run.flips)

@@ -42,10 +42,6 @@ def _perm_line(pi):
     return " ".join(map(str, pi))
 
 
-def _arcs_line(d):
-    return " ".join("%d %d" % a for a in d.arcs)
-
-
 def _no_dot_combo(args, *flags):
     if args.output == "dot":
         for flag in flags:
@@ -69,18 +65,25 @@ def _cmd_ao_graph(args, out):
         return 0
     run = chordal.generate(g, order)
     cert = ArcListingCertifier(g) if args.certify else None
-    listing = not args.count_only
+    output = None if args.count_only else args.output
+    if output == "arcs":
+        # the text of every arc either way round, and which edge it orients
+        text = {}
+        for k, (x, y) in enumerate(g.edges):
+            text[(x, y)] = (k, "%d %d" % (x, y))
+            text[(y, x)] = (k, "%d %d" % (y, x))
+        line = [text[d][1] for d in run.digraph().arcs]
     for step in run:
         if cert is not None:
             cert.visit(run.mask())
-        if not listing:
-            continue
-        if args.output == "arcs":
-            out.write(_arcs_line(run.digraph()) + "\n")
-        elif args.output == "perm":
-            d = relabel_digraph(run.digraph(), run.order)
-            out.write(_perm_line(chordal.encode(d)) + "\n")
-        elif step is not None:
+        if output == "arcs":
+            if step is not None:
+                k, arc = text[step]
+                line[k] = arc
+            out.write(" ".join(line) + "\n")
+        elif output == "perm":
+            out.write(_perm_line(run.permutation()) + "\n")
+        elif output == "flips" and step is not None:
             out.write("%d %d\n" % step)
     if args.count_only:
         out.write("%d\n" % run.visits)

@@ -55,6 +55,13 @@ def _write(path, text):
         handle.write(text)
 
 
+def _require(cond, msg="", *args):
+    """A criterion's verdict: fail with ``msg % args`` unless cond holds.
+    Unlike ``assert``, it also runs under ``python -O``."""
+    if not cond:
+        raise AssertionError(msg % args if args else msg)
+
+
 # ------------------------------------------------------------------ 1
 
 
@@ -65,12 +72,12 @@ def crit_sjt(quick):
             path = os.path.join(tmp, "k%d.txt" % n)
             _write(path, format_graph(complete_graph(n)))
             rc, text = _cli(["ao-graph", path, "--output", "perm"])
-            assert rc == 0, "ao-graph exited %d on K_%d" % (rc, n)
+            _require(rc == 0, "ao-graph exited %d on K_%d", rc, n)
             want = "\n".join(expect) + "\n"
-            assert text == want, "K_%d trace is not the plain-changes " \
-                                 "listing" % n
+            _require(text == want, "K_%d trace is not the plain-changes "
+                                   "listing", n)
     dt = time.time() - t0
-    assert dt < 1.0, "took %.2fs, bound is 1s" % dt
+    _require(dt < 1.0, "took %.2fs, bound is 1s", dt)
     return "K_2..K_4 permutation traces byte-equal"
 
 
@@ -94,14 +101,14 @@ def crit_chordal_certified(quick):
         for g in graphs:
             _write(path, format_graph(g))
             rc, text = _cli(["ao-graph", path, "--certify", "--count-only"])
-            assert rc == 0, "certification failed on %r" % (g,)
+            _require(rc == 0, "certification failed on %r", g)
             lines = text.splitlines()
             count = int(lines[0])
-            assert lines[1] == "certified %d orientations" % count
+            _require(lines[1] == "certified %d orientations" % count)
             total += count
     dt = time.time() - t0
     if not quick:
-        assert dt < 60.0, "took %.1fs, bound is 60s" % dt
+        _require(dt < 60.0, "took %.1fs, bound is 60s", dt)
     return "%d chordal graphs, %d orientations certified" % (
         len(graphs), total)
 
@@ -118,30 +125,30 @@ def crit_complete_graph_cost(quick):
         for _ in run:
             pass
         dt = time.time() - t0
-        assert run.visits == math.factorial(n)
+        _require(run.visits == math.factorial(n))
         avg = run.comparisons / run.visits
         bound = 4 * math.log2(n)
-        assert avg <= bound, "K_%d averages %.2f comparisons per visit, " \
-                             "bound %.2f" % (n, avg, bound)
+        _require(avg <= bound, "K_%d averages %.2f comparisons per visit, "
+                               "bound %.2f", n, avg, bound)
         peak = 8 * math.log2(n)
-        assert run.max_step_comparisons <= peak, \
-            "K_%d peaks at %d comparisons in one step, bound %.2f" % (
-                n, run.max_step_comparisons, peak)
+        _require(run.max_step_comparisons <= peak,
+                 "K_%d peaks at %d comparisons in one step, bound %.2f",
+                 n, run.max_step_comparisons, peak)
         if n == 10:
-            assert dt < 30.0, "K_10 took %.1fs, bound is 30s" % dt
+            _require(dt < 30.0, "K_10 took %.1fs, bound is 30s", dt)
         details.append("K_%d %.2f<=%.2f" % (n, avg, bound))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "k7.txt")
         _write(path, format_graph(complete_graph(7)))
         rc, text = _cli(["ao-graph", path, "--count-only", "--counters"])
-        assert rc == 0
+        _require(rc == 0)
         ref = chordal.generate(complete_graph(7))
         for _ in ref:
             pass
         want = "visits=%d comparisons=%d flips=%d max-step-comparisons=%d" \
             % (ref.visits, ref.comparisons, ref.flips,
                ref.max_step_comparisons)
-        assert text.splitlines()[1] == want, "CLI counters disagree"
+        _require(text.splitlines()[1] == want, "CLI counters disagree")
     return "comparisons/visit vs 4*log2(n): " + ", ".join(details)
 
 
@@ -184,8 +191,8 @@ def crit_specializations(quick):
         while True:
             ha = next(hrun, _DONE)
             ga = next(grun, _DONE)
-            assert (ha is _DONE) == (ga is _DONE), \
-                "runs end after different visit counts on %r" % (g,)
+            _require((ha is _DONE) == (ga is _DONE),
+                     "runs end after different visit counts on %r", g)
             if ha is _DONE:
                 break
             heads = hrun.heads()
@@ -194,9 +201,9 @@ def crit_specializations(quick):
                 if heads[k] == u:
                     hmask |= 1 << k
                 else:
-                    assert heads[k] == v
-            assert hmask == grun.mask(), \
-                "pair-flip and arc-flip sequences diverge on %r" % (g,)
+                    _require(heads[k] == v)
+            _require(hmask == grun.mask(),
+                     "pair-flip and arc-flip sequences diverge on %r", g)
             matched += 1
     top = 5 if quick else 7
     cats = []
@@ -205,14 +212,14 @@ def crit_specializations(quick):
         for n in range(2, top + 1):
             _write(path, format_graph(path_graph(n)))
             rc, text = _cli(["elim-trees", path, "--count-only"])
-            assert rc == 0
+            _require(rc == 0)
             cat = math.comb(2 * n, n) // (n + 1)
-            assert int(text.strip()) == cat, \
-                "P_%d does not yield Catalan(%d) forests" % (n, n)
+            _require(int(text.strip()) == cat,
+                     "P_%d does not yield Catalan(%d) forests", n, n)
             cats.append(cat)
         rc, text = _cli(["elim-trees", path])
         forests = text.splitlines()
-        assert len(forests) == len(set(forests)) == cats[-1]
+        _require(len(forests) == len(set(forests)) == cats[-1])
     # certify the rotation listing directly: the head-vector space of a
     # path's building set is far too large to enumerate, but validity,
     # distinctness, flip legality, and the Catalan total pin it down
@@ -224,13 +231,13 @@ def crit_specializations(quick):
     prev = None
     for _ in run:
         heads = run.heads()
-        assert is_acyclic_orientation(bg, heads), "rotation visit is cyclic"
-        assert heads not in seen, "rotation listing repeats a forest"
-        assert prev is None or rel(prev, heads) is not None, \
-            "consecutive forests are not one rotation apart"
+        _require(is_acyclic_orientation(bg, heads), "rotation visit is cyclic")
+        _require(heads not in seen, "rotation listing repeats a forest")
+        _require(prev is None or rel(prev, heads) is not None,
+                 "consecutive forests are not one rotation apart")
         seen.add(heads)
         prev = heads
-    assert len(seen) == cats[-1]
+    _require(len(seen) == cats[-1])
     return "%d two-uniform visits equal across engines; P_2..P_%d " \
            "forests Catalan, rotations certified" % (matched, top)
 

@@ -9,7 +9,13 @@ runs.
 """
 
 import io
+import os
+import subprocess
+import sys
 
+import pytest
+
+import orientgen
 from orientgen import selftest
 
 
@@ -69,3 +75,39 @@ def test_quick_selftest_passes():
     assert len(lines) == len(selftest.CRITERIA) + 1
     for (name, _), line in zip(selftest.CRITERIA, lines):
         assert line.startswith("PASS %s" % name)
+
+
+# criterion 01 alone, optionally against a corrupted K_3 expectation
+_OPTIMIZED_SJT = """
+import sys
+from orientgen import selftest
+print("debug", __debug__)
+if sys.argv[1] == "corrupt":
+    k3 = list(selftest.SJT[3])
+    k3[1], k3[2] = k3[2], k3[1]
+    selftest.SJT[3] = tuple(k3)
+selftest.CRITERIA = selftest.CRITERIA[:1]
+sys.exit(selftest.run_selftest(out=sys.stdout))
+"""
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_criterion_01_verdict_survives_optimize(corrupt):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        orientgen.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SJT,
+         "corrupt" if corrupt else "intact"],
+        capture_output=True, text=True, env=env, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    if corrupt:
+        assert proc.returncode == 1
+        assert lines[1] == ("FAIL sjt-reproduction       K_3 trace is not "
+                            "the plain-changes listing")
+    else:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert lines[1].startswith("PASS sjt-reproduction")

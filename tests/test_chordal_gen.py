@@ -2,11 +2,16 @@
 
 import math
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 
-from orientgen.chordal import ChordalRun, cost_counters, decode, encode, generate
+from orientgen import corpus
+from orientgen.chordal import ChordalRun, decode, encode, generate
+from orientgen.cli import main
 from orientgen.errors import InputError
+from orientgen.fileio import format_graph
 from orientgen.graphs import (
     Graph,
     complete_graph,
@@ -16,6 +21,7 @@ from orientgen.graphs import (
     orient,
     orientation_mask,
     path_graph,
+    relabel_digraph,
 )
 from orientgen.jumps import LanguageOracle, algorithm_J, is_zigzag_language
 from orientgen.oracle import (
@@ -46,6 +52,11 @@ def random_chordal(n, rng, attach=0.9):
             smaller[i].add(v)
             edges.append((v, i))
     return Graph(n, edges)
+
+
+def cost_counters(run):
+    """(visits, comparisons, flips) accumulated by a run."""
+    return (run.visits, run.comparisons, run.flips)
 
 
 def run_masks(g, order=None):
@@ -230,3 +241,69 @@ def test_average_comparisons_small_complete_graphs():
         avg = run.comparisons / run.visits
         assert avg <= 4 * math.log2(n)
         assert run.max_step_comparisons <= 8 * math.log2(n)
+
+
+def snapshot_corpus():
+    """Every chordal graph on up to 5 vertices, every 37th one on 6 plus
+    K_6, and seeded random chordal graphs on 7 to 12 vertices."""
+    graphs = list(corpus.chordal_graphs(5))
+    graphs += [g for g in corpus.chordal_graphs(6) if g.n == 6][::37]
+    graphs.append(complete_graph(6))
+    rng = random.Random(47)
+    graphs += [corpus.random_chordal(n, rng) for n in range(7, 13)]
+    graphs += [corpus.random_chordal(rng.randint(7, 10), rng, max_anchor=4)
+               for _ in range(6)]
+    return graphs
+
+
+def reference_arcs_line(run):
+    return " ".join("%d %d" % a for a in run.digraph().arcs)
+
+
+def test_snapshots_match_references():
+    # every visit: the kept permutation and mask against encode and
+    # orientation_mask of the Digraph snapshot
+    for g in snapshot_corpus():
+        run = generate(g)
+        for _ in run:
+            d = run.digraph()
+            assert run.permutation() == encode(relabel_digraph(d, run.order))
+            assert run.mask() == orientation_mask(g, d)
+
+
+def test_cli_arc_lines_match_digraph(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for g in snapshot_corpus()[::3]:
+        path.write_text(format_graph(g))
+        assert main(["ao-graph", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        run = generate(g)
+        expect = [reference_arcs_line(run) for _ in run]
+        assert lines == expect
+
+
+def test_permutation_first_read_mid_run():
+    rng = random.Random(53)
+    for g in [complete_graph(5)] + [corpus.random_chordal(9, rng)
+                                    for _ in range(4)]:
+        run = generate(g)
+        for _ in islice(run, 37):
+            pass
+        for _ in run:
+            d = run.digraph()
+            assert run.permutation() == encode(relabel_digraph(d, run.order))
+
+
+def test_memory_is_linear():
+    # an (n+1)^2 table on this path would alone take 16 MB
+    g = path_graph(4000)
+    tracemalloc.start()
+    try:
+        run = ChordalRun(g, tuple(range(1, 4001)))
+        for _ in islice(run, 1001):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.visits == 1001
+    assert peak < 4 * 2 ** 20

@@ -74,12 +74,6 @@ def test_ao_graph_output_is_golden(name, mode, args, capsys):
         assert out == handle.read()
 
 
-def test_golden_inputs_are_the_seeded_corpus():
-    for name, g in instances().items():
-        with open(os.path.join(GOLDEN, name + ".g")) as handle:
-            assert handle.read() == format_graph(g)
-
-
 def _regenerate():
     import contextlib
     import io
