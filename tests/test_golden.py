@@ -1,14 +1,19 @@
-"""Golden outputs: the full stdout of ``ao-graph`` on a fixed corpus.
+"""Golden outputs: the full stdout of ``ao-graph`` and ``quotient`` on a
+fixed corpus.
 
 Every case runs the command line in-process on an instance file under
 ``tests/golden`` and must reproduce the committed ``.out`` file byte for
-byte.  The corpus is K_4, P_5, two seeded random chordal graphs on 10 and
-12 vertices (so the space-separated permutation format is covered) and
-one of them relabeled by a perfect elimination order, for ``--peo
-given``.
+byte.  The ``ao-graph`` corpus is K_4, P_5, two seeded random chordal
+graphs on 10 and 12 vertices (so the space-separated permutation format
+is covered) and one of them relabeled by a perfect elimination order, for
+``--peo given``.  The ``quotient`` corpus is the transitive tournament
+T_4 under the identity, the sylvester congruence and a seed-pair file,
+T_4 relabeled so that the command has to search a peo-consistent order,
+and the peo-consistent classification witness.
 
-The files were written by the engine that predates incremental
-snapshots; to rewrite them after a deliberate output change, run
+The ``ao-graph`` files were written by the engine that predates
+incremental snapshots, the ``quotient`` files by the poset that predates
+the lattice index; to rewrite them after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -20,9 +25,10 @@ import pytest
 
 from orientgen import corpus
 from orientgen.cli import main
-from orientgen.fileio import format_graph
-from orientgen.graphs import complete_graph, find_peo, path_graph, \
-    relabel_graph
+from orientgen.fileio import format_congruence, format_digraph, format_graph
+from orientgen.graphs import complete_graph, find_peo, orient, path_graph, \
+    relabel_digraph, relabel_graph
+from orientgen.quotients import build_ar_poset, sylvester_congruence
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -35,6 +41,22 @@ MODES = {
 }
 GIVEN_MODES = ("arcs", "perm", "count")
 GIVEN = ("k4", "p5", "r10-peo")
+
+QUOTIENT_MODES = {
+    "classes": ["--output", "classes", "--certify"],
+    "perm": ["--output", "perm", "--certify"],
+    "dot": ["--output", "dot", "--certify"],
+    "count": ["--count-only", "--certify"],
+}
+# case name -> digraph file and congruence arguments
+QUOTIENT_CASES = {
+    "t4": ("t4.d", []),
+    "t4-sylvester": ("t4.d", ["--congruence", "t4-sylvester.c"]),
+    "t4-seeds": ("t4.d", ["--seed-pairs", "t4-seeds.s"]),
+    "t4-relabeled": ("t4-relabeled.d", []),
+    "peo-witness": ("peo-witness.d", []),
+}
+T4_SEEDS = "3 7\n1a 1e\n"
 
 
 def instances():
@@ -59,6 +81,33 @@ def cases():
     return out
 
 
+def quotient_instances():
+    """The quotient corpus: file name -> file text."""
+    t4 = orient(complete_graph(4), 0)
+    return {
+        "t4.d": format_digraph(t4),
+        "t4-sylvester.c": format_congruence(
+            sylvester_congruence(build_ar_poset(t4)).classes),
+        "t4-seeds.s": T4_SEEDS,
+        # vertex 4 of the relabeled file is neither a source nor a sink
+        "t4-relabeled.d": format_digraph(relabel_digraph(t4, (1, 3, 4, 2))),
+        "peo-witness.d": format_digraph(
+            corpus.CLASS_WITNESSES["peo_consistent"]),
+    }
+
+
+def quotient_cases():
+    return [(name, mode) for name in QUOTIENT_CASES for mode in QUOTIENT_MODES]
+
+
+def _quotient_argv(name, mode):
+    dfile, extra = QUOTIENT_CASES[name]
+    return (["quotient", os.path.join(GOLDEN, dfile)]
+            + [os.path.join(GOLDEN, a) if a.endswith((".c", ".s")) else a
+               for a in extra]
+            + QUOTIENT_MODES[mode])
+
+
 def _run(name, args, capsys):
     rc = main(["ao-graph", os.path.join(GOLDEN, name + ".g")] + args)
     return rc, capsys.readouterr().out
@@ -74,22 +123,43 @@ def test_ao_graph_output_is_golden(name, mode, args, capsys):
         assert out == handle.read()
 
 
-def _regenerate():
+@pytest.mark.parametrize("name,mode", quotient_cases(),
+                         ids=["%s-%s" % c for c in quotient_cases()])
+def test_quotient_output_is_golden(name, mode, capsys):
+    rc = main(_quotient_argv(name, mode))
+    assert rc == 0
+    with open(os.path.join(GOLDEN, "%s.%s.out" % (name, mode)),
+              newline="") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
+def _capture(argv):
     import contextlib
     import io
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    if rc != 0:
+        raise SystemExit("%s exited %d" % (" ".join(argv), rc))
+    return buf.getvalue()
+
+
+def _write(name, text):
+    with open(os.path.join(GOLDEN, name), "w", newline="") as handle:
+        handle.write(text)
+
+
+def _regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     for name, g in instances().items():
-        with open(os.path.join(GOLDEN, name + ".g"), "w") as handle:
-            handle.write(format_graph(g))
+        _write(name + ".g", format_graph(g))
     for name, mode, args in cases():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = main(["ao-graph", os.path.join(GOLDEN, name + ".g")] + args)
-        if rc != 0:
-            raise SystemExit("%s %s exited %d" % (name, mode, rc))
-        with open(os.path.join(GOLDEN, "%s.%s.out" % (name, mode)), "w",
-                  newline="") as handle:
-            handle.write(buf.getvalue())
+        _write("%s.%s.out" % (name, mode), _capture(
+            ["ao-graph", os.path.join(GOLDEN, name + ".g")] + args))
+    for name, text in quotient_instances().items():
+        _write(name, text)
+    for name, mode in quotient_cases():
+        _write("%s.%s.out" % (name, mode), _capture(_quotient_argv(name, mode)))
 
 
 if __name__ == "__main__":
