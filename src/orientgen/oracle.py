@@ -273,18 +273,31 @@ def flip_graph_dot(fg, path=None, labeler=str, name="flipgraph"):
     lines.append("}")
     return "\n".join(lines) + "\n"
 
+
 def congruence_closure(poset, seeds):
     """Smallest lattice congruence of an ARPoset containing the seed pairs,
     derived directly from the defining property: whenever x and y are
     identified, so are x v z with y v z and x ^ z with y ^ z for every z.
 
-    Returns the partition as a tuple of sorted mask tuples, classes ordered
-    by smallest member.  Requires a lattice.
+    Joins and meets come from a bound search over ``poset.elements``.
+    Returns the partition as a tuple of sorted mask tuples, classes
+    ordered by smallest member.  Requires a lattice.
     """
-    if not poset.is_lattice():
-        raise InputError("poset is not a lattice")
     els = poset.elements
     ix = {m: i for i, m in enumerate(els)}
+    join = {}
+    meet = {}
+    for i, x in enumerate(els):
+        for y in els[i:]:
+            ups = [z for z in els if z & (x | y) == x | y]
+            downs = [z for z in els if z & x & y == z]
+            lub = min(ups, key=int.bit_count, default=None)
+            glb = max(downs, key=int.bit_count)
+            if lub is None or any(z & lub != lub for z in ups) or \
+                    any(z & glb != z for z in downs):
+                raise InputError("poset is not a lattice")
+            join[x, y] = join[y, x] = lub
+            meet[x, y] = meet[y, x] = glb
     parent = list(range(len(els)))
 
     def find(x):
@@ -309,8 +322,8 @@ def congruence_closure(poset, seeds):
         a, b = pending.popleft()
         x, y = els[a], els[b]
         for z in els:
-            union(ix[poset.join(x, z)], ix[poset.join(y, z)])
-            union(ix[poset.meet(x, z)], ix[poset.meet(y, z)])
+            union(ix[join[x, z]], ix[join[y, z]])
+            union(ix[meet[x, z]], ix[meet[y, z]])
     groups = {}
     for i, m in enumerate(els):
         groups.setdefault(find(i), []).append(m)

@@ -166,22 +166,22 @@ def classify(d):
     return "peo_consistent"
 
 
-_MISS = object()
-
-
 class ARPoset:
     """All acyclic reorientations of a reference digraph, ordered by
     containment of the flipped arc sets.
 
     Covers differ in exactly one bit and the poset is graded by popcount.
-    Joins and meets are found by brute-force bound search and cached;
-    uniqueness can fail when the reference is not vertebrate, in which
-    case ``join``/``meet`` return None and ``lattice_witness`` records an
-    offending pair.  Immutable and shareable once built.
+    Every order query reads one index, built on first use: per element,
+    the bitsets of the element indices above and below it.  Containment
+    implies numeric order, so a join is the lowest index common to both
+    up sets if its own up set is all of them (meets dually): a few k-bit
+    integer operations, nothing cached per pair.  When the reference is
+    not vertebrate, ``join``/``meet`` can return None and
+    ``lattice_witness`` records such a pair.  Immutable once built.
     """
 
     __slots__ = ("reference", "graph", "base", "elements", "m", "_ix",
-                 "_up", "_join", "_meet", "_lattice", "lattice_witness",
+                 "_up", "_above", "_below", "_lattice", "lattice_witness",
                  "_peo_ok")
 
     def __init__(self, reference, elements):
@@ -202,8 +202,7 @@ class ARPoset:
                 if not f & bit and f | bit in self._ix:
                     up[self._ix[f]].append(f | bit)
         self._up = tuple(tuple(u) for u in up)
-        self._join = {}
-        self._meet = {}
+        self._above = self._below = None
         self._lattice = None
         self.lattice_witness = None
         self._peo_ok = None
@@ -238,76 +237,42 @@ class ARPoset:
         return tuple((f, g) for k, f in enumerate(self.elements)
                      for g in self._up[k])
 
+    def _order(self):
+        """The index: per element, the bitsets of the element indices
+        above and below it, itself included."""
+        if self._above is None:
+            els = self.elements
+            above = [1 << i for i in range(len(els))]
+            below = above[:]
+            for i, x in enumerate(els):
+                for j in range(i + 1, len(els)):
+                    if x & els[j] == x:
+                        above[i] |= 1 << j
+                        below[j] |= 1 << i
+            self._above, self._below = above, below
+        return self._above, self._below
+
     def join(self, x, y):
         """Least upper bound of x and y, or None if it is not unique."""
-        key = (x, y) if x <= y else (y, x)
-        hit = self._join.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        self.index(x), self.index(y)
-        both = x | y
-        cands = [z for z in self.elements if z & both == both]
-        best = min(cands, key=_popcount)
-        val = best if all(z & best == best for z in cands) else None
-        self._join[key] = val
-        return val
+        z = _least(self._order()[0], self.index(x), self.index(y))
+        return None if z is None else self.elements[z]
 
     def meet(self, x, y):
         """Greatest lower bound of x and y, or None if it is not unique."""
-        key = (x, y) if x <= y else (y, x)
-        hit = self._meet.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        self.index(x), self.index(y)
-        both = x & y
-        cands = [z for z in self.elements if z & both == z]
-        best = max(cands, key=_popcount)
-        val = best if all(z & best == z for z in cands) else None
-        self._meet[key] = val
-        return val
+        z = _greatest(self._order()[1], self.index(x), self.index(y))
+        return None if z is None else self.elements[z]
 
     def is_lattice(self):
         """True iff every pair has a unique join and meet; a failing pair,
-        if any, is kept in ``lattice_witness``.
-
-        Containment implies numeric order on masks, so a least common
-        upper bound, when one exists, is the numerically smallest common
-        upper bound; it suffices to test whether everything above that
-        candidate is exactly the common upper set (dually for meets).
-        """
+        if any, is kept in ``lattice_witness``."""
         if self._lattice is None:
             els = self.elements
-            k = len(els)
-            up = [0] * k
-            down = [0] * k
-            for i, x in enumerate(els):
-                ui = di = 0
-                for j, y in enumerate(els):
-                    xy = x & y
-                    if xy == x:
-                        ui |= 1 << j
-                    if xy == y:
-                        di |= 1 << j
-                up[i] = ui
-                down[i] = di
-            result = True
-            for i in range(k):
-                for j in range(i + 1, k):
-                    cu = up[i] & up[j]
-                    z = (cu & -cu).bit_length() - 1
-                    if cu == 0 or up[z] != cu:
-                        self.lattice_witness = (els[i], els[j])
-                        result = False
-                        break
-                    cd = down[i] & down[j]
-                    z = cd.bit_length() - 1
-                    if cd == 0 or down[z] != cd:
-                        self.lattice_witness = (els[i], els[j])
-                        result = False
-                        break
-                if not result:
-                    break
-            self._lattice = result
+            above, below = self._order()
+            self.lattice_witness = next(
+                ((els[i], els[j]) for i, j in combinations(range(len(els)), 2)
+                 if _least(above, i, j) is None
+                 or _greatest(below, i, j) is None), None)
+            self._lattice = self.lattice_witness is None
         return self._lattice
 
     def _require_peo(self):
@@ -330,8 +295,24 @@ class ARPoset:
         return orientation_mask(self.graph, _perm_decode(self.graph, pi)) ^ self.base
 
 
-def _popcount(x):
-    return x.bit_count()
+def _least(above, i, j):
+    """The index whose up set is the up set common to i and j, or None."""
+    common = above[i] & above[j]
+    z = (common & -common).bit_length() - 1
+    return z if common and above[z] == common else None
+
+
+def _greatest(below, i, j):
+    """Dual of ``_least``, over down sets."""
+    common = below[i] & below[j]
+    z = common.bit_length() - 1
+    return z if common and below[z] == common else None
+
+
+def _interval(p, lo, hi):
+    """The bitset of the indices of the elements z of p with lo <= z <= hi."""
+    above, below = p._order()
+    return above[p.index(lo)] & below[p.index(hi)]
 
 
 def build_ar_poset(d, cap=None):
@@ -392,11 +373,14 @@ def rails(p):
     for f in p.elements:
         groups[f & ~nmask].append(f)
     deg = nmask.bit_count()
-    for members in groups.values():
-        members.sort(key=_popcount)
-        assert len(members) == deg + 1
-        assert all(a & b == a and (a ^ b).bit_count() == 1
-                   for a, b in zip(members, members[1:]))
+    for off, members in groups.items():
+        members.sort(key=int.bit_count)
+        if len(members) != deg + 1:
+            raise InputError("rail %#x holds %d reorientations, not "
+                             "degree(n)+1 = %d" % (off, len(members), deg + 1))
+        if not all(a & b == a and (a ^ b).bit_count() == 1
+                   for a, b in zip(members, members[1:])):
+            raise InputError("rail %#x is not a chain of single-arc flips" % off)
     return dict(groups)
 
 
@@ -458,13 +442,8 @@ def validate_congruence(p, part):
     if c.poset is not p:
         raise InputError("congruence belongs to a different poset")
     for cls in c.classes:
-        mins = [x for x in cls if not any(y != x and y & x == y for y in cls)]
-        maxs = [x for x in cls if not any(y != x and x & y == x for y in cls)]
-        if len(mins) != 1 or len(maxs) != 1:
-            return False
-        lo, hi = mins[0], maxs[0]
-        span = sum(1 for z in p.elements if z & lo == lo and z & hi == z)
-        if span != len(cls):
+        # an interval's bottom and top are its numerically extreme members
+        if _interval(p, cls[0], cls[-1]) != sum(1 << p.index(x) for x in cls):
             return False
     jmap = {}
     mmap = {}
@@ -496,14 +475,15 @@ def _polygons(p):
     for a in p.elements:
         for b, c in combinations(p.upper_covers(a), 2):
             top = p.join(b, c)
-            span = [z for z in p.elements if z & a == a and z & top == z]
-            if len(span) == 4:
+            span = _interval(p, a, top)
+            if span.bit_count() == 4:
                 out.append(("d", a, b, c, top))
                 continue
-            assert len(span) == 6
-            rest = [z for z in span if z not in (a, b, c, top)]
-            bb = next(z for z in rest if z & b == b)
-            cc = next(z for z in rest if z & c == c)
+            assert span.bit_count() == 6
+            # b and c each lie below one element short of the top
+            ends = 1 << p.index(top)
+            bb = p.elements[(_interval(p, b, top) ^ ends).bit_length() - 1]
+            cc = p.elements[(_interval(p, c, top) ^ ends).bit_length() - 1]
             assert bb != cc
             out.append(("h", a, b, bb, c, cc, top))
     return out
@@ -521,7 +501,8 @@ def forcing_closure(p, seeds):
     if classify(p.reference) != "skeletal":
         raise InputError("forcing rules are complete only for a skeletal "
                          "reference; supply a full partition instead")
-    assert p.is_lattice()
+    if not p.is_lattice():
+        raise InputError("reference poset is not a lattice")
     els = p.elements
     ix = p._ix
     parent = list(range(len(els)))
@@ -575,9 +556,11 @@ def forcing_closure(p, seeds):
                 lo = p.meet(lo, els[i])
                 hi = p.join(hi, els[i])
             root = members[0]
-            for z in els:
-                if z & lo == lo and z & hi == z:
-                    changed |= union(ix[z], root)
+            span = _interval(p, lo, hi)
+            while span:
+                low = span & -span
+                changed |= union(low.bit_length() - 1, root)
+                span ^= low
 
     groups = defaultdict(list)
     for i, m in enumerate(els):

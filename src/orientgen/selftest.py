@@ -387,9 +387,9 @@ def crit_lattice_dichotomy(quick):
                 lattices += latt
                 want = classify(d) in ("vertebrate", "peo_consistent",
                                        "skeletal")
-                assert latt == want, \
-                    "lattice test and classification disagree on %r" % (d,)
-    assert total == {4: 572, 5: 29853}[top]
+                _require(latt == want, "lattice test and classification "
+                         "disagree on %r", d)
+    _require(total == {4: 572, 5: 29853}[top])
     return "%d reorientation posets: unique joins and meets exactly on " \
            "the vertebrate ones (%d)" % (total, lattices)
 
@@ -420,14 +420,14 @@ def crit_quotient_hamilton(quick):
         _write(cpath, format_congruence(sylvester_congruence(p).classes))
         rc, text = _cli(["quotient", dpath, "--congruence", cpath,
                          "--certify", "--output", "perm"])
-        assert rc == 0, "sylvester quotient certification failed"
+        _require(rc == 0, "sylvester quotient certification failed")
         lines = text.splitlines()
-        assert lines[-1] == "certified 14 classes"
+        _require(lines[-1] == "certified 14 classes")
         reps = {tuple(int(ch) for ch in ln) for ln in lines[:-1]}
         avoiders = {pi for pi in permutations(range(1, 5))
                     if not _contains_pattern(pi, (2, 3, 1))}
-        assert reps == avoiders, \
-            "representatives are not the 231-avoiding permutations"
+        _require(reps == avoiders,
+                 "representatives are not the 231-avoiding permutations")
 
         rng = random.Random(8152026)
         forced = 5 if quick else 50
@@ -439,7 +439,7 @@ def crit_quotient_hamilton(quick):
             _write(spath, "".join("%x %x\n" % pr for pr in pairs))
             rc, text = _cli(["quotient", dpath, "--seed-pairs", spath,
                              "--certify", "--count-only"])
-            assert rc == 0, "forcing congruence failed on %r" % (d,)
+            _require(rc == 0, "forcing congruence failed on %r", d)
 
         refs = corpus.peo_consistent_nonskeletal_references(4)
         if quick:
@@ -453,10 +453,10 @@ def crit_quotient_hamilton(quick):
             _write(cpath, format_congruence(parts))
             rc, text = _cli(["quotient", dpath, "--congruence", cpath,
                              "--certify", "--count-only"])
-            assert rc == 0, "explicit congruence failed on %r" % (d,)
+            _require(rc == 0, "explicit congruence failed on %r", d)
     dt = time.time() - t0
     if not quick:
-        assert dt < 120.0, "took %.1fs, bound is 120s" % dt
+        _require(dt < 120.0, "took %.1fs, bound is 120s", dt)
     return "sylvester reps 231-avoiding; %d forced and %d explicit " \
            "quotients certified" % (forced, len(refs))
 
@@ -489,21 +489,21 @@ def _check_ladders(d):
         chain_lo, chain_hi = rl[embed(lo)], rl[embed(hi)]
         stairs = [(x, y) for x in chain_lo for y in chain_hi
                   if (x, y) in covers_p]
-        assert (chain_lo[0], chain_hi[0]) in stairs
-        assert (chain_lo[-1], chain_hi[-1]) in stairs
+        _require((chain_lo[0], chain_hi[0]) in stairs)
+        _require((chain_lo[-1], chain_hi[-1]) in stairs)
         stairs.sort(key=lambda s: chain_lo.index(s[0]))
         posns = [chain_hi.index(y) for _, y in stairs]
-        assert posns == sorted(posns), "stairs cross"
+        _require(posns == sorted(posns), "stairs cross")
         hexes = 0
         for (x1, _), (_, y2) in zip(stairs, stairs[1:]):
             span = [z for z in p.elements
                     if p.leq(x1, z) and p.leq(z, y2)]
-            assert len(span) in (4, 6), "ladder cell is not a diamond " \
-                                        "or hexagon"
+            _require(len(span) in (4, 6),
+                     "ladder cell is not a diamond or hexagon")
             hexes += len(span) == 6
-        assert hexes <= 1, "ladder holds more than one hexagon"
+        _require(hexes <= 1, "ladder holds more than one hexagon")
         a, b = sub.arcs[(lo ^ hi).bit_length() - 1]
-        assert hexes == int(g.has_edge(a, d.n) and g.has_edge(b, d.n))
+        _require(hexes == int(g.has_edge(a, d.n) and g.has_edge(b, d.n)))
         total += hexes
     return total
 
@@ -526,8 +526,8 @@ def crit_lemma_suite(quick):
 
     for p, c in congs:
         r = restriction(c)
-        assert validate_congruence(r.poset, r), \
-            "projected partition is not a congruence"
+        _require(validate_congruence(r.poset, r),
+                 "projected partition is not a congruence")
         keep = [k for k, (a, b) in enumerate(p.reference.arcs)
                 if p.reference.n not in (a, b)]
 
@@ -540,8 +540,8 @@ def crit_lemma_suite(quick):
 
         lower = {frozenset(x) for x in r.classes}
         for cls in c.classes:
-            assert frozenset(project(f) for f in cls) in lower, \
-                "class projection is not a class"
+            _require(frozenset(project(f) for f in cls) in lower,
+                     "class projection is not a class")
 
         chains = list(rails(p).values())
         for cls in c.classes:
@@ -549,8 +549,8 @@ def crit_lemma_suite(quick):
             for chain in chains:
                 hits = [k for k, f in enumerate(chain) if f in members]
                 if hits:
-                    assert hits == list(range(hits[0], hits[-1] + 1)), \
-                        "class meets a rail outside an interval"
+                    _require(hits == list(range(hits[0], hits[-1] + 1)),
+                             "class meets a rail outside an interval")
 
     hex_totals = {}
     cases = [("k4", orient(complete_graph(4), 0), 6),
@@ -559,20 +559,20 @@ def crit_lemma_suite(quick):
              ("k3", orient(complete_graph(3), 0), 1)]
     for name, d, want in cases:
         hex_totals[name] = _check_ladders(d)
-        assert hex_totals[name] == want, \
-            "%s has %d hexagons, expected %d" % (name, hex_totals[name],
-                                                 want)
+        _require(hex_totals[name] == want,
+                 "%s has %d hexagons, expected %d", name, hex_totals[name],
+                 want)
 
     sizes = (1, 2, 3) if quick else (1, 2, 3, 4)
     checked = 0
     for n in sizes:
         for h in corpus.all_hypergraphs(n, 6):
             checked += 1
-            assert is_heo(h, tuple(range(1, n + 1))) == \
-                check_unique_parent_child(h), \
-                "elimination order and parent-child tests disagree on " \
-                "%r" % (h,)
-    assert checked == (137 if quick else 10086)
+            _require(is_heo(h, tuple(range(1, n + 1)))
+                     == check_unique_parent_child(h),
+                     "elimination order and parent-child tests disagree "
+                     "on %r", h)
+    _require(checked == (137 if quick else 10086))
     return "projection, rail, and ladder checks on %d congruences; " \
            "parent-child equivalence on %d hypergraphs" % (len(congs),
                                                            checked)
@@ -590,9 +590,9 @@ def crit_partial_cube(quick):
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 pairs += 1
-                assert check_flip_distance(fg, nodes[i], nodes[j]), \
-                    "flip distance differs from opposite-arc count on " \
-                    "%r" % (g,)
+                _require(check_flip_distance(fg, nodes[i], nodes[j]),
+                         "flip distance differs from opposite-arc count "
+                         "on %r", g)
     return "%d graphs, %d orientation pairs: flip distance equals " \
            "opposite-arc count" % (len(few), pairs)
 

@@ -111,3 +111,32 @@ def test_criterion_01_verdict_survives_optimize(corrupt):
     else:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert lines[1].startswith("PASS sjt-reproduction")
+
+
+# quick criterion 07 with the lattice test's answer inverted
+_OPTIMIZED_LATTICE = """
+import sys
+from orientgen import quotients, selftest
+print("debug", __debug__)
+is_lattice = quotients.ARPoset.is_lattice
+quotients.ARPoset.is_lattice = lambda self: not is_lattice(self)
+selftest.CRITERIA = [c for c in selftest.CRITERIA
+                     if c[0] == "lattice-dichotomy"]
+sys.exit(selftest.run_selftest(quick=True, out=sys.stdout))
+"""
+
+
+def test_criterion_07_verdict_survives_optimize():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        orientgen.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_LATTICE],
+        capture_output=True, text=True, env=env, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert proc.returncode == 1
+    assert lines[1] == ("FAIL lattice-dichotomy      lattice test and "
+                        "classification disagree on Digraph(n=1, arcs=[])")

@@ -155,6 +155,24 @@ def def_classify(d):
     return "skeletal" if def_filled(d) else "peo_consistent"
 
 
+def naive_join(p, x, y):
+    """Least upper bound by brute-force bound search over every element,
+    or None when it is not unique: the reference for ``ARPoset.join``."""
+    both = x | y
+    cands = [z for z in p.elements if z & both == both]
+    best = min(cands, key=int.bit_count)
+    return best if all(z & best == best for z in cands) else None
+
+
+def naive_meet(p, x, y):
+    """Greatest lower bound by bound search, or None: the reference for
+    ``ARPoset.meet``."""
+    both = x & y
+    cands = [z for z in p.elements if z & both == z]
+    best = max(cands, key=int.bit_count)
+    return best if all(z & best == z for z in cands) else None
+
+
 def contains_pattern(pi, pat):
     k = len(pat)
     for idx in combinations(range(len(pi)), k):
@@ -204,6 +222,27 @@ def test_classify_matches_definitions_and_lattice_dichotomy():
                 assert p.is_lattice() == (got != "acyclic")
                 checked += 1
     assert checked == 572  # 1 + 3 + 25 + 543 labeled acyclic digraphs
+
+
+def test_join_meet_and_lattice_test_match_bound_search():
+    """Every pair of every reorientation poset on up to four vertices,
+    non-lattices included."""
+    posets = lattices = 0
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            for d in enumerate_ao_graph(g):
+                p = build_ar_poset(d)
+                failing = set()
+                for x, y in combinations(p.elements, 2):
+                    want = (naive_join(p, x, y), naive_meet(p, x, y))
+                    assert (p.join(x, y), p.meet(x, y)) == want
+                    if None in want:
+                        failing.add((x, y))
+                assert p.is_lattice() == (not failing)
+                assert p.lattice_witness in (failing or {None})
+                posets += 1
+                lattices += p.is_lattice()
+    assert (posets, lattices) == (572, 542)
 
 
 def test_three_sun_has_no_skeletal_orientation():
@@ -360,6 +399,8 @@ def test_validate_matches_definitional_quantifier_on_triangle():
     against the raw compatibility condition for joins and meets."""
     p = build_ar_poset(orient(complete_graph(3), 0))
     els = list(p.elements)
+    join = {(x, y): naive_join(p, x, y) for x in els for y in els}
+    meet = {(x, y): naive_meet(p, x, y) for x in els for y in els}
 
     def compatible(cls):
         for x in els:
@@ -370,9 +411,9 @@ def test_validate_matches_definitional_quantifier_on_triangle():
                     for y2 in els:
                         if cls[y2] != cls[y]:
                             continue
-                        if cls[p.join(x, y)] != cls[p.join(x2, y2)]:
+                        if cls[join[x, y]] != cls[join[x2, y2]]:
                             return False
-                        if cls[p.meet(x, y)] != cls[p.meet(x2, y2)]:
+                        if cls[meet[x, y]] != cls[meet[x2, y2]]:
                             return False
         return True
 
@@ -433,6 +474,15 @@ def test_forcing_requires_skeletal_reference():
         forcing_closure(p, [])
 
 
+def test_forcing_rejects_non_lattice_element_list():
+    # a caller's element list over the skeletal triangle: 1 and 4 have no
+    # common upper bound
+    p = ARPoset(orient(complete_graph(3), 0), [0, 1, 4])
+    assert not p.is_lattice()
+    with pytest.raises(InputError, match="not a lattice"):
+        forcing_closure(p, [])
+
+
 def test_congruence_closure_extremes():
     p = build_ar_poset(orient(complete_graph(3), 0))
     singles = congruence_closure(p, [])
@@ -480,6 +530,20 @@ def test_rails_require_simplicial_last_vertex():
     assert rails(build_ar_poset(d))  # K4 relabel sanity: simplicial works
     with pytest.raises(InputError):
         rails(build_ar_poset(W_VERT))
+
+
+def test_rails_reject_short_rail():
+    # the triangle's last vertex has degree 2, so a rail holds 3
+    with pytest.raises(InputError, match="holds 1 reorientations"):
+        rails(ARPoset(orient(complete_graph(3), 0), [0]))
+
+
+def test_rails_reject_rail_that_is_no_chain():
+    # vertex 3 lies between 1 and 2, so flipping one of its arcs is
+    # acyclic either way but flipping both is not: the rail over the
+    # reference is 0, 2, 4, which is no chain
+    with pytest.raises(InputError, match="not a chain"):
+        rails(build_ar_poset(Digraph(3, [(1, 2), (1, 3), (3, 2)])))
 
 
 def _ladders(d):
