@@ -1,19 +1,26 @@
-"""Golden outputs: the full stdout of ``ao-graph`` and ``quotient`` on a
-fixed corpus.
+"""Golden outputs: the full stdout of ``ao-graph``, ``ao-hyper``,
+``elim-trees`` and ``quotient`` on a fixed corpus.
 
 Every case runs the command line in-process on an instance file under
 ``tests/golden`` and must reproduce the committed ``.out`` file byte for
 byte.  The ``ao-graph`` corpus is K_4, P_5, two seeded random chordal
 graphs on 10 and 12 vertices (so the space-separated permutation format
 is covered) and one of them relabeled by a perfect elimination order, for
-``--peo given``.  The ``quotient`` corpus is the transitive tournament
+``--peo given``.  The ``ao-hyper`` corpus is the prefix chain on 4
+vertices, the Stanley-Pitman hypergraph on 4, K_4 and P_5 as 2-uniform
+hypergraphs, and a ``heo_corpus`` member whose hyperfect elimination
+order is not the identity, both as is (``--order auto``) and relabeled
+by that order (``--order given``).  ``elim-trees`` runs on K_4, P_5 and
+a seeded random chordal graph on 8 vertices whose perfect elimination
+order is not the identity.  The ``quotient`` corpus is the transitive tournament
 T_4 under the identity, the sylvester congruence and a seed-pair file,
 T_4 relabeled so that the command has to search a peo-consistent order,
 and the peo-consistent classification witness.
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots, the ``quotient`` files by the poset that predates
-the lattice index; to rewrite them after a deliberate output change, run
+the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
+hypergraph engine that still checked itself on every step; to rewrite them after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -25,9 +32,11 @@ import pytest
 
 from orientgen import corpus
 from orientgen.cli import main
-from orientgen.fileio import format_congruence, format_digraph, format_graph
+from orientgen.fileio import format_congruence, format_digraph, \
+    format_graph, format_hypergraph
 from orientgen.graphs import complete_graph, find_peo, orient, path_graph, \
     relabel_digraph, relabel_graph
+from orientgen.hypergraphs import find_heo, relabel_hypergraph
 from orientgen.quotients import build_ar_poset, sylvester_congruence
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -41,6 +50,24 @@ MODES = {
 }
 GIVEN_MODES = ("arcs", "perm", "count")
 GIVEN = ("k4", "p5", "r10-peo")
+
+HYPER_MODES = {
+    "heads": [],
+    "perm": ["--output", "perm"],
+    "flips": ["--output", "flips"],
+    "dot": ["--output", "dot"],
+    "count": ["--count-only", "--certify"],
+}
+HYPER_GIVEN_MODES = ("heads", "perm", "count")
+HYPER_GIVEN = ("prefix4", "h54-heo")
+
+ELIM_MODES = {
+    "elim-forest": [],
+    "elim-perm": ["--output", "perm"],
+    "elim-count": ["--count-only"],
+    "elim-perm-count": ["--output", "perm", "--count-only"],
+}
+ELIM_GRAPHS = ("k4", "p5", "r8")
 
 QUOTIENT_MODES = {
     "classes": ["--output", "classes", "--certify"],
@@ -79,6 +106,39 @@ def cases():
         out += [(name, "given-" + mode, ["--peo", "given"] + MODES[mode])
                 for mode in GIVEN_MODES]
     return out
+
+
+def hyper_instances():
+    """The ao-hyper corpus: name -> hypergraph."""
+    h54 = corpus.heo_corpus()[54]
+    return {
+        "prefix4": corpus.prefix_chain(4),
+        "sp4": corpus.stanley_pitman(4),
+        "k4-2u": corpus.two_uniform(complete_graph(4)),
+        "p5-2u": corpus.two_uniform(path_graph(5)),
+        "h54": h54,
+        "h54-heo": relabel_hypergraph(h54, find_heo(h54)),
+    }
+
+
+def hyper_cases():
+    out = []
+    for name in ("prefix4", "sp4", "k4-2u", "p5-2u", "h54"):
+        out += [(name, mode, HYPER_MODES[mode]) for mode in HYPER_MODES]
+    for name in HYPER_GIVEN:
+        out += [(name, "given-" + mode, ["--order", "given"] + HYPER_MODES[mode])
+                for mode in HYPER_GIVEN_MODES]
+    return out
+
+
+def elim_instances():
+    """Graphs of the elim-trees corpus not already in the ao-graph one."""
+    return {"r8": corpus.random_chordal(8, random.Random(0))}
+
+
+def elim_cases():
+    return [(name, mode, ELIM_MODES[mode])
+            for name in ELIM_GRAPHS for mode in ELIM_MODES]
 
 
 def quotient_instances():
@@ -133,6 +193,32 @@ def test_quotient_output_is_golden(name, mode, capsys):
         assert capsys.readouterr().out == handle.read()
 
 
+@pytest.mark.parametrize("name,mode,args", hyper_cases(),
+                         ids=["%s-%s" % c[:2] for c in hyper_cases()])
+def test_ao_hyper_output_is_golden(name, mode, args, capsys):
+    rc = main(["ao-hyper", os.path.join(GOLDEN, name + ".h")] + args)
+    assert rc == 0
+    with open(os.path.join(GOLDEN, "%s.%s.out" % (name, mode)),
+              newline="") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
+def test_heo_member_order_is_not_the_identity():
+    h = hyper_instances()["h54"]
+    assert find_heo(h) != tuple(range(1, h.n + 1))
+    assert find_peo(elim_instances()["r8"]) != tuple(range(1, 9))
+
+
+@pytest.mark.parametrize("name,mode,args", elim_cases(),
+                         ids=["%s-%s" % c[:2] for c in elim_cases()])
+def test_elim_trees_output_is_golden(name, mode, args, capsys):
+    rc = main(["elim-trees", os.path.join(GOLDEN, name + ".g")] + args)
+    assert rc == 0
+    with open(os.path.join(GOLDEN, "%s.%s.out" % (name, mode)),
+              newline="") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
 def _capture(argv):
     import contextlib
     import io
@@ -156,6 +242,16 @@ def _regenerate():
     for name, mode, args in cases():
         _write("%s.%s.out" % (name, mode), _capture(
             ["ao-graph", os.path.join(GOLDEN, name + ".g")] + args))
+    for name, h in hyper_instances().items():
+        _write(name + ".h", format_hypergraph(h))
+    for name, mode, args in hyper_cases():
+        _write("%s.%s.out" % (name, mode), _capture(
+            ["ao-hyper", os.path.join(GOLDEN, name + ".h")] + args))
+    for name, g in elim_instances().items():
+        _write(name + ".g", format_graph(g))
+    for name, mode, args in elim_cases():
+        _write("%s.%s.out" % (name, mode), _capture(
+            ["elim-trees", os.path.join(GOLDEN, name + ".g")] + args))
     for name, text in quotient_instances().items():
         _write(name, text)
     for name, mode in quotient_cases():
