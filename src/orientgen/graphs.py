@@ -7,7 +7,6 @@ so mask 0 is the orientation with every edge pointing toward its larger
 endpoint.
 """
 
-import heapq
 from itertools import combinations
 
 from .errors import InputError
@@ -154,29 +153,6 @@ def is_acyclic(d):
     return _topo_any(d) is not None
 
 
-def topological_order(d):
-    """The lexicographically smallest topological order of d.
-
-    Rejects cyclic input.
-    """
-    indeg = [0] * (d.n + 1)
-    for _, j in d.arcs:
-        indeg[j] += 1
-    heap = [v for v in range(1, d.n + 1) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in d.out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != d.n:
-        raise InputError("digraph is not acyclic")
-    return tuple(order)
-
-
 def descendant_masks(d):
     """Reachability bitmasks of an acyclic digraph.
 
@@ -210,33 +186,6 @@ def transitive_reduction(d):
         if not any(masks[w] & bit for w in d.out[i] if w != j):
             keep.add((i, j))
     return frozenset(keep)
-
-
-def flippable_arcs(d):
-    """Arcs of an acyclic digraph whose reversal keeps it acyclic.
-
-    These are exactly the arcs of the transitive reduction.
-    """
-    return transitive_reduction(d)
-
-
-def flip_arc(d, i, j):
-    """Reverse arc i->j, returning a new Digraph.
-
-    Rejects arcs that are absent or whose reversal would create a cycle
-    (equivalently, arcs outside the transitive reduction).
-    """
-    if not d.has_arc(i, j):
-        raise InputError("no arc %d->%d" % (i, j))
-    if (i, j) not in flippable_arcs(d):
-        raise InputError("arc %d->%d is not flippable" % (i, j))
-    arcs = [(j, i) if a == (i, j) else a for a in d.arcs]
-    return Digraph(d.n, arcs)
-
-
-def in_degree_sequence(d):
-    """The vector (indegree(1), ..., indegree(n))."""
-    return tuple(len(d.inn[v]) for v in range(1, d.n + 1))
 
 
 def is_simplicial(g, v):
@@ -310,11 +259,6 @@ def find_peo(g):
     if is_peo(g, order):
         return order
     return None
-
-
-def is_chordal(g):
-    """True iff g has a perfect elimination order."""
-    return find_peo(g) is not None
 
 
 def relabel_graph(g, order):

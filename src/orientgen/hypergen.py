@@ -16,19 +16,10 @@ from .hypergraphs import (
     graphical_building_set,
     is_acyclic_orientation,
     is_heo,
-    orientation_from_permutation,
-    orientation_to_elim_forest,
-    pair_flip,
     poset_of,
     relabel_hypergraph,
     restrict,
 )
-
-
-def decode(h, pi):
-    """Orientation heading every hyperedge at its member appearing
-    furthest right in pi."""
-    return orientation_from_permutation(h, pi)
 
 
 def encode(h, o):
@@ -38,7 +29,8 @@ def encode(h, o):
     Vertices are placed in increasing order: one that is maximal in its
     restriction poset is appended, a minimal one is prepended, and any
     other lands directly before its unique cover.  The result is a linear
-    extension of the orientation's poset, and decode inverts it.
+    extension of the orientation's poset, and
+    ``orientation_from_permutation`` inverts it.
     """
     n = h.n
     if not is_heo(h, tuple(range(1, n + 1))):
@@ -74,10 +66,12 @@ class HyperRun:
     flip pair (i, j) in original vertex labels: every hyperedge that was
     headed j and contains i is now headed i.  Snapshots of the current
     state come from heads() and permutation(); both are valid only until
-    the next step.
+    the next step.  Counters `visits` and `flips` accumulate as the run
+    advances.  The loop carries no self-checks: the certifiers and the
+    tests check every step from outside.
     """
 
-    __slots__ = ("hypergraph", "order", "visits", "flips", "_h", "_orig",
+    __slots__ = ("hypergraph", "order", "visits", "_h", "_orig",
                  "_heads", "_pi", "_pos", "_gen")
 
     def __init__(self, h, order):
@@ -93,14 +87,20 @@ class HyperRun:
         self._pi = list(range(1, n + 1))
         self._pos = list(range(-1, n))
         self.visits = 0
-        self.flips = 0
         self._gen = self._iterate()
 
     def __iter__(self):
-        return self
+        # a for loop steps the generator directly; next(run) steps the
+        # same generator
+        return self._gen
 
     def __next__(self):
         return next(self._gen)
+
+    @property
+    def flips(self):
+        """Pair flips so far: one per visit after the first."""
+        return max(self.visits - 1, 0)
 
     def heads(self):
         """Current orientation as a head tuple over the original edge
@@ -144,8 +144,6 @@ class HyperRun:
             j = s[last]
             if j == 0:
                 return
-            if __debug__:
-                prev = tuple(heads)
             p = pos[j]
             if down[j]:
                 # partner: rightmost member below j, its unique cocover
@@ -173,7 +171,6 @@ class HyperRun:
                 for x in range(q, p + 1):
                     pos[pi[x]] = x
                 ended = not still
-                assert pair_flip(h, prev, u, j) == tuple(heads)
                 flip = (orig[u], orig[j])
             else:
                 # partner: leftmost head above j, its unique cover
@@ -206,9 +203,7 @@ class HyperRun:
                 for x in range(p, q + 1):
                     pos[pi[x]] = x
                 ended = not nxt
-                assert pair_flip(h, prev, j, c) == tuple(heads)
                 flip = (orig[j], orig[c])
-            assert tuple(heads) == orientation_from_permutation(h, pi)
             s[last] = last
             if ended:
                 down[j] = not down[j]
@@ -216,7 +211,6 @@ class HyperRun:
                 s[j] = s[pj]
                 s[pj] = pj
             self.visits += 1
-            self.flips += 1
             yield flip
 
 
@@ -240,19 +234,38 @@ def generate_elim_forests(g):
     rotation at a time.
 
     Forests are emitted as parent tuples indexed by vertex (entry v-1 is
-    the parent of v, 0 for roots), obtained from the acyclic orientations
-    of the graphical building set of g.
+    the parent of v, 0 for roots), read off the acyclic orientations of
+    the graphical building set of g.  On a building set the heads of the
+    hyperedges that contain v but are not headed at v form a chain of v's
+    ancestors, so v's parent is the one leftmost in the run's
+    permutation.  A visit costs O(sum over v of the hyperedges containing
+    v).
     """
     order = find_peo(g)
     if order is None:
         raise InputError("graph is not chordal")
-    rg = relabel_graph(g, order)
-    bg = graphical_building_set(rg)
-    run = HyperRun(bg, tuple(range(1, g.n + 1)))
+    n = g.n
+    bg = graphical_building_set(relabel_graph(g, order))
+    run = HyperRun(bg, tuple(range(1, n + 1)))
+    heads = run._heads
+    pos = run._pos
+    # per vertex v in elimination coordinates: v, the output slot of its
+    # original label, and the hyperedges containing v
+    incident = [[] for _ in range(n + 1)]
+    for k, e in enumerate(bg.edges):
+        for v in e:
+            incident[v].append(k)
+    slots = [(v, order[v - 1] - 1, incident[v]) for v in range(1, n + 1)]
     orig = (0,) + order
+    out = [0] * n
     for _ in run:
-        parent = orientation_to_elim_forest(bg, run.heads())
-        out = [0] * g.n
-        for v in range(1, g.n + 1):
-            out[orig[v] - 1] = orig[parent[v - 1]]
+        for v, slot, ks in slots:
+            parent = 0
+            best = n
+            for k in ks:
+                hk = heads[k]
+                if hk != v and pos[hk] < best:
+                    best = pos[hk]
+                    parent = hk
+            out[slot] = orig[parent]
         yield tuple(out)

@@ -414,15 +414,6 @@ def orientation_from_permutation(h, pi):
     return tuple(max(e, key=lambda v: pos[v]) for e in h.edges)
 
 
-def in_degree_sequence(h, heads):
-    """Component i counts the hyperedges headed at i."""
-    heads = check_orientation(h, heads)
-    d = [0] * (h.n + 1)
-    for v in heads:
-        d[v] += 1
-    return tuple(d[1:])
-
-
 def orientation_to_elim_forest(bg, heads):
     """The parent array of the orientation poset of a building set.
 

@@ -175,14 +175,12 @@ def algorithm_J(oracle, pi0=None):
             for direction in ("left", "right"):
                 hit = _minimal_jump(member, current, v, direction)
                 if hit is not None and hit[0] not in visited:
-                    found.append((direction, hit))
+                    found.append(hit[0])
             if found:
                 if len(found) > 1:
                     ambiguous = True
                 else:
-                    direction, (target, steps) = found[0]
-                    assert is_clean_jump(current, v, direction, steps)
-                    chosen = target
+                    chosen = found[0]
                 break
         if ambiguous or chosen is None:
             return seq

@@ -165,10 +165,10 @@ def crit_hyper_certified(quick):
         for h in members:
             _write(path, format_hypergraph(h))
             rc, text = _cli(["ao-hyper", path, "--certify", "--count-only"])
-            assert rc == 0, "certification failed on %r" % (h,)
+            _require(rc == 0, "certification failed on %r", h)
     dt = time.time() - t0
     if not quick:
-        assert dt < 60.0, "took %.1fs, bound is 60s" % dt
+        _require(dt < 60.0, "took %.1fs, bound is 60s", dt)
     return "%d hypergraphs: counts, pair flips, and jump traces all " \
            "match" % len(members)
 
@@ -357,17 +357,17 @@ def crit_classify_definitional(quick):
                 total += 1
                 got = classify(d)
                 want = _def_classify(d)
-                assert got == want, "classify says %s, definitions say " \
-                                    "%s on %r" % (got, want, d)
-    assert total == {3: 29, 5: 29853}[top]
+                _require(got == want, "classify says %s, definitions say "
+                                      "%s on %r", got, want, d)
+    _require(total == {3: 29, 5: 29853}[top])
     for word, d in corpus.CLASS_WITNESSES.items():
-        assert classify(d) == word, "witness for %s misclassified" % word
+        _require(classify(d) == word, "witness for %s misclassified", word)
     sun = ""
     if not quick:
         cnt = Counter(classify(d)
                       for d in enumerate_ao_graph(corpus.THREE_SUN))
-        assert cnt["peo_consistent"] == 96 and "skeletal" not in cnt
-        assert cnt["acyclic"] == 54 and cnt["vertebrate"] == 12
+        _require(cnt["peo_consistent"] == 96 and "skeletal" not in cnt)
+        _require(cnt["acyclic"] == 54 and cnt["vertebrate"] == 12)
         sun = "; 3-sun separates peo-consistent from skeletal"
     return "%d orientations match the definitional classifier%s" % (
         total, sun)

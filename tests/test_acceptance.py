@@ -77,6 +77,18 @@ def test_quick_selftest_passes():
         assert line.startswith("PASS %s" % name)
 
 
+def _run_optimized(script, *args):
+    """Run a script under ``python -O`` against this source tree."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        orientgen.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script] + list(args),
+        capture_output=True, text=True, env=env, timeout=60)
+
+
 # criterion 01 alone, optionally against a corrupted K_3 expectation
 _OPTIMIZED_SJT = """
 import sys
@@ -93,15 +105,7 @@ sys.exit(selftest.run_selftest(out=sys.stdout))
 
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_criterion_01_verdict_survives_optimize(corrupt):
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        orientgen.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMIZED_SJT,
-         "corrupt" if corrupt else "intact"],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_optimized(_OPTIMIZED_SJT, "corrupt" if corrupt else "intact")
     lines = proc.stdout.splitlines()
     assert lines[0] == "debug False"
     if corrupt:
@@ -127,16 +131,54 @@ sys.exit(selftest.run_selftest(quick=True, out=sys.stdout))
 
 
 def test_criterion_07_verdict_survives_optimize():
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        orientgen.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMIZED_LATTICE],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_optimized(_OPTIMIZED_LATTICE)
     lines = proc.stdout.splitlines()
     assert lines[0] == "debug False"
     assert proc.returncode == 1
     assert lines[1] == ("FAIL lattice-dichotomy      lattice test and "
                         "classification disagree on Digraph(n=1, arcs=[])")
+
+
+# quick criterion 04 with every jump-trace check rejecting the listing
+_OPTIMIZED_HYPER = """
+import sys
+from orientgen import cli, selftest
+from orientgen.errors import InputError
+print("debug", __debug__)
+def reject(h, order, trace):
+    raise InputError("permutation trace differs from the jump listing")
+cli._check_jump_trace = reject
+selftest.CRITERIA = [c for c in selftest.CRITERIA
+                     if c[0] == "hyper-certified"]
+sys.exit(selftest.run_selftest(quick=True, out=sys.stdout))
+"""
+
+
+def test_criterion_04_verdict_survives_optimize():
+    proc = _run_optimized(_OPTIMIZED_HYPER)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert proc.returncode == 1
+    assert lines[1] == ("FAIL hyper-certified        certification failed "
+                        "on Hypergraph(n=1, m=1)")
+
+
+# quick criterion 06 with every digraph classified acyclic
+_OPTIMIZED_CLASSIFY = """
+import sys
+from orientgen import selftest
+print("debug", __debug__)
+selftest.classify = lambda d: "acyclic"
+selftest.CRITERIA = [c for c in selftest.CRITERIA
+                     if c[0] == "classify-definitional"]
+sys.exit(selftest.run_selftest(quick=True, out=sys.stdout))
+"""
+
+
+def test_criterion_06_verdict_survives_optimize():
+    proc = _run_optimized(_OPTIMIZED_CLASSIFY)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert proc.returncode == 1
+    assert lines[1] == ("FAIL classify-definitional  classify says acyclic, "
+                        "definitions say skeletal on Digraph(n=1, arcs=[])")

@@ -4,12 +4,19 @@ import random
 
 import pytest
 
+from orientgen import corpus
 from orientgen.chordal import generate as generate_graph
 from orientgen.errors import InputError
-from orientgen.graphs import Graph, complete_graph, cycle_graph, path_graph
+from orientgen.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    find_peo,
+    path_graph,
+    relabel_graph,
+)
 from orientgen.hypergen import (
     HyperRun,
-    decode,
     encode,
     generate,
     generate_elim_forests,
@@ -18,6 +25,8 @@ from orientgen.hypergraphs import (
     Hypergraph,
     find_heo,
     graphical_building_set,
+    orientation_from_permutation,
+    orientation_to_elim_forest,
     pair_flip,
     poset_of,
     relabel_hypergraph,
@@ -67,9 +76,9 @@ def collect(h, order=None):
     return run, flips, states
 
 
-def test_decode_identity():
-    assert decode(PREFIX_H, (1, 2, 3, 4)) == (2, 3, 4)
-    assert decode(PREFIX_H, (4, 3, 2, 1)) == (1, 1, 1)
+def test_orientation_from_permutation_identity():
+    assert orientation_from_permutation(PREFIX_H, (1, 2, 3, 4)) == (2, 3, 4)
+    assert orientation_from_permutation(PREFIX_H, (4, 3, 2, 1)) == (1, 1, 1)
 
 
 def test_encode_examples():
@@ -100,7 +109,7 @@ def test_encode_decode_roundtrip():
         seen = set()
         for o in enumerate_ao_hyper(h):
             pi = encode(h, o)
-            assert decode(h, pi) == o
+            assert orientation_from_permutation(h, pi) == o
             seen.add(pi)
         assert len(seen) == len(enumerate_ao_hyper(h))
 
@@ -129,6 +138,75 @@ def test_run_visits_every_orientation():
         assert run.visits == len(states) and run.flips == len(states) - 1
 
 
+def step_corpus():
+    """Hypergraphs whose runs are checked on every visit: the HEO corpus,
+    seeded random HEO hypergraphs, every chordal graph on up to 5
+    vertices as a 2-uniform hypergraph, and the building sets of P_5 and
+    K_4."""
+    cases = list(corpus.heo_corpus())
+    rng = random.Random(37)
+    for _ in range(30):
+        h = random_heo_hypergraph(rng)
+        if h is not None:
+            cases.append(h)
+    cases += [two_uniform(g) for g in corpus.chordal_graphs(5)]
+    cases += [graphical_building_set(path_graph(5)),
+              graphical_building_set(complete_graph(4))]
+    return cases
+
+
+def test_every_step_is_a_pair_flip_matching_the_permutation():
+    visits = 0
+    for h in step_corpus():
+        run = generate(h)
+        # the permutation reads in elimination coordinates
+        rh = relabel_hypergraph(h, run.order)
+        orig = (0,) + run.order
+        prev = None
+        for flip in run:
+            heads = run.heads()
+            if prev is None:
+                assert flip is None
+            else:
+                assert pair_flip(h, prev, *flip) == heads
+            assert tuple(orig[v] for v in orientation_from_permutation(
+                rh, run.permutation())) == heads
+            prev = heads
+            visits += 1
+        assert run.flips == run.visits - 1
+    assert visits > 20000
+
+
+def elim_corpus():
+    """Chordal graphs whose elimination forests are checked on every
+    visit: every one on up to 5 vertices (with P_5 and K_4), and seeded
+    random ones whose perfect elimination order is not the identity."""
+    graphs = list(corpus.chordal_graphs(5))
+    rng = random.Random(41)
+    for n in (6, 7, 7):
+        graphs.append(corpus.random_chordal(n, rng))
+    return graphs
+
+
+def test_elim_forests_match_the_orientation_poset():
+    visits = 0
+    for g in elim_corpus():
+        order = find_peo(g)
+        bg = graphical_building_set(relabel_graph(g, order))
+        run = HyperRun(bg, tuple(range(1, g.n + 1)))
+        orig = (0,) + order
+        forests = generate_elim_forests(g)
+        for _ in run:
+            parent = orientation_to_elim_forest(bg, run.heads())
+            want = [0] * g.n
+            for v in range(1, g.n + 1):
+                want[orig[v] - 1] = orig[parent[v - 1]]
+            assert next(forests) == tuple(want)
+            visits += 1
+        assert next(forests, None) is None
+    assert visits > 40000
+
+
 def test_first_visit_heads_maxima():
     run, flips, states = collect(PREFIX_H)
     assert flips[0] is None
@@ -150,7 +228,8 @@ def test_trace_matches_greedy_jump_engine():
         if h is not None:
             cases.append(h)
     for h in cases:
-        member = lambda p, h=h: encode(h, decode(h, p)) == p
+        member = lambda p, h=h: encode(
+            h, orientation_from_permutation(h, p)) == p
         expected = algorithm_J(LanguageOracle(h.n, member))
         run = generate(h)
         got = []

