@@ -15,12 +15,17 @@ a seeded random chordal graph on 8 vertices whose perfect elimination
 order is not the identity.  The ``quotient`` corpus is the transitive tournament
 T_4 under the identity, the sylvester congruence and a seed-pair file,
 T_4 relabeled so that the command has to search a peo-consistent order,
-and the peo-consistent classification witness.
+the peo-consistent classification witness, T_4 with vertices 4 and 3
+sources of their levels (vertex 2 a sink), and T_3 under the congruence
+whose classes are its rails, so that rails collapse above n = 1.
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots, the ``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
-hypergraph engine that still checked itself on every step; to rewrite them after a deliberate output change, run
+hypergraph engine that still checked itself on every step, and the
+``t4-source`` and ``t3-rails`` files by the quotient path that still
+searched its order with the jump engine; to rewrite them after a
+deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -34,10 +39,11 @@ from orientgen import corpus
 from orientgen.cli import main
 from orientgen.fileio import format_congruence, format_digraph, \
     format_graph, format_hypergraph
-from orientgen.graphs import complete_graph, find_peo, orient, path_graph, \
-    relabel_digraph, relabel_graph
+from orientgen.graphs import Digraph, complete_graph, find_peo, orient, \
+    path_graph, relabel_digraph, relabel_graph
 from orientgen.hypergraphs import find_heo, relabel_hypergraph
-from orientgen.quotients import build_ar_poset, sylvester_congruence
+from orientgen.quotients import build_ar_poset, is_identity_peo_consistent, \
+    rails, sylvester_congruence
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -82,8 +88,13 @@ QUOTIENT_CASES = {
     "t4-seeds": ("t4.d", ["--seed-pairs", "t4-seeds.s"]),
     "t4-relabeled": ("t4-relabeled.d", []),
     "peo-witness": ("peo-witness.d", []),
+    "t4-source": ("t4-source.d", []),
+    "t3-rails": ("t3.d", ["--congruence", "t3-rails.c"]),
 }
 T4_SEEDS = "3 7\n1a 1e\n"
+# every vertex a source or sink of the vertices below it, so the labeling
+# is peo-consistent; 4 and 3 are sources, 2 is a sink
+T4_SOURCE = Digraph(4, [(1, 2), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
 
 
 def instances():
@@ -144,6 +155,7 @@ def elim_cases():
 def quotient_instances():
     """The quotient corpus: file name -> file text."""
     t4 = orient(complete_graph(4), 0)
+    t3 = orient(complete_graph(3), 0)
     return {
         "t4.d": format_digraph(t4),
         "t4-sylvester.c": format_congruence(
@@ -153,6 +165,10 @@ def quotient_instances():
         "t4-relabeled.d": format_digraph(relabel_digraph(t4, (1, 3, 4, 2))),
         "peo-witness.d": format_digraph(
             corpus.CLASS_WITNESSES["peo_consistent"]),
+        "t4-source.d": format_digraph(T4_SOURCE),
+        "t3.d": format_digraph(t3),
+        "t3-rails.c": format_congruence(
+            rails(build_ar_poset(t3)).values()),
     }
 
 
@@ -207,6 +223,13 @@ def test_heo_member_order_is_not_the_identity():
     h = hyper_instances()["h54"]
     assert find_heo(h) != tuple(range(1, h.n + 1))
     assert find_peo(elim_instances()["r8"]) != tuple(range(1, 9))
+
+
+def test_quotient_corpus_has_sources_and_collapsed_rails():
+    assert is_identity_peo_consistent(T4_SOURCE)
+    assert T4_SOURCE.out[4] and T4_SOURCE.out[3] and not T4_SOURCE.out[2]
+    text = quotient_instances()["t3-rails.c"]
+    assert [len(line.split()) for line in text.splitlines()] == [3, 3]
 
 
 @pytest.mark.parametrize("name,mode,args", elim_cases(),
