@@ -13,8 +13,7 @@ from . import chordal, hypergen
 from .errors import CapExceeded, InputError
 from .fileio import (format_hypergraph, parse_congruence, parse_digraph,
                      parse_graph, parse_hypergraph, parse_seed_pairs)
-from .graphs import (find_peo, is_acyclic, orientation_mask, relabel_digraph,
-                     relabel_graph)
+from .graphs import find_peo, is_acyclic, orientation_mask, relabel_digraph
 from .hypergraphs import find_heo, graphical_building_set, relabel_hypergraph
 from .jumps import LanguageOracle, algorithm_J
 from .oracle import (ArcListingCertifier, PairListingCertifier,
@@ -148,11 +147,7 @@ def _cmd_elim_trees(args, out):
     g = parse_graph(_read(args.file))
     count = 0
     if args.output == "perm":
-        order = find_peo(g)
-        if order is None:
-            raise InputError("graph is not chordal")
-        bg = graphical_building_set(relabel_graph(g, order))
-        run = hypergen.HyperRun(bg, tuple(range(1, g.n + 1)))
+        run, _ = hypergen.elim_run(g)
         for _ in run:
             count += 1
             if not args.count_only:

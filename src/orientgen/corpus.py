@@ -6,6 +6,7 @@ explicit ``random.Random`` so suites can pin seeds.
 
 from itertools import combinations
 
+from .errors import InputError
 from .graphs import (
     Digraph,
     Graph,
@@ -158,8 +159,12 @@ def heo_corpus(extra=40, seed=901):
         members.append(h)
         extra -= 1
     for h in members:
-        assert len(h.edges) <= 8 and h.n <= 5
-        assert find_heo(h) is not None
+        if len(h.edges) > 8 or h.n > 5:
+            raise InputError("corpus member %r exceeds 5 vertices or "
+                             "8 hyperedges" % (h,))
+        if find_heo(h) is None:
+            raise InputError("corpus member %r has no hyperfect "
+                             "elimination order" % (h,))
     return members
 
 
@@ -197,9 +202,11 @@ def skeletal_references(count, rng):
             d = rng.choice(picks)
         if classify(d) != "skeletal":
             continue
-        d = _consistent_relabel(d)
-        assert d is not None and is_identity_peo_consistent(d)
-        out.append(d)
+        r = _consistent_relabel(d)
+        if r is None or not is_identity_peo_consistent(r):
+            raise InputError("skeletal digraph %r has no consistent "
+                             "relabeling" % (d,))
+        out.append(r)
     return out
 
 

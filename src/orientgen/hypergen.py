@@ -53,7 +53,10 @@ def encode(h, o):
             # i has nothing below: minimal
             pi.insert(0, i)
             continue
-        assert len(covers) == 1  # guaranteed by the elimination order
+        if len(covers) != 1:
+            # excluded by the elimination order
+            raise InputError("vertex %d has %d covers in its restriction "
+                             "poset" % (i, len(covers)))
         pi.insert(pi.index(covers[0]), i)
     return tuple(pi)
 
@@ -229,6 +232,21 @@ def generate(h, order=None):
     return HyperRun(h, order)
 
 
+def elim_run(g):
+    """The run over the graphical building set of a chordal graph
+    relabeled by a perfect elimination order, and that order.
+
+    Its permutations and heads are in elimination coordinates: vertex v
+    of the run is vertex order[v-1] of g.  A graph that is not chordal is
+    rejected.
+    """
+    order = find_peo(g)
+    if order is None:
+        raise InputError("graph is not chordal")
+    bg = graphical_building_set(relabel_graph(g, order))
+    return HyperRun(bg, tuple(range(1, g.n + 1))), order
+
+
 def generate_elim_forests(g):
     """Iterate over the elimination forests of a chordal graph, one
     rotation at a time.
@@ -241,12 +259,9 @@ def generate_elim_forests(g):
     permutation.  A visit costs O(sum over v of the hyperedges containing
     v).
     """
-    order = find_peo(g)
-    if order is None:
-        raise InputError("graph is not chordal")
+    run, order = elim_run(g)
     n = g.n
-    bg = graphical_building_set(relabel_graph(g, order))
-    run = HyperRun(bg, tuple(range(1, n + 1)))
+    bg = run.hypergraph
     heads = run._heads
     pos = run._pos
     # per vertex v in elimination coordinates: v, the output slot of its

@@ -34,8 +34,12 @@ def remove_largest(pi):
     return pi[:k] + pi[k + 1:]
 
 
-def _try_jump(pi, value, direction, steps):
-    """The jumped permutation, or None when the precondition fails."""
+def jump(pi, value, direction, steps):
+    """Jump `value` by `steps` positions, rejecting invalid jumps.
+
+    The entries jumped over must all be smaller than `value` and must
+    exist; otherwise InputError is raised.
+    """
     if direction not in ("left", "right"):
         raise InputError("direction must be 'left' or 'right'")
     if steps < 1:
@@ -46,54 +50,19 @@ def _try_jump(pi, value, direction, steps):
         raise InputError("value %r not in permutation" % (value,)) from None
     if direction == "right":
         end = pos + steps
-        if end >= len(pi):
-            return None
-        if any(pi[k] >= value for k in range(pos + 1, end + 1)):
-            return None
-        return pi[:pos] + pi[pos + 1:end + 1] + (value,) + pi[end + 1:]
-    start = pos - steps
-    if start < 0:
-        return None
-    if any(pi[k] >= value for k in range(start, pos)):
-        return None
-    return pi[:start] + (value,) + pi[start:pos] + pi[pos + 1:]
-
-
-def jump(pi, value, direction, steps):
-    """Jump `value` by `steps` positions, rejecting invalid jumps.
-
-    The entries jumped over must all be smaller than `value` and must
-    exist; otherwise InputError is raised.
-    """
-    result = _try_jump(pi, value, direction, steps)
-    if result is None:
-        raise InputError(
-            "invalid %s jump of %d by %d in %r" % (direction, value, steps, pi))
-    return result
+        if end < len(pi) and all(pi[k] < value
+                                 for k in range(pos + 1, end + 1)):
+            return pi[:pos] + pi[pos + 1:end + 1] + (value,) + pi[end + 1:]
+    else:
+        start = pos - steps
+        if start >= 0 and all(pi[k] < value for k in range(start, pos)):
+            return pi[:start] + (value,) + pi[start:pos] + pi[pos + 1:]
+    raise InputError(
+        "invalid %s jump of %d by %d in %r" % (direction, value, steps, pi))
 
 
 def _has_peak(pi):
     return any(pi[k - 1] < pi[k] > pi[k + 1] for k in range(1, len(pi) - 1))
-
-
-def is_clean_jump(pi, value, direction, steps):
-    """True iff the jump is valid and every value larger than `value`
-    sits to the left or to the right of all entries smaller than it."""
-    if _try_jump(pi, value, direction, steps) is None:
-        return False
-    n = len(pi)
-    pos = [0] * (n + 1)
-    for k, v in enumerate(pi):
-        pos[v] = k
-    lo = hi = pos[1]
-    for k in range(2, n + 1):
-        if k > value and lo <= pos[k] <= hi:
-            return False
-        if pos[k] < lo:
-            lo = pos[k]
-        if pos[k] > hi:
-            hi = pos[k]
-    return True
 
 
 class LanguageOracle:

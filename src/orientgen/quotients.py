@@ -3,8 +3,12 @@
 A reorientation of a reference digraph is stored as a bitmask over the
 reference's arc list (bit k set means arc k is reversed).  Reorientations
 are ordered by containment of their flipped arc sets; the poset is a
-lattice exactly when the reference is vertebrate, and the Hamilton-path
-generator below applies to peo-consistent references.
+lattice exactly when the reference is vertebrate.  On a peo-consistent
+reference the Hamilton path of a quotient is walked in mask space, level
+by level: the walk of the restriction to vertices 1..n-1 fixes the
+order of the rails of vertex n, and each rail is swept back and forth
+through its class representatives, which is the minimal-jump order of
+their permutation encodings.
 """
 
 from collections import defaultdict
@@ -21,7 +25,6 @@ from .graphs import (
     orient,
     orientation_mask,
 )
-from .jumps import LanguageOracle, algorithm_J
 from .oracle import enumerate_ao_graph
 
 
@@ -158,8 +161,10 @@ def classify(d):
     if not is_vertebrate(d):
         return "acyclic"
     if peo_consistent_order(d) is None:
-        # vertebrate and filled digraphs are always peo-consistent
-        assert not is_filled(d)
+        if is_filled(d):
+            # vertebrate and filled digraphs are always peo-consistent
+            raise InputError("vertebrate filled digraph without a "
+                             "peo-consistent order")
         return "vertebrate"
     if is_filled(d):
         return "skeletal"
@@ -479,12 +484,15 @@ def _polygons(p):
             if span.bit_count() == 4:
                 out.append(("d", a, b, c, top))
                 continue
-            assert span.bit_count() == 6
+            if span.bit_count() != 6:
+                raise InputError("interval [%#x, %#x] is neither a diamond "
+                                 "nor a hexagon" % (a, top))
             # b and c each lie below one element short of the top
             ends = 1 << p.index(top)
             bb = p.elements[(_interval(p, b, top) ^ ends).bit_length() - 1]
             cc = p.elements[(_interval(p, c, top) ^ ends).bit_length() - 1]
-            assert bb != cc
+            if bb == cc:
+                raise InputError("hexagon [%#x, %#x] has one side" % (a, top))
             out.append(("h", a, b, bb, c, cc, top))
     return out
 
@@ -590,15 +598,19 @@ def restriction(c):
 
 
 def select_representatives(c, p):
-    """One reorientation per congruence class, with permutation encodings.
+    """One reorientation per congruence class, in Hamilton-path order.
 
-    Returns (R, Pi) where R is a frozenset of masks meeting every class
-    exactly once and Pi is the frozenset of their permutations, a zigzag
-    language accepted by algorithm_J.  Built rail by rail: when the
-    classes of rail bottom and top differ on every rail, each class picks
-    the bottom of its rail interval except the class of the rail top,
-    which keeps the top; otherwise whole rails are single classes and n is
-    placed as a sink throughout.  Requires the reference labeling to be
+    Returns a list of masks meeting every class exactly once, in which
+    consecutive classes form cover relations of the quotient.  Built
+    level by level from the walk of ``restriction(c)``.  When the classes
+    of rail bottom and top differ on every rail, each class picks the
+    bottom of its rail interval except the class of the rail top, which
+    keeps the top, and the walk sweeps each lower-level element's rail in
+    turn: the even-indexed ones from the end where n is a sink, the
+    odd-indexed ones back.  Otherwise whole rails are single classes and
+    n is placed as a sink throughout.  This is the inductive description
+    of the minimal-jump order on the permutation encodings, so no
+    permutation is built.  Requires the reference labeling to be
     peo-consistent and c to be a valid congruence of p.
     """
     if c.poset is not p:
@@ -608,57 +620,55 @@ def select_representatives(c, p):
             "reference digraph is not peo-consistent in the given labeling")
     if not validate_congruence(p, c):
         raise InputError("partition is not a lattice congruence")
-    masks = _select(c)
-    return frozenset(masks), frozenset(p.permutation_of(f) for f in masks)
+    return _walk(c)
 
 
-def _select(c):
+def _walk(c):
     p = c.poset
     d = p.reference
     if d.n == 0:
         return [0]
-    prev = _select(restriction(c))
+    prev = _walk(restriction(c))
     keep, nmask = _off_arcs(d)
     rail_map = rails(p)
     cls = c.class_of
     if any(cls[ch[0]] == cls[ch[-1]] for ch in rail_map.values()):
         # one side of the dichotomy: every rail collapses into one class
-        for ch in rail_map.values():
-            assert all(cls[f] == cls[ch[0]] for f in ch)
+        if any(cls[f] != cls[ch[0]] for ch in rail_map.values() for f in ch):
+            raise InputError("one rail collapses into a class, another not")
         extra = nmask if d.out[d.n] else 0  # place n as a sink
         return [_embed(e, keep) | extra for e in prev]
-    sel = []
-    for e in prev:
+    # n is a sink at the rail top iff it is a source in the reference
+    sink_on_top = bool(d.out[d.n])
+    walk = []
+    for idx, e in enumerate(prev):
         chain = rail_map[_embed(e, keep)]
-        run_heads = []
-        prev_cls = None
-        for f in chain:
-            if cls[f] != prev_cls:
-                prev_cls = cls[f]
-                run_heads.append(f)
-        # each class meets the rail in one interval, so runs are distinct
-        assert len({cls[f] for f in run_heads}) == len(run_heads)
-        assert len(run_heads) >= 2
-        sel.extend(run_heads[:-1])
-        sel.append(chain[-1])
-    return sel
+        heads = [f for k, f in enumerate(chain)
+                 if not k or cls[f] != cls[chain[k - 1]]]
+        if len({cls[f] for f in heads}) != len(heads):
+            raise InputError("a class meets rail %#x in two intervals"
+                             % (chain[0] & ~nmask))
+        heads[-1] = chain[-1]
+        if (idx % 2 == 0) == sink_on_top:
+            heads.reverse()
+        walk.extend(heads)
+    return walk
 
 
 def generate_quotient_path(d, c):
     """Hamilton path in the cover graph of the quotient of d's
     reorientation lattice by c, yielded as (mask, class id) pairs.
 
-    Runs algorithm_J over the permutation encodings of the class
-    representatives; consecutive classes form cover relations in the
-    quotient and every class appears exactly once.
+    Walks the representatives of ``select_representatives`` in their
+    order: every class appears exactly once and consecutive classes form
+    cover relations in the quotient.
     """
     p = c.poset
     if p.reference != d:
         raise InputError("congruence was built for a different digraph")
-    _, pi_set = select_representatives(c, p)
-    for pi in algorithm_J(LanguageOracle.from_set(pi_set)):
-        f = p.mask_of(pi)
-        yield f, c.class_of[f]
+    cls = c.class_of
+    for f in select_representatives(c, p):
+        yield f, cls[f]
 
 
 def sylvester_congruence(p):

@@ -21,10 +21,9 @@ from itertools import combinations, permutations
 from . import chordal, corpus, hypergen
 from .fileio import format_congruence, format_digraph, format_graph, \
     format_hypergraph
-from .graphs import Digraph, complete_graph, find_peo, orient, path_graph, \
-    relabel_graph
-from .hypergraphs import check_unique_parent_child, graphical_building_set, \
-    is_acyclic_orientation, is_heo
+from .graphs import Digraph, complete_graph, find_peo, orient, path_graph
+from .hypergraphs import check_unique_parent_child, is_acyclic_orientation, \
+    is_heo
 from .oracle import build_flip_graph, check_flip_distance, \
     congruence_closure, enumerate_ao_graph, one_arc_flip, pair_flip_relation
 from .quotients import Congruence, build_ar_poset, classify, rails, \
@@ -223,9 +222,8 @@ def crit_specializations(quick):
     # certify the rotation listing directly: the head-vector space of a
     # path's building set is far too large to enumerate, but validity,
     # distinctness, flip legality, and the Catalan total pin it down
-    g = path_graph(top)
-    bg = graphical_building_set(relabel_graph(g, find_peo(g)))
-    run = hypergen.HyperRun(bg, tuple(range(1, top + 1)))
+    run, _ = hypergen.elim_run(path_graph(top))
+    bg = run.hypergraph
     rel = pair_flip_relation(bg)
     seen = set()
     prev = None

@@ -182,3 +182,38 @@ def test_criterion_06_verdict_survives_optimize():
     assert proc.returncode == 1
     assert lines[1] == ("FAIL classify-definitional  classify says acyclic, "
                         "definitions say skeletal on Digraph(n=1, arcs=[])")
+
+
+# quick criterion 08, optionally with two visits of every quotient walk
+# exchanged
+_OPTIMIZED_QUOTIENT = """
+import sys
+from orientgen import quotients, selftest
+print("debug", __debug__)
+if sys.argv[1] == "corrupt":
+    walk = quotients._walk
+    def swapped(c):
+        out = walk(c)
+        if len(out) > 2:
+            out[1], out[2] = out[2], out[1]
+        return out
+    quotients._walk = swapped
+selftest.CRITERIA = [c for c in selftest.CRITERIA
+                     if c[0] == "quotient-hamilton"]
+sys.exit(selftest.run_selftest(quick=True, out=sys.stdout))
+"""
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_criterion_08_verdict_survives_optimize(corrupt):
+    proc = _run_optimized(_OPTIMIZED_QUOTIENT,
+                          "corrupt" if corrupt else "intact")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    if corrupt:
+        assert proc.returncode == 1
+        assert lines[1] == ("FAIL quotient-hamilton      sylvester quotient "
+                            "certification failed")
+    else:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert lines[1].startswith("PASS quotient-hamilton")

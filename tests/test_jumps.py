@@ -11,7 +11,6 @@ from orientgen.jumps import (
     algorithm_J,
     inductive_J,
     insert_value,
-    is_clean_jump,
     is_zigzag_language,
     jump,
     remove_largest,
@@ -30,6 +29,28 @@ def avoids_231(pi):
                 continue
             if any(pi[k] < pi[i] for k in range(j + 1, n)):
                 return False
+    return True
+
+
+def is_clean_jump(pi, value, direction, steps):
+    """True iff the jump is valid and every value larger than `value`
+    sits to the left or to the right of all entries smaller than it."""
+    try:
+        jump(pi, value, direction, steps)
+    except InputError:
+        return False
+    n = len(pi)
+    pos = [0] * (n + 1)
+    for k, v in enumerate(pi):
+        pos[v] = k
+    lo = hi = pos[1]
+    for k in range(2, n + 1):
+        if k > value and lo <= pos[k] <= hi:
+            return False
+        if pos[k] < lo:
+            lo = pos[k]
+        if pos[k] > hi:
+            hi = pos[k]
     return True
 
 

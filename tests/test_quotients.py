@@ -15,7 +15,11 @@ from orientgen.graphs import (
     orientation_mask,
     path_graph,
 )
-from orientgen.jumps import is_zigzag_language
+from orientgen.corpus import (
+    peo_consistent_nonskeletal_references,
+    skeletal_references,
+)
+from orientgen.jumps import LanguageOracle, algorithm_J, is_zigzag_language
 from orientgen.oracle import (
     certify_hamilton_path,
     congruence_closure,
@@ -621,9 +625,15 @@ def test_projection_maps_classes_to_classes():
 # representatives and quotient paths
 
 
+def _representatives(c, p):
+    masks = select_representatives(c, p)
+    assert len(masks) == len(set(masks)) == len(c)
+    return frozenset(masks), {p.permutation_of(f) for f in masks}
+
+
 def test_representatives_identity_congruence():
     p = build_ar_poset(orient(complete_graph(3), 0))
-    masks, perms = select_representatives(identity_congruence(p), p)
+    masks, perms = _representatives(identity_congruence(p), p)
     assert masks == frozenset(p.elements)
     assert perms == set(permutations((1, 2, 3)))
     assert is_zigzag_language(perms)
@@ -631,7 +641,7 @@ def test_representatives_identity_congruence():
 
 def test_representatives_single_class():
     p = build_ar_poset(orient(complete_graph(3), 0))
-    masks, perms = select_representatives(Congruence(p, [tuple(p.elements)]), p)
+    masks, perms = _representatives(Congruence(p, [tuple(p.elements)]), p)
     assert len(masks) == 1
     assert perms == {(1, 2, 3)}
 
@@ -640,7 +650,7 @@ def test_sylvester_representatives_avoid_231():
     p = build_ar_poset(orient(complete_graph(4), 0))
     c = sylvester_congruence(p)
     assert len(c) == 14
-    masks, perms = select_representatives(c, p)
+    masks, perms = _representatives(c, p)
     avoiders = {pi for pi in permutations((1, 2, 3, 4))
                 if not contains_pattern(pi, (2, 3, 1))}
     assert perms == avoiders
@@ -746,7 +756,7 @@ def test_rails_as_classes_picks_sink_placements():
     part = [tuple(chain) for chain in rails(p).values()]
     c = Congruence(p, part)
     assert validate_congruence(p, c)
-    masks, perms = select_representatives(c, p)
+    masks, perms = _representatives(c, p)
     assert perms == {(1, 2, 3), (2, 1, 3)}
     path = list(generate_quotient_path(p.reference, c))
     assert path == [(0, 0), (1, 1)]
@@ -756,6 +766,66 @@ def test_single_class_path_is_one_visit():
     p = build_ar_poset(orient(complete_graph(3), 0))
     path = list(generate_quotient_path(p.reference, Congruence(p, [tuple(p.elements)])))
     assert path == [(0, 0)]
+
+
+def _jump_path(c):
+    """The reference order: the minimal-jump walk over the permutation
+    encodings of the representatives, read back as masks."""
+    p = c.poset
+    perms = {p.permutation_of(f) for f in select_representatives(c, p)}
+    return [(p.mask_of(pi), c.class_of[p.mask_of(pi)])
+            for pi in algorithm_J(LanguageOracle.from_set(perms))]
+
+
+def _branches(c):
+    """(rails collapse, n is a source) at every level whose last vertex
+    has an arc."""
+    out = set()
+    while c.poset.reference.n:
+        d = c.poset.reference
+        if d.out[d.n] or d.inn[d.n]:
+            cls = c.class_of
+            collapsed = any(cls[ch[0]] == cls[ch[-1]]
+                            for ch in rails(c.poset).values())
+            out.add((collapsed, bool(d.out[d.n])))
+        c = restriction(c)
+    return out
+
+
+def _walk_corpus():
+    """Congruences covering every branch of the walk."""
+    out = []
+    for n in range(2, 6):
+        p = build_ar_poset(orient(complete_graph(n), 0))
+        out += [identity_congruence(p), sylvester_congruence(p),
+                Congruence(p, [p.elements])]
+    rng = random.Random(8152026)
+    for d in skeletal_references(25, rng):
+        p = build_ar_poset(d)
+        els = p.elements
+        for _ in range(3):
+            seeds = [(rng.choice(els), rng.choice(els))
+                     for _ in range(rng.randint(1, 2))]
+            out.append(forcing_closure(p, seeds))
+    for d in peo_consistent_nonskeletal_references(4):
+        p = build_ar_poset(d)
+        els = p.elements
+        out.append(identity_congruence(p))
+        for _ in range(2):
+            out.append(Congruence(p, congruence_closure(
+                p, [(rng.choice(els), rng.choice(els))])))
+    p = build_ar_poset(orient(complete_graph(3), 0))
+    out.append(Congruence(p, rails(p).values()))
+    return out
+
+
+def test_walk_matches_minimal_jump_order():
+    hit = set()
+    for c in _walk_corpus():
+        d = c.poset.reference
+        assert list(generate_quotient_path(d, c)) == _jump_path(c), d
+        hit |= _branches(c)
+    assert hit == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_path_rejects_foreign_congruence():
