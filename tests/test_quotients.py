@@ -6,6 +6,10 @@ from itertools import combinations, permutations
 import pytest
 
 from orientgen.chordal import encode, generate
+from orientgen.corpus import (
+    peo_consistent_nonskeletal_references,
+    skeletal_references,
+)
 from orientgen.errors import InputError
 from orientgen.graphs import (
     Digraph,
@@ -14,10 +18,6 @@ from orientgen.graphs import (
     orient,
     orientation_mask,
     path_graph,
-)
-from orientgen.corpus import (
-    peo_consistent_nonskeletal_references,
-    skeletal_references,
 )
 from orientgen.jumps import LanguageOracle, algorithm_J, is_zigzag_language
 from orientgen.oracle import (
