@@ -1,5 +1,6 @@
 """Golden outputs: the full stdout of ``ao-graph``, ``ao-hyper``,
-``elim-trees`` and ``quotient`` on a fixed corpus.
+``elim-trees``, ``quotient``, ``flipgraph``, ``classify``, ``peo``,
+``heo`` and ``building-set`` on a fixed corpus.
 
 Every case runs the command line in-process on an instance file under
 ``tests/golden`` and must reproduce the committed ``.out`` file byte for
@@ -18,13 +19,24 @@ T_4 relabeled so that the command has to search a peo-consistent order,
 the peo-consistent classification witness, T_4 with vertices 4 and 3
 sources of their levels (vertex 2 a sink), and T_3 under the congruence
 whose classes are its rails, so that rails collapse above n = 1.
+``flipgraph`` runs on K_4, P_5 and C_4 (not chordal, so no path is
+marked), and with ``--hyper`` on the prefix chain and on C_4 as a
+2-uniform hypergraph, which has no hyperfect elimination order.
+``classify`` runs on every ``corpus.CLASS_WITNESSES`` digraph and on
+the relabeled T_4, whose own labeling is not peo-consistent.
+``peo`` runs on the two random chordal graphs and on a seeded shuffled
+path on 40 vertices, ``heo`` on the ``heo_corpus`` member and the prefix
+chain, and ``building-set`` on P_5 and K_4.
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots, the ``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
 hypergraph engine that still checked itself on every step, and the
 ``t4-source`` and ``t3-rails`` files by the quotient path that still
-searched its order with the jump engine; to rewrite them after a
+searched its order with the jump engine, and the files of the other
+commands by the library that still held two to four copies of its
+topological sort, union-find, peo-consistency test, relabel map and
+flip-graph DOT export; to rewrite them after a
 deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -38,9 +50,9 @@ import pytest
 from orientgen import corpus
 from orientgen.cli import main
 from orientgen.fileio import format_congruence, format_digraph, \
-    format_graph, format_hypergraph
-from orientgen.graphs import Digraph, complete_graph, find_peo, orient, \
-    path_graph, relabel_digraph, relabel_graph
+    format_graph, format_hypergraph, parse_digraph
+from orientgen.graphs import Digraph, complete_graph, cycle_graph, \
+    find_peo, orient, path_graph, relabel_digraph, relabel_graph
 from orientgen.hypergraphs import find_heo, relabel_hypergraph
 from orientgen.quotients import build_ar_poset, is_identity_peo_consistent, \
     rails, sylvester_congruence
@@ -95,6 +107,27 @@ T4_SEEDS = "3 7\n1a 1e\n"
 # every vertex a source or sink of the vertices below it, so the labeling
 # is peo-consistent; 4 and 3 are sources, 2 is a sink
 T4_SOURCE = Digraph(4, [(1, 2), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+
+# instance file per CLASS_WITNESSES key; the peo_consistent witness is
+# already in the quotient corpus
+WITNESS_FILES = {
+    "not_acyclic": "not-acyclic-witness.d",
+    "acyclic": "acyclic-witness.d",
+    "vertebrate": "vertebrate-witness.d",
+    "peo_consistent": "peo-witness.d",
+    "skeletal": "skeletal-witness.d",
+}
+# (command, instance file, extra arguments); the output of each case is
+# the file's base name, a dot, the command and ".out"
+COMMAND_CASES = (
+    [("flipgraph", f, []) for f in ("k4.g", "p5.g", "c4.g")]
+    + [("flipgraph", f, ["--hyper"]) for f in ("prefix4.h", "c4-2u.h")]
+    + [("classify", f, [])
+       for f in list(WITNESS_FILES.values()) + ["t4-relabeled.d"]]
+    + [("peo", f, []) for f in ("r10.g", "r12.g", "path40.g")]
+    + [("heo", f, []) for f in ("h54.h", "prefix4.h")]
+    + [("building-set", f, []) for f in ("p5.g", "k4.g")]
+)
 
 
 def instances():
@@ -184,6 +217,30 @@ def _quotient_argv(name, mode):
             + QUOTIENT_MODES[mode])
 
 
+def command_instances():
+    """Instance files only the other commands use: file name -> text."""
+    files = {
+        "c4.g": format_graph(cycle_graph(4)),
+        "c4-2u.h": format_hypergraph(corpus.two_uniform(cycle_graph(4))),
+        "path40.g": format_graph(shuffled_path(40, random.Random(40))),
+    }
+    for key, name in WITNESS_FILES.items():
+        if key != "peo_consistent":
+            files[name] = format_digraph(corpus.CLASS_WITNESSES[key])
+    return files
+
+
+def shuffled_path(n, rng):
+    """P_n relabeled by a random vertex order."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return relabel_graph(path_graph(n), order)
+
+
+def _command_out(command, fname):
+    return "%s.%s.out" % (fname.rsplit(".", 1)[0], command)
+
+
 def _run(name, args, capsys):
     rc = main(["ao-graph", os.path.join(GOLDEN, name + ".g")] + args)
     return rc, capsys.readouterr().out
@@ -217,6 +274,24 @@ def test_ao_hyper_output_is_golden(name, mode, args, capsys):
     with open(os.path.join(GOLDEN, "%s.%s.out" % (name, mode)),
               newline="") as handle:
         assert capsys.readouterr().out == handle.read()
+
+
+@pytest.mark.parametrize(
+    "command,fname,extra", COMMAND_CASES,
+    ids=["%s-%s" % (c[1].rsplit(".", 1)[0], c[0]) for c in COMMAND_CASES])
+def test_command_output_is_golden(command, fname, extra, capsys):
+    rc = main([command, os.path.join(GOLDEN, fname)] + extra)
+    assert rc == 0
+    with open(os.path.join(GOLDEN, _command_out(command, fname)),
+              newline="") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
+def test_command_corpus_covers_missing_orders():
+    assert find_heo(corpus.two_uniform(cycle_graph(4))) is None
+    assert find_peo(cycle_graph(4)) is None
+    t4 = quotient_instances()["t4-relabeled.d"]
+    assert not is_identity_peo_consistent(parse_digraph(t4))
 
 
 def test_heo_member_order_is_not_the_identity():
@@ -279,6 +354,11 @@ def _regenerate():
         _write(name, text)
     for name, mode in quotient_cases():
         _write("%s.%s.out" % (name, mode), _capture(_quotient_argv(name, mode)))
+    for name, text in command_instances().items():
+        _write(name, text)
+    for command, fname, extra in COMMAND_CASES:
+        _write(_command_out(command, fname), _capture(
+            [command, os.path.join(GOLDEN, fname)] + extra))
 
 
 if __name__ == "__main__":
