@@ -15,7 +15,8 @@ faster than n + m.
 from functools import cmp_to_key
 
 from .errors import InputError
-from .graphs import Digraph, find_peo, is_acyclic, is_peo, relabel_digraph
+from .graphs import (Digraph, find_peo, is_acyclic, is_peo, label_map,
+                     relabel_digraph)
 
 
 def decode(g, pi):
@@ -92,9 +93,7 @@ class ChordalRun:
         self.graph = g
         self.order = order
         n = g.n
-        rank = [0] * (n + 1)
-        for k, v in enumerate(order):
-            rank[v] = k + 1
+        rank = label_map(n, order)
         # eid[b][a] = k for edge k = {a, b}, a < b in elimination
         # coordinates; the keys of eid[b] are b's smaller neighbors in
         # edge order

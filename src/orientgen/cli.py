@@ -49,18 +49,39 @@ def _no_dot_combo(args, *flags):
                                  % flag)
 
 
+def _graph_dot(out, g, name, make_run):
+    """Write the arc-flip graph of g's acyclic orientations as DOT, with
+    the listing of the run that ``make_run()`` starts marked as its path,
+    or no path if it returns None."""
+    fg = build_flip_graph(enumerate_ao_graph(g), one_arc_flip)
+    run = make_run()
+    path = None if run is None else [run.digraph() for _ in run]
+    out.write(flip_graph_dot(
+        fg, path=path, name=name,
+        labeler=lambda d: format(orientation_mask(g, d), "x")))
+
+
+def _hyper_dot(out, h, name, make_run):
+    """Write the pair-flip graph of h's acyclic orientations as DOT; the
+    path as in ``_graph_dot``."""
+    fg = build_flip_graph(enumerate_ao_hyper(h), pair_flip_relation(h))
+    run = make_run()
+    path = None if run is None else [run.heads() for _ in run]
+    out.write(flip_graph_dot(
+        fg, path=path, name=name, labeler=lambda o: ",".join(map(str, o))))
+
+
+def _run_if(generate, obj, order):
+    """``generate(obj, order)``, or None when there is no order."""
+    return None if order is None else generate(obj, order)
+
+
 def _cmd_ao_graph(args, out):
     _no_dot_combo(args, "count-only", "counters", "certify")
     g = parse_graph(_read(args.file))
     order = tuple(range(1, g.n + 1)) if args.peo == "given" else None
     if args.output == "dot":
-        nodes = enumerate_ao_graph(g)
-        fg = build_flip_graph(nodes, one_arc_flip)
-        run = chordal.generate(g, order)
-        path = [run.digraph() for _ in run]
-        out.write(flip_graph_dot(
-            fg, path=path, name="aograph",
-            labeler=lambda d: format(orientation_mask(g, d), "x")))
+        _graph_dot(out, g, "aograph", lambda: chordal.generate(g, order))
         return 0
     run = chordal.generate(g, order)
     cert = ArcListingCertifier(g) if args.certify else None
@@ -111,13 +132,7 @@ def _cmd_ao_hyper(args, out):
     h = parse_hypergraph(_read(args.file))
     order = tuple(range(1, h.n + 1)) if args.order == "given" else None
     if args.output == "dot":
-        nodes = enumerate_ao_hyper(h)
-        fg = build_flip_graph(nodes, pair_flip_relation(h))
-        run = hypergen.generate(h, order)
-        path = [run.heads() for _ in run]
-        out.write(flip_graph_dot(
-            fg, path=path, name="aohyper",
-            labeler=lambda o: ",".join(map(str, o))))
+        _hyper_dot(out, h, "aohyper", lambda: hypergen.generate(h, order))
         return 0
     run = hypergen.generate(h, order)
     cert = PairListingCertifier(h) if args.certify else None
@@ -163,8 +178,7 @@ def _cmd_elim_trees(args, out):
 
 
 def _cmd_quotient(args, out):
-    if args.output == "dot" and args.count_only:
-        raise InputError("--output dot cannot be combined with --count-only")
+    _no_dot_combo(args, "count-only")
     d = parse_digraph(_read(args.file))
     if not is_acyclic(d):
         raise InputError("digraph is not acyclic")
@@ -239,23 +253,12 @@ def _cmd_flipgraph(args, out):
     text = _read(args.file)
     if args.hyper:
         h = parse_hypergraph(text)
-        fg = build_flip_graph(enumerate_ao_hyper(h), pair_flip_relation(h))
-        path = None
-        if find_heo(h) is not None:
-            run = hypergen.generate(h)
-            path = [run.heads() for _ in run]
-        out.write(flip_graph_dot(
-            fg, path=path, labeler=lambda o: ",".join(map(str, o))))
+        _hyper_dot(out, h, "flipgraph",
+                   lambda: _run_if(hypergen.generate, h, find_heo(h)))
     else:
         g = parse_graph(text)
-        fg = build_flip_graph(enumerate_ao_graph(g), one_arc_flip)
-        path = None
-        if find_peo(g) is not None:
-            run = chordal.generate(g)
-            path = [run.digraph() for _ in run]
-        out.write(flip_graph_dot(
-            fg, path=path,
-            labeler=lambda d: format(orientation_mask(g, d), "x")))
+        _graph_dot(out, g, "flipgraph",
+                   lambda: _run_if(chordal.generate, g, find_peo(g)))
     return 0
 
 

@@ -5,6 +5,12 @@ stored either as a Digraph or as a bitmask over the graph's edge list:
 bit k set means edge k points from its larger endpoint to its smaller one,
 so mask 0 is the orientation with every edge pointing toward its larger
 endpoint.
+
+``topological_order`` is the library's one topological sort and
+``reach_masks`` its one reachability closure; the digraph, mask and
+hypergraph acyclicity tests and posets all run them.  ``label_map`` is
+its one relabeling map.  The streaming certifier of ``oracle`` keeps its
+own sort, so that it does not run the code it checks.
 """
 
 from itertools import combinations
@@ -129,28 +135,47 @@ class Digraph:
         return Graph(self.n, self.arcs)
 
 
-def _topo_any(d):
-    """Some topological order of d, or None if d has a cycle."""
-    indeg = [0] * (d.n + 1)
-    for _, j in d.arcs:
-        indeg[j] += 1
-    stack = [v for v in range(1, d.n + 1) if indeg[v] == 0]
+def topological_order(n, out):
+    """Some topological order of the digraph on 1..n with arcs v -> w for
+    w in out[v] (entry 0 empty), or None if it has a directed cycle."""
+    indeg = [0] * (n + 1)
+    for targets in out:
+        for w in targets:
+            indeg[w] += 1
+    stack = [v for v in range(1, n + 1) if indeg[v] == 0]
     order = []
     while stack:
         v = stack.pop()
         order.append(v)
-        for w in d.out[v]:
+        for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 stack.append(w)
-    if len(order) != d.n:
+    return order if len(order) == n else None
+
+
+def reach_masks(n, out):
+    """Reachability bitmasks of the digraph given as for
+    ``topological_order``, or None if it has a directed cycle.
+
+    Entry v has bit w set iff there is a directed path from v to w of
+    length at least one; entry 0 is unused.
+    """
+    order = topological_order(n, out)
+    if order is None:
         return None
-    return order
+    masks = [0] * (n + 1)
+    for v in reversed(order):
+        m = 0
+        for w in out[v]:
+            m |= (1 << w) | masks[w]
+        masks[v] = m
+    return masks
 
 
 def is_acyclic(d):
     """True iff the digraph contains no directed cycle."""
-    return _topo_any(d) is not None
+    return topological_order(d.n, d.out) is not None
 
 
 def descendant_masks(d):
@@ -160,15 +185,9 @@ def descendant_masks(d):
     masks[u] is set iff there is a directed path from u to v of length
     at least one.  Rejects cyclic input.
     """
-    order = _topo_any(d)
-    if order is None:
+    masks = reach_masks(d.n, d.out)
+    if masks is None:
         raise InputError("digraph is not acyclic")
-    masks = [0] * (d.n + 1)
-    for v in reversed(order):
-        m = 0
-        for w in d.out[v]:
-            m |= (1 << w) | masks[w]
-        masks[v] = m
     return masks
 
 
@@ -195,11 +214,19 @@ def is_simplicial(g, v):
     return all(g.has_edge(a, b) for a, b in combinations(g.adj[v], 2))
 
 
-def _check_order(n, order):
+def label_map(n, order):
+    """The new label of every vertex when order[k] becomes k+1.
+
+    Entry v of the result is the new label of v (entry 0 unused).
+    Rejects an order that is not a permutation of 1..n.
+    """
     order = tuple(order)
     if sorted(order) != list(range(1, n + 1)):
         raise InputError("order is not a permutation of 1..%d" % n)
-    return order
+    newlab = [0] * (n + 1)
+    for k, v in enumerate(order):
+        newlab[v] = k + 1
+    return newlab
 
 
 def is_peo(g, order):
@@ -211,10 +238,7 @@ def is_peo(g, order):
     The standard parent test suffices: with u the latest earlier neighbor
     of v, every other earlier neighbor of v must be adjacent to u.
     """
-    order = _check_order(g.n, order)
-    pos = [0] * (g.n + 1)
-    for k, v in enumerate(order):
-        pos[v] = k + 1
+    pos = label_map(g.n, order)
     for v in range(1, g.n + 1):
         earlier = [u for u in g.adj[v] if pos[u] < pos[v]]
         if len(earlier) < 2:
@@ -267,19 +291,13 @@ def relabel_graph(g, order):
     Edge k of the result corresponds to edge k of g, so orientation
     bitmasks keep their meaning across the relabeling.
     """
-    order = _check_order(g.n, order)
-    newlab = [0] * (g.n + 1)
-    for k, v in enumerate(order):
-        newlab[v] = k + 1
+    newlab = label_map(g.n, order)
     return Graph(g.n, [(newlab[u], newlab[v]) for u, v in g.edges])
 
 
 def relabel_digraph(d, order):
     """Relabel d so that vertex order[k] becomes k+1; arc k maps to arc k."""
-    order = _check_order(d.n, order)
-    newlab = [0] * (d.n + 1)
-    for k, v in enumerate(order):
-        newlab[v] = k + 1
+    newlab = label_map(d.n, order)
     return Digraph(d.n, [(newlab[i], newlab[j]) for i, j in d.arcs])
 
 
@@ -309,24 +327,13 @@ def orientation_mask(g, d):
 
 def is_acyclic_mask(g, mask):
     """Acyclicity test for an orientation bitmask, without building a Digraph."""
-    n = g.n
-    indeg = [0] * (n + 1)
-    out = [[] for _ in range(n + 1)]
+    out = [[] for _ in range(g.n + 1)]
     for k, (u, v) in enumerate(g.edges):
         if mask >> k & 1:
-            u, v = v, u
-        out[u].append(v)
-        indeg[v] += 1
-    stack = [v for v in range(1, n + 1) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    return seen == n
+            out[v].append(u)
+        else:
+            out[u].append(v)
+    return topological_order(g.n, out) is not None
 
 
 def complete_graph(n):

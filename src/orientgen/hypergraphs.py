@@ -5,13 +5,15 @@ An orientation assigns each hyperedge a head vertex inside it; it is
 represented as a plain tuple of heads indexed like the hyperedge list.
 An orientation is acyclic when the digraph of arcs v -> head (for every
 non-head member v of every hyperedge) has no directed cycle; singleton
-hyperedges never contribute arcs.
+hyperedges never contribute arcs.  The acyclicity test and the
+orientation poset run ``graphs.topological_order`` and
+``graphs.reach_masks`` on that digraph.
 """
 
 from itertools import combinations, product
 
 from .errors import CapExceeded, InputError
-from .graphs import Digraph
+from .graphs import Digraph, label_map, reach_masks, topological_order
 
 
 def _bits(mask):
@@ -93,35 +95,20 @@ def check_orientation(h, heads):
     return heads
 
 
-def _arc_set(h, heads):
-    arcs = set()
+def _arc_out(h, heads):
+    """Per vertex v, the set of heads w with an arc v -> w."""
+    out = [set() for _ in range(h.n + 1)]
     for k, head in enumerate(heads):
         for v in h.edges[k]:
             if v != head:
-                arcs.add((v, head))
-    return arcs
+                out[v].add(head)
+    return out
 
 
 def is_acyclic_orientation(h, heads):
     """True iff the arc digraph of the orientation has no directed cycle."""
     heads = check_orientation(h, heads)
-    arcs = _arc_set(h, heads)
-    n = h.n
-    indeg = [0] * (n + 1)
-    out = [[] for _ in range(n + 1)]
-    for i, j in arcs:
-        out[i].append(j)
-        indeg[j] += 1
-    stack = [v for v in range(1, n + 1) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    return seen == n
+    return topological_order(h.n, _arc_out(h, heads)) is not None
 
 
 def orientation_digraph(h, heads):
@@ -131,7 +118,9 @@ def orientation_digraph(h, heads):
     can produce antiparallel arcs, which are rejected.
     """
     heads = check_orientation(h, heads)
-    return Digraph(h.n, sorted(_arc_set(h, heads)))
+    out = _arc_out(h, heads)
+    return Digraph(h.n, sorted((v, w) for v in range(1, h.n + 1)
+                               for w in out[v]))
 
 
 class OrientationPoset:
@@ -162,29 +151,9 @@ def poset_of(h, heads):
     """
     heads = check_orientation(h, heads)
     n = h.n
-    out = [0] * (n + 1)
-    indeg = [0] * (n + 1)
-    arcs = _arc_set(h, heads)
-    for i, j in arcs:
-        out[i] |= 1 << j
-        indeg[j] += 1
-    stack = [v for v in range(1, n + 1) if indeg[v] == 0]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in _bits(out[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    if len(order) != n:
+    above = reach_masks(n, _arc_out(h, heads))
+    if above is None:
         raise InputError("orientation is not acyclic")
-    above = [0] * (n + 1)
-    for v in reversed(order):
-        m = 0
-        for w in _bits(out[v]):
-            m |= (1 << w) | above[w]
-        above[v] = m
     covers = set()
     for i in range(1, n + 1):
         skip = 0
@@ -243,12 +212,7 @@ def relabel_hypergraph(h, order):
     Hyperedge k of the result corresponds to hyperedge k of h, so head
     vectors keep their index meaning (head values must be mapped).
     """
-    order = tuple(order)
-    if sorted(order) != list(range(1, h.n + 1)):
-        raise InputError("order is not a permutation of 1..%d" % h.n)
-    newlab = [0] * (h.n + 1)
-    for k, v in enumerate(order):
-        newlab[v] = k + 1
+    newlab = label_map(h.n, order)
     return Hypergraph(h.n, [tuple(sorted(newlab[v] for v in e)) for e in h.edges])
 
 

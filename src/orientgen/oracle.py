@@ -520,11 +520,3 @@ class PairListingCertifier:
                 % (len(self._seen), self.expected))
         return self.expected
 
-
-def certify_pair_listing(h, listings, cap=None):
-    """Run PairListingCertifier over an iterable of head tuples and
-    return the certified count."""
-    cert = PairListingCertifier(h, cap=cap)
-    for heads in listings:
-        cert.visit(heads)
-    return cert.finish()

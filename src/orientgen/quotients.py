@@ -12,6 +12,7 @@ their permutation encodings.
 """
 
 from collections import defaultdict
+from functools import partial
 from itertools import combinations
 
 from .chordal import decode as _perm_decode, encode as _perm_encode
@@ -26,6 +27,23 @@ from .graphs import (
     orientation_mask,
 )
 from .oracle import enumerate_ao_graph
+
+
+def _find(parent, x):
+    """The root of x in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, a, b):
+    """Merge the classes of a and b; False if they were already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
 
 
 def is_vertebrate(d):
@@ -61,20 +79,11 @@ def _reduces_to_forest(d, sub):
                 stack.extend(out[w])
         reach[v] = seen
     parent = {v: v for v in sub}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, j in arcs:
         if any(w != j and reach[w] >> j & 1 for w in out[i]):
             continue
-        ri, rj = find(i), find(j)
-        if ri == rj:
+        if not _union(parent, i, j):
             return False
-        parent[ri] = rj
     return True
 
 
@@ -118,38 +127,38 @@ def peo_consistent_order(d):
             return True
         if rem in failed:
             return False
-        for v in sorted(rem, reverse=True):
-            if d.out[v] & rem and d.inn[v] & rem:
-                continue
-            nb = sorted(g.adj[v] & rem)
-            if any(not g.has_edge(a, b) for a, b in combinations(nb, 2)):
+        for v in range(d.n, 0, -1):
+            rest = rem & ~(1 << v)
+            if rest == rem or not _extractable(d, g, v, rest):
                 continue
             picked.append(v)
-            if extract(rem - {v}):
+            if extract(rest):
                 return True
             picked.pop()
         failed.add(rem)
         return False
 
-    if extract(frozenset(range(1, d.n + 1))):
+    if extract((1 << (d.n + 1)) - 2):
         return tuple(reversed(picked))
     return None
 
 
 def is_identity_peo_consistent(d):
     """True iff the labeling 1..n of d itself witnesses peo-consistency."""
-    rem = (1 << (d.n + 1)) - 2
     g = d.underlying()
-    for v in range(d.n, 0, -1):
-        rem ^= 1 << v
-        outs = [w for w in d.out[v] if rem >> w & 1]
-        inns = [w for w in d.inn[v] if rem >> w & 1]
-        if outs and inns:
-            return False
-        nb = sorted(w for w in g.adj[v] if rem >> w & 1)
-        if any(not g.has_edge(a, b) for a, b in combinations(nb, 2)):
-            return False
-    return True
+    return all(_extractable(d, g, v, (1 << v) - 2)
+               for v in range(d.n, 0, -1))
+
+
+def _extractable(d, g, v, rest):
+    """True iff v can be extracted last from the vertex bitmask rest plus
+    v: it is a source or a sink of d there, and its neighbours in rest
+    form a clique of g, the underlying graph of d."""
+    if any(rest >> w & 1 for w in d.out[v]) and \
+       any(rest >> w & 1 for w in d.inn[v]):
+        return False
+    nb = [w for w in g.adj[v] if rest >> w & 1]
+    return all(g.has_edge(a, b) for a, b in combinations(nb, 2))
 
 
 def classify(d):
@@ -514,19 +523,8 @@ def forcing_closure(p, seeds):
     els = p.elements
     ix = p._ix
     parent = list(range(len(els)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
+    find = partial(_find, parent)
+    union = partial(_union, parent)
 
     for x, y in seeds:
         union(p.index(x), p.index(y))
@@ -683,23 +681,14 @@ def sylvester_congruence(p):
     if len(d.arcs) != n * (n - 1) // 2:
         raise InputError("sylvester congruence requires a tournament reference")
     parent = list(range(len(p.elements)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for k, f in enumerate(p.elements):
         pi = p.permutation_of(f)
         for pos in range(n - 1):
             hi, lo = pi[pos], pi[pos + 1]
             if hi > lo and any(lo < b < hi for b in pi[:pos]):
                 swapped = pi[:pos] + (lo, hi) + pi[pos + 2:]
-                ra, rb = find(k), find(p.index(p.mask_of(swapped)))
-                if ra != rb:
-                    parent[ra] = rb
+                _union(parent, k, p.index(p.mask_of(swapped)))
     groups = defaultdict(list)
     for k, f in enumerate(p.elements):
-        groups[find(k)].append(f)
+        groups[_find(parent, k)].append(f)
     return Congruence(p, groups.values())

@@ -23,7 +23,7 @@ from orientgen.graphs import (
     relabel_digraph,
     transitive_reduction,
 )
-from orientgen.jumps import LanguageOracle, algorithm_J, is_zigzag_language
+from orientgen.jumps import LanguageOracle, algorithm_J
 from orientgen.oracle import (
     build_flip_graph,
     certify_hamilton_path,
@@ -31,6 +31,8 @@ from orientgen.oracle import (
     enumerate_ao_graph,
     one_arc_flip,
 )
+
+from test_jumps import is_zigzag_language
 
 SJT4 = ["1234", "1243", "1423", "4123", "4132", "1432", "1342", "1324",
         "3124", "3142", "3412", "4312", "4321", "3421", "3241", "3214",

@@ -334,6 +334,46 @@ def test_flipgraph_hyper(tmp_path, capsys):
     assert rc == 0 and "path=1" in out
 
 
+def _count_calls(monkeypatch, name, modules):
+    """Count calls of the function ``name`` under every module that
+    imported it."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["flipgraph", "k3.txt"],
+    ["ao-graph", "k3.txt", "--output", "dot"],
+])
+def test_graph_dot_searches_its_order_once(argv, tmp_path, capsys,
+                                           monkeypatch):
+    from orientgen import chordal, cli, graphs
+    calls = _count_calls(monkeypatch, "find_peo", [graphs, cli, chordal])
+    put(tmp_path, "k3.txt", K3_TEXT)
+    rc, out, _ = run(capsys, argv[0], str(tmp_path / argv[1]), *argv[2:])
+    assert rc == 0 and out.count("path=1") == 5
+    assert len(calls) == 1
+
+
+def test_flipgraph_hyper_searches_its_order_once(tmp_path, capsys,
+                                                 monkeypatch):
+    from orientgen import cli, hypergen, hypergraphs
+    calls = _count_calls(monkeypatch, "find_heo",
+                         [hypergraphs, cli, hypergen])
+    path = put(tmp_path, "chain.txt", CHAIN_TEXT)
+    rc, out, _ = run(capsys, "flipgraph", path, "--hyper")
+    assert rc == 0 and out.count("path=1") == 7
+    assert len(calls) == 1
+
+
 def test_building_set_round_trips(tmp_path, capsys):
     path = put(tmp_path, "p3.txt", format_graph(path_graph(3)))
     rc, out, _ = run(capsys, "building-set", path)

@@ -31,13 +31,15 @@ from orientgen.hypergraphs import (
     poset_of,
     relabel_hypergraph,
 )
-from orientgen.jumps import LanguageOracle, algorithm_J, is_zigzag_language
+from orientgen.jumps import LanguageOracle, algorithm_J
 from orientgen.oracle import (
     build_flip_graph,
     certify_hamilton_path,
     enumerate_ao_hyper,
     pair_flip_relation,
 )
+
+from test_jumps import is_zigzag_language
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
 

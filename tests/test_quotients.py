@@ -19,7 +19,7 @@ from orientgen.graphs import (
     orientation_mask,
     path_graph,
 )
-from orientgen.jumps import LanguageOracle, algorithm_J, is_zigzag_language
+from orientgen.jumps import LanguageOracle, algorithm_J
 from orientgen.oracle import (
     certify_hamilton_path,
     congruence_closure,
@@ -44,6 +44,8 @@ from orientgen.quotients import (
     sylvester_congruence,
     validate_congruence,
 )
+
+from test_jumps import is_zigzag_language
 
 W_CYC = Digraph(3, [(1, 2), (2, 3), (3, 1)])
 W_ACYC = Digraph(4, [(1, 2), (3, 2), (3, 4), (1, 4)])
@@ -277,6 +279,28 @@ def test_peo_consistent_order_properties():
     order = peo_consistent_order(star)
     assert order is not None
     assert is_identity_peo_consistent(relabel_digraph(star, order))
+
+
+def test_peo_consistency_agrees_with_definition_up_to_5_vertices():
+    """Both searches share one extraction test: the order search must
+    agree with the definitional backtracking of the selftest, and the
+    identity test with the order search keeping the labels, on every
+    acyclic orientation of every graph on at most 5 vertices."""
+    from orientgen.corpus import all_graphs
+    from orientgen.selftest import _def_peo_consistent
+
+    total = consistent = identity = 0
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for d in enumerate_ao_graph(g):
+                order = peo_consistent_order(d)
+                assert (order is not None) == _def_peo_consistent(d), d
+                assert is_identity_peo_consistent(d) == (
+                    order == tuple(range(1, n + 1))), d
+                total += 1
+                consistent += order is not None
+                identity += order == tuple(range(1, n + 1))
+    assert (total, consistent, identity) == (29853, 19479, 3801)
 
 
 def test_vertebrate_and_filled_witnesses():
