@@ -118,7 +118,6 @@ def peo_consistent_order(d):
     """
     if not is_acyclic(d):
         return None
-    g = d.underlying()
     failed = set()
     picked = []
 
@@ -127,38 +126,41 @@ def peo_consistent_order(d):
             return True
         if rem in failed:
             return False
-        for v in range(d.n, 0, -1):
-            rest = rem & ~(1 << v)
-            if rest == rem or not _extractable(d, g, v, rest):
+        for v in sorted(rem, reverse=True):
+            if not _extractable(d, v, rem):
                 continue
             picked.append(v)
-            if extract(rest):
+            if extract(rem - {v}):
                 return True
             picked.pop()
         failed.add(rem)
         return False
 
-    if extract((1 << (d.n + 1)) - 2):
+    if extract(frozenset(range(1, d.n + 1))):
         return tuple(reversed(picked))
     return None
 
 
 def is_identity_peo_consistent(d):
     """True iff the labeling 1..n of d itself witnesses peo-consistency."""
-    g = d.underlying()
-    return all(_extractable(d, g, v, (1 << v) - 2)
-               for v in range(d.n, 0, -1))
+    rem = set()
+    for v in range(1, d.n + 1):
+        rem.add(v)
+        if not _extractable(d, v, rem):
+            return False
+    return True
 
 
-def _extractable(d, g, v, rest):
-    """True iff v can be extracted last from the vertex bitmask rest plus
-    v: it is a source or a sink of d there, and its neighbours in rest
-    form a clique of g, the underlying graph of d."""
-    if any(rest >> w & 1 for w in d.out[v]) and \
-       any(rest >> w & 1 for w in d.inn[v]):
+def _extractable(d, v, rem):
+    """True iff v can be extracted last from the vertex set rem: it is a
+    source or a sink of d restricted to rem, and its neighbours in rem
+    are pairwise adjacent."""
+    out = d.out[v] & rem
+    inn = d.inn[v] & rem
+    if out and inn:
         return False
-    nb = [w for w in g.adj[v] if rest >> w & 1]
-    return all(g.has_edge(a, b) for a, b in combinations(nb, 2))
+    nb = out | inn
+    return all(len((d.out[a] | d.inn[a]) & nb) == len(nb) - 1 for a in nb)
 
 
 def classify(d):
