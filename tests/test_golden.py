@@ -24,8 +24,11 @@ marked), and with ``--hyper`` on the prefix chain and on C_4 as a
 2-uniform hypergraph, which has no hyperfect elimination order.
 ``classify`` runs on every ``corpus.CLASS_WITNESSES`` digraph and on
 the relabeled T_4, whose own labeling is not peo-consistent.
-``peo`` runs on the two random chordal graphs and on a seeded shuffled
-path on 40 vertices, ``heo`` on the ``heo_corpus`` member and the prefix
+``peo`` runs on the two random chordal graphs, on a seeded shuffled
+path on 40 vertices, on a relabeled disjoint union of cliques, a path
+and isolated vertices (so lexicographic BFS restarts at an empty label
+and breaks many ties), and on a seeded random chordal graph on 200
+vertices, ``heo`` on the ``heo_corpus`` member and the prefix
 chain, and ``building-set`` on P_5 and K_4.
 
 The ``ao-graph`` files were written by the engine that predates
@@ -36,7 +39,9 @@ hypergraph engine that still checked itself on every step, and the
 searched its order with the jump engine, and the files of the other
 commands by the library that still held two to four copies of its
 topological sort, union-find, peo-consistency test, relabel map and
-flip-graph DOT export; to rewrite them after a
+flip-graph DOT export.  The ``disjoint`` and ``r200`` ``peo`` files were
+written by the quadratic lexicographic BFS that took a maximum over all
+unvisited vertices' labels at every step.  To rewrite them after a
 deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -51,7 +56,7 @@ from orientgen import corpus
 from orientgen.cli import main
 from orientgen.fileio import format_congruence, format_digraph, \
     format_graph, format_hypergraph, parse_digraph
-from orientgen.graphs import Digraph, complete_graph, cycle_graph, \
+from orientgen.graphs import Digraph, Graph, complete_graph, cycle_graph, \
     find_peo, orient, path_graph, relabel_digraph, relabel_graph
 from orientgen.hypergraphs import find_heo, relabel_hypergraph
 from orientgen.quotients import build_ar_poset, is_identity_peo_consistent, \
@@ -124,7 +129,8 @@ COMMAND_CASES = (
     + [("flipgraph", f, ["--hyper"]) for f in ("prefix4.h", "c4-2u.h")]
     + [("classify", f, [])
        for f in list(WITNESS_FILES.values()) + ["t4-relabeled.d"]]
-    + [("peo", f, []) for f in ("r10.g", "r12.g", "path40.g")]
+    + [("peo", f, [])
+       for f in ("r10.g", "r12.g", "path40.g", "disjoint.g", "r200.g")]
     + [("heo", f, []) for f in ("h54.h", "prefix4.h")]
     + [("building-set", f, []) for f in ("p5.g", "k4.g")]
 )
@@ -223,6 +229,8 @@ def command_instances():
         "c4.g": format_graph(cycle_graph(4)),
         "c4-2u.h": format_hypergraph(corpus.two_uniform(cycle_graph(4))),
         "path40.g": format_graph(shuffled_path(40, random.Random(40))),
+        "disjoint.g": format_graph(disjoint_graph(random.Random(19))),
+        "r200.g": format_graph(corpus.random_chordal(200, random.Random(200))),
     }
     for key, name in WITNESS_FILES.items():
         if key != "peo_consistent":
@@ -235,6 +243,20 @@ def shuffled_path(n, rng):
     order = list(range(1, n + 1))
     rng.shuffle(order)
     return relabel_graph(path_graph(n), order)
+
+
+def disjoint_graph(rng):
+    """K_3, K_4, K_5, P_8 and four isolated vertices side by side,
+    relabeled by a random vertex order."""
+    edges, n = [], 0
+    for part in (complete_graph(3), complete_graph(4), complete_graph(5),
+                 path_graph(8)):
+        edges += [(n + u, n + v) for u, v in part.edges]
+        n += part.n
+    n += 4
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return relabel_graph(Graph(n, edges), order)
 
 
 def _command_out(command, fname):
