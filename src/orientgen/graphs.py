@@ -13,6 +13,7 @@ its one relabeling map.  The streaming certifier of ``oracle`` keeps its
 own sort, so that it does not run the code it checks.
 """
 
+from heapq import heapify, heappop
 from itertools import combinations
 
 from .errors import InputError
@@ -251,24 +252,70 @@ def is_peo(g, order):
 
 
 def lex_bfs(g):
-    """Lexicographic BFS visit order.
+    """Lexicographic BFS visit order, by partition refinement.
 
-    Ties are broken by picking the vertex with the lexicographically
-    largest label set, then the smallest vertex id, so the output is
-    deterministic.
+    Visiting the vertex of step s appends s to the label of each of its
+    unvisited neighbours, and the next vertex is one with the
+    lexicographically largest label, the smallest id among ties, so the
+    output is deterministic.
+
+    The unvisited vertices are kept in a linked list of classes, one per
+    label, largest label first (Rose, Tarjan and Lueker, SIAM J. Comput.
+    1976; Habib, McConnell, Paul and Viennot, TCS 2000).  Each class is a
+    min-heap of ids with lazy deletion: a vertex that leaves it stays in
+    the heap until popped.  Visiting v moves its unvisited neighbours in
+    each class into a new class just before it, and unlinks the classes
+    that become empty.  A vertex enters at most 1 + deg(v) heaps, so the
+    search takes O((n + m) log n) time.
     """
     n = g.n
-    labels = {v: [] for v in range(1, n + 1)}
-    unvisited = set(range(1, n + 1))
+    adj = g.adj
+    # a class is [size, heap of ids, previous class, next class,
+    #             step of its last split, class split off at that step]
+    head = [n, list(range(1, n + 1)), None, None, 0, None]
+    cls = [head] * (n + 1)  # None once visited
     order = []
-    for step in range(n, 0, -1):
-        v = max(unvisited, key=lambda w: (labels[w], -w))
-        unvisited.remove(v)
+    for step in range(1, n + 1):
+        heap = head[1]
+        v = heappop(heap)
+        while cls[v] is not head:
+            v = heappop(heap)
+        cls[v] = None
         order.append(v)
-        for w in g.adj[v]:
-            if w in unvisited:
-                # labels stay sorted descending: appended keys decrease
-                labels[w].append(step)
+        head[0] -= 1
+        if not head[0]:
+            head = head[3]
+            if head is not None:
+                head[2] = None
+        split = []
+        for w in adj[v]:
+            old = cls[w]
+            if old is None:
+                continue
+            if old[4] == step:
+                new = old[5]
+            else:
+                prev = old[2]
+                new = [0, [], prev, old, 0, None]
+                if prev is None:
+                    head = new
+                else:
+                    prev[3] = new
+                old[2] = new
+                old[4] = step
+                old[5] = new
+                split.append(new)
+            new[0] += 1
+            new[1].append(w)
+            cls[w] = new
+            old[0] -= 1
+            if not old[0]:
+                # old's predecessor is the class just split off it
+                new[3] = nxt = old[3]
+                if nxt is not None:
+                    nxt[2] = new
+        for new in split:
+            heapify(new[1])
     return tuple(order)
 
 

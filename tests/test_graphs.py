@@ -1,9 +1,11 @@
 import heapq
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
 
+from orientgen import corpus
 from orientgen.errors import InputError
 from orientgen.graphs import (
     Digraph,
@@ -76,6 +78,31 @@ def brute_peo_exists(g):
         return False
 
     return strip(frozenset(range(1, g.n + 1)))
+
+
+def naive_lex_bfs(g):
+    """Lexicographic BFS by a maximum over every unvisited vertex's label
+    at each step, O(n^2): the library's search before partition
+    refinement, kept as its reference."""
+    n = g.n
+    labels = {v: [] for v in range(1, n + 1)}
+    unvisited = set(range(1, n + 1))
+    order = []
+    for step in range(n, 0, -1):
+        v = max(unvisited, key=lambda w: (labels[w], -w))
+        unvisited.remove(v)
+        order.append(v)
+        for w in g.adj[v]:
+            if w in unvisited:
+                # labels stay sorted descending: appended keys decrease
+                labels[w].append(step)
+    return tuple(order)
+
+
+def shuffled_path(n, rng):
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return relabel_graph(path_graph(n), order)
 
 
 def all_graphs(n):
@@ -351,6 +378,43 @@ def test_lex_bfs_is_deterministic_visit_order():
     order = lex_bfs(g)
     assert sorted(order) == list(range(1, 7))
     assert order == lex_bfs(g)
+
+
+def test_lex_bfs_matches_naive_reference_on_all_small_graphs():
+    checked = 0
+    for n in range(7):
+        for g in corpus.all_graphs(n):
+            assert lex_bfs(g) == naive_lex_bfs(g), g.edges
+            checked += 1
+    assert checked == 33868
+
+
+def test_lex_bfs_matches_naive_reference_on_random_graphs():
+    rng = random.Random(2000)
+    for _ in range(3000):
+        n = rng.randint(0, 40)
+        density = rng.random()
+        g = Graph(n, [e for e in combinations(range(1, n + 1), 2)
+                      if rng.random() < density])
+        assert lex_bfs(g) == naive_lex_bfs(g), (n, g.edges)
+
+
+def test_lex_bfs_matches_naive_reference_on_random_chordal_graphs():
+    rng = random.Random(60)
+    for _ in range(300):
+        g = corpus.random_chordal(rng.randint(1, 60), rng,
+                                  max_anchor=rng.randint(1, 6))
+        assert lex_bfs(g) == naive_lex_bfs(g), g.edges
+
+
+def test_find_peo_scales_to_a_long_shuffled_path():
+    # the naive search needs about a minute here
+    g = shuffled_path(20000, random.Random(20000))
+    start = time.perf_counter()
+    order = find_peo(g)
+    elapsed = time.perf_counter() - start
+    assert order is not None and is_peo(g, order)
+    assert elapsed < 2.0, elapsed
 
 
 def test_disconnected_graphs_supported():
