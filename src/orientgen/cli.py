@@ -18,8 +18,9 @@ from .hypergraphs import find_heo, graphical_building_set, relabel_hypergraph
 from .jumps import LanguageOracle, algorithm_J
 from .oracle import (ArcListingCertifier, PairListingCertifier,
                      build_flip_graph, certify_hamilton_path,
-                     enumerate_ao_graph, enumerate_ao_hyper, flip_graph_dot,
-                     one_arc_flip, pair_flip_relation, quotient_cover_graph)
+                     check_ao_graph_cap, enumerate_ao_graph,
+                     enumerate_ao_hyper, flip_graph_dot, one_arc_flip,
+                     pair_flip_relation, quotient_cover_graph)
 from .quotients import (Congruence, build_ar_poset, classify,
                         forcing_closure, generate_quotient_path,
                         identity_congruence, is_identity_peo_consistent,
@@ -52,9 +53,14 @@ def _no_dot_combo(args, *flags):
 def _graph_dot(out, g, name, make_run):
     """Write the arc-flip graph of g's acyclic orientations as DOT, with
     the listing of the run that ``make_run()`` starts marked as its path,
-    or no path if it returns None."""
-    fg = build_flip_graph(enumerate_ao_graph(g), one_arc_flip)
+    or no path if it returns None.
+
+    The cap is tested before the run starts, so an oversized graph exits
+    2 even when it is not chordal; the run starts before the orientations
+    are enumerated, so a graph it rejects exits 1 at once."""
+    check_ao_graph_cap(g)
     run = make_run()
+    fg = build_flip_graph(enumerate_ao_graph(g), one_arc_flip)
     path = None if run is None else [run.digraph() for _ in run]
     out.write(flip_graph_dot(
         fg, path=path, name=name,

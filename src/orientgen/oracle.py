@@ -13,18 +13,23 @@ from .graphs import is_acyclic_mask, orient
 from .hypergraphs import is_acyclic_orientation, pair_flip
 
 
+def check_ao_graph_cap(g, cap=None):
+    """Raise CapExceeded when the 2^m orientations of g exceed the cap."""
+    m = len(g.edges)
+    limit = effective_cap(cap)
+    if (1 << m) > limit:
+        raise CapExceeded("2^%d orientations exceed cap %d" % (m, limit))
+
+
 def enumerate_ao_graph(g, cap=None):
     """All acyclic orientations of a graph, in ascending bitmask order.
 
     Bit k of a mask orients edge k from its larger endpoint toward its
     smaller one.  Raises CapExceeded when 2^m exceeds the cap.
     """
-    m = len(g.edges)
-    limit = effective_cap(cap)
-    if (1 << m) > limit:
-        raise CapExceeded("2^%d orientations exceed cap %d" % (m, limit))
+    check_ao_graph_cap(g, cap)
     out = []
-    for mask in range(1 << m):
+    for mask in range(1 << len(g.edges)):
         if is_acyclic_mask(g, mask):
             out.append(orient(g, mask))
     return out

@@ -1,5 +1,7 @@
 """End-to-end tests driving the command line through main()."""
 
+import time
+
 import pytest
 
 from orientgen.cli import main
@@ -112,6 +114,32 @@ def test_ao_graph_dot_path_covers_all_nodes(tmp_path, capsys):
     assert rc == 0
     assert out.count("label=") == 6
     assert out.count("path=1") == 5
+
+
+# C_4 with an 8-edge path hanging off vertex 4: 2^12 orientations
+C4_TAIL_TEXT = format_graph(Graph(12, [(1, 2), (2, 3), (3, 4), (1, 4)]
+                                  + [(k, k + 1) for k in range(4, 12)]))
+
+
+def test_ao_graph_dot_rejects_a_non_chordal_graph_before_enumerating(
+        tmp_path, capsys):
+    path = put(tmp_path, "c4tail.txt", C4_TAIL_TEXT)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "ao-graph", path, "--output", "dot")
+    elapsed = time.perf_counter() - start
+    assert rc == 1 and out == "" and "graph is not chordal" in err
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("command", [["ao-graph", "--output", "dot"],
+                                     ["flipgraph"]])
+def test_graph_dot_cap_wins_over_a_non_chordal_graph(command, tmp_path,
+                                                     capsys, monkeypatch):
+    monkeypatch.setenv("ORIENTGEN_CAP", "10")
+    path = put(tmp_path, "c4.txt", C4_TEXT)
+    rc, out, err = run(capsys, command[0], path, *command[1:])
+    assert rc == 2 and out == ""
+    assert "2^4 orientations exceed cap 10" in err
 
 
 # ---------------------------------------------------------------- ao-hyper
