@@ -254,10 +254,10 @@ def is_peo(g, order):
 def lex_bfs(g):
     """Lexicographic BFS visit order, by partition refinement.
 
-    Visiting the vertex of step s appends s to the label of each of its
-    unvisited neighbours, and the next vertex is one with the
-    lexicographically largest label, the smallest id among ties, so the
-    output is deterministic.
+    Each visited vertex appends a number smaller than all earlier ones to
+    the labels of its unvisited neighbours, and the next vertex is one
+    with the lexicographically largest label, the smallest id among ties,
+    so the output is deterministic.
 
     The unvisited vertices are kept in a linked list of classes, one per
     label, largest label first (Rose, Tarjan and Lueker, SIAM J. Comput.
