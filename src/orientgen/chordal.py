@@ -15,7 +15,7 @@ faster than n + m.
 from functools import cmp_to_key
 
 from .errors import InputError
-from .graphs import (Digraph, find_peo, is_acyclic, is_peo, label_map,
+from .graphs import (Digraph, find_peo, is_acyclic, is_peo, label_map, orient,
                      relabel_digraph)
 
 
@@ -153,11 +153,7 @@ class ChordalRun:
     def digraph(self):
         """Digraph snapshot of the current orientation, original labels,
         arc k corresponding to edge k."""
-        edges = self.graph.edges
-        flipped = format(self._mask, "0%db" % len(edges))[::-1]
-        return Digraph(self.graph.n, [
-            (y, x) if flipped[k] == "1" else (x, y)
-            for k, (x, y) in enumerate(edges)])
+        return orient(self.graph, self._mask)
 
     def _sorted_path(self, items):
         """Current linear order of a clique, source first, by orientation

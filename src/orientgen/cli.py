@@ -18,9 +18,9 @@ from .hypergraphs import find_heo, graphical_building_set, relabel_hypergraph
 from .jumps import LanguageOracle, algorithm_J
 from .oracle import (ArcListingCertifier, PairListingCertifier,
                      build_flip_graph, certify_hamilton_path,
-                     check_ao_graph_cap, enumerate_ao_graph,
-                     enumerate_ao_hyper, flip_graph_dot, one_arc_flip,
-                     pair_flip_relation, quotient_cover_graph)
+                     check_ao_graph_cap, check_ao_hyper_cap, count_ao_graph,
+                     enumerate_ao_graph, enumerate_ao_hyper, flip_graph_dot,
+                     one_arc_flip, pair_flip_relation, quotient_cover_graph)
 from .quotients import (Congruence, build_ar_poset, classify,
                         forcing_closure, generate_quotient_path,
                         identity_congruence, is_identity_peo_consistent,
@@ -69,9 +69,10 @@ def _graph_dot(out, g, name, make_run):
 
 def _hyper_dot(out, h, name, make_run):
     """Write the pair-flip graph of h's acyclic orientations as DOT; the
-    path as in ``_graph_dot``."""
-    fg = build_flip_graph(enumerate_ao_hyper(h), pair_flip_relation(h))
+    path, the cap test and the order of the steps as in ``_graph_dot``."""
+    check_ao_hyper_cap(h)
     run = make_run()
+    fg = build_flip_graph(enumerate_ao_hyper(h), pair_flip_relation(h))
     path = None if run is None else [run.heads() for _ in run]
     out.write(flip_graph_dot(
         fg, path=path, name=name, labeler=lambda o: ",".join(map(str, o))))
@@ -194,6 +195,12 @@ def _cmd_quotient(args, out):
             raise InputError("digraph is not peo-consistent")
         d = relabel_digraph(d, order)
     p = build_ar_poset(d)
+    if args.certify:
+        # the element set is certified before the walk runs over it
+        expected = count_ao_graph(p.graph)
+        if len(p) != expected:
+            raise InputError("poset holds %d reorientations, the oracle "
+                             "counts %d" % (len(p), expected))
     if args.congruence is not None:
         c = Congruence(p, parse_congruence(_read(args.congruence)))
     elif args.seed_pairs is not None:
@@ -220,8 +227,6 @@ def _cmd_quotient(args, out):
     if args.count_only:
         out.write("%d\n" % len(trail))
     if args.certify:
-        if sorted(trail) != list(range(len(c.classes))):
-            raise InputError("listing misses or repeats a congruence class")
         res = certify_hamilton_path(fg, trail)
         if not res:
             raise InputError(

@@ -350,13 +350,10 @@ def relabel_digraph(d, order):
 
 def orient(g, mask):
     """The Digraph of an orientation bitmask of g; arc k comes from edge k."""
-    m = len(g.edges)
-    if not 0 <= mask < (1 << m):
+    if not 0 <= mask < (1 << len(g.edges)):
         raise InputError("orientation mask out of range")
-    arcs = []
-    for k, (u, v) in enumerate(g.edges):
-        arcs.append((v, u) if mask >> k & 1 else (u, v))
-    return Digraph(g.n, arcs)
+    return Digraph(g.n, [(v, u) if mask >> k & 1 else (u, v)
+                         for k, (u, v) in enumerate(g.edges)])
 
 
 def orientation_mask(g, d):

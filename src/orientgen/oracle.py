@@ -70,18 +70,23 @@ def count_ao_graph(g):
     return counts[full]
 
 
-def enumerate_ao_hyper(h, cap=None):
-    """All acyclic orientations of a hypergraph as head tuples, in
-    lexicographic order.  Raises CapExceeded when the product of the
-    hyperedge sizes exceeds the cap.
-    """
+def check_ao_hyper_cap(h, cap=None):
+    """Raise CapExceeded when the head vectors of h, the product of its
+    hyperedge sizes, exceed the cap."""
     limit = effective_cap(cap)
     total = 1
     for e in h.edges:
         total *= len(e)
         if total > limit:
-            raise CapExceeded(
-                "head-vector space exceeds cap %d" % limit)
+            raise CapExceeded("head-vector space exceeds cap %d" % limit)
+
+
+def enumerate_ao_hyper(h, cap=None):
+    """All acyclic orientations of a hypergraph as head tuples, in
+    lexicographic order.  Raises CapExceeded when the product of the
+    hyperedge sizes exceeds the cap.
+    """
+    check_ao_hyper_cap(h, cap)
     out = []
     # product over the sorted hyperedges runs in lexicographic order
     for heads in itertools.product(*h.edges):

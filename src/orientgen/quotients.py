@@ -21,12 +21,14 @@ from .graphs import (
     Digraph,
     descendant_masks,
     is_acyclic,
+    is_acyclic_mask,
     is_peo,
     is_simplicial,
     orient,
     orientation_mask,
+    reach_masks,
 )
-from .oracle import enumerate_ao_graph
+from .oracle import check_ao_graph_cap
 
 
 def _find(parent, x):
@@ -63,27 +65,16 @@ def is_vertebrate(d):
 
 
 def _reduces_to_forest(d, sub):
-    arcs = [(i, j) for (i, j) in d.arcs if i in sub and j in sub]
-    out = {v: [] for v in sub}
-    for i, j in arcs:
-        out[i].append(j)
-    reach = {}
-    for v in sub:
-        seen = 0
-        stack = list(out[v])
-        while stack:
-            w = stack.pop()
-            bit = 1 << w
-            if not seen & bit:
-                seen |= bit
-                stack.extend(out[w])
-        reach[v] = seen
+    out = [[j for j in d.out[i] if j in sub] if i in sub else []
+           for i in range(d.n + 1)]
+    reach = reach_masks(d.n, out)
     parent = {v: v for v in sub}
-    for i, j in arcs:
-        if any(w != j and reach[w] >> j & 1 for w in out[i]):
-            continue
-        if not _union(parent, i, j):
-            return False
+    for i in sub:
+        for j in out[i]:
+            if any(w != j and reach[w] >> j & 1 for w in out[i]):
+                continue
+            if not _union(parent, i, j):
+                return False
     return True
 
 
@@ -279,15 +270,15 @@ class ARPoset:
         return None if z is None else self.elements[z]
 
     def is_lattice(self):
-        """True iff every pair has a unique join and meet; a failing pair,
+        """True iff every pair has a unique join and meet.  Joins suffice,
+        since every element list holds the bottom 0; a pair without a join,
         if any, is kept in ``lattice_witness``."""
         if self._lattice is None:
             els = self.elements
-            above, below = self._order()
+            above = self._order()[0]
             self.lattice_witness = next(
                 ((els[i], els[j]) for i, j in combinations(range(len(els)), 2)
-                 if _least(above, i, j) is None
-                 or _greatest(below, i, j) is None), None)
+                 if _least(above, i, j) is None), None)
             self._lattice = self.lattice_witness is None
         return self._lattice
 
@@ -332,7 +323,7 @@ def _interval(p, lo, hi):
 
 
 def build_ar_poset(d, cap=None):
-    """Enumerate the acyclic reorientations of d into an ARPoset.
+    """The flip masks of d's arcs that leave d acyclic, as an ARPoset.
 
     Raises InputError on cyclic input and CapExceeded when the orientation
     count bound 2^m exceeds the cap.
@@ -340,9 +331,10 @@ def build_ar_poset(d, cap=None):
     if not is_acyclic(d):
         raise InputError("reference digraph is not acyclic")
     g = d.underlying()
+    check_ao_graph_cap(g, cap)
     base = orientation_mask(g, d)
-    return ARPoset(d, [orientation_mask(g, o) ^ base
-                       for o in enumerate_ao_graph(g, cap=cap)])
+    return ARPoset(d, [f for f in range(1 << len(g.edges))
+                       if is_acyclic_mask(g, f ^ base)])
 
 
 def _off_arcs(d):

@@ -21,13 +21,14 @@ from itertools import combinations, permutations
 from . import chordal, corpus, hypergen
 from .fileio import format_congruence, format_digraph, format_graph, \
     format_hypergraph
-from .graphs import Digraph, complete_graph, find_peo, orient, path_graph
+from .graphs import Digraph, complete_graph, find_peo, orient, \
+    orientation_mask, path_graph
 from .hypergraphs import check_unique_parent_child, is_acyclic_orientation, \
     is_heo
 from .oracle import build_flip_graph, check_flip_distance, \
     congruence_closure, enumerate_ao_graph, one_arc_flip, pair_flip_relation
-from .quotients import Congruence, build_ar_poset, classify, rails, \
-    restriction, sylvester_congruence, validate_congruence
+from .quotients import ARPoset, Congruence, build_ar_poset, classify, \
+    rails, restriction, sylvester_congruence, validate_congruence
 
 SJT = {
     2: ("12", "21"),
@@ -379,9 +380,11 @@ def crit_lattice_dichotomy(quick):
     total = lattices = 0
     for n in range(1, top + 1):
         for g in corpus.all_graphs(n):
-            for d in enumerate_ao_graph(g):
+            # every orientation of g has the reorientations AO(g) XOR itself
+            aos = [(d, orientation_mask(g, d)) for d in enumerate_ao_graph(g)]
+            for d, base in aos:
                 total += 1
-                latt = build_ar_poset(d).is_lattice()
+                latt = ARPoset(d, [f ^ base for _, f in aos]).is_lattice()
                 lattices += latt
                 want = classify(d) in ("vertebrate", "peo_consistent",
                                        "skeletal")

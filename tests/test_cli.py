@@ -183,6 +183,32 @@ def test_ao_hyper_rejects_cycle(tmp_path, capsys):
     assert rc == 1 and "elimination order" in err
 
 
+# 2-uniform C_4 with a 7-edge path hanging off vertex 4: 2^11 head vectors
+C4_TAIL_HYPER_TEXT = format_hypergraph(Hypergraph(
+    11, [(1, 2), (2, 3), (3, 4), (1, 4)] + [(k, k + 1) for k in range(4, 11)]))
+
+
+def test_ao_hyper_dot_rejects_a_cycle_before_enumerating(tmp_path, capsys):
+    path = put(tmp_path, "c4tail.txt", C4_TAIL_HYPER_TEXT)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "ao-hyper", path, "--output", "dot")
+    elapsed = time.perf_counter() - start
+    assert rc == 1 and out == "" and "elimination order" in err
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("command", [["ao-hyper", "--output", "dot"],
+                                     ["flipgraph", "--hyper"]])
+def test_hyper_dot_cap_wins_over_a_cycle(command, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.setenv("ORIENTGEN_CAP", "10")
+    path = put(tmp_path, "c4.txt", format_hypergraph(
+        Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])))
+    rc, out, err = run(capsys, command[0], path, *command[1:])
+    assert rc == 2 and out == ""
+    assert "head-vector space exceeds cap 10" in err
+
+
 # -------------------------------------------------------------- elim-trees
 
 
@@ -295,6 +321,20 @@ def test_quotient_dot_certify_highlights_path(tmp_path, capsys):
     assert rc == 0
     assert out.count("path=1") == 5
     assert out.splitlines()[-1] == "certified 6 classes"
+
+
+def test_quotient_certify_counts_the_poset_elements(tmp_path, capsys,
+                                                    monkeypatch):
+    from orientgen import cli, quotients
+    real = quotients.build_ar_poset
+    # a poset that lost the reorientation flipping arc 1 -> 2 alone
+    monkeypatch.setattr(cli, "build_ar_poset", lambda d: quotients.ARPoset(
+        d, [f for f in real(d).elements if f != 1]))
+    path = put(tmp_path, "k3.txt", format_digraph(orient(complete_graph(3),
+                                                         0)))
+    rc, out, err = run(capsys, "quotient", path, "--certify", "--count-only")
+    assert rc == 1 and out == ""
+    assert "poset holds 5 reorientations, the oracle counts 6" in err
 
 
 def test_quotient_cap_exceeded(tmp_path, capsys, monkeypatch):

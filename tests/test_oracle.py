@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from orientgen import chordal
 from orientgen.errors import CapExceeded, InputError
 from orientgen.graphs import (
     Graph,
@@ -18,6 +19,7 @@ from orientgen.graphs import (
 from orientgen.hypergraphs import Hypergraph, orientation_from_permutation
 from orientgen.oracle import (
     build_flip_graph,
+    certify_arc_listing,
     certify_hamilton_path,
     check_flip_distance,
     count_ao_graph,
@@ -196,6 +198,18 @@ def test_certify_hamilton_path_permutations():
     assert not broken and "not flip-adjacent" in broken.reason
     alien = certify_hamilton_path(fg, sjt[:-1] + [(9, 9, 9)])
     assert not alien and "not a vertex" in alien.reason
+
+
+def test_certify_arc_listing_of_the_library_example():
+    g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
+    run = chordal.generate(g)
+    masks = [run.mask() for _ in run]
+    assert certify_arc_listing(g, masks) == 12
+    with pytest.raises(InputError, match="repeats"):
+        certify_arc_listing(g, masks + masks[:1])
+    swapped = masks[:1] + masks[2:3] + masks[1:2] + masks[3:]
+    with pytest.raises(InputError, match="differ in 2 edges"):
+        certify_arc_listing(g, swapped)
 
 
 def test_certify_pair_flip_listing():
