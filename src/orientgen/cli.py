@@ -13,7 +13,8 @@ from . import chordal, hypergen
 from .errors import CapExceeded, InputError
 from .fileio import (format_hypergraph, parse_congruence, parse_digraph,
                      parse_graph, parse_hypergraph, parse_seed_pairs)
-from .graphs import find_peo, is_acyclic, orientation_mask, relabel_digraph
+from .graphs import (find_peo, is_acyclic, label_map, orientation_mask,
+                     relabel_digraph)
 from .hypergraphs import find_heo, graphical_building_set, relabel_hypergraph
 from .jumps import LanguageOracle, algorithm_J
 from .oracle import (ArcListingCertifier, PairListingCertifier,
@@ -124,11 +125,16 @@ def _cmd_ao_graph(args, out):
     return 0
 
 
-def _check_jump_trace(h, order, trace):
+def _check_jump_trace(cert, order, trace):
     """The permutation trace of a hypergraph run must be the jump listing
-    of the full encoding language."""
+    of the full encoding language: the encodings of the acyclic
+    orientations that the certifier enumerated, relabeled by the run's
+    elimination order."""
+    h = cert.hypergraph
     rh = relabel_hypergraph(h, order)
-    lang = {hypergen.encode(rh, o) for o in enumerate_ao_hyper(rh)}
+    newlab = label_map(h.n, order)
+    lang = {hypergen.encode(rh, tuple(newlab[v] for v in o))
+            for o in cert.orientations}
     expect = list(algorithm_J(LanguageOracle.from_set(lang)))
     if list(trace) != expect:
         raise InputError("permutation trace differs from the jump listing")
@@ -160,7 +166,7 @@ def _cmd_ao_hyper(args, out):
         out.write("%d\n" % run.visits)
     if cert is not None:
         count = cert.finish()
-        _check_jump_trace(h, run.order, trace)
+        _check_jump_trace(cert, run.order, trace)
         out.write("certified %d orientations\n" % count)
     return 0
 

@@ -10,7 +10,7 @@ endpoint.
 ``reach_masks`` its one reachability closure; the digraph, mask and
 hypergraph acyclicity tests and posets all run them.  ``label_map`` is
 its one relabeling map.  The streaming certifier of ``oracle`` keeps its
-own sort, so that it does not run the code it checks.
+own reachability search, so that it does not run the code it checks.
 """
 
 from heapq import heapify, heappop
@@ -26,14 +26,14 @@ class Graph:
     edge in ``edges`` is stable and is what orientation bitmasks refer to.
     """
 
-    __slots__ = ("n", "edges", "adj", "_eix")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n, edges):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         self.n = n
-        eix = {}
         elist = []
+        seen = set()
         adj = [set() for _ in range(n + 1)]
         for e in edges:
             u, v = e
@@ -43,15 +43,14 @@ class Graph:
                 raise InputError("self-loop at vertex %d" % u)
             if u > v:
                 u, v = v, u
-            if (u, v) in eix:
+            if (u, v) in seen:
                 raise InputError("duplicate edge %d-%d" % (u, v))
-            eix[(u, v)] = len(elist)
+            seen.add((u, v))
             elist.append((u, v))
             adj[u].add(v)
             adj[v].add(u)
         self.edges = tuple(elist)
         self.adj = tuple(frozenset(s) for s in adj)
-        self._eix = eix
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, len(self.edges))
@@ -68,14 +67,6 @@ class Graph:
         if not (1 <= u <= self.n and 1 <= v <= self.n):
             return False
         return v in self.adj[u]
-
-    def edge_index(self, u, v):
-        if u > v:
-            u, v = v, u
-        try:
-            return self._eix[(u, v)]
-        except KeyError:
-            raise InputError("no edge %d-%d" % (u, v)) from None
 
     def degree(self, v):
         return len(self.adj[v])
@@ -190,22 +181,6 @@ def descendant_masks(d):
     if masks is None:
         raise InputError("digraph is not acyclic")
     return masks
-
-
-def transitive_reduction(d):
-    """Arc set of the transitive reduction of an acyclic digraph.
-
-    An arc i->j is kept iff no directed path i ~> j of length >= 2 exists,
-    so the result is exactly the cover relation set of the reachability
-    poset.  Rejects cyclic input.
-    """
-    masks = descendant_masks(d)
-    keep = set()
-    for i, j in d.arcs:
-        bit = 1 << j
-        if not any(masks[w] & bit for w in d.out[i] if w != j):
-            keep.add((i, j))
-    return frozenset(keep)
 
 
 def is_simplicial(g, v):
@@ -388,10 +363,3 @@ def complete_graph(n):
 def path_graph(n):
     """The path 1-2-...-n."""
     return Graph(n, [(i, i + 1) for i in range(1, n)])
-
-
-def cycle_graph(n):
-    """The cycle 1-2-...-n-1; requires n >= 3."""
-    if n < 3:
-        raise InputError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])

@@ -13,7 +13,7 @@ orientation poset run ``graphs.topological_order`` and
 from itertools import combinations, product
 
 from .errors import CapExceeded, InputError
-from .graphs import Digraph, label_map, reach_masks, topological_order
+from .graphs import label_map, reach_masks, topological_order
 
 
 def _bits(mask):
@@ -111,18 +111,6 @@ def is_acyclic_orientation(h, heads):
     return topological_order(h.n, _arc_out(h, heads)) is not None
 
 
-def orientation_digraph(h, heads):
-    """The digraph of arcs v -> head over all hyperedges, deduplicated.
-
-    Defined whenever the arc set is a simple digraph; a cyclic orientation
-    can produce antiparallel arcs, which are rejected.
-    """
-    heads = check_orientation(h, heads)
-    out = _arc_out(h, heads)
-    return Digraph(h.n, sorted((v, w) for v in range(1, h.n + 1)
-                               for w in out[v]))
-
-
 class OrientationPoset:
     """The poset induced by an acyclic orientation.
 
@@ -139,9 +127,6 @@ class OrientationPoset:
 
     def less(self, i, j):
         return bool(self.above[i] >> j & 1)
-
-    def comparable(self, i, j):
-        return self.less(i, j) or self.less(j, i)
 
 
 def poset_of(h, heads):
@@ -187,14 +172,6 @@ def pair_flip(h, heads, i, j):
     if not is_acyclic_orientation(h, new):
         return None
     return new
-
-
-def flippable_pairs(h, heads):
-    """The pairs (i, j) with j covering i in the orientation poset.
-
-    These are exactly the pairs on which pair_flip succeeds.
-    """
-    return sorted(poset_of(h, heads).covers)
 
 
 def restrict(h, i):
@@ -319,20 +296,6 @@ def is_building_set(h):
     return True
 
 
-def is_chordal_building_set(h):
-    """True iff h is a building set in which every prefix of every sorted
-    hyperedge (its s smallest members, any s) is again a hyperedge."""
-    if not is_building_set(h):
-        return False
-    for e in h.edges:
-        m = 0
-        for v in e[:-1]:
-            m |= 1 << v
-            if not h.has_edge_mask(m):
-                return False
-    return True
-
-
 def graphical_building_set(g, cap=None):
     """The hypergraph of all connected induced vertex subsets of g.
 
@@ -394,44 +357,3 @@ def orientation_to_elim_forest(bg, heads):
             raise InputError("orientation poset is not a forest")
         parent[a] = b
     return tuple(parent[1:])
-
-
-def elim_forest_to_orientation(bg, parent):
-    """Inverse of orientation_to_elim_forest.
-
-    Each hyperedge is headed at its member that is a forest ancestor of
-    all its members.  Rejects non-building-set input and parent arrays
-    that do not match any acyclic orientation.
-    """
-    if not is_building_set(bg):
-        raise InputError("hypergraph is not a building set")
-    parent = tuple(parent)
-    n = bg.n
-    if len(parent) != n or any(p < 0 or p > n for p in parent):
-        raise InputError("parent array must list n entries in 0..n")
-    # ancestor masks, self included; walk length bounded to catch cycles
-    anc = [0] * (n + 1)
-    for v in range(1, n + 1):
-        m = 0
-        u = v
-        steps = 0
-        while u:
-            m |= 1 << u
-            u = parent[u - 1]
-            steps += 1
-            if steps > n:
-                raise InputError("parent array contains a cycle")
-        anc[v] = m
-    heads = []
-    for k, e in enumerate(bg.edges):
-        common = anc[e[0]]
-        for v in e[1:]:
-            common &= anc[v]
-        head = common & bg.masks[k]
-        if not head or head & (head - 1):
-            raise InputError("forest does not match the building set")
-        heads.append(head.bit_length() - 1)
-    heads = tuple(heads)
-    if not is_acyclic_orientation(bg, heads):
-        raise InputError("forest does not induce an acyclic orientation")
-    return heads

@@ -10,7 +10,7 @@ from collections import deque
 
 from .errors import CapExceeded, InputError, effective_cap
 from .graphs import is_acyclic_mask, orient
-from .hypergraphs import is_acyclic_orientation, pair_flip
+from .hypergraphs import check_orientation, is_acyclic_orientation, pair_flip
 
 
 def check_ao_graph_cap(g, cap=None):
@@ -382,6 +382,24 @@ def quotient_cover_graph(partition):
     return FlipGraph(range(k), annotations)
 
 
+def _reaches(out, a, b):
+    """True iff the digraph whose out-neighbours of v are the set bits of
+    out[v] has a directed path from a to b."""
+    seen = 0
+    todo = out[a]
+    while todo:
+        if todo >> b & 1:
+            return True
+        seen |= todo
+        nxt = 0
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            nxt |= out[bit.bit_length() - 1]
+        todo = nxt & ~seen
+    return False
+
+
 class ArcListingCertifier:
     """Streaming validity check for a claimed arc-flip Gray listing of
     all acyclic orientations of a graph.
@@ -390,13 +408,18 @@ class ArcListingCertifier:
     from its larger endpoint to its smaller one).  Every orientation must
     be acyclic, never repeat, and differ from its predecessor by
     reversing exactly one arc of the predecessor's transitive reduction.
-    finish() matches the total against the subset-convolution count.  Any
-    violation raises InputError; construction raises CapExceeded when the
-    orientation count would not fit under the cap.
+    The certifier keeps the current digraph as out-neighbour bitsets and
+    runs its own reachability search.  The first visit adds its arcs one
+    at a time and rejects an arc whose head already reaches its tail.
+    Each later visit removes the flipped arc i->j, rejects the step if i
+    still reaches j, and adds j->i otherwise; reversing a non-transitive
+    arc of an acyclic digraph cannot close a cycle, so every visit stays
+    acyclic.  finish() matches the total against the subset-convolution
+    count.  Any violation raises InputError; construction raises
+    CapExceeded when the orientation count would not fit under the cap.
     """
 
-    __slots__ = ("graph", "expected", "_edges", "_n", "_seen",
-                 "_prev_mask", "_prev_out", "_prev_desc")
+    __slots__ = ("graph", "expected", "_edges", "_seen", "_prev", "_out")
 
     def __init__(self, g, cap=None):
         self.graph = g
@@ -407,73 +430,44 @@ class ArcListingCertifier:
                 "certifying %d orientations exceeds cap %d"
                 % (self.expected, limit))
         self._edges = tuple(g.edges)
-        self._n = g.n
         self._seen = set()
-        self._prev_mask = None
-        self._prev_out = self._prev_desc = None
+        self._prev = self._out = None
 
     def visit(self, mask):
         edges = self._edges
-        n = self._n
         if not 0 <= mask < 1 << len(edges):
             raise InputError("orientation mask %#x out of range" % mask)
         if mask in self._seen:
             raise InputError("orientation %#x repeats" % mask)
-        out = [0] * (n + 1)
-        indeg = [0] * (n + 1)
-        for k, (u, v) in enumerate(edges):
-            if mask >> k & 1:
-                u, v = v, u
-            out[u] |= 1 << v
-            indeg[v] += 1
-        stack = [v for v in range(1, n + 1) if not indeg[v]]
-        topo = []
-        while stack:
-            u = stack.pop()
-            topo.append(u)
-            rest = out[u]
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                w = bit.bit_length() - 1
-                indeg[w] -= 1
-                if not indeg[w]:
-                    stack.append(w)
-        if len(topo) != n:
-            raise InputError("orientation %#x is cyclic" % mask)
-        desc = [0] * (n + 1)
-        for u in reversed(topo):
-            acc = 0
-            rest = out[u]
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                acc |= desc[bit.bit_length() - 1] | bit
-            desc[u] = acc
-        if self._prev_mask is not None:
-            diff = mask ^ self._prev_mask
-            if diff == 0 or diff & (diff - 1):
+        prev = self._prev
+        if prev is None:
+            out = [0] * (self.graph.n + 1)
+            for k, (u, v) in enumerate(edges):
+                if mask >> k & 1:
+                    u, v = v, u
+                if _reaches(out, v, u):
+                    raise InputError("orientation %#x is cyclic" % mask)
+                out[u] |= 1 << v
+            self._out = out
+        else:
+            diff = mask ^ prev
+            if diff & (diff - 1):
                 raise InputError(
                     "consecutive orientations differ in %d edges, not 1"
-                    % bin(diff).count("1"))
+                    % diff.bit_count())
             k = diff.bit_length() - 1
             i, j = edges[k]
-            if self._prev_mask >> k & 1:
+            if prev >> k & 1:
                 i, j = j, i  # the arc as oriented before the flip
-            jbit = 1 << j
-            pdesc = self._prev_desc
-            rest = self._prev_out[i] & ~jbit
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if pdesc[bit.bit_length() - 1] & jbit:
-                    raise InputError(
-                        "flipped arc %d->%d is transitive in its "
-                        "predecessor" % (i, j))
+            out = self._out
+            out[i] ^= 1 << j
+            if _reaches(out, i, j):
+                out[i] |= 1 << j
+                raise InputError("flipped arc %d->%d is transitive in its "
+                                 "predecessor" % (i, j))
+            out[j] |= 1 << i
         self._seen.add(mask)
-        self._prev_mask = mask
-        self._prev_out = out
-        self._prev_desc = desc
+        self._prev = mask
 
     def finish(self):
         if len(self._seen) != self.expected:
@@ -496,17 +490,20 @@ class PairListingCertifier:
     """Streaming validity check for a claimed pair-flip Gray listing of
     all acyclic orientations of a hypergraph.
 
-    Feed one head tuple per visit.  Every tuple must orient the
-    hypergraph acyclically, never repeat, and be a single pair flip away
-    from its predecessor.  finish() matches the total against brute-force
-    enumeration.  Violations raise InputError.
+    Feed one head tuple per visit.  Every tuple must be one of the
+    acyclic orientations that construction enumerates by brute force,
+    kept as the frozenset ``orientations``; it must never repeat and be a
+    single pair flip away from its predecessor.  finish() matches the
+    total against that enumeration.  Violations raise InputError.
     """
 
-    __slots__ = ("hypergraph", "expected", "_rel", "_seen", "_prev")
+    __slots__ = ("hypergraph", "orientations", "expected", "_rel", "_seen",
+                 "_prev")
 
     def __init__(self, h, cap=None):
         self.hypergraph = h
-        self.expected = len(enumerate_ao_hyper(h, cap=cap))
+        self.orientations = frozenset(enumerate_ao_hyper(h, cap=cap))
+        self.expected = len(self.orientations)
         self._rel = pair_flip_relation(h)
         self._seen = set()
         self._prev = None
@@ -515,7 +512,8 @@ class PairListingCertifier:
         heads = tuple(heads)
         if heads in self._seen:
             raise InputError("orientation %r repeats" % (heads,))
-        if not is_acyclic_orientation(self.hypergraph, heads):
+        if heads not in self.orientations:
+            check_orientation(self.hypergraph, heads)
             raise InputError("orientation %r is cyclic" % (heads,))
         if self._prev is not None and self._rel(self._prev, heads) is None:
             raise InputError(
@@ -529,4 +527,3 @@ class PairListingCertifier:
                 "listing visited %d orientations, expected %d"
                 % (len(self._seen), self.expected))
         return self.expected
-

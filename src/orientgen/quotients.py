@@ -566,7 +566,9 @@ def forcing_closure(p, seeds):
     for i, m in enumerate(els):
         groups[find(i)].append(m)
     cong = Congruence(p, groups.values())
-    assert validate_congruence(p, cong)
+    if not validate_congruence(p, cong):
+        raise InputError("forcing rules closed to a partition that is not "
+                         "a lattice congruence")
     return cong
 
 
@@ -585,7 +587,11 @@ def restriction(c):
     elements = {_project(f, keep) for f in p.elements}
     groups = defaultdict(list)
     for e in elements:
-        groups[c.class_of[_embed(e, keep)]].append(e)
+        cls = c.class_of.get(_embed(e, keep))
+        if cls is None:
+            raise InputError("reorientation %#x has no extension leaving "
+                             "the arcs at vertex %d unflipped" % (e, d.n))
+        groups[cls].append(e)
     return Congruence(ARPoset(sub, elements), groups.values())
 
 

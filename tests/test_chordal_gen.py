@@ -15,13 +15,11 @@ from orientgen.fileio import format_graph
 from orientgen.graphs import (
     Graph,
     complete_graph,
-    cycle_graph,
     find_peo,
     orient,
     orientation_mask,
     path_graph,
     relabel_digraph,
-    transitive_reduction,
 )
 from orientgen.jumps import LanguageOracle, algorithm_J
 from orientgen.oracle import (
@@ -32,6 +30,7 @@ from orientgen.oracle import (
     one_arc_flip,
 )
 
+from test_graphs import cycle_graph, transitive_reduction
 from test_jumps import is_zigzag_language
 
 SJT4 = ["1234", "1243", "1423", "4123", "4132", "1432", "1342", "1324",

@@ -156,6 +156,43 @@ def test_ao_hyper_heads_certified(tmp_path, capsys):
     assert all(len(h) == 3 for h in heads)
 
 
+def test_ao_hyper_certify_enumerates_the_head_vectors_once(tmp_path, capsys,
+                                                          monkeypatch):
+    from orientgen import cli, corpus, oracle
+    real = oracle.enumerate_ao_hyper
+    calls = []
+
+    def counting(h, cap=None):
+        calls.append(h)
+        return real(h, cap=cap)
+
+    monkeypatch.setattr(oracle, "enumerate_ao_hyper", counting)
+    monkeypatch.setattr(cli, "enumerate_ao_hyper", counting)
+    # hyperfect elimination order 1 2 4 3: the jump language is relabeled
+    h = corpus.heo_corpus()[54]
+    path = put(tmp_path, "h.txt", format_hypergraph(h))
+    rc, out, _ = run(capsys, "ao-hyper", path, "--certify", "--count-only")
+    count = len(real(h))
+    assert rc == 0 and out.splitlines() == [
+        str(count), "certified %d orientations" % count]
+    assert calls == [h]
+
+
+def test_jump_trace_check_reads_the_certified_orientations():
+    from orientgen import cli, corpus, hypergen
+    from orientgen.errors import InputError
+    from orientgen.oracle import PairListingCertifier
+    h = corpus.heo_corpus()[54]
+    run = hypergen.generate(h)
+    assert run.order != tuple(range(1, h.n + 1))
+    trace = [run.permutation() for _ in run]
+    cert = PairListingCertifier(h)
+    cli._check_jump_trace(cert, run.order, trace)
+    for bad in (trace[1:] + trace[:1], trace[:-1]):
+        with pytest.raises(InputError, match="differs from the jump"):
+            cli._check_jump_trace(cert, run.order, bad)
+
+
 def test_ao_hyper_perm_and_count(tmp_path, capsys):
     path = put(tmp_path, "chain.txt", CHAIN_TEXT)
     rc, out, _ = run(capsys, "ao-hyper", path, "--count-only")

@@ -56,11 +56,13 @@ from orientgen import corpus
 from orientgen.cli import main
 from orientgen.fileio import format_congruence, format_digraph, \
     format_graph, format_hypergraph, parse_digraph
-from orientgen.graphs import Digraph, Graph, complete_graph, cycle_graph, \
-    find_peo, orient, path_graph, relabel_digraph, relabel_graph
+from orientgen.graphs import Digraph, Graph, complete_graph, find_peo, \
+    orient, path_graph, relabel_digraph, relabel_graph
 from orientgen.hypergraphs import find_heo, relabel_hypergraph
 from orientgen.quotients import build_ar_poset, is_identity_peo_consistent, \
     rails, sylvester_congruence
+
+from test_graphs import cycle_graph
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 

@@ -11,7 +11,6 @@ from orientgen.graphs import (
     Digraph,
     Graph,
     complete_graph,
-    cycle_graph,
     descendant_masks,
     find_peo,
     is_acyclic,
@@ -24,8 +23,40 @@ from orientgen.graphs import (
     path_graph,
     relabel_digraph,
     relabel_graph,
-    transitive_reduction,
 )
+
+
+# ---------------------------------------------------------------- helpers
+
+def cycle_graph(n):
+    """The cycle 1-2-...-n-1; requires n >= 3."""
+    if n < 3:
+        raise InputError("cycle needs at least 3 vertices")
+    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+
+
+def transitive_reduction(d):
+    """Arc set of the transitive reduction of an acyclic digraph.
+
+    An arc i->j is kept iff no directed path i ~> j of length >= 2 exists,
+    so the result is exactly the cover relation set of the reachability
+    poset.  Rejects cyclic input.
+    """
+    masks = descendant_masks(d)
+    keep = set()
+    for i, j in d.arcs:
+        bit = 1 << j
+        if not any(masks[w] & bit for w in d.out[i] if w != j):
+            keep.add((i, j))
+    return frozenset(keep)
+
+
+def edge_index(g, u, v):
+    """Position of edge u-v in g.edges, which orientation masks index."""
+    try:
+        return g.edges.index((min(u, v), max(u, v)))
+    except ValueError:
+        raise InputError("no edge %d-%d" % (u, v)) from None
 
 
 # ---------------------------------------------------------------- oracles
@@ -130,7 +161,7 @@ def test_graph_validation():
     assert g.edges == ((1, 3), (2, 4))
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
     assert not g.has_edge(1, 2)
-    assert g.edge_index(4, 2) == 1
+    assert edge_index(g, 4, 2) == 1
     assert g.degree(3) == 1
 
 

@@ -10,7 +10,6 @@ from orientgen.errors import InputError
 from orientgen.graphs import (
     Graph,
     complete_graph,
-    cycle_graph,
     find_peo,
     path_graph,
     relabel_graph,
@@ -39,6 +38,7 @@ from orientgen.oracle import (
     pair_flip_relation,
 )
 
+from test_graphs import cycle_graph
 from test_jumps import is_zigzag_language
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])

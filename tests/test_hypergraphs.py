@@ -4,20 +4,16 @@ from itertools import combinations, permutations, product
 import pytest
 
 from orientgen.errors import CapExceeded, InputError
-from orientgen.graphs import Graph, complete_graph, cycle_graph, find_peo, path_graph
+from orientgen.graphs import Digraph, Graph, complete_graph, find_peo, path_graph
 from orientgen.hypergraphs import (
     Hypergraph,
     check_unique_parent_child,
-    elim_forest_to_orientation,
     find_heo,
-    flippable_pairs,
     check_orientation,
     graphical_building_set,
     is_acyclic_orientation,
     is_building_set,
-    is_chordal_building_set,
     is_heo,
-    orientation_digraph,
     orientation_from_permutation,
     orientation_to_elim_forest,
     pair_flip,
@@ -25,6 +21,8 @@ from orientgen.hypergraphs import (
     relabel_hypergraph,
     restrict,
 )
+
+from test_graphs import cycle_graph
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
 
@@ -45,6 +43,85 @@ def all_orientations(h):
 
 def acyclic_orientations(h):
     return [o for o in all_orientations(h) if is_acyclic_orientation(h, o)]
+
+
+def orientation_digraph(h, heads):
+    """The digraph of arcs v -> head over all hyperedges, deduplicated.
+
+    Defined whenever the arc set is a simple digraph; a cyclic orientation
+    can produce antiparallel arcs, which are rejected.
+    """
+    heads = check_orientation(h, heads)
+    return Digraph(h.n, sorted({(v, head) for e, head in zip(h.edges, heads)
+                                for v in e if v != head}))
+
+
+def comparable(p, i, j):
+    """True iff i and j are comparable in the orientation poset p."""
+    return p.less(i, j) or p.less(j, i)
+
+
+def flippable_pairs(h, heads):
+    """The pairs (i, j) with j covering i in the orientation poset.
+
+    These are exactly the pairs on which pair_flip succeeds.
+    """
+    return sorted(poset_of(h, heads).covers)
+
+
+def is_chordal_building_set(h):
+    """True iff h is a building set in which every prefix of every sorted
+    hyperedge (its s smallest members, any s) is again a hyperedge."""
+    if not is_building_set(h):
+        return False
+    for e in h.edges:
+        m = 0
+        for v in e[:-1]:
+            m |= 1 << v
+            if not h.has_edge_mask(m):
+                return False
+    return True
+
+
+def elim_forest_to_orientation(bg, parent):
+    """Inverse of orientation_to_elim_forest.
+
+    Each hyperedge is headed at its member that is a forest ancestor of
+    all its members.  Rejects non-building-set input and parent arrays
+    that do not match any acyclic orientation.
+    """
+    if not is_building_set(bg):
+        raise InputError("hypergraph is not a building set")
+    parent = tuple(parent)
+    n = bg.n
+    if len(parent) != n or any(p < 0 or p > n for p in parent):
+        raise InputError("parent array must list n entries in 0..n")
+    # ancestor masks, self included; walk length bounded to catch cycles
+    anc = [0] * (n + 1)
+    for v in range(1, n + 1):
+        m = 0
+        u = v
+        steps = 0
+        while u:
+            m |= 1 << u
+            u = parent[u - 1]
+            steps += 1
+            if steps > n:
+                raise InputError("parent array contains a cycle")
+        anc[v] = m
+    heads = []
+    for k, e in enumerate(bg.edges):
+        common = anc[e[0]]
+        for v in e[1:]:
+            common &= anc[v]
+        head = common & bg.masks[k]
+        if not head or head & (head - 1):
+            raise InputError("forest does not match the building set")
+        heads.append(head.bit_length() - 1)
+    heads = tuple(heads)
+    if not is_acyclic_orientation(bg, heads):
+        raise InputError("forest does not induce an acyclic orientation")
+    return heads
 
 
 # ---------------------------------------------------------------- construction
@@ -113,7 +190,7 @@ def test_poset_of_prefix_chain():
     p = poset_of(PREFIX_H, (1, 1, 4))
     assert p.less(2, 1) and p.less(3, 1) and p.less(1, 4)
     assert p.less(2, 4) and p.less(3, 4)
-    assert not p.comparable(2, 3)
+    assert not comparable(p, 2, 3)
     assert p.covers == {(2, 1), (3, 1), (1, 4)}
 
 
@@ -124,7 +201,8 @@ def test_poset_of_rejects_cyclic():
 
 
 def test_poset_matches_graph_reduction_on_two_uniform():
-    from orientgen.graphs import orient, transitive_reduction
+    from orientgen.graphs import orient
+    from test_graphs import transitive_reduction
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(2, 6)

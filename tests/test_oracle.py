@@ -11,10 +11,8 @@ from orientgen.errors import CapExceeded, InputError
 from orientgen.graphs import (
     Graph,
     complete_graph,
-    cycle_graph,
     orientation_mask,
     path_graph,
-    transitive_reduction,
 )
 from orientgen.hypergraphs import Hypergraph, orientation_from_permutation
 from orientgen.oracle import (
@@ -29,6 +27,8 @@ from orientgen.oracle import (
     one_arc_flip,
     pair_flip_relation,
 )
+
+from test_graphs import cycle_graph, transitive_reduction
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
 

@@ -10,6 +10,7 @@ from orientgen.corpus import (
     peo_consistent_nonskeletal_references,
     skeletal_references,
 )
+from orientgen import quotients
 from orientgen.errors import InputError
 from orientgen.graphs import (
     Digraph,
@@ -511,6 +512,15 @@ def test_forcing_rejects_non_lattice_element_list():
         forcing_closure(p, [])
 
 
+def test_forcing_closure_rejects_a_closure_that_is_no_congruence(
+        monkeypatch):
+    # without the hexagon rule, one cover of T_3 closes to a lone pair
+    monkeypatch.setattr(quotients, "_polygons", lambda p: [])
+    p = build_ar_poset(orient(complete_graph(3), 0))
+    with pytest.raises(InputError, match="not a lattice congruence"):
+        forcing_closure(p, [(0, p.upper_covers(0)[0])])
+
+
 def test_congruence_closure_extremes():
     p = build_ar_poset(orient(complete_graph(3), 0))
     singles = congruence_closure(p, [])
@@ -532,6 +542,18 @@ def test_restriction_of_named_congruences():
     assert len(r) == 1
     r = restriction(sylvester_congruence(p))
     assert r.classes == sylvester_congruence(sub).classes
+
+
+def test_restriction_rejects_elements_not_closed_under_embedding():
+    # T_3 without the reorientation flipping arc 1 -> 2 alone: its
+    # restriction to T_2 keeps mask 1, whose extension is missing
+    d = orient(complete_graph(3), 0)
+    p = ARPoset(d, [f for f in build_ar_poset(d).elements if f != 1])
+    c = identity_congruence(p)
+    with pytest.raises(InputError, match="no extension"):
+        restriction(c)
+    with pytest.raises(InputError, match="no extension"):
+        select_representatives(c, p)
 
 
 # ---------------------------------------------------------------------------
