@@ -450,7 +450,7 @@ class ArcListingCertifier:
                 out[u] |= 1 << v
             self._out = out
         else:
-            diff = mask ^ prev
+            diff = mask ^ prev  # nonzero: prev is in _seen
             if diff & (diff - 1):
                 raise InputError(
                     "consecutive orientations differ in %d edges, not 1"

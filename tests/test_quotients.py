@@ -5,12 +5,12 @@ from itertools import combinations, permutations
 
 import pytest
 
+from orientgen import quotients
 from orientgen.chordal import encode, generate
 from orientgen.corpus import (
     peo_consistent_nonskeletal_references,
     skeletal_references,
 )
-from orientgen import quotients
 from orientgen.errors import InputError
 from orientgen.graphs import (
     Digraph,
