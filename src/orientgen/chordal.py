@@ -80,6 +80,10 @@ class ChordalRun:
     edges between them, so state stays linear in n + m.  Counter
     attributes `visits`, `comparisons`, `flips`, and
     `max_step_comparisons` accumulate as the run advances.
+
+    ``order`` must be a perfect elimination order of g and is not
+    checked: ``generate`` checks a given one, and ``find_peo`` verifies
+    its own.
     """
 
     __slots__ = ("graph", "order", "visits", "comparisons",
@@ -88,8 +92,6 @@ class ChordalRun:
 
     def __init__(self, g, order):
         order = tuple(order)
-        if not is_peo(g, order):
-            raise InputError("order is not a perfect elimination order")
         self.graph = g
         self.order = order
         n = g.n
@@ -268,5 +270,9 @@ def generate(g, order=None):
         order = find_peo(g)
         if order is None:
             raise InputError("graph is not chordal")
+    else:
+        order = tuple(order)
+        if not is_peo(g, order):
+            raise InputError("order is not a perfect elimination order")
     return ChordalRun(g, order)
 

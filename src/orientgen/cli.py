@@ -79,9 +79,10 @@ def _hyper_dot(out, h, name, make_run):
         fg, path=path, name=name, labeler=lambda o: ",".join(map(str, o))))
 
 
-def _run_if(generate, obj, order):
-    """``generate(obj, order)``, or None when there is no order."""
-    return None if order is None else generate(obj, order)
+def _run_if(run, obj, order):
+    """``run(obj, order)``, or None when there is no order.  The order
+    comes from a search that verifies it, so the run takes it as it is."""
+    return None if order is None else run(obj, order)
 
 
 def _cmd_ao_graph(args, out):
@@ -129,12 +130,12 @@ def _check_jump_trace(cert, order, trace):
     """The permutation trace of a hypergraph run must be the jump listing
     of the full encoding language: the encodings of the acyclic
     orientations that the certifier enumerated, relabeled by the run's
-    elimination order."""
+    elimination order, which is checked once."""
     h = cert.hypergraph
-    rh = relabel_hypergraph(h, order)
     newlab = label_map(h.n, order)
-    lang = {hypergen.encode(rh, tuple(newlab[v] for v in o))
-            for o in cert.orientations}
+    lang = set(hypergen.encode_all(
+        relabel_hypergraph(h, order),
+        (tuple(newlab[v] for v in o) for o in cert.orientations)))
     expect = list(algorithm_J(LanguageOracle.from_set(lang)))
     if list(trace) != expect:
         raise InputError("permutation trace differs from the jump listing")
@@ -271,11 +272,11 @@ def _cmd_flipgraph(args, out):
     if args.hyper:
         h = parse_hypergraph(text)
         _hyper_dot(out, h, "flipgraph",
-                   lambda: _run_if(hypergen.generate, h, find_heo(h)))
+                   lambda: _run_if(hypergen.HyperRun, h, find_heo(h)))
     else:
         g = parse_graph(text)
         _graph_dot(out, g, "flipgraph",
-                   lambda: _run_if(chordal.generate, g, find_peo(g)))
+                   lambda: _run_if(chordal.ChordalRun, g, find_peo(g)))
     return 0
 
 

@@ -13,23 +13,15 @@ class CapExceeded(RuntimeError):
     """Raised when an enumeration would exceed the configured size cap."""
 
 
-def effective_cap(cap=None):
-    """Resolve a size cap: explicit argument, ORIENTGEN_CAP, or the default.
-
-    The environment override applies only when the caller passes no
-    explicit cap, so library callers stay deterministic.
-    """
-    if cap is not None:
-        if cap <= 0:
-            raise InputError("size cap must be positive")
-        return cap
+def effective_cap():
+    """The size cap: ORIENTGEN_CAP when it is set, else DEFAULT_CAP."""
     env = os.environ.get("ORIENTGEN_CAP")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InputError("ORIENTGEN_CAP must be an integer, got %r" % env)
-        if value <= 0:
-            raise InputError("ORIENTGEN_CAP must be positive")
-        return value
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        raise InputError("ORIENTGEN_CAP must be an integer, got %r" % env)
+    if value <= 0:
+        raise InputError("ORIENTGEN_CAP must be positive")
+    return value

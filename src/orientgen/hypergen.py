@@ -32,33 +32,40 @@ def encode(h, o):
     extension of the orientation's poset, and
     ``orientation_from_permutation`` inverts it.
     """
-    n = h.n
-    if not is_heo(h, tuple(range(1, n + 1))):
+    return encode_all(h, [o])[0]
+
+
+def encode_all(h, orientations):
+    """``encode`` of each orientation in turn.  The elimination order is
+    checked once, and the restrictions of h are built once."""
+    if not is_heo(h, tuple(range(1, h.n + 1))):
         raise InputError("hypergraph is not in hyperfect elimination order")
-    o = check_orientation(h, o)
-    if not is_acyclic_orientation(h, o):
-        raise InputError("orientation is cyclic")
-    pi = []
-    for i in range(1, n + 1):
-        sub = restrict(h, i)
-        heads = tuple(o[k] for k, e in enumerate(h.edges)
-                      if max(e) <= i)
-        poset = poset_of(sub, heads)
-        above = poset.above[i]
-        if not above:
-            pi.append(i)
-            continue
-        covers = [b for a, b in poset.covers if a == i]
-        if not any(b == i for _, b in poset.covers):
-            # i has nothing below: minimal
-            pi.insert(0, i)
-            continue
-        if len(covers) != 1:
-            # excluded by the elimination order
-            raise InputError("vertex %d has %d covers in its restriction "
-                             "poset" % (i, len(covers)))
-        pi.insert(pi.index(covers[0]), i)
-    return tuple(pi)
+    levels = [(i, restrict(h, i),
+               [k for k, e in enumerate(h.edges) if e[-1] <= i])
+              for i in range(1, h.n + 1)]
+    out = []
+    for o in orientations:
+        o = check_orientation(h, o)
+        if not is_acyclic_orientation(h, o):
+            raise InputError("orientation is cyclic")
+        pi = []
+        for i, sub, ks in levels:
+            poset = poset_of(sub, tuple(o[k] for k in ks))
+            if not poset.above[i]:
+                pi.append(i)
+                continue
+            covers = [b for a, b in poset.covers if a == i]
+            if not any(b == i for _, b in poset.covers):
+                # i has nothing below: minimal
+                pi.insert(0, i)
+                continue
+            if len(covers) != 1:
+                # excluded by the elimination order
+                raise InputError("vertex %d has %d covers in its "
+                                 "restriction poset" % (i, len(covers)))
+            pi.insert(pi.index(covers[0]), i)
+        out.append(tuple(pi))
+    return out
 
 
 class HyperRun:
@@ -72,6 +79,10 @@ class HyperRun:
     the next step.  Counters `visits` and `flips` accumulate as the run
     advances.  The loop carries no self-checks: the certifiers and the
     tests check every step from outside.
+
+    ``order`` must be a hyperfect elimination order of h and is not
+    checked: ``generate`` checks a given one, ``find_heo`` builds its own
+    from the elimination condition, and ``elim_run``'s is a theorem.
     """
 
     __slots__ = ("hypergraph", "order", "visits", "_h", "_orig",
@@ -79,8 +90,6 @@ class HyperRun:
 
     def __init__(self, h, order):
         order = tuple(order)
-        if not is_heo(h, order):
-            raise InputError("order is not a hyperfect elimination order")
         self.hypergraph = h
         self.order = order
         self._h = relabel_hypergraph(h, order)
@@ -229,6 +238,10 @@ def generate(h, order=None):
         order = find_heo(h)
         if order is None:
             raise InputError("hypergraph has no hyperfect elimination order")
+    else:
+        order = tuple(order)
+        if not is_heo(h, order):
+            raise InputError("order is not a hyperfect elimination order")
     return HyperRun(h, order)
 
 
@@ -238,7 +251,8 @@ def elim_run(g):
 
     Its permutations and heads are in elimination coordinates: vertex v
     of the run is vertex order[v-1] of g.  A graph that is not chordal is
-    rejected.
+    rejected.  The identity order of that building set is hyperfect, as
+    for every chordal graph in perfect elimination order, unchecked.
     """
     order = find_peo(g)
     if order is None:

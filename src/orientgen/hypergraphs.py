@@ -1,5 +1,5 @@
-"""Hypergraphs, head orientations, their posets, pair flips, and
-hyperfect elimination orders.
+"""Hypergraphs, head orientations, their posets, and hyperfect
+elimination orders.
 
 An orientation assigns each hyperedge a head vertex inside it; it is
 represented as a plain tuple of heads indexed like the hyperedge list.
@@ -95,8 +95,9 @@ def check_orientation(h, heads):
     return heads
 
 
-def _arc_out(h, heads):
-    """Per vertex v, the set of heads w with an arc v -> w."""
+def arc_out(h, heads):
+    """Per vertex v, the set of heads w with an arc v -> w.  The head
+    vector is not checked."""
     out = [set() for _ in range(h.n + 1)]
     for k, head in enumerate(heads):
         for v in h.edges[k]:
@@ -108,7 +109,7 @@ def _arc_out(h, heads):
 def is_acyclic_orientation(h, heads):
     """True iff the arc digraph of the orientation has no directed cycle."""
     heads = check_orientation(h, heads)
-    return topological_order(h.n, _arc_out(h, heads)) is not None
+    return topological_order(h.n, arc_out(h, heads)) is not None
 
 
 class OrientationPoset:
@@ -136,7 +137,7 @@ def poset_of(h, heads):
     """
     heads = check_orientation(h, heads)
     n = h.n
-    above = reach_masks(n, _arc_out(h, heads))
+    above = reach_masks(n, arc_out(h, heads))
     if above is None:
         raise InputError("orientation is not acyclic")
     covers = set()
@@ -147,31 +148,6 @@ def poset_of(h, heads):
         for j in _bits(above[i] & ~skip):
             covers.add((i, j))
     return OrientationPoset(n, tuple(above), frozenset(covers))
-
-
-def pair_flip(h, heads, i, j):
-    """Reassign every head equal to j to i on hyperedges containing i.
-
-    Returns the new head vector when it differs from the old one and is
-    acyclic, else None.  For acyclic input this succeeds exactly when j
-    covers i in the orientation poset.
-    """
-    heads = check_orientation(h, heads)
-    if i == j or not (1 <= i <= h.n and 1 <= j <= h.n):
-        raise InputError("pair flip needs two distinct vertices in range")
-    ibit = 1 << i
-    new = list(heads)
-    changed = False
-    for k, head in enumerate(heads):
-        if head == j and h.masks[k] & ibit:
-            new[k] = i
-            changed = True
-    if not changed:
-        return None
-    new = tuple(new)
-    if not is_acyclic_orientation(h, new):
-        return None
-    return new
 
 
 def restrict(h, i):

@@ -17,10 +17,6 @@ def _check_permutation(pi):
     return pi
 
 
-def _has_peak(pi):
-    return any(pi[k - 1] < pi[k] > pi[k + 1] for k in range(1, len(pi) - 1))
-
-
 class LanguageOracle:
     """A language of permutations of 1..n given by a membership predicate."""
 
@@ -66,29 +62,22 @@ def _minimal_jump(member, pi, value, direction):
     return None
 
 
-def algorithm_J(oracle, pi0=None):
+def algorithm_J(oracle):
     """Greedy minimal-jump traversal of the language accepted by `oracle`.
 
-    Starting from pi0 (default: the identity), repeatedly performs the
-    minimal jump of the largest value that reaches an unvisited member;
-    stops when no value qualifies or the direction for the largest
-    qualifying value is ambiguous.  On a zigzag language with a peak-free
-    start this visits every member exactly once.
+    Starting from the identity, repeatedly performs the minimal jump of
+    the largest value that reaches an unvisited member; stops when no
+    value qualifies or the direction for the largest qualifying value is
+    ambiguous.  On a zigzag language this visits every member exactly
+    once.
 
-    Rejects a start that is outside the language or contains a peak.
+    Rejects a language that does not contain the identity.
     """
     n = oracle.n
     member = oracle.member
-    if pi0 is None:
-        pi0 = tuple(range(1, n + 1))
-    else:
-        pi0 = _check_permutation(pi0)
-        if len(pi0) != n:
-            raise InputError("starting permutation has wrong length")
+    pi0 = tuple(range(1, n + 1))
     if not member(pi0):
         raise InputError("starting permutation is not in the language")
-    if _has_peak(pi0):
-        raise InputError("starting permutation has a peak")
     seq = [pi0]
     visited = {pi0}
     current = pi0

@@ -9,25 +9,25 @@ import itertools
 from collections import deque
 
 from .errors import CapExceeded, InputError, effective_cap
-from .graphs import is_acyclic_mask, orient
-from .hypergraphs import check_orientation, is_acyclic_orientation, pair_flip
+from .graphs import is_acyclic_mask, orient, topological_order
+from .hypergraphs import arc_out, check_orientation
 
 
-def check_ao_graph_cap(g, cap=None):
+def check_ao_graph_cap(g):
     """Raise CapExceeded when the 2^m orientations of g exceed the cap."""
     m = len(g.edges)
-    limit = effective_cap(cap)
+    limit = effective_cap()
     if (1 << m) > limit:
         raise CapExceeded("2^%d orientations exceed cap %d" % (m, limit))
 
 
-def enumerate_ao_graph(g, cap=None):
+def enumerate_ao_graph(g):
     """All acyclic orientations of a graph, in ascending bitmask order.
 
     Bit k of a mask orients edge k from its larger endpoint toward its
     smaller one.  Raises CapExceeded when 2^m exceeds the cap.
     """
-    check_ao_graph_cap(g, cap)
+    check_ao_graph_cap(g)
     out = []
     for mask in range(1 << len(g.edges)):
         if is_acyclic_mask(g, mask):
@@ -70,10 +70,10 @@ def count_ao_graph(g):
     return counts[full]
 
 
-def check_ao_hyper_cap(h, cap=None):
+def check_ao_hyper_cap(h):
     """Raise CapExceeded when the head vectors of h, the product of its
     hyperedge sizes, exceed the cap."""
-    limit = effective_cap(cap)
+    limit = effective_cap()
     total = 1
     for e in h.edges:
         total *= len(e)
@@ -81,16 +81,17 @@ def check_ao_hyper_cap(h, cap=None):
             raise CapExceeded("head-vector space exceeds cap %d" % limit)
 
 
-def enumerate_ao_hyper(h, cap=None):
+def enumerate_ao_hyper(h):
     """All acyclic orientations of a hypergraph as head tuples, in
     lexicographic order.  Raises CapExceeded when the product of the
     hyperedge sizes exceeds the cap.
     """
-    check_ao_hyper_cap(h, cap)
+    check_ao_hyper_cap(h)
     out = []
-    # product over the sorted hyperedges runs in lexicographic order
+    # product over the sorted hyperedges runs in lexicographic order and
+    # draws each head from its own hyperedge
     for heads in itertools.product(*h.edges):
-        if is_acyclic_orientation(h, heads):
+        if topological_order(h.n, arc_out(h, heads)) is not None:
             out.append(heads)
     return out
 
@@ -160,20 +161,22 @@ def one_arc_flip(d1, d2):
 
 
 def pair_flip_relation(h):
-    """Flip relation for head tuples of `h`: two orientations are joined
-    when one pair flip transforms one into the other.  The annotation is
-    (new head, old head)."""
+    """Flip relation for acyclic head tuples of `h`, which it does not
+    check again: o2 is one pair flip from o1, with new head i and old head
+    j read off their first difference, iff it heads at i every hyperedge
+    that o1 heads at j and that contains i, and changes nothing else.  The
+    annotation is (i, j)."""
+    masks = h.masks
 
     def rel(o1, o2):
-        ks = [k for k in range(len(o1)) if o1[k] != o2[k]]
-        if not ks:
+        diff = [(a, b) for a, b in zip(o1, o2) if a != b]
+        if not diff:
             return None
-        j = o1[ks[0]]
-        i = o2[ks[0]]
-        if any(o1[k] != j or o2[k] != i for k in ks):
-            return None
-        if pair_flip(h, o1, i, j) != tuple(o2):
-            return None
+        j, i = diff[0]
+        ibit = 1 << i
+        for m, a, b in zip(masks, o1, o2):
+            if b != (i if a == j and m & ibit else a):
+                return None
         return (i, j)
 
     return rel
@@ -421,10 +424,10 @@ class ArcListingCertifier:
 
     __slots__ = ("graph", "expected", "_edges", "_seen", "_prev", "_out")
 
-    def __init__(self, g, cap=None):
+    def __init__(self, g):
         self.graph = g
         self.expected = count_ao_graph(g)
-        limit = effective_cap(cap)
+        limit = effective_cap()
         if self.expected > limit:
             raise CapExceeded(
                 "certifying %d orientations exceeds cap %d"
@@ -477,10 +480,10 @@ class ArcListingCertifier:
         return self.expected
 
 
-def certify_arc_listing(g, masks, cap=None):
+def certify_arc_listing(g, masks):
     """Run ArcListingCertifier over an iterable of orientation bitmasks
     and return the certified count."""
-    cert = ArcListingCertifier(g, cap=cap)
+    cert = ArcListingCertifier(g)
     for mask in masks:
         cert.visit(mask)
     return cert.finish()
@@ -500,9 +503,9 @@ class PairListingCertifier:
     __slots__ = ("hypergraph", "orientations", "expected", "_rel", "_seen",
                  "_prev")
 
-    def __init__(self, h, cap=None):
+    def __init__(self, h):
         self.hypergraph = h
-        self.orientations = frozenset(enumerate_ao_hyper(h, cap=cap))
+        self.orientations = frozenset(enumerate_ao_hyper(h))
         self.expected = len(self.orientations)
         self._rel = pair_flip_relation(h)
         self._seen = set()

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import combinations
 
 from .chordal import decode as _perm_decode, encode as _perm_encode
-from .errors import InputError
+from .errors import CapExceeded, InputError, effective_cap
 from .graphs import (
     Digraph,
     descendant_masks,
@@ -52,16 +52,31 @@ def is_vertebrate(d):
     """True iff the transitive reduction of every induced subgraph of d is
     a forest (ignoring arc directions).  Cyclic digraphs are never
     vertebrate.
+
+    An induced subgraph reduces to a forest iff its part in each weak
+    component of d does, so each component is tested on its own, over its
+    2^k vertex subsets; CapExceeded is raised first if any 2^k exceeds the
+    cap.
     """
     if not is_acyclic(d):
         return False
+    parent = list(range(d.n + 1))
+    for i, j in d.arcs:
+        _union(parent, i, j)
+    comps = defaultdict(list)
+    for v in range(1, d.n + 1):
+        comps[_find(parent, v)].append(v)
     # any acyclic digraph on at most 3 vertices reduces to a forest, so
-    # only larger vertex subsets can fail
-    for size in range(4, d.n + 1):
-        for sub in combinations(range(1, d.n + 1), size):
-            if not _reduces_to_forest(d, frozenset(sub)):
-                return False
-    return True
+    # only components of 4 or more vertices can fail
+    big = [c for c in comps.values() if len(c) >= 4]
+    k = max(map(len, big), default=0)
+    limit = effective_cap()
+    if 1 << k > limit:
+        raise CapExceeded("2^%d vertex subsets of a component exceed cap %d"
+                          % (k, limit))
+    return all(_reduces_to_forest(d, frozenset(sub))
+               for comp in big for size in range(4, len(comp) + 1)
+               for sub in combinations(comp, size))
 
 
 def _reduces_to_forest(d, sub):
@@ -322,7 +337,7 @@ def _interval(p, lo, hi):
     return above[p.index(lo)] & below[p.index(hi)]
 
 
-def build_ar_poset(d, cap=None):
+def build_ar_poset(d):
     """The flip masks of d's arcs that leave d acyclic, as an ARPoset.
 
     Raises InputError on cyclic input and CapExceeded when the orientation
@@ -331,7 +346,7 @@ def build_ar_poset(d, cap=None):
     if not is_acyclic(d):
         raise InputError("reference digraph is not acyclic")
     g = d.underlying()
-    check_ao_graph_cap(g, cap)
+    check_ao_graph_cap(g)
     base = orientation_mask(g, d)
     return ARPoset(d, [f for f in range(1 << len(g.edges))
                        if is_acyclic_mask(g, f ^ base)])

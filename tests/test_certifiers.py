@@ -28,9 +28,9 @@ class ReferenceArcCertifier:
     the digraph, sort it, close it, and test the flipped arc against the
     predecessor's closure."""
 
-    def __init__(self, g, cap=None):
+    def __init__(self, g):
         self.expected = count_ao_graph(g)
-        limit = effective_cap(cap)
+        limit = effective_cap()
         if self.expected > limit:
             raise CapExceeded(
                 "certifying %d orientations exceeds cap %d"
@@ -209,10 +209,12 @@ def test_arc_rejects_a_short_listing_at_finish(cls):
     assert cert.finish() == 6
 
 
-def test_arc_certifier_cap():
+def test_arc_certifier_cap(monkeypatch):
+    monkeypatch.setenv("ORIENTGEN_CAP", "23")
     with pytest.raises(CapExceeded):
-        ArcListingCertifier(complete_graph(4), cap=23)
-    assert ArcListingCertifier(complete_graph(4), cap=24).expected == 24
+        ArcListingCertifier(complete_graph(4))
+    monkeypatch.setenv("ORIENTGEN_CAP", "24")
+    assert ArcListingCertifier(complete_graph(4)).expected == 24
 
 
 def corrupt(listing, m, rng):
@@ -329,7 +331,9 @@ def test_pair_rejects_a_short_listing_at_finish():
     assert cert.finish() == total
 
 
-def test_pair_certifier_cap():
+def test_pair_certifier_cap(monkeypatch):
+    monkeypatch.setenv("ORIENTGEN_CAP", "23")
     with pytest.raises(CapExceeded):
-        PairListingCertifier(H, cap=23)
-    assert PairListingCertifier(H, cap=24).expected == 8
+        PairListingCertifier(H)
+    monkeypatch.setenv("ORIENTGEN_CAP", "24")
+    assert PairListingCertifier(H).expected == 8

@@ -214,6 +214,19 @@ def test_generate_rejects_bad_input():
         generate(complete_graph(3), order=(1, 2))
 
 
+def test_generate_checks_a_given_order():
+    # the run itself takes its order unchecked; generate owns the check
+    path = path_graph(3)
+    with pytest.raises(InputError,
+                       match="^order is not a perfect elimination order$"):
+        generate(path, (1, 3, 2))
+    with pytest.raises(InputError, match="^graph is not chordal$"):
+        generate(cycle_graph(4))
+    with pytest.raises(InputError, match="not a permutation"):
+        generate(path, (1, 1, 2))
+    assert generate(path, [2, 1, 3]).order == (2, 1, 3)
+
+
 def test_explicit_order_on_scrambled_labels():
     # path labeled out of elimination order
     g = Graph(4, [(2, 4), (1, 4), (1, 3)])

@@ -1,9 +1,12 @@
 """End-to-end tests driving the command line through main()."""
 
+import io
+import sys
 import time
 
 import pytest
 
+from orientgen import chordal, graphs, hypergen, hypergraphs
 from orientgen.cli import main
 from orientgen.fileio import (
     format_digraph,
@@ -35,6 +38,27 @@ def put(tmp_path, name, text):
     return str(path)
 
 
+def count_calls(monkeypatch, name, *modules):
+    """Count the calls of the function ``name`` made through each of the
+    modules that bind it."""
+    calls = []
+    for mod in modules:
+        def counting(*args, _real=getattr(mod, name)):
+            calls.append(args)
+            return _real(*args)
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class FirstLineOnly(io.StringIO):
+    """A stdout whose reader goes away after the first line."""
+
+    def write(self, text):
+        if self.getvalue():
+            raise BrokenPipeError
+        return super().write(text)
+
+
 # ---------------------------------------------------------------- ao-graph
 
 
@@ -43,6 +67,18 @@ def test_ao_graph_perm_is_plain_changes(tmp_path, capsys):
     rc, out, _ = run(capsys, "ao-graph", path, "--output", "perm")
     assert rc == 0
     assert out == "\n".join(SJT3) + "\n"
+
+
+@pytest.mark.parametrize("peo", ["auto", "given"])
+def test_ao_graph_checks_its_order_once(peo, tmp_path, capsys, monkeypatch):
+    # find_peo verifies the order it returns; generate checks a given
+    # one; the run checks neither again
+    calls = count_calls(monkeypatch, "is_peo", graphs, chordal)
+    path = put(tmp_path, "p5.txt", format_graph(path_graph(5)))
+    rc, out, _ = run(capsys, "ao-graph", path, "--peo", peo, "--certify",
+                     "--count-only")
+    assert rc == 0 and out == "16\ncertified 16 orientations\n"
+    assert len(calls) == 1
 
 
 def test_ao_graph_flips_replay_to_arcs(tmp_path, capsys):
@@ -162,9 +198,9 @@ def test_ao_hyper_certify_enumerates_the_head_vectors_once(tmp_path, capsys,
     real = oracle.enumerate_ao_hyper
     calls = []
 
-    def counting(h, cap=None):
+    def counting(h):
         calls.append(h)
-        return real(h, cap=cap)
+        return real(h)
 
     monkeypatch.setattr(oracle, "enumerate_ao_hyper", counting)
     monkeypatch.setattr(cli, "enumerate_ao_hyper", counting)
@@ -191,6 +227,20 @@ def test_jump_trace_check_reads_the_certified_orientations():
     for bad in (trace[1:] + trace[:1], trace[:-1]):
         with pytest.raises(InputError, match="differs from the jump"):
             cli._check_jump_trace(cert, run.order, bad)
+
+
+@pytest.mark.parametrize("order, checks", [("auto", 1), ("given", 2)])
+def test_ao_hyper_certify_checks_the_order_once_per_listing(
+        order, checks, tmp_path, capsys, monkeypatch):
+    # a given order is checked by generate, and the jump-trace check
+    # tests the run's order once, not once per orientation
+    calls = count_calls(monkeypatch, "is_heo", hypergraphs, hypergen)
+    path = put(tmp_path, "k4.txt", format_hypergraph(
+        Hypergraph(4, complete_graph(4).edges)))
+    rc, out, _ = run(capsys, "ao-hyper", path, "--order", order,
+                     "--certify", "--count-only")
+    assert rc == 0 and out == "24\ncertified 24 orientations\n"
+    assert len(calls) == checks
 
 
 def test_ao_hyper_perm_and_count(tmp_path, capsys):
@@ -261,6 +311,30 @@ def test_elim_trees_path_graph_catalan(tmp_path, capsys):
         assert len(parent) == 4 and parent.count(0) == 1
     rc, out, _ = run(capsys, "elim-trees", path, "--output", "perm")
     assert rc == 0 and len(out.splitlines()) == 14
+
+
+@pytest.mark.parametrize("output", ["forest", "perm"])
+def test_elim_trees_runs_no_order_check(output, tmp_path, capsys,
+                                        monkeypatch):
+    # the identity order of elim_run holds by the building-set theorem
+    calls = count_calls(monkeypatch, "is_heo", hypergraphs, hypergen)
+    path = put(tmp_path, "p5.txt", format_graph(path_graph(5)))
+    rc, out, _ = run(capsys, "elim-trees", path, "--output", output)
+    assert rc == 0 and len(out.splitlines()) == 42
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_elim_trees_prints_the_first_forest_of_a_long_path_at_once(
+        n, tmp_path, monkeypatch):
+    path = put(tmp_path, "p.txt", format_graph(path_graph(n)))
+    stdout = FirstLineOnly()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    start = time.perf_counter()
+    rc = main(["elim-trees", path])
+    elapsed = time.perf_counter() - start
+    assert rc == 0 and stdout.getvalue().count("\n") == 1
+    assert elapsed < 0.2, elapsed
 
 
 def test_elim_trees_rejects_non_chordal(tmp_path, capsys):

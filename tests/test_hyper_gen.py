@@ -1,6 +1,7 @@
 """Pair-flip generation of acyclic orientations of hypergraphs."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from orientgen.graphs import (
 from orientgen.hypergen import (
     HyperRun,
     encode,
+    encode_all,
     generate,
     generate_elim_forests,
 )
@@ -24,9 +26,10 @@ from orientgen.hypergraphs import (
     Hypergraph,
     find_heo,
     graphical_building_set,
+    is_acyclic_orientation,
+    is_heo,
     orientation_from_permutation,
     orientation_to_elim_forest,
-    pair_flip,
     poset_of,
     relabel_hypergraph,
 )
@@ -39,6 +42,7 @@ from orientgen.oracle import (
 )
 
 from test_graphs import cycle_graph
+from test_hypergraphs import pair_flip
 from test_jumps import is_zigzag_language
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
@@ -114,6 +118,19 @@ def test_encode_decode_roundtrip():
             assert orientation_from_permutation(h, pi) == o
             seen.add(pi)
         assert len(seen) == len(enumerate_ao_hyper(h))
+
+
+def test_encode_all_matches_encode():
+    # one order check for the whole list, the same permutations
+    for h in corpus.heo_corpus():
+        h = relabel_hypergraph(h, find_heo(h))
+        orientations = enumerate_ao_hyper(h)
+        assert encode_all(h, orientations) == [encode(h, o)
+                                               for o in orientations]
+    square = two_uniform(cycle_graph(4))
+    with pytest.raises(InputError, match="^hypergraph is not in hyperfect "
+                                         "elimination order$"):
+        encode_all(square, [(2, 3, 4, 4)])
 
 
 def test_encode_is_linear_extension():
@@ -300,6 +317,49 @@ def test_generate_rejects_bad_input():
         generate(square)
     with pytest.raises(InputError):
         generate(PREFIX_H, (4, 3, 2, 1))
+
+
+def test_generate_checks_a_given_order():
+    # the run itself takes its order unchecked; generate owns the check
+    with pytest.raises(InputError,
+                       match="^order is not a hyperfect elimination order$"):
+        generate(PREFIX_H, (4, 3, 2, 1))
+    with pytest.raises(InputError, match="^hypergraph has no hyperfect "
+                                         "elimination order$"):
+        generate(two_uniform(cycle_graph(4)))
+    with pytest.raises(InputError, match="not a permutation"):
+        generate(PREFIX_H, (1, 2, 2, 4))
+    assert generate(PREFIX_H, [1, 2, 3, 4]).order == (1, 2, 3, 4)
+
+
+def test_peo_relabeled_building_sets_are_in_heo():
+    # elim_run hands HyperRun the identity unchecked: a chordal graph
+    # relabeled by a perfect elimination order has a graphical building
+    # set in hyperfect elimination order
+    rng = random.Random(1212)
+    graphs = list(corpus.chordal_graphs(5))
+    graphs += [corpus.random_chordal(rng.randint(1, 8), rng)
+               for _ in range(100)]
+    assert len(graphs) == 994
+    for g in graphs:
+        bg = graphical_building_set(relabel_graph(g, find_peo(g)))
+        assert is_heo(bg, tuple(range(1, g.n + 1)))
+
+
+def test_oracle_shortcuts_match_the_checked_routines():
+    # enumerate_ao_hyper skips check_orientation, and pair_flip_relation
+    # skips pair_flip; both must agree with the checked versions
+    for h in corpus.heo_corpus():
+        acyclic = [o for o in product(*h.edges)
+                   if is_acyclic_orientation(h, o)]
+        assert enumerate_ao_hyper(h) == acyclic
+        rel = pair_flip_relation(h)
+        for o1, o2 in product(acyclic, repeat=2):
+            flips = [(i, j) for i in range(1, h.n + 1)
+                     for j in range(1, h.n + 1)
+                     if i != j and pair_flip(h, o1, i, j) == o2]
+            assert rel(o1, o2) == (flips[0] if flips else None)
+            assert len(flips) <= 1
 
 
 def test_singletons_only():

@@ -16,7 +16,6 @@ from orientgen.hypergraphs import (
     is_heo,
     orientation_from_permutation,
     orientation_to_elim_forest,
-    pair_flip,
     poset_of,
     relabel_hypergraph,
     restrict,
@@ -54,6 +53,32 @@ def orientation_digraph(h, heads):
     heads = check_orientation(h, heads)
     return Digraph(h.n, sorted({(v, head) for e, head in zip(h.edges, heads)
                                 for v in e if v != head}))
+
+
+def pair_flip(h, heads, i, j):
+    """Reassign every head equal to j to i on hyperedges containing i.
+
+    Returns the new head vector when it differs from the old one and is
+    acyclic, else None.  For acyclic input this succeeds exactly when j
+    covers i in the orientation poset.  The reference for the engine's
+    flips and for ``oracle.pair_flip_relation``.
+    """
+    heads = check_orientation(h, heads)
+    if i == j or not (1 <= i <= h.n and 1 <= j <= h.n):
+        raise InputError("pair flip needs two distinct vertices in range")
+    ibit = 1 << i
+    new = list(heads)
+    changed = False
+    for k, head in enumerate(heads):
+        if head == j and h.masks[k] & ibit:
+            new[k] = i
+            changed = True
+    if not changed:
+        return None
+    new = tuple(new)
+    if not is_acyclic_orientation(h, new):
+        return None
+    return new
 
 
 def comparable(p, i, j):

@@ -264,14 +264,12 @@ def test_algorithm_J_full_symmetric_group():
 
 
 def test_algorithm_J_rejects_bad_start():
-    oracle = LanguageOracle(3, lambda p: True)
-    with pytest.raises(InputError):
-        algorithm_J(oracle, (1, 3, 2))  # peak
-    with pytest.raises(InputError):
-        algorithm_J(oracle, (1, 2))  # wrong length
-    avoid = LanguageOracle(3, avoids_231)
-    with pytest.raises(InputError):
-        algorithm_J(avoid, (2, 3, 1))  # not a member
+    # the walk starts at the identity, so a language without it is refused
+    for oracle in (LanguageOracle(3, lambda p: p != (1, 2, 3)),
+                   LanguageOracle.from_set([(2, 1, 3), (2, 3, 1)])):
+        with pytest.raises(InputError, match="starting permutation is not "
+                                             "in the language"):
+            algorithm_J(oracle)
 
 
 def test_algorithm_J_pattern_avoiders():

@@ -1,13 +1,14 @@
 """Brute-force enumeration and certification checks."""
 
+import inspect
 import itertools
 import math
 import random
 
 import pytest
 
-from orientgen import chordal
-from orientgen.errors import CapExceeded, InputError
+from orientgen import chordal, oracle, quotients
+from orientgen.errors import CapExceeded, InputError, effective_cap
 from orientgen.graphs import (
     Graph,
     complete_graph,
@@ -55,9 +56,26 @@ def test_enumerate_ao_graph_order_and_validity():
     assert len(set(masks)) == len(masks)
 
 
-def test_enumerate_ao_graph_cap():
+def test_enumerate_ao_graph_cap(monkeypatch):
+    monkeypatch.setenv("ORIENTGEN_CAP", "4")
     with pytest.raises(CapExceeded):
-        enumerate_ao_graph(complete_graph(3), cap=4)
+        enumerate_ao_graph(complete_graph(3))
+
+
+def test_the_cap_has_one_setting(monkeypatch):
+    # ORIENTGEN_CAP is read in one place; no entry point takes a cap
+    for fn in (oracle.check_ao_graph_cap, oracle.enumerate_ao_graph,
+               oracle.check_ao_hyper_cap, oracle.enumerate_ao_hyper,
+               oracle.ArcListingCertifier, oracle.certify_arc_listing,
+               oracle.PairListingCertifier, quotients.build_ar_poset,
+               effective_cap):
+        assert "cap" not in inspect.signature(fn).parameters, fn
+    monkeypatch.setenv("ORIENTGEN_CAP", "5")
+    assert effective_cap() == 5
+    for bad in ("0", "x"):
+        monkeypatch.setenv("ORIENTGEN_CAP", bad)
+        with pytest.raises(InputError, match="ORIENTGEN_CAP"):
+            effective_cap()
 
 
 def test_count_matches_enumeration():
@@ -86,14 +104,15 @@ def test_orientation_parity():
             assert count_ao_graph(g) % 2 == 0
 
 
-def test_enumerate_ao_hyper():
+def test_enumerate_ao_hyper(monkeypatch):
     assert enumerate_ao_hyper(Hypergraph(2, [(1, 2)])) == [(1,), (2,)]
     assert enumerate_ao_hyper(Hypergraph(3, [(1,), (2,), (3,)])) == [(1, 2, 3)]
     out = enumerate_ao_hyper(PREFIX_H)
     assert out == sorted(out)
     assert len(out) == len(set(out))
+    monkeypatch.setenv("ORIENTGEN_CAP", "10")
     with pytest.raises(CapExceeded):
-        enumerate_ao_hyper(PREFIX_H, cap=10)
+        enumerate_ao_hyper(PREFIX_H)
 
 
 def random_hypergraph(n, m, rng):

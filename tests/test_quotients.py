@@ -1,6 +1,7 @@
 """Tests for digraph classification, reorientation posets, and quotient paths."""
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -11,7 +12,7 @@ from orientgen.corpus import (
     peo_consistent_nonskeletal_references,
     skeletal_references,
 )
-from orientgen.errors import InputError
+from orientgen.errors import CapExceeded, InputError
 from orientgen.graphs import (
     Digraph,
     Graph,
@@ -310,6 +311,33 @@ def test_vertebrate_and_filled_witnesses():
     assert is_vertebrate(W_VERT)
     assert is_filled(orient(complete_graph(4), 0))
     assert not is_filled(W_PEO)  # the 1->2->3->4 path is missing arc 2->4
+
+
+def shifted(d, by):
+    """The arcs of d with every vertex moved up by ``by``."""
+    return [(i + by, j + by) for i, j in d.arcs]
+
+
+def test_vertebrate_tests_each_component_on_its_own():
+    # 2^30 vertex subsets in all, but no component has 4 vertices
+    d = Digraph(30, [(1, 2), (2, 3), (1, 3)])
+    start = time.perf_counter()
+    assert classify(d) == "skeletal"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    # one component that fails spoils the digraph, whatever lies beside it
+    path = [(1, 2), (2, 3), (3, 4)]
+    assert not is_vertebrate(Digraph(9, path + shifted(W_ACYC, 5)))
+    assert is_vertebrate(Digraph(9, path + shifted(W_VERT, 5)))
+
+
+def test_vertebrate_cap_applies_per_component(monkeypatch):
+    monkeypatch.setenv("ORIENTGEN_CAP", "16")
+    path = [(k, k + 1) for k in range(1, 5)]
+    with pytest.raises(CapExceeded, match="2\\^5 vertex subsets"):
+        is_vertebrate(Digraph(5, path))
+    # 2^4 subsets in the one component of 4 vertices; isolated ones add none
+    assert is_vertebrate(Digraph(12, path[:3]))
 
 
 # ---------------------------------------------------------------------------
