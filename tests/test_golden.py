@@ -29,7 +29,13 @@ path on 40 vertices, on a relabeled disjoint union of cliques, a path
 and isolated vertices (so lexicographic BFS restarts at an empty label
 and breaks many ties), and on a seeded random chordal graph on 200
 vertices, ``heo`` on the ``heo_corpus`` member and the prefix
-chain, and ``building-set`` on P_5 and K_4.
+chain, and ``building-set`` on P_5 and K_4.  The search corpus gives
+the order searches work: ``heo`` on three shuffled seeded random
+hypergraphs and the building set of a shuffled P_6, ``quotient --output
+perm --certify`` on three shuffled skeletal references, ``classify`` on
+C_4 oriented as the vertebrate witness beside 12 isolated vertices and
+on the directed P_12, and ``ao-graph --certify --count-only`` on K_4,
+P_5 and K_3 side by side.
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots, the ``quotient`` files by the poset that predates
@@ -41,7 +47,9 @@ commands by the library that still held two to four copies of its
 topological sort, union-find, peo-consistency test, relabel map and
 flip-graph DOT export.  The ``disjoint`` and ``r200`` ``peo`` files were
 written by the quadratic lexicographic BFS that took a maximum over all
-unvisited vertices' labels at every step.  To rewrite them after a
+unvisited vertices' labels at every step.  The search corpus files were
+written by the searches that still backtracked over a memo of failed
+vertex sets, and by the inclusion-exclusion count of orientations.  To rewrite them after a
 deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -55,10 +63,11 @@ import pytest
 from orientgen import corpus
 from orientgen.cli import main
 from orientgen.fileio import format_congruence, format_digraph, \
-    format_graph, format_hypergraph, parse_digraph
+    format_graph, format_hypergraph, parse_digraph, parse_hypergraph
 from orientgen.graphs import Digraph, Graph, complete_graph, find_peo, \
     orient, path_graph, relabel_digraph, relabel_graph
-from orientgen.hypergraphs import find_heo, relabel_hypergraph
+from orientgen.hypergraphs import find_heo, graphical_building_set, \
+    relabel_hypergraph
 from orientgen.quotients import build_ar_poset, is_identity_peo_consistent, \
     rails, sylvester_congruence
 
@@ -124,6 +133,10 @@ WITNESS_FILES = {
     "peo_consistent": "peo-witness.d",
     "skeletal": "skeletal-witness.d",
 }
+# instance files whose order the searches must find: shuffled random
+# hypergraphs and a building set, shuffled skeletal references
+SEARCH_HEO = ("rh1.h", "rh2.h", "rh3.h", "bp6.h")
+SEARCH_QUOTIENT = ("skel1.d", "skel2.d", "skel3.d")
 # (command, instance file, extra arguments); the output of each case is
 # the file's base name, a dot, the command and ".out"
 COMMAND_CASES = (
@@ -135,6 +148,11 @@ COMMAND_CASES = (
        for f in ("r10.g", "r12.g", "path40.g", "disjoint.g", "r200.g")]
     + [("heo", f, []) for f in ("h54.h", "prefix4.h")]
     + [("building-set", f, []) for f in ("p5.g", "k4.g")]
+    + [("heo", f, []) for f in SEARCH_HEO]
+    + [("quotient", f, ["--output", "perm", "--certify"])
+       for f in SEARCH_QUOTIENT]
+    + [("classify", f, []) for f in ("c4-iso12.d", "dpath12.d")]
+    + [("ao-graph", "k4p5k3.g", ["--certify", "--count-only"])]
 )
 
 
@@ -237,6 +255,45 @@ def command_instances():
     for key, name in WITNESS_FILES.items():
         if key != "peo_consistent":
             files[name] = format_digraph(corpus.CLASS_WITNESSES[key])
+    files.update(search_instances())
+    return files
+
+
+def search_instances():
+    """Inputs for the order searches: file name -> text.
+
+    Three seeded random hypergraphs with a hyperfect elimination order,
+    at least four hyperedges of two or more vertices each, shuffled; the
+    building set of a shuffled P_6; three skeletal references, shuffled
+    until their own labels are not peo-consistent; C_4 oriented as the
+    vertebrate witness beside 12 isolated vertices; the directed P_12;
+    and K_4, P_5 and K_3 side by side."""
+    rng = random.Random(13)
+    files = {}
+    while len(files) < 3:
+        h = corpus.random_hypergraph(rng.randint(5, 7), rng.randint(4, 8),
+                                     rng)
+        if sum(len(e) > 1 for e in h.edges) < 4 or find_heo(h) is None:
+            continue
+        order = list(range(1, h.n + 1))
+        rng.shuffle(order)
+        files["rh%d.h" % (len(files) + 1)] = format_hypergraph(
+            relabel_hypergraph(h, order))
+    files["bp6.h"] = format_hypergraph(
+        graphical_building_set(shuffled_path(6, rng)))
+    for k, d in enumerate(corpus.skeletal_references(3, rng), 1):
+        r = d
+        while is_identity_peo_consistent(r):
+            order = list(range(1, d.n + 1))
+            rng.shuffle(order)
+            r = relabel_digraph(d, order)
+        files["skel%d.d" % k] = format_digraph(r)
+    vert = corpus.CLASS_WITNESSES["vertebrate"]
+    files["c4-iso12.d"] = format_digraph(Digraph(16, vert.arcs))
+    files["dpath12.d"] = format_digraph(
+        Digraph(12, [(k, k + 1) for k in range(1, 12)]))
+    files["k4p5k3.g"] = format_graph(disjoint_union(
+        complete_graph(4), path_graph(5), complete_graph(3)))
     return files
 
 
@@ -247,18 +304,24 @@ def shuffled_path(n, rng):
     return relabel_graph(path_graph(n), order)
 
 
+def disjoint_union(*parts):
+    """The graphs side by side, each shifted past the ones before it."""
+    edges, n = [], 0
+    for part in parts:
+        edges += [(n + u, n + v) for u, v in part.edges]
+        n += part.n
+    return Graph(n, edges)
+
+
 def disjoint_graph(rng):
     """K_3, K_4, K_5, P_8 and four isolated vertices side by side,
     relabeled by a random vertex order."""
-    edges, n = [], 0
-    for part in (complete_graph(3), complete_graph(4), complete_graph(5),
-                 path_graph(8)):
-        edges += [(n + u, n + v) for u, v in part.edges]
-        n += part.n
-    n += 4
+    g = disjoint_union(complete_graph(3), complete_graph(4),
+                       complete_graph(5), path_graph(8))
+    n = g.n + 4
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    return relabel_graph(Graph(n, edges), order)
+    return relabel_graph(Graph(n, g.edges), order)
 
 
 def _command_out(command, fname):
@@ -316,6 +379,12 @@ def test_command_corpus_covers_missing_orders():
     assert find_peo(cycle_graph(4)) is None
     t4 = quotient_instances()["t4-relabeled.d"]
     assert not is_identity_peo_consistent(parse_digraph(t4))
+    files = search_instances()
+    for name in SEARCH_QUOTIENT:
+        assert not is_identity_peo_consistent(parse_digraph(files[name]))
+    for name in SEARCH_HEO:
+        h = parse_hypergraph(files[name])
+        assert find_heo(h) not in (None, tuple(range(1, h.n + 1)))
 
 
 def test_heo_member_order_is_not_the_identity():
