@@ -209,31 +209,26 @@ def find_heo(h):
     """A vertex order whose relabeling is a hyperfect elimination order,
     or None.
 
-    Backtracking over candidate last vertices, greedily trying the
-    largest candidate first so an input already in hyperfect elimination
-    order keeps the identity; failed vertex sets are memoized.
+    Each round eliminates the largest vertex that passes ``_elim_ok`` on
+    the vertices left, so an input already in hyperfect elimination
+    order keeps the identity.  The test is hereditary: eliminating other
+    vertices only drops hyperedge pairs to check, and a witness X inside
+    (A|B)-v does not depend on the vertices left.  So eliminating any
+    vertex that passes keeps an order in reach, and greedy elimination
+    never dead-ends.
     """
-    full = (1 << (h.n + 1)) - 2
-    failed = set()
+    smask = (1 << (h.n + 1)) - 2
+    left = list(range(h.n, 0, -1))
     tail = []
-
-    def search(smask):
-        if smask == 0:
-            return True
-        if smask in failed:
-            return False
-        for v in reversed(_bits(smask)):
-            if _elim_ok(h, smask, v):
-                tail.append(v)
-                if search(smask & ~(1 << v)):
-                    return True
-                tail.pop()
-        failed.add(smask)
-        return False
-
-    if search(full):
-        return tuple(reversed(tail))
-    return None
+    while left:
+        k = next((k for k, v in enumerate(left) if _elim_ok(h, smask, v)),
+                 None)
+        if k is None:
+            return None
+        v = left.pop(k)
+        smask &= ~(1 << v)
+        tail.append(v)
+    return tuple(reversed(tail))
 
 
 def check_unique_parent_child(h):

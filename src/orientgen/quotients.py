@@ -117,34 +117,29 @@ def peo_consistent_order(d):
 
     order[k] is the vertex receiving label k+1, so the last entry is
     extracted first.  Each extracted vertex must be a source or a sink of
-    the remaining digraph and simplicial in its underlying graph.  Greedy
-    extraction can dead-end, so the search backtracks over candidates and
-    memoizes vertex sets that admit no extraction.  Larger vertices are
-    tried first; a digraph already labeled consistently keeps its labels.
+    the remaining digraph and simplicial in its underlying graph.  Both
+    tests are hereditary: removing other vertices keeps a source a source,
+    a sink a sink and a clique a clique.  So from a vertex set that has
+    an order, extracting any extractable vertex leaves one that has an
+    order, as with the simplicial vertices of a chordal graph (Fulkerson
+    and Gross 1965), and greedy extraction never dead-ends.  Each round
+    extracts the largest extractable vertex; a digraph already labeled
+    consistently keeps its labels.
     """
     if not is_acyclic(d):
         return None
-    failed = set()
+    left = list(range(d.n, 0, -1))
+    rem = set(left)
     picked = []
-
-    def extract(rem):
-        if not rem:
-            return True
-        if rem in failed:
-            return False
-        for v in sorted(rem, reverse=True):
-            if not _extractable(d, v, rem):
-                continue
-            picked.append(v)
-            if extract(rem - {v}):
-                return True
-            picked.pop()
-        failed.add(rem)
-        return False
-
-    if extract(frozenset(range(1, d.n + 1))):
-        return tuple(reversed(picked))
-    return None
+    while left:
+        k = next((k for k, v in enumerate(left) if _extractable(d, v, rem)),
+                 None)
+        if k is None:
+            return None
+        v = left.pop(k)
+        rem.remove(v)
+        picked.append(v)
+    return tuple(reversed(picked))
 
 
 def is_identity_peo_consistent(d):
@@ -175,17 +170,17 @@ def classify(d):
     """
     if not is_acyclic(d):
         return "not_acyclic"
+    if peo_consistent_order(d) is not None:
+        # peo-consistent digraphs are vertebrate (Pilaud), so the subset
+        # scan of is_vertebrate runs only on the others
+        return "skeletal" if is_filled(d) else "peo_consistent"
     if not is_vertebrate(d):
         return "acyclic"
-    if peo_consistent_order(d) is None:
-        if is_filled(d):
-            # vertebrate and filled digraphs are always peo-consistent
-            raise InputError("vertebrate filled digraph without a "
-                             "peo-consistent order")
-        return "vertebrate"
     if is_filled(d):
-        return "skeletal"
-    return "peo_consistent"
+        # vertebrate and filled digraphs are always peo-consistent
+        raise InputError("vertebrate filled digraph without a "
+                         "peo-consistent order")
+    return "vertebrate"
 
 
 class ARPoset:
@@ -637,34 +632,38 @@ def select_representatives(c, p):
 
 
 def _walk(c):
-    p = c.poset
-    d = p.reference
-    if d.n == 0:
-        return [0]
-    prev = _walk(restriction(c))
-    keep, nmask = _off_arcs(d)
-    rail_map = rails(p)
-    cls = c.class_of
-    if any(cls[ch[0]] == cls[ch[-1]] for ch in rail_map.values()):
-        # one side of the dichotomy: every rail collapses into one class
-        if any(cls[f] != cls[ch[0]] for ch in rail_map.values() for f in ch):
-            raise InputError("one rail collapses into a class, another not")
-        extra = nmask if d.out[d.n] else 0  # place n as a sink
-        return [_embed(e, keep) | extra for e in prev]
-    # n is a sink at the rail top iff it is a source in the reference
-    sink_on_top = bool(d.out[d.n])
-    walk = []
-    for idx, e in enumerate(prev):
-        chain = rail_map[_embed(e, keep)]
-        heads = [f for k, f in enumerate(chain)
-                 if not k or cls[f] != cls[chain[k - 1]]]
-        if len({cls[f] for f in heads}) != len(heads):
-            raise InputError("a class meets rail %#x in two intervals"
-                             % (chain[0] & ~nmask))
-        heads[-1] = chain[-1]
-        if (idx % 2 == 0) == sink_on_top:
-            heads.reverse()
-        walk.extend(heads)
+    levels = [c]
+    while levels[-1].poset.reference.n:
+        levels.append(restriction(levels[-1]))
+    walk = [0]
+    for level in reversed(levels[:-1]):
+        d = level.poset.reference
+        keep, nmask = _off_arcs(d)
+        rail_map = rails(level.poset)
+        cls = level.class_of
+        if any(cls[ch[0]] == cls[ch[-1]] for ch in rail_map.values()):
+            # one side of the dichotomy: every rail collapses into one class
+            if any(cls[f] != cls[ch[0]]
+                   for ch in rail_map.values() for f in ch):
+                raise InputError(
+                    "one rail collapses into a class, another not")
+            extra = nmask if d.out[d.n] else 0  # place n as a sink
+            walk = [_embed(e, keep) | extra for e in walk]
+            continue
+        # n is a sink at the rail top iff it is a source in the reference
+        sink_on_top = bool(d.out[d.n])
+        prev, walk = walk, []
+        for idx, e in enumerate(prev):
+            chain = rail_map[_embed(e, keep)]
+            heads = [f for k, f in enumerate(chain)
+                     if not k or cls[f] != cls[chain[k - 1]]]
+            if len({cls[f] for f in heads}) != len(heads):
+                raise InputError("a class meets rail %#x in two intervals"
+                                 % (chain[0] & ~nmask))
+            heads[-1] = chain[-1]
+            if (idx % 2 == 0) == sink_on_top:
+                heads.reverse()
+            walk.extend(heads)
     return walk
 
 

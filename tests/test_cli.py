@@ -491,6 +491,73 @@ def test_heo_command(tmp_path, capsys):
     assert rc == 1 and "elimination order" in err
 
 
+# ------------------------------------------ searches without recursion
+
+# C_4 oriented as the vertebrate witness, beside 20 isolated vertices: no
+# order exists, and a search that backtracks tries exponentially many
+# vertex sets before it says so
+C4_ISOLATED = [(1, 2), (2, 3), (3, 4), (1, 4)]
+
+
+def timed_run(capsys, *argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    return rc, out, err, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("command, text, code, expect", [
+    ("classify", format_digraph(Digraph(24, C4_ISOLATED)), 0, "vertebrate"),
+    ("quotient", format_digraph(Digraph(24, C4_ISOLATED)), 1,
+     "digraph is not peo-consistent"),
+    ("heo", format_hypergraph(Hypergraph(24, C4_ISOLATED)), 1,
+     "hypergraph has no hyperfect elimination order"),
+    ("ao-hyper", format_hypergraph(Hypergraph(24, C4_ISOLATED)), 1,
+     "hypergraph has no hyperfect elimination order"),
+])
+def test_searches_reject_at_once(command, text, code, expect, tmp_path,
+                                 capsys):
+    path = put(tmp_path, "in.txt", text)
+    rc, out, err, elapsed = timed_run(capsys, command, path)
+    assert rc == code and expect in out + err
+    assert elapsed < 0.5, elapsed
+
+
+def shuffled_directed_path(n, rng):
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return Digraph(n, [(order[k], order[k + 1]) for k in range(n - 1)])
+
+
+def test_heo_orders_a_long_path(tmp_path, capsys):
+    h = Hypergraph(1200, [(k, k + 1) for k in range(1, 1200)])
+    path = put(tmp_path, "p.txt", format_hypergraph(h))
+    rc, out, _ = run(capsys, "heo", path)
+    assert rc == 0 and out == " ".join(map(str, range(1, 1201))) + "\n"
+
+
+def test_quotient_searches_a_long_path_then_hits_the_cap(tmp_path, capsys):
+    import random
+    d = shuffled_directed_path(1200, random.Random(1200))
+    path = put(tmp_path, "p.txt", format_digraph(d))
+    rc, out, err = run(capsys, "quotient", path, "--count-only")
+    assert rc == 2 and out == "" and "exceed cap" in err
+
+
+def test_quotient_walks_a_thousand_levels(tmp_path, capsys):
+    d = Digraph(1003, [(1, 2), (1, 3), (2, 3)])
+    path = put(tmp_path, "t3.txt", format_digraph(d))
+    rc, out, _ = run(capsys, "quotient", path, "--count-only")
+    assert rc == 0 and out == "6\n"
+
+
+def test_classify_a_long_path_skips_the_subset_scan(tmp_path, capsys):
+    d = Digraph(1000, [(k, k + 1) for k in range(1, 1000)])
+    path = put(tmp_path, "p.txt", format_digraph(d))
+    rc, out, _, elapsed = timed_run(capsys, "classify", path)
+    assert rc == 0 and out == "skeletal\n"
+    assert elapsed < 2.0, elapsed
+
+
 # ------------------------------------------- flipgraph, building-set
 
 
