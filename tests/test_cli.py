@@ -558,6 +558,26 @@ def test_classify_a_long_path_skips_the_subset_scan(tmp_path, capsys):
     assert elapsed < 2.0, elapsed
 
 
+def test_certify_counts_isolated_vertices_at_once(tmp_path, capsys):
+    path = put(tmp_path, "k3.txt", format_graph(
+        Graph(30, [(1, 2), (1, 3), (2, 3)])))
+    rc, out, _, elapsed = timed_run(capsys, "ao-graph", path, "--count-only",
+                                    "--certify")
+    assert rc == 0 and out == "6\ncertified 6 orientations\n"
+    assert elapsed < 1.0, elapsed
+    path = put(tmp_path, "t3.txt", format_digraph(
+        Digraph(103, [(1, 2), (1, 3), (2, 3)])))
+    rc, out, _ = run(capsys, "quotient", path, "--count-only", "--certify")
+    assert rc == 0 and out == "6\ncertified 6 classes\n"
+
+
+def test_certify_a_long_path_hits_the_cap(tmp_path, capsys):
+    path = put(tmp_path, "p70.txt", format_graph(path_graph(70)))
+    rc, out, err = run(capsys, "ao-graph", path, "--count-only", "--certify")
+    assert rc == 2 and out == ""
+    assert "certifying %d orientations exceeds cap" % (1 << 69) in err
+
+
 # ------------------------------------------- flipgraph, building-set
 
 

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -89,6 +90,82 @@ def test_count_matches_enumeration():
         n = rng.randint(5, 7)
         g = random_graph(n, 0.4, rng)
         assert count_ao_graph(g) == len(enumerate_ao_graph(g))
+
+
+def reference_count_ao_graph(g):
+    """Number of acyclic orientations, by inclusion-exclusion over the
+    independent sets of the whole graph: removing a nonempty independent
+    set L from the vertex set and signing by (-1)^(|L|+1) counts each
+    orientation once through its source sets.  Allocates 2^n bytes."""
+    n = g.n
+    nbr = [0] * n
+    for a, b in g.edges:
+        nbr[a - 1] |= 1 << (b - 1)
+        nbr[b - 1] |= 1 << (a - 1)
+    full = (1 << n) - 1
+    indep = bytearray(1 << n)
+    indep[0] = 1
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        indep[mask] = indep[rest] and not (nbr[low.bit_length() - 1] & rest)
+    counts = [0] * (full + 1)
+    counts[0] = 1
+    for smask in range(1, full + 1):
+        total = 0
+        sub = smask
+        while sub:
+            if indep[sub]:
+                if sub.bit_count() & 1:
+                    total += counts[smask ^ sub]
+                else:
+                    total -= counts[smask ^ sub]
+            sub = (sub - 1) & smask
+        counts[smask] = total
+    return counts[full]
+
+
+def test_count_matches_the_reference_up_to_6_vertices():
+    from orientgen.corpus import all_graphs
+    total = 0
+    for n in range(7):
+        for g in all_graphs(n):
+            assert count_ao_graph(g) == reference_count_ao_graph(g), g
+            total += 1
+    assert total == 33868
+
+
+def test_count_is_a_product_on_chordal_graphs(monkeypatch):
+    from orientgen import graphs
+
+    def banned(*args):
+        raise AssertionError("the oracle must not use the engines' search")
+
+    monkeypatch.setattr(graphs, "find_peo", banned)
+    monkeypatch.setattr(graphs, "lex_bfs", banned)
+    start = time.perf_counter()
+    assert count_ao_graph(path_graph(20)) == 1 << 19
+    assert time.perf_counter() - start < 0.1
+    assert count_ao_graph(path_graph(70)) == 1 << 69
+    assert count_ao_graph(Graph(30, [(1, 2), (1, 3), (2, 3)])) == 6
+    # K_4, P_5 and K_3 side by side multiply: 24 * 16 * 6
+    g = Graph(12, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+              + [(k, k + 1) for k in range(5, 9)]
+              + [(10, 11), (10, 12), (11, 12)])
+    assert count_ao_graph(g) == 2304
+
+
+def test_count_caps_a_component_that_is_not_chordal(monkeypatch):
+    monkeypatch.setenv("ORIENTGEN_CAP", "16")
+    assert count_ao_graph(cycle_graph(4)) == 14
+    with pytest.raises(CapExceeded, match="2\\^5 vertex subsets"):
+        count_ao_graph(cycle_graph(5))
+    monkeypatch.delenv("ORIENTGEN_CAP")
+    # 2^40 subsets: the cap is tested before anything is allocated
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="2\\^40 vertex subsets"):
+        oracle.ArcListingCertifier(cycle_graph(40))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_count_complete_graphs():
