@@ -1,6 +1,7 @@
 """End-to-end tests driving the command line through main()."""
 
 import io
+import random
 import sys
 import time
 
@@ -536,7 +537,6 @@ def test_heo_orders_a_long_path(tmp_path, capsys):
 
 
 def test_quotient_searches_a_long_path_then_hits_the_cap(tmp_path, capsys):
-    import random
     d = shuffled_directed_path(1200, random.Random(1200))
     path = put(tmp_path, "p.txt", format_digraph(d))
     rc, out, err = run(capsys, "quotient", path, "--count-only")

@@ -141,8 +141,9 @@ def test_count_is_a_product_on_chordal_graphs(monkeypatch):
     def banned(*args):
         raise AssertionError("the oracle must not use the engines' search")
 
-    monkeypatch.setattr(graphs, "find_peo", banned)
-    monkeypatch.setattr(graphs, "lex_bfs", banned)
+    for name in ("find_peo", "lex_bfs"):
+        assert not hasattr(oracle, name)
+        monkeypatch.setattr(graphs, name, banned)
     start = time.perf_counter()
     assert count_ao_graph(path_graph(20)) == 1 << 19
     assert time.perf_counter() - start < 0.1
