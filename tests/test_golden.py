@@ -19,6 +19,9 @@ T_4 relabeled so that the command has to search a peo-consistent order,
 the peo-consistent classification witness, T_4 with vertices 4 and 3
 sources of their levels (vertex 2 a sink), and T_3 under the congruence
 whose classes are its rails, so that rails collapse above n = 1.
+Vertex 4 of T_3 beside a transitive triangle on 4, 5, 6 and two
+isolated vertices has no smaller neighbour, under the identity and a
+seed-pair file, and T_3 beside 20 isolated vertices has 20 such levels.
 ``flipgraph`` runs on K_4, P_5 and C_4 (not chordal, so no path is
 marked), and with ``--hyper`` on the prefix chain and on C_4 as a
 2-uniform hypergraph, which has no hyperfect elimination order.
@@ -42,7 +45,9 @@ incremental snapshots, the ``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
 hypergraph engine that still checked itself on every step, and the
 ``t4-source`` and ``t3-rails`` files by the quotient path that still
-searched its order with the jump engine, and the files of the other
+searched its order with the jump engine, the ``t3-tri`` and
+``t3-iso20`` files by the quotient walk that still rebuilt the
+restriction of the congruence at every level, and the files of the other
 commands by the library that still held two to four copies of its
 topological sort, union-find, peo-consistency test, relabel map and
 flip-graph DOT export.  The ``disjoint`` and ``r200`` ``peo`` files were
@@ -118,8 +123,17 @@ QUOTIENT_CASES = {
     "peo-witness": ("peo-witness.d", []),
     "t4-source": ("t4-source.d", []),
     "t3-rails": ("t3.d", ["--congruence", "t3-rails.c"]),
+    "t3-tri": ("t3-tri.d", []),
+    "t3-tri-seeds": ("t3-tri.d", ["--seed-pairs", "t3-tri-seeds.s"]),
+    "t3-iso20": ("t3-iso20.d", []),
 }
 T4_SEEDS = "3 7\n1a 1e\n"
+# T_3 beside the transitive triangle 4->5, 5->6, 4->6 and the isolated
+# vertices 7 and 8: vertex 4 has no smaller neighbour
+T3_TRI = Digraph(8, [(1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (4, 6)])
+# flipping 5->6 joins the bottom's class: the rails of vertex 6 collapse,
+# those of 2, 3 and 5 do not
+T3_TRI_SEEDS = "0 10\n"
 # every vertex a source or sink of the vertices below it, so the labeling
 # is peo-consistent; 4 and 3 are sources, 2 is a sink
 T4_SOURCE = Digraph(4, [(1, 2), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
@@ -228,6 +242,9 @@ def quotient_instances():
         "t3.d": format_digraph(t3),
         "t3-rails.c": format_congruence(
             rails(build_ar_poset(t3)).values()),
+        "t3-tri.d": format_digraph(T3_TRI),
+        "t3-tri-seeds.s": T3_TRI_SEEDS,
+        "t3-iso20.d": format_digraph(Digraph(23, t3.arcs)),
     }
 
 
@@ -398,6 +415,8 @@ def test_quotient_corpus_has_sources_and_collapsed_rails():
     assert T4_SOURCE.out[4] and T4_SOURCE.out[3] and not T4_SOURCE.out[2]
     text = quotient_instances()["t3-rails.c"]
     assert [len(line.split()) for line in text.splitlines()] == [3, 3]
+    assert is_identity_peo_consistent(T3_TRI)
+    assert not T3_TRI.inn[4] and not T3_TRI.out[4] & {1, 2, 3}
 
 
 @pytest.mark.parametrize("name,mode,args", elim_cases(),
