@@ -24,8 +24,7 @@ from .oracle import (ArcListingCertifier, PairListingCertifier,
                      one_arc_flip, pair_flip_relation, quotient_cover_graph)
 from .quotients import (Congruence, build_ar_poset, classify,
                         forcing_closure, generate_quotient_path,
-                        identity_congruence, is_identity_peo_consistent,
-                        peo_consistent_order)
+                        identity_congruence, peo_consistent_order)
 
 
 def _read(path):
@@ -196,10 +195,10 @@ def _cmd_quotient(args, out):
     d = parse_digraph(_read(args.file))
     if not is_acyclic(d):
         raise InputError("digraph is not acyclic")
-    if not is_identity_peo_consistent(d):
-        order = peo_consistent_order(d)
-        if order is None:
-            raise InputError("digraph is not peo-consistent")
+    order = peo_consistent_order(d)
+    if order is None:
+        raise InputError("digraph is not peo-consistent")
+    if order != tuple(range(1, d.n + 1)):
         d = relabel_digraph(d, order)
     p = build_ar_poset(d)
     if args.certify:

@@ -30,11 +30,10 @@ class Hypergraph:
     """Hypergraph on vertices 1..n with distinct nonempty hyperedges.
 
     Hyperedges keep their input order; each is stored as a sorted vertex
-    tuple in ``edges`` and as a bitmask in ``masks``.  ``degree[v]`` counts
-    the hyperedges containing v and ``max_degree`` is its maximum.
+    tuple in ``edges`` and as a bitmask in ``masks``.
     """
 
-    __slots__ = ("n", "edges", "masks", "degree", "max_degree", "_mask_set")
+    __slots__ = ("n", "edges", "masks", "_mask_set")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -43,7 +42,6 @@ class Hypergraph:
         elist = []
         masks = []
         mask_set = set()
-        degree = [0] * (n + 1)
         for e in edges:
             ev = tuple(e)
             vs = sorted(set(ev))
@@ -61,12 +59,8 @@ class Hypergraph:
             mask_set.add(m)
             elist.append(tuple(vs))
             masks.append(m)
-            for v in vs:
-                degree[v] += 1
         self.edges = tuple(elist)
         self.masks = tuple(masks)
-        self.degree = tuple(degree)
-        self.max_degree = max(degree[1:], default=0)
         self._mask_set = frozenset(mask_set)
 
     def __repr__(self):

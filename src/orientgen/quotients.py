@@ -4,11 +4,12 @@ A reorientation of a reference digraph is stored as a bitmask over the
 reference's arc list (bit k set means arc k is reversed).  Reorientations
 are ordered by containment of their flipped arc sets; the poset is a
 lattice exactly when the reference is vertebrate.  On a peo-consistent
-reference the Hamilton path of a quotient is walked in mask space, level
-by level: the walk of the restriction to vertices 1..n-1 fixes the
-order of the rails of vertex n, and each rail is swept back and forth
-through its class representatives, which is the minimal-jump order of
-their permutation encodings.
+reference the Hamilton path of a quotient is walked in the reference's
+own masks, one vertex at a time: the walk over vertices 1..v-1 fixes
+the order of the rails of vertex v, each read off the poset's covers by
+flipping v's arcs to smaller vertices one at a time, and each rail is
+swept back and forth through its class representatives, which is the
+minimal-jump order of their permutation encodings.
 """
 
 from collections import defaultdict
@@ -143,13 +144,9 @@ def peo_consistent_order(d):
 
 
 def is_identity_peo_consistent(d):
-    """True iff the labeling 1..n of d itself witnesses peo-consistency."""
-    rem = set()
-    for v in range(1, d.n + 1):
-        rem.add(v)
-        if not _extractable(d, v, rem):
-            return False
-    return True
+    """True iff the labeling 1..n of d itself witnesses peo-consistency;
+    greedy extraction keeps a consistent labeling."""
+    return peo_consistent_order(d) == tuple(range(1, d.n + 1))
 
 
 def _extractable(d, v, rem):
@@ -364,14 +361,6 @@ def _project(mask, keep):
     for kp, k in enumerate(keep):
         if mask >> k & 1:
             out |= 1 << kp
-    return out
-
-
-def _embed(mask, keep):
-    out = 0
-    for kp, k in enumerate(keep):
-        if mask >> kp & 1:
-            out |= 1 << k
     return out
 
 
@@ -592,34 +581,36 @@ def restriction(c):
     d = p.reference
     if d.n == 0:
         raise InputError("cannot restrict an empty reference")
-    keep, _ = _off_arcs(d)
+    keep, nmask = _off_arcs(d)
     sub = Digraph(d.n - 1, [d.arcs[k] for k in keep])
-    elements = {_project(f, keep) for f in p.elements}
-    groups = defaultdict(list)
-    for e in elements:
-        cls = c.class_of.get(_embed(e, keep))
+    groups = defaultdict(set)
+    for f in p.elements:
+        cls = c.class_of.get(f & ~nmask)
         if cls is None:
             raise InputError("reorientation %#x has no extension leaving "
-                             "the arcs at vertex %d unflipped" % (e, d.n))
-        groups[cls].append(e)
-    return Congruence(ARPoset(sub, elements), groups.values())
+                             "the arcs at vertex %d unflipped"
+                             % (_project(f, keep), d.n))
+        groups[cls].add(_project(f, keep))
+    return Congruence(ARPoset(sub, set().union(*groups.values())),
+                      groups.values())
 
 
 def select_representatives(c, p):
     """One reorientation per congruence class, in Hamilton-path order.
 
     Returns a list of masks meeting every class exactly once, in which
-    consecutive classes form cover relations of the quotient.  Built
-    level by level from the walk of ``restriction(c)``.  When the classes
-    of rail bottom and top differ on every rail, each class picks the
-    bottom of its rail interval except the class of the rail top, which
-    keeps the top, and the walk sweeps each lower-level element's rail in
-    turn: the even-indexed ones from the end where n is a sink, the
-    odd-indexed ones back.  Otherwise whole rails are single classes and
-    n is placed as a sink throughout.  This is the inductive description
-    of the minimal-jump order on the permutation encodings, so no
-    permutation is built.  Requires the reference labeling to be
-    peo-consistent and c to be a valid congruence of p.
+    consecutive classes form cover relations of the quotient.  Built one
+    vertex v at a time in p's own masks: the rail over each element of
+    the walk over 1..v-1 is the chain of upper covers flipping v's arcs to
+    smaller vertices.  A rail whose bottom and top share a class is one
+    class and adds the end where v is a sink.  On the other rails each
+    class picks the bottom of its rail interval, the class of the top
+    keeps the top, and the rails are swept in turn: the even-indexed ones
+    from the end where v is a sink, the odd-indexed ones back.  This is
+    the inductive description of the minimal-jump order on the
+    permutation encodings, so no permutation is built.  Requires the
+    reference labeling to be peo-consistent and c to be a valid
+    congruence of p, which is checked once here.
     """
     if c.poset is not p:
         raise InputError("congruence belongs to a different poset")
@@ -632,34 +623,36 @@ def select_representatives(c, p):
 
 
 def _walk(c):
-    levels = [c]
-    while levels[-1].poset.reference.n:
-        levels.append(restriction(levels[-1]))
+    p = c.poset
+    d = p.reference
+    cls = c.class_of
+    # down[v]: the arcs from v to smaller vertices, the arcs of v's rails
+    down = [0] * (d.n + 1)
+    for k, arc in enumerate(d.arcs):
+        down[max(arc)] |= 1 << k
     walk = [0]
-    for level in reversed(levels[:-1]):
-        d = level.poset.reference
-        keep, nmask = _off_arcs(d)
-        rail_map = rails(level.poset)
-        cls = level.class_of
-        if any(cls[ch[0]] == cls[ch[-1]] for ch in rail_map.values()):
-            # one side of the dichotomy: every rail collapses into one class
-            if any(cls[f] != cls[ch[0]]
-                   for ch in rail_map.values() for f in ch):
-                raise InputError(
-                    "one rail collapses into a class, another not")
-            extra = nmask if d.out[d.n] else 0  # place n as a sink
-            walk = [_embed(e, keep) | extra for e in walk]
+    for v in range(1, d.n + 1):
+        if not down[v]:
             continue
-        # n is a sink at the rail top iff it is a source in the reference
-        sink_on_top = bool(d.out[d.n])
+        deg = down[v].bit_count()
+        # v is a sink at the rail top iff it is a source of 1..v
+        sink_on_top = any(j < v for j in d.out[v])
         prev, walk = walk, []
         for idx, e in enumerate(prev):
-            chain = rail_map[_embed(e, keep)]
+            chain = [e]
+            while len(chain) <= deg:
+                f = chain[-1]
+                up = [g for g in p.upper_covers(f) if (g ^ f) & down[v]]
+                if not up:
+                    raise InputError("rail %#x holds %d reorientations, not "
+                                     "degree(n)+1 = %d"
+                                     % (e, len(chain), deg + 1))
+                chain.append(up[0])
+            if cls[e] == cls[chain[-1]]:
+                walk.append(chain[-1] if sink_on_top else e)
+                continue
             heads = [f for k, f in enumerate(chain)
                      if not k or cls[f] != cls[chain[k - 1]]]
-            if len({cls[f] for f in heads}) != len(heads):
-                raise InputError("a class meets rail %#x in two intervals"
-                                 % (chain[0] & ~nmask))
             heads[-1] = chain[-1]
             if (idx % 2 == 0) == sink_on_top:
                 heads.reverse()

@@ -546,8 +546,9 @@ def test_quotient_searches_a_long_path_then_hits_the_cap(tmp_path, capsys):
 def test_quotient_walks_a_thousand_levels(tmp_path, capsys):
     d = Digraph(1003, [(1, 2), (1, 3), (2, 3)])
     path = put(tmp_path, "t3.txt", format_digraph(d))
-    rc, out, _ = run(capsys, "quotient", path, "--count-only")
+    rc, out, _, elapsed = timed_run(capsys, "quotient", path, "--count-only")
     assert rc == 0 and out == "6\n"
+    assert elapsed < 0.5, elapsed
 
 
 def test_classify_a_long_path_skips_the_subset_scan(tmp_path, capsys):

@@ -162,8 +162,6 @@ def test_hypergraph_validation():
         Hypergraph(3, [(1, 2), (2, 1)])  # duplicate as a set
     h = Hypergraph(4, [(2, 1), (1, 2, 3)])
     assert h.edges == ((1, 2), (1, 2, 3))
-    assert h.degree == (0, 2, 2, 1, 0)
-    assert h.max_degree == 2
 
 
 def test_restrict():

@@ -580,7 +580,9 @@ def test_restriction_rejects_elements_not_closed_under_embedding():
     c = identity_congruence(p)
     with pytest.raises(InputError, match="no extension"):
         restriction(c)
-    with pytest.raises(InputError, match="no extension"):
+    # the walk follows covers in p's own masks: the rail of vertex 2 over
+    # the bottom stops at the bottom
+    with pytest.raises(InputError, match="holds 1 reorientations"):
         select_representatives(c, p)
 
 
@@ -891,6 +893,58 @@ def _walk_corpus():
     p = build_ar_poset(orient(complete_graph(3), 0))
     out.append(Congruence(p, rails(p).values()))
     return out
+
+
+def _levels():
+    """Every level of every ``_walk_corpus`` congruence, reached by
+    restriction, as (congruence, rails of the last vertex)."""
+    out = []
+    for c in _walk_corpus():
+        while c.poset.reference.n:
+            out.append((c, list(rails(c.poset).values())))
+            c = restriction(c)
+    return out
+
+
+def test_rails_of_a_level_collapse_all_or_none():
+    """The walk places a collapsed rail's vertex as a sink rail by rail;
+    on a valid congruence of a peo-consistent reference either every rail
+    of a level lies in one class or no rail's ends share a class."""
+    for c, chains in _levels():
+        cls = c.class_of
+        assert len({cls[ch[0]] == cls[ch[-1]] for ch in chains}) == 1, c
+        collapsed = cls[chains[0][0]] == cls[chains[0][-1]]
+        assert all(len({cls[f] for f in ch}) == 1
+                   for ch in chains) == collapsed, c
+
+
+def test_classes_meet_each_rail_in_one_interval():
+    """The walk keeps one head per class change along a rail, which is one
+    representative per class only if each class meets the rail in one
+    interval."""
+    for c, chains in _levels():
+        cls = c.class_of
+        for ch in chains:
+            runs = [cls[f] for k, f in enumerate(ch)
+                    if not k or cls[f] != cls[ch[k - 1]]]
+            assert len(runs) == len(set(runs)), (c, ch)
+
+
+def test_walk_builds_no_digraph_poset_or_congruence(monkeypatch):
+    """The walk reads its rails off the poset's covers in the reference's
+    own masks: no level is rebuilt, however many vertices the reference
+    has."""
+    d = Digraph(1003, [(1, 2), (1, 3), (2, 3)])
+    p = build_ar_poset(d)
+    c = identity_congruence(p)
+    built = []
+    for kind in (Digraph, Graph, ARPoset, Congruence):
+        def counted(self, *args, _init=kind.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(kind, "__init__", counted)
+    assert len(select_representatives(c, p)) == 6
+    assert built == []
 
 
 def test_walk_matches_minimal_jump_order():
