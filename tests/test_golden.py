@@ -7,7 +7,11 @@ Every case runs the command line in-process on an instance file under
 byte.  The ``ao-graph`` corpus is K_4, P_5, two seeded random chordal
 graphs on 10 and 12 vertices (so the space-separated permutation format
 is covered) and one of them relabeled by a perfect elimination order, for
-``--peo given``.  The ``ao-hyper`` corpus is the prefix chain on 4
+``--peo given``.  A seeded random chordal graph on 9 vertices, the widest
+whose permutation digits are joined without spaces, adds ``--output
+perm``, ``--output flips`` and ``--count-only --counters``, and K_7,
+whose 6-member cliques start the clique sort on both kinds of leading
+run, adds ``--count-only --counters``.  The ``ao-hyper`` corpus is the prefix chain on 4
 vertices, the Stanley-Pitman hypergraph on 4, K_4 and P_5 as 2-uniform
 hypergraphs, and a ``heo_corpus`` member whose hyperfect elimination
 order is not the identity, both as is (``--order auto``) and relabeled
@@ -41,7 +45,8 @@ on the directed P_12, and ``ao-graph --certify --count-only`` on K_4,
 P_5 and K_3 side by side.
 
 The ``ao-graph`` files were written by the engine that predates
-incremental snapshots, the ``quotient`` files by the poset that predates
+incremental snapshots (the ``r9`` and ``k7`` ones by the engine that
+still sorted its cliques with ``sorted`` and ``cmp_to_key``), the ``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
 hypergraph engine that still checked itself on every step, and the
 ``t4-source`` and ``t3-rails`` files by the quotient path that still
@@ -89,6 +94,11 @@ MODES = {
 }
 GIVEN_MODES = ("arcs", "perm", "count")
 GIVEN = ("k4", "p5", "r10-peo")
+# cases beyond the full grid of MODES: (graph, mode, arguments)
+SWEEP_CASES = (
+    [("r9", mode, MODES[mode]) for mode in ("perm", "flips")]
+    + [(name, "counters", ["--count-only", "--counters"])
+       for name in ("r9", "k7")])
 
 HYPER_MODES = {
     "heads": [],
@@ -179,6 +189,8 @@ def instances():
         "r10": r10,
         "r12": corpus.random_chordal(12, random.Random(2)),
         "r10-peo": relabel_graph(r10, find_peo(r10)),
+        "r9": corpus.random_chordal(9, random.Random(9)),
+        "k7": complete_graph(7),
     }
 
 
@@ -189,7 +201,7 @@ def cases():
     for name in GIVEN:
         out += [(name, "given-" + mode, ["--peo", "given"] + MODES[mode])
                 for mode in GIVEN_MODES]
-    return out
+    return out + SWEEP_CASES
 
 
 def hyper_instances():
