@@ -3,7 +3,8 @@
 import math
 import random
 import tracemalloc
-from itertools import islice
+from functools import cmp_to_key
+from itertools import islice, permutations, zip_longest
 
 import pytest
 
@@ -321,3 +322,97 @@ def test_memory_is_linear():
         tracemalloc.stop()
     assert run.visits == 1001
     assert peak < 4 * 2 ** 20
+
+
+def reference_sorted_path(run, items):
+    """The clique sort as first written: ``sorted`` with a comparison
+    function that counts its calls."""
+    back = run._mask ^ run._mask0
+    eid = run._eid
+    count = [0]
+
+    def cmp(r, s):
+        count[0] += 1
+        u = r[0]
+        v = s[0]
+        if u < v:
+            return 1 if back >> eid[v][u] & 1 else -1
+        return -1 if back >> eid[u][v] & 1 else 1
+
+    return sorted(items, key=cmp_to_key(cmp)), count[0]
+
+
+class ReferenceSortRun(ChordalRun):
+    """A run whose cliques are sorted by ``reference_sorted_path``."""
+
+    __slots__ = ()
+
+    def _sorted_path(self, items):
+        return reference_sorted_path(self, items)
+
+
+def assert_sorts_like_reference(g, limit=None):
+    """The same arc and the same comparison counters as the reference
+    run at each of the first ``limit`` visits, or at every one."""
+    order = find_peo(g)
+    run = ChordalRun(g, order)
+    ref = ReferenceSortRun(g, order)
+    end = object()
+    for step, ref_step in islice(zip_longest(run, ref, fillvalue=end),
+                                 limit):
+        assert step == ref_step
+        assert run.comparisons == ref.comparisons
+        assert run.max_step_comparisons == ref.max_step_comparisons
+
+
+def test_clique_sort_matches_reference_runs():
+    for n in range(1, 9):
+        assert_sorts_like_reference(complete_graph(n))
+    for g in snapshot_corpus():
+        assert_sorts_like_reference(g)
+
+
+def test_clique_sort_matches_reference_on_large_cliques():
+    # K_64's vertex 64 sorts 63 members, the largest clique on which
+    # the two sorts make the same comparisons
+    for n in (20, 64):
+        assert_sorts_like_reference(complete_graph(n), 3000)
+
+
+def clique_sort_case(pi, items):
+    """The insertion sort and the reference on ``items``, tuples led by
+    members of the clique 1..k, in a K_(k+1) run whose current
+    orientation orders the clique as ``pi``."""
+    k = len(pi)
+    g = complete_graph(k + 1)
+    run = ChordalRun(g, range(1, k + 2))
+    run._mask = orientation_mask(g, decode(g, tuple(pi) + (k + 1,)))
+    return run._sorted_path(items), reference_sorted_path(run, items)
+
+
+def test_clique_sort_makes_list_sort_comparisons_below_64_items():
+    # every order of up to 7 members, then seeded orders and inputs of
+    # 8 to 63
+    for k in range(8):
+        items = [(v,) for v in range(1, k + 1)]
+        for pi in permutations(range(1, k + 1)):
+            got, ref = clique_sort_case(pi, items)
+            assert got == ref
+    rng = random.Random(61)
+    for k in range(8, 64):
+        for _ in range(8):
+            pi = rng.sample(range(1, k + 1), k)
+            items = [(v,) for v in rng.sample(range(1, k + 1), k)]
+            got, ref = clique_sort_case(pi, items)
+            assert got == ref
+
+
+def test_clique_sort_orders_64_items_and_more():
+    # list.sort merges runs from 64 items on, so only the order agrees
+    rng = random.Random(67)
+    for k in (64, 65, 100):
+        pi = rng.sample(range(1, k + 1), k)
+        items = [(v,) for v in rng.sample(range(1, k + 1), k)]
+        (path, count), (ref_path, _) = clique_sort_case(pi, items)
+        assert path == ref_path == [(v,) for v in pi]
+        assert count <= k * math.ceil(math.log2(k))
