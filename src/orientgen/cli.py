@@ -35,11 +35,12 @@ def _read(path):
         raise InputError("cannot read %s: %s" % (path, exc.strerror or exc))
 
 
-def _perm_line(pi):
-    # single digits concatenate; wider alphabets get spaces
-    if len(pi) <= 9:
-        return "".join(map(str, pi))
-    return " ".join(map(str, pi))
+def _perm_lines(n):
+    """Line maker for permutations of 1..n, its names made once: single
+    digits concatenate, wider alphabets get spaces."""
+    name = [str(v) for v in range(n + 1)]
+    join = ("" if n <= 9 else " ").join
+    return lambda pi: join([name[v] for v in pi]) + "\n"
 
 
 def _no_dot_combo(args, *flags):
@@ -94,25 +95,29 @@ def _cmd_ao_graph(args, out):
     run = chordal.generate(g, order)
     cert = ArcListingCertifier(g) if args.certify else None
     output = None if args.count_only else args.output
-    if output == "arcs":
-        # the text of every arc either way round, and which edge it orients
+    if output in ("arcs", "flips"):
+        # every arc either way round: the edge it orients, its text, and
+        # its line in a flips listing
         text = {}
         for k, (x, y) in enumerate(g.edges):
-            text[(x, y)] = (k, "%d %d" % (x, y))
-            text[(y, x)] = (k, "%d %d" % (y, x))
+            for arc in ((x, y), (y, x)):
+                t = "%d %d" % arc
+                text[arc] = (k, t, t + "\n")
         line = [text[d][1] for d in run.digraph().arcs]
+    elif output == "perm":
+        perm_line = _perm_lines(g.n)
     for step in run:
         if cert is not None:
             cert.visit(run.mask())
         if output == "arcs":
             if step is not None:
-                k, arc = text[step]
+                k, arc, _ = text[step]
                 line[k] = arc
             out.write(" ".join(line) + "\n")
         elif output == "perm":
-            out.write(_perm_line(run.permutation()) + "\n")
+            out.write(perm_line(run.permutation()))
         elif output == "flips" and step is not None:
-            out.write("%d %d\n" % step)
+            out.write(text[step][2])
     if args.count_only:
         out.write("%d\n" % run.visits)
     if cert is not None:
@@ -150,6 +155,7 @@ def _cmd_ao_hyper(args, out):
     run = hypergen.generate(h, order)
     cert = PairListingCertifier(h) if args.certify else None
     trace = []
+    perm_line = _perm_lines(h.n)
     for step in run:
         if cert is not None:
             cert.visit(run.heads())
@@ -159,7 +165,7 @@ def _cmd_ao_hyper(args, out):
         if args.output == "heads":
             out.write(" ".join(map(str, run.heads())) + "\n")
         elif args.output == "perm":
-            out.write(_perm_line(run.permutation()) + "\n")
+            out.write(perm_line(run.permutation()))
         elif step is not None:
             out.write("%d %d\n" % step)
     if args.count_only:
@@ -176,10 +182,11 @@ def _cmd_elim_trees(args, out):
     count = 0
     if args.output == "perm":
         run, _ = hypergen.elim_run(g)
+        perm_line = _perm_lines(g.n)
         for _ in run:
             count += 1
             if not args.count_only:
-                out.write(_perm_line(run.permutation()) + "\n")
+                out.write(perm_line(run.permutation()))
     else:
         for parent in hypergen.generate_elim_forests(g):
             count += 1
@@ -214,6 +221,7 @@ def _cmd_quotient(args, out):
     else:
         c = identity_congruence(p)
     trail = []
+    perm_line = _perm_lines(d.n)
     for mask, cls in generate_quotient_path(d, c):
         trail.append(cls)
         if args.count_only or args.output == "dot":
@@ -222,7 +230,7 @@ def _cmd_quotient(args, out):
             members = [mask] + [m for m in c.classes[cls] if m != mask]
             out.write(" ".join(format(m, "x") for m in members) + "\n")
         else:
-            out.write(_perm_line(p.permutation_of(mask)) + "\n")
+            out.write(perm_line(p.permutation_of(mask)))
     fg = None
     if args.output == "dot" or args.certify:
         fg = quotient_cover_graph(c.classes)

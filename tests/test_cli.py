@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from orientgen import chordal, graphs, hypergen, hypergraphs
+from orientgen import chordal, corpus, graphs, hypergen, hypergraphs
 from orientgen.cli import main
 from orientgen.fileio import (
     format_digraph,
@@ -18,6 +18,8 @@ from orientgen.fileio import (
 )
 from orientgen.graphs import Digraph, Graph, complete_graph, orient, path_graph
 from orientgen.hypergraphs import Hypergraph
+from orientgen.quotients import (build_ar_poset, generate_quotient_path,
+                                 identity_congruence)
 
 SJT3 = ["123", "132", "312", "321", "231", "213"]
 
@@ -111,6 +113,65 @@ def test_ao_graph_count_certify_counters(tmp_path, capsys):
         "certified 24 orientations",
         "visits=24 comparisons=21 flips=23 max-step-comparisons=4",
     ]
+
+
+def reference_perm_line(pi):
+    """A permutation line as first written, one ``str`` per value at
+    every visit."""
+    if len(pi) <= 9:
+        return "".join(map(str, pi)) + "\n"
+    return " ".join(map(str, pi)) + "\n"
+
+
+def reference_flip_line(step):
+    return "%d %d\n" % step
+
+
+def test_ao_graph_perm_and_flips_lines_match_references(tmp_path, capsys):
+    # every chordal graph on up to 5 vertices, and the golden corpus's
+    # seeded graphs on 10 and 12 vertices, whose digits take spaces
+    cases = list(corpus.chordal_graphs(5))
+    cases += [corpus.random_chordal(10, random.Random(0)),
+              corpus.random_chordal(12, random.Random(2))]
+    for g in cases:
+        path = put(tmp_path, "g.txt", format_graph(g))
+        r = chordal.generate(g)
+        perms = []
+        flips = []
+        for step in r:
+            perms.append(reference_perm_line(r.permutation()))
+            if step is not None:
+                flips.append(reference_flip_line(step))
+        assert run(capsys, "ao-graph", path, "--output", "perm") == (
+            0, "".join(perms), "")
+        assert run(capsys, "ao-graph", path, "--output", "flips") == (
+            0, "".join(flips), "")
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_perm_lines_of_the_other_commands_match_the_reference(
+        n, tmp_path, capsys):
+    # P_5, and T_3 for quotient, padded with isolated vertices to n, on
+    # either side of the width where digits take spaces
+    g = Graph(n, path_graph(5).edges)
+    h = corpus.two_uniform(g)
+    d = Digraph(n, orient(complete_graph(3), 0).arcs)
+    gpath = put(tmp_path, "g.txt", format_graph(g))
+    hpath = put(tmp_path, "h.txt", format_hypergraph(h))
+    dpath = put(tmp_path, "d.txt", format_digraph(d))
+    r = hypergen.generate(h)
+    expect = [reference_perm_line(r.permutation()) for _ in r]
+    assert run(capsys, "ao-hyper", hpath, "--output", "perm") == (
+        0, "".join(expect), "")
+    r, _ = hypergen.elim_run(g)
+    expect = [reference_perm_line(r.permutation()) for _ in r]
+    assert run(capsys, "elim-trees", gpath, "--output", "perm") == (
+        0, "".join(expect), "")
+    p = build_ar_poset(d)
+    expect = [reference_perm_line(p.permutation_of(mask))
+              for mask, _ in generate_quotient_path(d, identity_congruence(p))]
+    assert run(capsys, "quotient", dpath, "--output", "perm") == (
+        0, "".join(expect), "")
 
 
 def test_ao_graph_rejects_non_chordal(tmp_path, capsys):
