@@ -11,7 +11,8 @@ is covered) and one of them relabeled by a perfect elimination order, for
 whose permutation digits are joined without spaces, adds ``--output
 perm``, ``--output flips`` and ``--count-only --counters``, and K_7,
 whose 6-member cliques start the clique sort on both kinds of leading
-run, adds ``--count-only --counters``.  The ``ao-hyper`` corpus is the prefix chain on 4
+run, adds ``--count-only --counters``.
+The ``ao-hyper`` corpus is the prefix chain on 4
 vertices, the Stanley-Pitman hypergraph on 4, K_4 and P_5 as 2-uniform
 hypergraphs, and a ``heo_corpus`` member whose hyperfect elimination
 order is not the identity, both as is (``--order auto``) and relabeled
@@ -46,7 +47,8 @@ P_5 and K_3 side by side.
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots (the ``r9`` and ``k7`` ones by the engine that
-still sorted its cliques with ``sorted`` and ``cmp_to_key``), the ``quotient`` files by the poset that predates
+still sorted its cliques with ``sorted`` and ``cmp_to_key``), the
+``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
 hypergraph engine that still checked itself on every step, and the
 ``t4-source`` and ``t3-rails`` files by the quotient path that still
