@@ -8,6 +8,7 @@ failed certification, 2 size cap exceeded.
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from . import chordal, hypergen
 from .errors import CapExceeded, InputError
@@ -35,12 +36,51 @@ def _read(path):
         raise InputError("cannot read %s: %s" % (path, exc.strerror or exc))
 
 
-def _perm_lines(n):
-    """Line maker for permutations of 1..n, its names made once: single
-    digits concatenate, wider alphabets get spaces."""
+# lines of a listing per write, after its first line
+BLOCK_LINES = 256
+
+
+@contextmanager
+def _listing(out):
+    """Write the lines given to the yielded ``put`` in blocks: the first
+    line at once, so a listing shows its first visit without delay, then
+    one write per BLOCK_LINES lines, and what is left on leaving the
+    block, also when the listing fails.  A block is cleared before it is
+    written, so a failed write never sends the same text twice."""
+    block = []
+    append = block.append
+    size = 1
+
+    def flush():
+        text = "".join(block)
+        block.clear()
+        out.write(text)
+
+    def put(line):
+        nonlocal size
+        append(line)
+        if len(block) >= size:
+            size = BLOCK_LINES
+            flush()
+
+    try:
+        yield put
+    finally:
+        if block:
+            flush()
+
+
+def _label_lines(n, sep=" "):
+    """Line maker for sequences of labels 0..n, their names made once."""
     name = [str(v) for v in range(n + 1)]
-    join = ("" if n <= 9 else " ").join
-    return lambda pi: join([name[v] for v in pi]) + "\n"
+    join = sep.join
+    return lambda seq: join([name[v] for v in seq]) + "\n"
+
+
+def _perm_lines(n):
+    """Line maker for permutations of 1..n: single digits concatenate,
+    wider alphabets get spaces."""
+    return _label_lines(n, "" if n <= 9 else " ")
 
 
 def _no_dot_combo(args, *flags):
@@ -106,18 +146,19 @@ def _cmd_ao_graph(args, out):
         line = [text[d][1] for d in run.digraph().arcs]
     elif output == "perm":
         perm_line = _perm_lines(g.n)
-    for step in run:
-        if cert is not None:
-            cert.visit(run.mask())
-        if output == "arcs":
-            if step is not None:
-                k, arc, _ = text[step]
-                line[k] = arc
-            out.write(" ".join(line) + "\n")
-        elif output == "perm":
-            out.write(perm_line(run.permutation()))
-        elif output == "flips" and step is not None:
-            out.write(text[step][2])
+    with _listing(out) as put:
+        for step in run:
+            if cert is not None:
+                cert.visit(run.mask())
+            if output == "arcs":
+                if step is not None:
+                    k, arc, _ = text[step]
+                    line[k] = arc
+                put(" ".join(line) + "\n")
+            elif output == "perm":
+                put(perm_line(run.permutation()))
+            elif output == "flips" and step is not None:
+                put(text[step][2])
     if args.count_only:
         out.write("%d\n" % run.visits)
     if cert is not None:
@@ -155,19 +196,21 @@ def _cmd_ao_hyper(args, out):
     run = hypergen.generate(h, order)
     cert = PairListingCertifier(h) if args.certify else None
     trace = []
+    heads_line = _label_lines(h.n)
     perm_line = _perm_lines(h.n)
-    for step in run:
-        if cert is not None:
-            cert.visit(run.heads())
-            trace.append(run.permutation())
-        if args.count_only:
-            continue
-        if args.output == "heads":
-            out.write(" ".join(map(str, run.heads())) + "\n")
-        elif args.output == "perm":
-            out.write(perm_line(run.permutation()))
-        elif step is not None:
-            out.write("%d %d\n" % step)
+    with _listing(out) as put:
+        for step in run:
+            if cert is not None:
+                cert.visit(run.heads())
+                trace.append(run.permutation())
+            if args.count_only:
+                continue
+            if args.output == "heads":
+                put(heads_line(run.heads()))
+            elif args.output == "perm":
+                put(perm_line(run.permutation()))
+            elif step is not None:
+                put("%d %d\n" % step)
     if args.count_only:
         out.write("%d\n" % run.visits)
     if cert is not None:
@@ -180,18 +223,20 @@ def _cmd_ao_hyper(args, out):
 def _cmd_elim_trees(args, out):
     g = parse_graph(_read(args.file))
     count = 0
-    if args.output == "perm":
-        run, _ = hypergen.elim_run(g)
-        perm_line = _perm_lines(g.n)
-        for _ in run:
-            count += 1
-            if not args.count_only:
-                out.write(perm_line(run.permutation()))
-    else:
-        for parent in hypergen.generate_elim_forests(g):
-            count += 1
-            if not args.count_only:
-                out.write(" ".join(map(str, parent)) + "\n")
+    with _listing(out) as put:
+        if args.output == "perm":
+            run, _ = hypergen.elim_run(g)
+            perm_line = _perm_lines(g.n)
+            for _ in run:
+                count += 1
+                if not args.count_only:
+                    put(perm_line(run.permutation()))
+        else:
+            forest_line = _label_lines(g.n)
+            for parent in hypergen.generate_elim_forests(g):
+                count += 1
+                if not args.count_only:
+                    put(forest_line(parent))
     if args.count_only:
         out.write("%d\n" % count)
     return 0
@@ -222,15 +267,16 @@ def _cmd_quotient(args, out):
         c = identity_congruence(p)
     trail = []
     perm_line = _perm_lines(d.n)
-    for mask, cls in generate_quotient_path(d, c):
-        trail.append(cls)
-        if args.count_only or args.output == "dot":
-            continue
-        if args.output == "classes":
-            members = [mask] + [m for m in c.classes[cls] if m != mask]
-            out.write(" ".join(format(m, "x") for m in members) + "\n")
-        else:
-            out.write(perm_line(p.permutation_of(mask)))
+    with _listing(out) as put:
+        for mask, cls in generate_quotient_path(d, c):
+            trail.append(cls)
+            if args.count_only or args.output == "dot":
+                continue
+            if args.output == "classes":
+                members = [mask] + [m for m in c.classes[cls] if m != mask]
+                put(" ".join(format(m, "x") for m in members) + "\n")
+            else:
+                put(perm_line(p.permutation_of(mask)))
     fg = None
     if args.output == "dot" or args.certify:
         fg = quotient_cover_graph(c.classes)

@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line through main()."""
 
+import hashlib
 import io
 import random
 import sys
@@ -7,8 +8,9 @@ import time
 
 import pytest
 
-from orientgen import chordal, corpus, graphs, hypergen, hypergraphs
-from orientgen.cli import main
+from orientgen import chordal, corpus, graphs, hypergen, hypergraphs, oracle
+from orientgen.cli import BLOCK_LINES, main
+from orientgen.errors import InputError
 from orientgen.fileio import (
     format_digraph,
     format_graph,
@@ -172,6 +174,22 @@ def test_perm_lines_of_the_other_commands_match_the_reference(
               for mask, _ in generate_quotient_path(d, identity_congruence(p))]
     assert run(capsys, "quotient", dpath, "--output", "perm") == (
         0, "".join(expect), "")
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_heads_and_forest_lines_match_the_reference(n, tmp_path, capsys):
+    # K_4 with vertex n hung on vertex 4 and the rest isolated, so that
+    # labels and parents reach two digits at n = 10
+    g = Graph(n, list(complete_graph(4).edges) + [(4, n)])
+    h = corpus.two_uniform(g)
+    gpath = put(tmp_path, "g.txt", format_graph(g))
+    hpath = put(tmp_path, "h.txt", format_hypergraph(h))
+    r = hypergen.generate(h)
+    expect = [" ".join(map(str, r.heads())) + "\n" for _ in r]
+    assert run(capsys, "ao-hyper", hpath) == (0, "".join(expect), "")
+    expect = [" ".join(map(str, parent)) + "\n"
+              for parent in hypergen.generate_elim_forests(g)]
+    assert run(capsys, "elim-trees", gpath) == (0, "".join(expect), "")
 
 
 def test_ao_graph_rejects_non_chordal(tmp_path, capsys):
@@ -734,3 +752,152 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "ao-graph" in out and "quotient" in out
+
+
+# ------------------------------------------------------------ block writes
+
+
+class CountingSink(io.StringIO):
+    """A stdout that keeps every write it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def listing_instances(tmp_path):
+    """Instances with more than 256 visits: K_6, the 2-uniform K_6, P_8,
+    and T_5 beside a directed P_3 (480 classes)."""
+    t5p3 = Digraph(8, list(orient(complete_graph(5), 0).arcs)
+                   + [(6, 7), (7, 8)])
+    return {
+        "k6": put(tmp_path, "k6.g", format_graph(complete_graph(6))),
+        "k6-2u": put(tmp_path, "k6-2u.h", format_hypergraph(
+            corpus.two_uniform(complete_graph(6)))),
+        "p8": put(tmp_path, "p8.g", format_graph(path_graph(8))),
+        "t5p3": put(tmp_path, "t5p3.d", format_digraph(t5p3)),
+    }
+
+
+# (command, instance, flags, summary lines, sha256 of the whole stdout as
+# written one line per visit)
+BLOCK_CASES = [
+    ("ao-graph", "k6", ["--output", "arcs"], 0,
+     "7838e25f47af8c0942b11791df361d3c7b476d02b65d851f7c93c8cb8ee985e4"),
+    ("ao-graph", "k6", ["--output", "flips"], 0,
+     "97d4df2ea823f313e10522b7a8b255e483a44ef4ae1637f8a178a0297cc98d87"),
+    ("ao-graph", "k6", ["--output", "perm"], 0,
+     "01e003f437cb9eddb4db62bb0d95acc9b4c32a8e2a58d7aa6ab7e37d60f3f57e"),
+    ("ao-graph", "k6", ["--certify", "--counters"], 2,
+     "8e4eecb061adeb2ad9acd7f7bb3ffc728a621b937dae6befe328310eb9f38580"),
+    ("ao-hyper", "k6-2u", ["--output", "heads"], 0,
+     "4d935c7568051a223eb31cada81880284b3312fe0c8f7221f8072486107c5fb2"),
+    ("ao-hyper", "k6-2u", ["--output", "flips"], 0,
+     "16314028bb6e5855edcd67fcd7a994072653f4b14bc1a6ca85f9bebbd16d3675"),
+    ("ao-hyper", "k6-2u", ["--output", "perm"], 0,
+     "01e003f437cb9eddb4db62bb0d95acc9b4c32a8e2a58d7aa6ab7e37d60f3f57e"),
+    ("elim-trees", "p8", ["--output", "forest"], 0,
+     "dd286dbefebb956faf1c79154204e6c448c6b6f88346d7eacc9d4624873937e6"),
+    ("elim-trees", "p8", ["--output", "perm"], 0,
+     "d31a44d465bcf172006d11e2e0c6c6aabdf0c0895c50bf7b509ce879562c341a"),
+    ("quotient", "t5p3", ["--output", "classes"], 0,
+     "a50da166f9104f92d3febf72e640f63e2ae6d0ff96e7292c5206b12071e232bf"),
+    ("quotient", "t5p3", ["--output", "perm"], 0,
+     "f3e38e13f9c881a7ab93b1ca46db341177343a66f8e02f6770dbd0c67e2c8ef1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, instance, flags, summary, digest", BLOCK_CASES,
+    ids=["%s-%s-%s" % (c[0], c[1], "-".join(f.lstrip("-") for f in c[2]))
+         for c in BLOCK_CASES])
+def test_listings_are_written_in_blocks(command, instance, flags, summary,
+                                        digest, tmp_path, monkeypatch):
+    path = listing_instances(tmp_path)[instance]
+    stdout = CountingSink()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([command, path] + flags) == 0
+    text = stdout.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    lines = text.count("\n") - summary
+    assert lines > BLOCK_LINES == 256
+    writes = stdout.writes
+    assert writes[0] == text[:text.index("\n") + 1]
+    assert all(w.endswith("\n") for w in writes)
+    assert all(w.count("\n") <= BLOCK_LINES for w in writes)
+    blocks = 1 + -(-(lines - 1) // BLOCK_LINES)
+    assert len(writes) == blocks + summary
+    assert all(w.count("\n") == 1 for w in writes[blocks:])
+
+
+def fail_at_visit(monkeypatch, certifier, k):
+    """Make ``certifier.visit`` reject the k-th visit it is given."""
+    real = certifier.visit
+    seen = []
+
+    def visit(self, *args):
+        seen.append(None)
+        if len(seen) == k:
+            raise InputError("visit %d rejected" % k)
+        return real(self, *args)
+
+    monkeypatch.setattr(certifier, "visit", visit)
+
+
+@pytest.mark.parametrize("command, instance, certifier", [
+    ("ao-graph", "k6", oracle.ArcListingCertifier),
+    ("ao-hyper", "k6-2u", oracle.PairListingCertifier),
+])
+@pytest.mark.parametrize("output", ["default", "flips", "perm"])
+def test_a_failed_certification_keeps_the_lines_before_it(
+        command, instance, certifier, output, tmp_path, capsys,
+        monkeypatch):
+    path = listing_instances(tmp_path)[instance]
+    flags = [] if output == "default" else ["--output", output]
+    rc, listing, _ = run(capsys, command, path, *flags)
+    assert rc == 0
+    fail_at_visit(monkeypatch, certifier, 300)
+    rc, out, err = run(capsys, command, path, "--certify", *flags)
+    # a flips listing has no line for the first visit
+    shown = 299 - (output == "flips")
+    assert rc == 1 and err == "error: visit 300 rejected\n"
+    assert out == "".join(listing.splitlines(keepends=True)[:shown])
+
+
+@pytest.mark.parametrize("command, instance", [
+    ("ao-graph", "k6"), ("ao-hyper", "k6-2u"), ("quotient", "t5p3")])
+def test_listings_stop_quietly_when_the_reader_goes_away(
+        command, instance, tmp_path, capsys, monkeypatch):
+    path = listing_instances(tmp_path)[instance]
+    rc, listing, _ = run(capsys, command, path)
+    stdout = FirstLineOnly()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([command, path]) == 0
+    assert stdout.getvalue() == listing[:listing.index("\n") + 1]
+
+
+class FailsOnce(CountingSink):
+    """A stdout whose second write fails with a broken pipe, and which
+    takes every write after it."""
+
+    def write(self, text):
+        if len(self.writes) == 1:
+            self.writes.append(None)
+            raise BrokenPipeError
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command, instance, flags", [
+    ("ao-graph", "k6", ["--certify"]), ("elim-trees", "p8", [])])
+def test_a_failed_block_is_not_written_again(command, instance, flags,
+                                             tmp_path, capsys, monkeypatch):
+    path = listing_instances(tmp_path)[instance]
+    rc, listing, _ = run(capsys, command, path)
+    stdout = FailsOnce()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([command, path] + flags) == 0
+    assert stdout.writes == [listing[:listing.index("\n") + 1], None]
