@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands parse instance files, stream Gray-code listings one line per
-visit, optionally certify them against the brute-force oracles, and
-export flip graphs as DOT.  Exit codes: 0 success, 1 invalid input or
-failed certification, 2 size cap exceeded.
+visit (written in blocks), optionally certify them against the
+brute-force oracles, and export flip graphs as DOT.  Exit codes: 0
+success, 1 invalid input or failed certification, 2 size cap exceeded.
 """
 
 import argparse
