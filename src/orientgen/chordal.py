@@ -73,8 +73,18 @@ class ChordalRun:
       each flip moves the swept vertex across the block of values it
       jumps in a position-indexed pair, and a read copies n entries.  A
       first call after the first flip pays one ``encode``;
+    - named_permutation(labels): the same permutation as the list of
+      ``labels[v]``, built at its first call and from then on moved by
+      the same delete and insert as the permutation, so a read is free;
     - digraph(): a Digraph built from the mask in O(n + m), for callers at
       the API edge.
+
+    The last movable vertex sweeps in one inner loop, a step per item of
+    its sorted clique; between two of its sweeps the focus pointers pick
+    one step of another vertex, so they are updated once per sweep of
+    the last vertex rather than at every step.  On K_n that loop makes
+    n - 1 of every n steps.  One helper, ``_move``, updates the tracked
+    permutation for both kinds of step.
 
     Sorting a clique compares its members through the mask bits of the
     edges between them, so state stays linear in n + m.  The sort takes
@@ -94,7 +104,7 @@ class ChordalRun:
 
     __slots__ = ("graph", "order", "visits", "comparisons",
                  "max_step_comparisons", "_mask", "_mask0", "_pi", "_pos",
-                 "_eid", "_orig", "_gen")
+                 "_names", "_labels", "_eid", "_orig", "_gen")
 
     def __init__(self, g, order):
         order = tuple(order)
@@ -120,6 +130,8 @@ class ChordalRun:
         self._orig = (0,) + order
         self._pi = None  # tracked from the first permutation() on
         self._pos = None
+        self._names = None  # tracked from the first named_permutation() on
+        self._labels = None
         self.visits = 0
         self.comparisons = 0
         self.max_step_comparisons = 0
@@ -157,6 +169,17 @@ class ChordalRun:
             self._pos = pos
             self._pi = pi
         return tuple(self._pi)
+
+    def named_permutation(self, labels):
+        """The current canonical permutation with each value v replaced
+        by ``labels[v]``.  The first call names the permutation once;
+        from then on each step moves the swept vertex's name as it moves
+        the vertex, so a read costs nothing.  The list returned is the
+        run's own: read it before the next step and do not change it."""
+        if self._names is None or labels is not self._labels:
+            self._names = [labels[v] for v in self.permutation()]
+            self._labels = labels
+        return self._names
 
     def digraph(self):
         """Digraph snapshot of the current orientation, original labels,
@@ -210,6 +233,50 @@ class ChordalRun:
             path.insert(lo, pivot)
         return path, count
 
+    def _sweep(self, items, lj):
+        """The members ``items`` in the order a sweep left (``lj``) or
+        right crosses them, the sort's lookups counted."""
+        path, c = self._sorted_path(items)
+        self.comparisons += c
+        if c > self.max_step_comparisons:
+            self.max_step_comparisons = c
+        if lj:
+            path.reverse()
+        return path
+
+    def _move(self, j, lj, i, nxt):
+        """Move j in the tracked permutation, and in the tracked names,
+        for the step that crosses i on a sweep left (``lj``) or right;
+        ``nxt`` is the member the sweep crosses next, 0 after its last."""
+        pi = self._pi
+        pos = self._pos
+        p = pos[j]
+        if nxt:
+            # directly before j's first out-neighbor: i after a jump
+            # left, the next one in line after a jump right
+            q = pos[i] if lj else pos[nxt] - 1
+        elif lj:
+            # a source now: left of every smaller value next to it
+            q = p - 1
+            while q >= 0 and pi[q] < j:
+                q -= 1
+            q += 1
+        else:
+            # a sink now: right of every smaller value next to it
+            q = p + 1
+            n = len(pi)
+            while q < n and pi[q] < j:
+                q += 1
+            q -= 1
+        del pi[p]
+        pi.insert(q, j)
+        for x in range(q, p + 1) if lj else range(p, q + 1):
+            pos[pi[x]] = x
+        names = self._names
+        if names is not None:
+            del names[p]
+            names.insert(q, self._labels[j])
+
     def _iterate(self):
         n = self.graph.n
         eid = self._eid
@@ -233,53 +300,45 @@ class ChordalRun:
         yield None
         if last == 0:
             return
-        sorted_path = self._sorted_path
+        sweep = self._sweep
+        move = self._move
         mask = self._mask
+        # the last movable vertex sweeps in one loop; between two of its
+        # sweeps the focus pointers pick one step of another vertex
+        lrecs = recs[last]
+        ldeg = deg[last]
+        lpre = prevm[last]
+        ll = True
         while True:
-            j = s[last]
+            path = sweep(lrecs, ll)
+            # at the sweep's x-th step (from 0) visits == base + x, and
+            # path[x + 1] is the member crossed next
+            base = self.visits
+            for i, k, leftarc, rightarc in path:
+                mask ^= 1 << k
+                self._mask = mask
+                if self._pi is not None:
+                    x = self.visits - base + 1
+                    move(last, ll, i, path[x][0] if x < ldeg else 0)
+                self.visits += 1
+                yield leftarc if ll else rightarc
+            ll = not ll
+            j = s[lpre]
             if j == 0:
                 return
+            s[lpre] = lpre
             tj = t[j]
             lj = left[j]
             if tj == 0:
-                path, c = sorted_path(recs[j])
-                self.comparisons += c
-                if c > self.max_step_comparisons:
-                    self.max_step_comparisons = c
-                if lj:
-                    path.reverse()
-                T[j] = path
+                T[j] = sweep(recs[j], lj)
             Tj = T[j]
             i, k, leftarc, rightarc = Tj[tj]
             tj += 1
             mask ^= 1 << k
             self._mask = mask
             ended = tj == deg[j]
-            pi = self._pi
-            if pi is not None:
-                pos = self._pos
-                p = pos[j]
-                if not ended:
-                    # directly before j's first out-neighbor: i after a
-                    # jump left, the next one in line after a jump right
-                    q = pos[i] if lj else pos[Tj[tj][0]] - 1
-                elif lj:
-                    # a source now: left of every smaller value next to it
-                    q = p - 1
-                    while q >= 0 and pi[q] < j:
-                        q -= 1
-                    q += 1
-                else:
-                    # a sink now: right of every smaller value next to it
-                    q = p + 1
-                    while q < n and pi[q] < j:
-                        q += 1
-                    q -= 1
-                del pi[p]
-                pi.insert(q, j)
-                for x in range(q, p + 1) if lj else range(p, q + 1):
-                    pos[pi[x]] = x
-            s[last] = last
+            if self._pi is not None:
+                move(j, lj, i, 0 if ended else Tj[tj][0])
             if ended:
                 left[j] = not lj
                 t[j] = 0

@@ -1,14 +1,21 @@
 """Command-line interface.
 
 Subcommands parse instance files, stream Gray-code listings one line per
-visit (written in blocks), optionally certify them against the
-brute-force oracles, and export flip graphs as DOT.  Exit codes: 0
+visit, optionally certify them against the brute-force oracles, and
+export flip graphs as DOT.  A listing command hands ``_listing`` an
+iterator of lines, built from the run with ``map`` or a generator
+expression, and ``_listing`` pulls them into blocks in C: no CLI code
+runs per visit of an ``ao-graph`` flips listing or of a count.  With
+``--certify``, ``_certified`` yields each step once the certifier has
+accepted it, so a rejected visit ends the listing after the lines
+before it.  Exit codes: 0
 success, 1 invalid input or failed certification, 2 size cap exceeded.
 """
 
 import argparse
 import sys
-from contextlib import contextmanager
+from collections import deque
+from itertools import islice
 
 from . import chordal, hypergen
 from .errors import CapExceeded, InputError
@@ -40,34 +47,45 @@ def _read(path):
 BLOCK_LINES = 256
 
 
-@contextmanager
-def _listing(out):
-    """Write the lines given to the yielded ``put`` in blocks: the first
+def _listing(out, lines):
+    """Write the lines of the iterator ``lines`` in blocks: the first
     line at once, so a listing shows its first visit without delay, then
-    one write per BLOCK_LINES lines, and what is left on leaving the
-    block, also when the listing fails.  A block is cleared before it is
-    written, so a failed write never sends the same text twice."""
+    one write per BLOCK_LINES lines, each block pulled by ``islice``, and
+    what is pending when the iterator raises.  ``list.extend`` keeps the
+    lines it took before the error, so a failed certification still
+    prints every line before the failing visit.  A block is cleared
+    before it is written, so a failed write never sends the same text
+    twice."""
     block = []
-    append = block.append
-    size = 1
-
-    def flush():
-        text = "".join(block)
-        block.clear()
-        out.write(text)
-
-    def put(line):
-        nonlocal size
-        append(line)
-        if len(block) >= size:
-            size = BLOCK_LINES
-            flush()
-
+    extend = block.extend
     try:
-        yield put
+        extend(islice(lines, 1))
+        while block:
+            text = "".join(block)
+            block.clear()
+            out.write(text)
+            extend(islice(lines, BLOCK_LINES))
     finally:
         if block:
-            flush()
+            text = "".join(block)
+            block.clear()
+            out.write(text)
+
+
+def _certified(run, visit, snapshot):
+    """The steps of ``run``, each yielded once ``visit`` has accepted
+    the ``snapshot()`` of the visit it reaches."""
+    for step in run:
+        visit(snapshot())
+        yield step
+
+
+def _kept(walk, trail):
+    """The visits of a quotient walk, the class of each kept in
+    ``trail``."""
+    for visit in walk:
+        trail.append(visit[1])
+        yield visit
 
 
 def _label_lines(n, sep=" "):
@@ -77,10 +95,27 @@ def _label_lines(n, sep=" "):
     return lambda seq: join([name[v] for v in seq]) + "\n"
 
 
+def _perm_sep(n):
+    """Separator of a permutation line of 1..n: single digits
+    concatenate, wider alphabets get spaces."""
+    return "" if n <= 9 else " "
+
+
 def _perm_lines(n):
-    """Line maker for permutations of 1..n: single digits concatenate,
-    wider alphabets get spaces."""
-    return _label_lines(n, "" if n <= 9 else " ")
+    """Line maker for permutations of 1..n."""
+    return _label_lines(n, _perm_sep(n))
+
+
+def _arc_lines(steps, arcs, line):
+    """Lines of an arcs listing: ``line`` starts as the text of every arc
+    of the first visit, and each later step rewrites the edge it flips;
+    ``arcs`` maps an arc to its edge and its text."""
+    join = " ".join
+    for step in steps:
+        if step is not None:
+            k, arc = arcs[step]
+            line[k] = arc
+        yield join(line) + "\n"
 
 
 def _no_dot_combo(args, *flags):
@@ -134,33 +169,28 @@ def _cmd_ao_graph(args, out):
         return 0
     run = chordal.generate(g, order)
     cert = ArcListingCertifier(g) if args.certify else None
-    output = None if args.count_only else args.output
-    if output in ("arcs", "flips"):
-        # every arc either way round: the edge it orients, its text, and
-        # its line in a flips listing
-        text = {}
-        for k, (x, y) in enumerate(g.edges):
-            for arc in ((x, y), (y, x)):
-                t = "%d %d" % arc
-                text[arc] = (k, t, t + "\n")
-        line = [text[d][1] for d in run.digraph().arcs]
-    elif output == "perm":
-        perm_line = _perm_lines(g.n)
-    with _listing(out) as put:
-        for step in run:
-            if cert is not None:
-                cert.visit(run.mask())
-            if output == "arcs":
-                if step is not None:
-                    k, arc, _ = text[step]
-                    line[k] = arc
-                put(" ".join(line) + "\n")
-            elif output == "perm":
-                put(perm_line(run.permutation()))
-            elif output == "flips" and step is not None:
-                put(text[step][2])
+    steps = run if cert is None else _certified(run, cert.visit, run.mask)
     if args.count_only:
+        deque(steps, 0)
         out.write("%d\n" % run.visits)
+    elif args.output == "perm":
+        names = [str(v) for v in range(g.n + 1)]
+        join = _perm_sep(g.n).join
+        named = run.named_permutation
+        _listing(out, (join(named(names)) + "\n" for _ in steps))
+    else:
+        # every arc either way round: the edge it orients and its text
+        arcs = {}
+        for k, (x, y) in enumerate(g.edges):
+            arcs[x, y] = k, "%d %d" % (x, y)
+            arcs[y, x] = k, "%d %d" % (y, x)
+        if args.output == "flips":
+            flip_line = {arc: t + "\n" for arc, (_, t) in arcs.items()}
+            next(steps)  # the first visit flips no arc
+            _listing(out, map(flip_line.__getitem__, steps))
+        else:
+            line = [arcs[d][1] for d in run.digraph().arcs]
+            _listing(out, _arc_lines(steps, arcs, line))
     if cert is not None:
         out.write("certified %d orientations\n" % cert.finish())
     if args.counters:
@@ -196,23 +226,24 @@ def _cmd_ao_hyper(args, out):
     run = hypergen.generate(h, order)
     cert = PairListingCertifier(h) if args.certify else None
     trace = []
-    heads_line = _label_lines(h.n)
-    perm_line = _perm_lines(h.n)
-    with _listing(out) as put:
-        for step in run:
-            if cert is not None:
-                cert.visit(run.heads())
-                trace.append(run.permutation())
-            if args.count_only:
-                continue
-            if args.output == "heads":
-                put(heads_line(run.heads()))
-            elif args.output == "perm":
-                put(perm_line(run.permutation()))
-            elif step is not None:
-                put("%d %d\n" % step)
+    steps = run
+    if cert is not None:
+        def visit(heads):
+            cert.visit(heads)
+            trace.append(run.permutation())
+        steps = _certified(run, visit, run.heads)
     if args.count_only:
+        deque(steps, 0)
         out.write("%d\n" % run.visits)
+    elif args.output == "heads":
+        heads_line = _label_lines(h.n)
+        _listing(out, (heads_line(run.heads()) for _ in steps))
+    elif args.output == "perm":
+        perm_line = _perm_lines(h.n)
+        _listing(out, (perm_line(run.permutation()) for _ in steps))
+    else:
+        next(steps)  # the first visit flips no pair
+        _listing(out, map("%d %d\n".__mod__, steps))
     if cert is not None:
         count = cert.finish()
         _check_jump_trace(cert, run.order, trace)
@@ -222,23 +253,18 @@ def _cmd_ao_hyper(args, out):
 
 def _cmd_elim_trees(args, out):
     g = parse_graph(_read(args.file))
-    count = 0
-    with _listing(out) as put:
-        if args.output == "perm":
-            run, _ = hypergen.elim_run(g)
-            perm_line = _perm_lines(g.n)
-            for _ in run:
-                count += 1
-                if not args.count_only:
-                    put(perm_line(run.permutation()))
-        else:
-            forest_line = _label_lines(g.n)
-            for parent in hypergen.generate_elim_forests(g):
-                count += 1
-                if not args.count_only:
-                    put(forest_line(parent))
+    if args.output == "perm":
+        run, _ = hypergen.elim_run(g)
+        perm_line = _perm_lines(g.n)
+        visits = run
+        lines = (perm_line(run.permutation()) for _ in run)
+    else:
+        visits = hypergen.generate_elim_forests(g)
+        lines = map(_label_lines(g.n), visits)
     if args.count_only:
-        out.write("%d\n" % count)
+        out.write("%d\n" % sum(1 for _ in visits))
+    else:
+        _listing(out, lines)
     return 0
 
 
@@ -266,17 +292,18 @@ def _cmd_quotient(args, out):
     else:
         c = identity_congruence(p)
     trail = []
-    perm_line = _perm_lines(d.n)
-    with _listing(out) as put:
-        for mask, cls in generate_quotient_path(d, c):
-            trail.append(cls)
-            if args.count_only or args.output == "dot":
-                continue
-            if args.output == "classes":
-                members = [mask] + [m for m in c.classes[cls] if m != mask]
-                put(" ".join(format(m, "x") for m in members) + "\n")
-            else:
-                put(perm_line(p.permutation_of(mask)))
+    visits = _kept(generate_quotient_path(d, c), trail)
+    if args.count_only or args.output == "dot":
+        deque(visits, 0)
+    elif args.output == "classes":
+        def line(mask, cls):
+            members = [mask] + [m for m in c.classes[cls] if m != mask]
+            return " ".join(format(m, "x") for m in members) + "\n"
+        _listing(out, (line(mask, cls) for mask, cls in visits))
+    else:
+        perm_line = _perm_lines(d.n)
+        _listing(out, (perm_line(p.permutation_of(mask))
+                       for mask, _ in visits))
     fg = None
     if args.output == "dot" or args.certify:
         fg = quotient_cover_graph(c.classes)

@@ -416,3 +416,148 @@ def test_clique_sort_orders_64_items_and_more():
         (path, count), (ref_path, _) = clique_sort_case(pi, items)
         assert path == ref_path == [(v,) for v in pi]
         assert count <= k * math.ceil(math.log2(k))
+
+
+class ReferenceStepRun(ChordalRun):
+    """A run stepped as first written: the focus pointers pick every
+    step, the last movable vertex's included, and the tracked
+    permutation moves inline."""
+
+    __slots__ = ()
+
+    def _iterate(self):
+        n = self.graph.n
+        eid = self._eid
+        orig = self._orig
+        recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]))
+                 for i, k in eid[j].items()] for j in range(n + 1)]
+        deg = [len(r) for r in recs]
+        movable = [j for j in range(1, n + 1) if deg[j]]
+        prevm = [0] * (n + 1)
+        last = 0
+        for j in movable:
+            prevm[j] = last
+            last = j
+        T = [None] * (n + 1)
+        t = [0] * (n + 1)
+        left = [True] * (n + 1)
+        s = list(range(n + 1))
+        self.visits = 1
+        yield None
+        if last == 0:
+            return
+        sorted_path = self._sorted_path
+        mask = self._mask
+        while True:
+            j = s[last]
+            if j == 0:
+                return
+            tj = t[j]
+            lj = left[j]
+            if tj == 0:
+                path, c = sorted_path(recs[j])
+                self.comparisons += c
+                if c > self.max_step_comparisons:
+                    self.max_step_comparisons = c
+                if lj:
+                    path.reverse()
+                T[j] = path
+            Tj = T[j]
+            i, k, leftarc, rightarc = Tj[tj]
+            tj += 1
+            mask ^= 1 << k
+            self._mask = mask
+            ended = tj == deg[j]
+            pi = self._pi
+            if pi is not None:
+                pos = self._pos
+                p = pos[j]
+                if not ended:
+                    q = pos[i] if lj else pos[Tj[tj][0]] - 1
+                elif lj:
+                    q = p - 1
+                    while q >= 0 and pi[q] < j:
+                        q -= 1
+                    q += 1
+                else:
+                    q = p + 1
+                    while q < n and pi[q] < j:
+                        q += 1
+                    q -= 1
+                del pi[p]
+                pi.insert(q, j)
+                for x in range(q, p + 1) if lj else range(p, q + 1):
+                    pos[pi[x]] = x
+            s[last] = last
+            if ended:
+                left[j] = not lj
+                t[j] = 0
+                pj = prevm[j]
+                s[j] = s[pj]
+                s[pj] = pj
+            else:
+                t[j] = tj
+            self.visits += 1
+            yield leftarc if lj else rightarc
+
+
+def engine_state(run):
+    return (run.mask(), run.visits, run.flips, run.comparisons,
+            run.max_step_comparisons)
+
+
+def assert_steps_like_reference(g, perm_from, names_from):
+    """The run and the reference agree on the step and the counters at
+    every visit.  The run's permutation is read from visit ``perm_from``
+    on and its named permutation from ``names_from`` on (None: never);
+    the reference's permutation is read at every visit."""
+    order = find_peo(g)
+    run = ChordalRun(g, order)
+    ref = ReferenceStepRun(g, order)
+    names = ["v%d" % v for v in range(g.n + 1)]
+    end = object()
+    visit = 0
+    for step, ref_step in zip_longest(run, ref, fillvalue=end):
+        visit += 1
+        assert step == ref_step
+        assert engine_state(run) == engine_state(ref)
+        expect = ref.permutation()
+        if perm_from is not None and visit >= perm_from:
+            assert run.permutation() == expect
+        if names_from is not None and visit >= names_from:
+            assert run.named_permutation(names) == [names[v] for v in expect]
+    assert visit == count_ao_graph(g)
+    assert run.permutation() == ref.permutation()
+
+
+@pytest.mark.parametrize("perm_from, names_from",
+                         [(None, None), (1, 1), (37, 37), (1, 37)],
+                         ids=["unread", "read-from-1", "first-read-at-37",
+                              "named-first-at-37"])
+def test_engine_steps_like_reference(perm_from, names_from):
+    for n in range(1, 9):
+        assert_steps_like_reference(complete_graph(n), perm_from, names_from)
+    for g in snapshot_corpus():
+        assert_steps_like_reference(g, perm_from, names_from)
+
+
+def test_visit_37_of_k8_falls_mid_sweep():
+    # the first reads at visit 37 land inside a sweep of the last vertex
+    g = complete_graph(8)
+    order = find_peo(g)
+    steps = list(islice(ChordalRun(g, order), 36, 38))
+    assert all(order[-1] in step for step in steps)
+
+
+def test_named_permutation_is_named_once_per_labels():
+    run = generate(complete_graph(4))
+    names = [str(v) for v in range(5)]
+    other = ["x%d" % v for v in range(5)]
+    for _ in islice(run, 5):
+        pass
+    assert run.named_permutation(names) is run.named_permutation(names)
+    assert run.named_permutation(other) == ["x%d" % v
+                                            for v in run.permutation()]
+    for _ in run:
+        assert run.named_permutation(other) == ["x%d" % v
+                                                for v in run.permutation()]

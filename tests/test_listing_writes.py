@@ -1,16 +1,25 @@
 """No listing command writes once per visit.
 
-``ao-graph``, ``ao-hyper``, ``elim-trees`` and ``quotient`` hand their
-per-visit lines to the ``put`` of ``cli._listing``, which writes them in
-blocks of ``cli.BLOCK_LINES``.  A loop that reaches ``out.write`` itself
-brings back one write per visit, about a third of the time of a K_9
-``flips`` listing, so no loop of these commands may name ``out.write``.
+``ao-graph``, ``ao-hyper``, ``elim-trees`` and ``quotient`` hand an
+iterator of their per-visit lines to ``cli._listing``, which pulls them
+into blocks of ``cli.BLOCK_LINES`` and writes one block at a time.  A
+loop that reaches ``out.write`` itself brings back one write per visit,
+about a third of the time of a K_9 ``flips`` listing, so no loop of
+these commands may name ``out.write``.  An ``ao-graph`` flips listing
+and a count run no code of ``cli.py`` per visit at all: the number of
+calls into it does not grow with the graph.
 """
 
 import ast
 import inspect
+import io
+import sys
+
+import pytest
 
 from orientgen import cli
+from orientgen.fileio import format_graph
+from orientgen.graphs import complete_graph
 
 LISTING_COMMANDS = ("_cmd_ao_graph", "_cmd_ao_hyper", "_cmd_elim_trees",
                     "_cmd_quotient")
@@ -58,3 +67,38 @@ def test_the_check_sees_a_per_visit_write():
     found, seen = loop_writes(tree, ("_cmd_a", "_cmd_b"))
     assert seen == {"_cmd_a", "_cmd_b"}
     assert found == {("_cmd_a", 3), ("_cmd_b", 8)}
+
+
+def cli_calls(argv):
+    """Calls into the code of ``cli.py``, generator resumptions included,
+    that ``cli.main(argv)`` makes, with stdout sent to a buffer."""
+    source = cli.main.__code__.co_filename
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == source:
+            calls += 1
+
+    stdout = sys.stdout
+    sys.stdout = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(None)
+        sys.stdout = stdout
+    assert code == 0
+    return calls
+
+
+@pytest.mark.parametrize("flags", [["--output", "flips"], ["--count-only"]],
+                         ids=["flips", "count-only"])
+def test_no_cli_code_runs_per_visit(flags, tmp_path):
+    # K_5 has 120 visits and K_6 720
+    calls = []
+    for n in (5, 6):
+        path = tmp_path / ("k%d.g" % n)
+        path.write_text(format_graph(complete_graph(n)))
+        calls.append(cli_calls(["ao-graph", str(path)] + flags))
+    assert calls[0] == calls[1]
