@@ -67,9 +67,7 @@ def _listing(out, lines):
             extend(islice(lines, BLOCK_LINES))
     finally:
         if block:
-            text = "".join(block)
-            block.clear()
-            out.write(text)
+            out.write("".join(block))
 
 
 def _certified(run, visit, snapshot):
