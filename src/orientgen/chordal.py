@@ -5,13 +5,14 @@ differ in a single arc.  Vertices are swept largest first; each sweep
 slides one vertex between being a source and being a sink inside its
 prefix subgraph, which in permutation terms is a sequence of minimal
 jumps (plain changes when the graph is complete).  A step costs what it
-changes: one bit of the orientation mask and, once the canonical
-permutation has been read, the positions of the values the swept vertex
-jumps in it, plus one sort of the vertex's smaller neighbors per sweep.
-That sort is a binary insertion after the leading run, each comparison
-one inline lookup of a mask bit, and ``comparisons`` counts those
-lookups.  Snapshots are read off that state rather than rebuilt, and no
-table grows faster than n + m.
+changes: one bit of the orientation mask, two entries of a precedence
+map when the flipped edge lies inside a clique that a sweep sorts, and,
+once the canonical permutation has been read, one delete and one insert
+of the swept vertex in it, plus one sort of the vertex's smaller
+neighbors per sweep.  That sort is a binary insertion after the leading
+run, each comparison one lookup in the precedence map, and
+``comparisons`` counts those lookups.  Snapshots are read off that state
+rather than rebuilt, and no table grows faster than n + m.
 """
 
 from .errors import InputError
@@ -57,6 +58,24 @@ def encode(d):
     return tuple(pi)
 
 
+def _halvings(size):
+    """Table t with t[end][lo] the number of halvings a binary search of
+    ``lo, hi = 0, end`` makes before it stops at ``lo``, for every end
+    below ``size``.  The first halving at ``mid = end >> 1`` leaves the
+    searches of ``0, mid`` and of ``mid + 1, end``, which halves as one
+    of ``0, end - mid - 1`` does."""
+    table = [[0]]
+    for end in range(1, size):
+        mid = end >> 1
+        table.append([d + 1 for d in table[mid] + table[end - mid - 1]])
+    return table
+
+
+# shared by every run whose cliques have at most 64 members, which
+# covers every listing that can finish; a larger clique builds its own
+_HALVINGS = _halvings(64)
+
+
 class ChordalRun:
     """Single-pass iterator over all acyclic orientations of a chordal
     graph, one arc flip at a time.
@@ -70,9 +89,9 @@ class ChordalRun:
       in O(1);
     - permutation(): the canonical permutation (``encode`` of the
       orientation in elimination coordinates).  From its first call on,
-      each flip moves the swept vertex across the block of values it
-      jumps in a position-indexed pair, and a read copies n entries.  A
-      first call after the first flip pays one ``encode``;
+      each flip moves the swept vertex by one delete and one insert,
+      its positions found by ``list.index``, and a read copies n
+      entries.  A first call after the first flip pays one ``encode``;
     - named_permutation(labels): the same permutation as the list of
       ``labels[v]``, built at its first call and from then on moved by
       the same delete and insert as the permutation, so a read is free;
@@ -86,16 +105,21 @@ class ChordalRun:
     n - 1 of every n steps.  One helper, ``_move``, updates the tracked
     permutation for both kinds of step.
 
-    Sorting a clique compares its members through the mask bits of the
-    edges between them, so state stays linear in n + m.  The sort takes
-    the leading run, reversed when strictly descending, and inserts the
-    rest by binary search: ``list.sort``'s algorithm below 64 items,
-    with the same comparisons.  Counter attributes `visits`, `flips`,
-    `comparisons` (mask lookups of the sorts) and `max_step_comparisons`
-    (the most in one sort) accumulate as the run advances.  From 64
-    items on ``list.sort`` would merge runs and compare differently;
-    the counters stay the binary insertion's.  Such a clique means at
-    least 65! orientations.
+    A sweep sorts the vertex's clique (its smaller neighbors) through a
+    precedence map: ``_prec[a][b]`` is true iff edge {a, b} now points
+    a -> b.  It holds only the edges between two members of one clique,
+    the only pairs a sort compares, so it never holds an edge of the
+    last movable vertex or of a path; it is built in O(n + m) and the
+    other vertices' steps keep it current with two stores per flip.
+    The sort takes the leading run, reversed when strictly descending,
+    and inserts the rest by binary search: ``list.sort``'s algorithm
+    below 64 items, with the same comparisons.  Each insertion counts
+    the halvings its search made from a table up to the largest clique.
+    Counter attributes `visits`, `flips`, `comparisons` (map lookups of
+    the sorts) and `max_step_comparisons` (the most in one sort)
+    accumulate as the run advances.  From 64 items on ``list.sort``
+    would merge runs and compare differently; the counters stay the
+    binary insertion's.  Such a clique means at least 65! orientations.
 
     ``order`` must be a perfect elimination order of g and is not
     checked: ``generate`` checks a given one, and ``find_peo`` verifies
@@ -103,8 +127,8 @@ class ChordalRun:
     """
 
     __slots__ = ("graph", "order", "visits", "comparisons",
-                 "max_step_comparisons", "_mask", "_mask0", "_pi", "_pos",
-                 "_names", "_labels", "_eid", "_orig", "_gen")
+                 "max_step_comparisons", "_mask", "_prec", "_steps",
+                 "_recs", "_pi", "_names", "_labels", "_gen")
 
     def __init__(self, g, order):
         order = tuple(order)
@@ -125,11 +149,38 @@ class ChordalRun:
                 a, b = b, a
                 flipped[k] = "1"
             eid[b][a] = k
-        self._mask = self._mask0 = int("".join(reversed(flipped)) or "0", 2)
-        self._eid = eid
-        self._orig = (0,) + order
+        self._mask = int("".join(reversed(flipped)) or "0", 2)
+        # the rest of a clique lies in the clique of its largest member,
+        # so the edges from that member to the rest, over every clique,
+        # are all the edges between two members of one clique; each
+        # starts toward its larger end
+        prec = [None] * (n + 1)
+        for below in eid:
+            if len(below) > 1:
+                top = max(below)
+                pt = prec[top]
+                if pt is None:
+                    pt = prec[top] = {}
+                for a in below:
+                    if a != top:
+                        pa = prec[a]
+                        if pa is None:
+                            pa = prec[a] = {}
+                        pa[top] = True
+                        pt[a] = False
+        self._prec = prec
+        size = max(map(len, eid))
+        self._steps = _HALVINGS if size <= 64 else _halvings(size)
+        # per vertex j, per smaller neighbor i in edge order: i, the edge,
+        # the arc a flip makes when j sweeps left, and right, and the
+        # entries prec[j] and prec[i] the flip updates (None if no sort
+        # compares i with j)
+        orig = (0,) + order
+        self._recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]),
+                        (prec[j], prec[i]) if prec[j] and i in prec[j]
+                        else None)
+                       for i, k in eid[j].items()] for j in range(n + 1)]
         self._pi = None  # tracked from the first permutation() on
-        self._pos = None
         self._names = None  # tracked from the first named_permutation() on
         self._labels = None
         self.visits = 0
@@ -163,10 +214,6 @@ class ChordalRun:
                 pi = list(encode(relabel_digraph(self.digraph(), self.order)))
             else:
                 pi = list(range(1, self.graph.n + 1))
-            pos = [-1] * (len(pi) + 1)
-            for k, v in enumerate(pi):
-                pos[v] = k
-            self._pos = pos
             self._pi = pi
         return tuple(self._pi)
 
@@ -186,60 +233,48 @@ class ChordalRun:
         arc k corresponding to edge k."""
         return orient(self.graph, self._mask)
 
-    def _sorted_path(self, items):
-        """Current linear order of a clique, source first, by orientation
-        lookups; ``items`` are tuples led by the members.  Returns a new
-        list and the number of lookups, which below 64 items are those
-        of ``list.sort``: its leading run, then its binary insertion."""
-        back = self._mask ^ self._mask0  # edges now toward their earlier end
-        eid = self._eid
+    def _sweep(self, items, lj):
+        """The members ``items``, tuples led by the members of a clique,
+        in the order a sweep left (``lj``) or right crosses them: sorted
+        source first by precedence lookups, which are counted, and
+        reversed for a sweep left.  Returns a new list."""
         n = len(items)
         if n < 2:
-            return list(items), 0
-        # s precedes r iff the edge between them points from s to r: it
-        # started toward the later of the two, and a set bit of back
-        # means it has turned
+            return list(items)
+        prec = self._prec
+        # the leading run: ascending, or strictly descending when the
+        # second member precedes the first
         r = items[0][0]
         s = items[1][0]
-        desc = (back >> eid[s][r] & 1 if r < s
-                else back >> eid[r][s] & 1 ^ 1)
-        count = 1
+        desc = prec[s][r]
         run = 2
         while run < n:
             r = s
             s = items[run][0]
-            count += 1
-            if (back >> eid[s][r] & 1 if r < s
-                    else back >> eid[r][s] & 1 ^ 1) != desc:
+            if prec[s][r] != desc:
                 break
             run += 1
+        # one lookup per pair of the run, and one for the pair that broke it
+        count = run if run < n else n - 1
         path = items[run - 1::-1] if desc else items[:run]
+        steps = self._steps
         for end in range(run, n):
             pivot = items[end]
-            p = pivot[0]
-            ep = eid[p]
+            pp = prec[pivot[0]]
             lo = 0
             hi = end
             while lo < hi:
                 mid = (lo + hi) >> 1
-                m = path[mid][0]
-                count += 1
                 # does the pivot precede path[mid]?
-                if (back >> ep[m] & 1 if m < p
-                        else back >> eid[m][p] & 1 ^ 1):
+                if pp[path[mid][0]]:
                     hi = mid
                 else:
                     lo = mid + 1
+            count += steps[end][lo]
             path.insert(lo, pivot)
-        return path, count
-
-    def _sweep(self, items, lj):
-        """The members ``items`` in the order a sweep left (``lj``) or
-        right crosses them, the sort's lookups counted."""
-        path, c = self._sorted_path(items)
-        self.comparisons += c
-        if c > self.max_step_comparisons:
-            self.max_step_comparisons = c
+        self.comparisons += count
+        if count > self.max_step_comparisons:
+            self.max_step_comparisons = count
         if lj:
             path.reverse()
         return path
@@ -249,12 +284,11 @@ class ChordalRun:
         for the step that crosses i on a sweep left (``lj``) or right;
         ``nxt`` is the member the sweep crosses next, 0 after its last."""
         pi = self._pi
-        pos = self._pos
-        p = pos[j]
+        p = pi.index(j)
         if nxt:
             # directly before j's first out-neighbor: i after a jump
             # left, the next one in line after a jump right
-            q = pos[i] if lj else pos[nxt] - 1
+            q = pi.index(i) if lj else pi.index(nxt, p) - 1
         elif lj:
             # a source now: left of every smaller value next to it
             q = p - 1
@@ -270,8 +304,6 @@ class ChordalRun:
             q -= 1
         del pi[p]
         pi.insert(q, j)
-        for x in range(q, p + 1) if lj else range(p, q + 1):
-            pos[pi[x]] = x
         names = self._names
         if names is not None:
             del names[p]
@@ -279,12 +311,7 @@ class ChordalRun:
 
     def _iterate(self):
         n = self.graph.n
-        eid = self._eid
-        orig = self._orig
-        # per vertex j, per smaller neighbor i in edge order: i, the edge,
-        # and the arc a flip makes when j sweeps left, and right
-        recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]))
-                 for i, k in eid[j].items()] for j in range(n + 1)]
+        recs = self._recs
         deg = [len(r) for r in recs]
         movable = [j for j in range(1, n + 1) if deg[j]]
         prevm = [0] * (n + 1)
@@ -314,7 +341,7 @@ class ChordalRun:
             # at the sweep's x-th step (from 0) visits == base + x, and
             # path[x + 1] is the member crossed next
             base = self.visits
-            for i, k, leftarc, rightarc in path:
+            for i, k, leftarc, rightarc, _ in path:
                 mask ^= 1 << k
                 self._mask = mask
                 if self._pi is not None:
@@ -332,10 +359,15 @@ class ChordalRun:
             if tj == 0:
                 T[j] = sweep(recs[j], lj)
             Tj = T[j]
-            i, k, leftarc, rightarc = Tj[tj]
+            i, k, leftarc, rightarc, link = Tj[tj]
             tj += 1
             mask ^= 1 << k
             self._mask = mask
+            if link:
+                # j now precedes i after a jump left, follows it after
+                # a jump right
+                link[0][i] = lj
+                link[1][j] = not lj
             ended = tj == deg[j]
             if self._pi is not None:
                 move(j, lj, i, 0 if ended else Tj[tj][0])
@@ -368,4 +400,3 @@ def generate(g, order=None):
         if not is_peo(g, order):
             raise InputError("order is not a perfect elimination order")
     return ChordalRun(g, order)
-

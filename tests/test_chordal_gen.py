@@ -309,46 +309,75 @@ def test_permutation_first_read_mid_run():
             assert run.permutation() == encode(relabel_digraph(d, run.order))
 
 
-def test_memory_is_linear():
-    # an (n+1)^2 table on this path would alone take 16 MB
-    g = path_graph(4000)
+def path_run_peak(n):
+    """Peak traced bytes of a run over the first 1,001 visits of P_n."""
+    g = path_graph(n)
     tracemalloc.start()
     try:
-        run = ChordalRun(g, tuple(range(1, 4001)))
+        run = ChordalRun(g, tuple(range(1, n + 1)))
         for _ in islice(run, 1001):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert run.visits == 1001
-    assert peak < 4 * 2 ** 20
+    return peak
 
 
-def reference_sorted_path(run, items):
+def test_memory_is_linear():
+    # an (n+1)^2 table on this path would alone take 16 MB
+    assert path_run_peak(4000) < 4 * 2 ** 20
+
+
+def test_memory_is_linear_on_a_long_path():
+    # an n-bit set per vertex would take about 40 MB here
+    assert path_run_peak(20000) < 20 * 2 ** 20
+
+
+def elimination_arcs(d, order):
+    """The arcs of d in the elimination coordinates of ``order``."""
+    rank = {v: x for x, v in enumerate(order, 1)}
+    return {(rank[a], rank[b]) for a, b in d.arcs}
+
+
+def reference_sort(arcs, items):
     """The clique sort as first written: ``sorted`` with a comparison
-    function that counts its calls."""
-    back = run._mask ^ run._mask0
-    eid = run._eid
+    function that counts its calls; ``items`` are tuples led by
+    members, and r precedes s iff (r, s) is in ``arcs``."""
     count = [0]
 
     def cmp(r, s):
         count[0] += 1
-        u = r[0]
-        v = s[0]
-        if u < v:
-            return 1 if back >> eid[v][u] & 1 else -1
-        return -1 if back >> eid[u][v] & 1 else 1
+        return -1 if (r[0], s[0]) in arcs else 1
 
     return sorted(items, key=cmp_to_key(cmp)), count[0]
 
 
+def reference_sorted_path(run, items):
+    """``reference_sort`` on the run's current orientation, read from
+    its Digraph snapshot."""
+    return reference_sort(elimination_arcs(run.digraph(), run.order), items)
+
+
 class ReferenceSortRun(ChordalRun):
-    """A run whose cliques are sorted by ``reference_sorted_path``."""
+    """A run whose cliques are sorted by ``reference_sorted_path`` where
+    the engine sorts them; ``sorts`` counts the sorts made there."""
 
-    __slots__ = ()
+    __slots__ = ("sorts",)
 
-    def _sorted_path(self, items):
-        return reference_sorted_path(self, items)
+    def __init__(self, g, order):
+        super().__init__(g, order)
+        self.sorts = 0
+
+    def _sweep(self, items, lj):
+        self.sorts += 1
+        path, c = reference_sorted_path(self, items)
+        self.comparisons += c
+        if c > self.max_step_comparisons:
+            self.max_step_comparisons = c
+        if lj:
+            path.reverse()
+        return path
 
 
 def assert_sorts_like_reference(g, limit=None):
@@ -363,6 +392,9 @@ def assert_sorts_like_reference(g, limit=None):
         assert step == ref_step
         assert run.comparisons == ref.comparisons
         assert run.max_step_comparisons == ref.max_step_comparisons
+    # the engine sorted through the hook: the reference run did not
+    # compare the engine's sort with itself
+    assert ref.sorts > 0 or ref.visits == 1
 
 
 def test_clique_sort_matches_reference_runs():
@@ -380,14 +412,20 @@ def test_clique_sort_matches_reference_on_large_cliques():
 
 
 def clique_sort_case(pi, items):
-    """The insertion sort and the reference on ``items``, tuples led by
-    members of the clique 1..k, in a K_(k+1) run whose current
-    orientation orders the clique as ``pi``."""
+    """The engine's sort and the reference on ``items``, tuples led by
+    members of the clique 1..k, each as (path, lookups), in a
+    K_(k+1) run whose precedence map is set to the orientation that
+    orders the clique as ``pi``."""
     k = len(pi)
     g = complete_graph(k + 1)
     run = ChordalRun(g, range(1, k + 2))
-    run._mask = orientation_mask(g, decode(g, tuple(pi) + (k + 1,)))
-    return run._sorted_path(items), reference_sorted_path(run, items)
+    arcs = elimination_arcs(decode(g, tuple(pi) + (k + 1,)), run.order)
+    for a, b in arcs:
+        if max(a, b) <= k:
+            run._prec[a][b] = True
+            run._prec[b][a] = False
+    path = run._sweep(items, False)
+    return (path, run.comparisons), reference_sort(arcs, items)
 
 
 def test_clique_sort_makes_list_sort_comparisons_below_64_items():
@@ -418,19 +456,53 @@ def test_clique_sort_orders_64_items_and_more():
         assert count <= k * math.ceil(math.log2(k))
 
 
-class ReferenceStepRun(ChordalRun):
-    """A run stepped as first written: the focus pointers pick every
-    step, the last movable vertex's included, and the tracked
-    permutation moves inline."""
+def test_precedence_map_holds_only_clique_edges():
+    # the precedence map holds the edges inside the cliques a sweep
+    # sorts: none of the last vertex's, none of a path's
+    g = complete_graph(5)
+    run = ChordalRun(g, range(1, 6))
+    held = {(a, b) for a, row in enumerate(run._prec) if row for b in row}
+    assert held == {(a, b) for a in range(1, 5) for b in range(1, 5)
+                    if a != b}
+    run = ChordalRun(path_graph(6), range(1, 7))
+    assert not any(run._prec)
 
-    __slots__ = ()
+
+class ReferenceStepRun(ChordalRun):
+    """A run stepped as first written, from its own state: the edges
+    and initial mask read off the graph and the order, the focus
+    pointers picking every step, the last movable vertex's included,
+    each clique sorted by ``reference_sorted_path``, and the
+    permutation tracked from the first visit through a position array.
+    ``longest_jump`` is the most places one step moved a vertex, and
+    ``larger_stops`` counts the moves of a new source or sink whose
+    scan stopped at a larger value rather than at an end."""
+
+    __slots__ = ("_ref_pi", "longest_jump", "larger_stops")
+
+    def permutation(self):
+        return tuple(self._ref_pi)
 
     def _iterate(self):
-        n = self.graph.n
-        eid = self._eid
-        orig = self._orig
-        recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]))
-                 for i, k in eid[j].items()] for j in range(n + 1)]
+        g = self.graph
+        n = g.n
+        rank = {v: x for x, v in enumerate(self.order, 1)}
+        orig = (0,) + self.order
+        recs = [[] for _ in range(n + 1)]
+        mask = 0
+        for k, (x, y) in enumerate(g.edges):
+            a = rank[x]
+            b = rank[y]
+            if a > b:
+                a, b = b, a
+                mask |= 1 << k
+            recs[b].append((a, k, (orig[b], orig[a]), (orig[a], orig[b])))
+        self._mask = mask
+        pi = list(range(1, n + 1))
+        pos = [-1] + list(range(n))
+        self._ref_pi = pi
+        self.longest_jump = 0
+        self.larger_stops = 0
         deg = [len(r) for r in recs]
         movable = [j for j in range(1, n + 1) if deg[j]]
         prevm = [0] * (n + 1)
@@ -446,8 +518,6 @@ class ReferenceStepRun(ChordalRun):
         yield None
         if last == 0:
             return
-        sorted_path = self._sorted_path
-        mask = self._mask
         while True:
             j = s[last]
             if j == 0:
@@ -455,7 +525,7 @@ class ReferenceStepRun(ChordalRun):
             tj = t[j]
             lj = left[j]
             if tj == 0:
-                path, c = sorted_path(recs[j])
+                path, c = reference_sorted_path(self, recs[j])
                 self.comparisons += c
                 if c > self.max_step_comparisons:
                     self.max_step_comparisons = c
@@ -468,26 +538,26 @@ class ReferenceStepRun(ChordalRun):
             mask ^= 1 << k
             self._mask = mask
             ended = tj == deg[j]
-            pi = self._pi
-            if pi is not None:
-                pos = self._pos
-                p = pos[j]
-                if not ended:
-                    q = pos[i] if lj else pos[Tj[tj][0]] - 1
-                elif lj:
-                    q = p - 1
-                    while q >= 0 and pi[q] < j:
-                        q -= 1
-                    q += 1
-                else:
-                    q = p + 1
-                    while q < n and pi[q] < j:
-                        q += 1
+            p = pos[j]
+            if not ended:
+                q = pos[i] if lj else pos[Tj[tj][0]] - 1
+            elif lj:
+                q = p - 1
+                while q >= 0 and pi[q] < j:
                     q -= 1
-                del pi[p]
-                pi.insert(q, j)
-                for x in range(q, p + 1) if lj else range(p, q + 1):
-                    pos[pi[x]] = x
+                self.larger_stops += q >= 0
+                q += 1
+            else:
+                q = p + 1
+                while q < n and pi[q] < j:
+                    q += 1
+                self.larger_stops += q < n
+                q -= 1
+            del pi[p]
+            pi.insert(q, j)
+            for x in range(q, p + 1) if lj else range(p, q + 1):
+                pos[pi[x]] = x
+            self.longest_jump = max(self.longest_jump, abs(p - q))
             s[last] = last
             if ended:
                 left[j] = not lj
@@ -506,12 +576,13 @@ def engine_state(run):
             run.max_step_comparisons)
 
 
-def assert_steps_like_reference(g, perm_from, names_from):
+def assert_steps_like_reference(g, perm_from, names_from, order=None):
     """The run and the reference agree on the step and the counters at
     every visit.  The run's permutation is read from visit ``perm_from``
     on and its named permutation from ``names_from`` on (None: never);
-    the reference's permutation is read at every visit."""
-    order = find_peo(g)
+    the reference's permutation is read at every visit.  ``order`` is
+    ``find_peo``'s unless given.  Returns the reference."""
+    order = find_peo(g) if order is None else tuple(order)
     run = ChordalRun(g, order)
     ref = ReferenceStepRun(g, order)
     names = ["v%d" % v for v in range(g.n + 1)]
@@ -528,6 +599,7 @@ def assert_steps_like_reference(g, perm_from, names_from):
             assert run.named_permutation(names) == [names[v] for v in expect]
     assert visit == count_ao_graph(g)
     assert run.permutation() == ref.permutation()
+    return ref
 
 
 @pytest.mark.parametrize("perm_from, names_from",
@@ -539,6 +611,28 @@ def test_engine_steps_like_reference(perm_from, names_from):
         assert_steps_like_reference(complete_graph(n), perm_from, names_from)
     for g in snapshot_corpus():
         assert_steps_like_reference(g, perm_from, names_from)
+
+
+def long_jump_graph():
+    """A seeded chordal graph on 13 vertices, 18 edges and 41,472
+    orientations, the shape of the benchmark's random graph."""
+    rng = random.Random(7920)
+    while True:
+        g = corpus.random_chordal(13, rng)
+        if len(g.edges) == 18 and count_ao_graph(g) == 41472:
+            return g
+
+
+def test_engine_steps_like_reference_on_long_jumps():
+    ref = assert_steps_like_reference(long_jump_graph(), 1, 37)
+    assert ref.longest_jump >= 11
+
+
+def test_engine_steps_like_reference_past_isolated_larger_vertices():
+    # K_5 on 1..5 with 6 and 7 isolated: a new sink's scan stops at 6
+    g = Graph(7, [(a, b) for a in range(1, 6) for b in range(a + 1, 6)])
+    ref = assert_steps_like_reference(g, 1, 37, range(1, 8))
+    assert ref.larger_stops > 0
 
 
 def test_visit_37_of_k8_falls_mid_sweep():

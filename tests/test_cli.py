@@ -2,12 +2,15 @@
 
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
 import time
 
 import pytest
 
+import orientgen
 from orientgen import chordal, corpus, graphs, hypergen, hypergraphs, oracle
 from orientgen.cli import BLOCK_LINES, main
 from orientgen.errors import InputError
@@ -752,6 +755,24 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "ao-graph" in out and "quotient" in out
+
+
+def test_python_m_orientgen_runs_the_command_line(tmp_path, capsys):
+    # the package run as a module, against this source tree
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        orientgen.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for name, text, flags in [("k4.g", format_graph(complete_graph(4)),
+                               ["--output", "perm", "--counters"]),
+                              ("c4.g", C4_TEXT, [])]:
+        argv = ["ao-graph", put(tmp_path, name, text)] + flags
+        done = subprocess.run([sys.executable, "-m", "orientgen"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys,
+                                                                  *argv)
 
 
 # ------------------------------------------------------------ block writes
