@@ -42,8 +42,11 @@ the order searches work: ``heo`` on three shuffled seeded random
 hypergraphs and the building set of a shuffled P_6, ``quotient --output
 perm --certify`` on three shuffled skeletal references, ``classify`` on
 C_4 oriented as the vertebrate witness beside 12 isolated vertices and
-on the directed P_12, and ``ao-graph --certify --count-only`` on K_4,
-P_5 and K_3 side by side.
+on the directed P_12, ``ao-graph --certify --count-only`` on K_4,
+P_5 and K_3 side by side, and ``ao-hyper --certify``, with and without
+``--count-only``, on the three shuffled random hypergraphs and the
+building set of a shuffled P_5, so that the permutation-trace check
+relabels its input (34,560 head vectors and 42 orientations for P_5).
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots (the ``r9`` and ``k7`` ones by the engine that
@@ -61,7 +64,9 @@ flip-graph DOT export.  The ``disjoint`` and ``r200`` ``peo`` files were
 written by the quadratic lexicographic BFS that took a maximum over all
 unvisited vertices' labels at every step.  The search corpus files were
 written by the searches that still backtracked over a memo of failed
-vertex sets, and by the inclusion-exclusion count of orientations.  To rewrite them after a
+vertex sets, and by the inclusion-exclusion count of orientations, and
+its ``ao-hyper --certify`` files by the encoder that still built the
+restriction poset of every level.  To rewrite them after a
 deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -162,23 +167,30 @@ WITNESS_FILES = {
 # instance files whose order the searches must find: shuffled random
 # hypergraphs and a building set, shuffled skeletal references
 SEARCH_HEO = ("rh1.h", "rh2.h", "rh3.h", "bp6.h")
+# shuffled inputs whose permutation trace ao-hyper --certify checks after
+# relabeling: the random hypergraphs and the building set of a shuffled
+# P_5, whose head-vector product (34,560) is under the cap
+CERTIFY_HEO = ("rh1.h", "rh2.h", "rh3.h", "bp5.h")
 SEARCH_QUOTIENT = ("skel1.d", "skel2.d", "skel3.d")
-# (command, instance file, extra arguments); the output of each case is
-# the file's base name, a dot, the command and ".out"
+# (command, instance file, extra arguments, tag); the output of each
+# case is the file's base name, a dot, the command, a dash and the tag if
+# it has one, and ".out"
 COMMAND_CASES = (
-    [("flipgraph", f, []) for f in ("k4.g", "p5.g", "c4.g")]
-    + [("flipgraph", f, ["--hyper"]) for f in ("prefix4.h", "c4-2u.h")]
-    + [("classify", f, [])
+    [("flipgraph", f, [], "") for f in ("k4.g", "p5.g", "c4.g")]
+    + [("flipgraph", f, ["--hyper"], "") for f in ("prefix4.h", "c4-2u.h")]
+    + [("classify", f, [], "")
        for f in list(WITNESS_FILES.values()) + ["t4-relabeled.d"]]
-    + [("peo", f, [])
+    + [("peo", f, [], "")
        for f in ("r10.g", "r12.g", "path40.g", "disjoint.g", "r200.g")]
-    + [("heo", f, []) for f in ("h54.h", "prefix4.h")]
-    + [("building-set", f, []) for f in ("p5.g", "k4.g")]
-    + [("heo", f, []) for f in SEARCH_HEO]
-    + [("quotient", f, ["--output", "perm", "--certify"])
+    + [("heo", f, [], "") for f in ("h54.h", "prefix4.h")]
+    + [("building-set", f, [], "") for f in ("p5.g", "k4.g")]
+    + [("heo", f, [], "") for f in SEARCH_HEO]
+    + [("quotient", f, ["--output", "perm", "--certify"], "")
        for f in SEARCH_QUOTIENT]
-    + [("classify", f, []) for f in ("c4-iso12.d", "dpath12.d")]
-    + [("ao-graph", "k4p5k3.g", ["--certify", "--count-only"])]
+    + [("classify", f, [], "") for f in ("c4-iso12.d", "dpath12.d")]
+    + [("ao-graph", "k4p5k3.g", ["--certify", "--count-only"], "")]
+    + [("ao-hyper", f, ["--certify"] + extra, tag) for f in CERTIFY_HEO
+       for extra, tag in (([], ""), (["--count-only"], "count"))]
 )
 
 
@@ -295,7 +307,7 @@ def search_instances():
 
     Three seeded random hypergraphs with a hyperfect elimination order,
     at least four hyperedges of two or more vertices each, shuffled; the
-    building set of a shuffled P_6; three skeletal references, shuffled
+    building set of a shuffled P_6 and of a shuffled P_5; three skeletal references, shuffled
     until their own labels are not peo-consistent; C_4 oriented as the
     vertebrate witness beside 12 isolated vertices; the directed P_12;
     and K_4, P_5 and K_3 side by side."""
@@ -312,6 +324,8 @@ def search_instances():
             relabel_hypergraph(h, order))
     files["bp6.h"] = format_hypergraph(
         graphical_building_set(shuffled_path(6, rng)))
+    files["bp5.h"] = format_hypergraph(
+        graphical_building_set(shuffled_path(5, random.Random(5))))
     for k, d in enumerate(corpus.skeletal_references(3, rng), 1):
         r = d
         while is_identity_peo_consistent(r):
@@ -355,8 +369,13 @@ def disjoint_graph(rng):
     return relabel_graph(Graph(n, g.edges), order)
 
 
-def _command_out(command, fname):
-    return "%s.%s.out" % (fname.rsplit(".", 1)[0], command)
+def _command_name(command, fname, tag, sep):
+    name = fname.rsplit(".", 1)[0] + sep + command
+    return name + "-" + tag if tag else name
+
+
+def _command_out(command, fname, tag):
+    return _command_name(command, fname, tag, ".") + ".out"
 
 
 def _run(name, args, capsys):
@@ -395,12 +414,12 @@ def test_ao_hyper_output_is_golden(name, mode, args, capsys):
 
 
 @pytest.mark.parametrize(
-    "command,fname,extra", COMMAND_CASES,
-    ids=["%s-%s" % (c[1].rsplit(".", 1)[0], c[0]) for c in COMMAND_CASES])
-def test_command_output_is_golden(command, fname, extra, capsys):
+    "command,fname,extra,tag", COMMAND_CASES,
+    ids=[_command_name(c[0], c[1], c[3], "-") for c in COMMAND_CASES])
+def test_command_output_is_golden(command, fname, extra, tag, capsys):
     rc = main([command, os.path.join(GOLDEN, fname)] + extra)
     assert rc == 0
-    with open(os.path.join(GOLDEN, _command_out(command, fname)),
+    with open(os.path.join(GOLDEN, _command_out(command, fname, tag)),
               newline="") as handle:
         assert capsys.readouterr().out == handle.read()
 
@@ -413,7 +432,7 @@ def test_command_corpus_covers_missing_orders():
     files = search_instances()
     for name in SEARCH_QUOTIENT:
         assert not is_identity_peo_consistent(parse_digraph(files[name]))
-    for name in SEARCH_HEO:
+    for name in SEARCH_HEO + CERTIFY_HEO:
         h = parse_hypergraph(files[name])
         assert find_heo(h) not in (None, tuple(range(1, h.n + 1)))
 
@@ -482,8 +501,8 @@ def _regenerate():
         _write("%s.%s.out" % (name, mode), _capture(_quotient_argv(name, mode)))
     for name, text in command_instances().items():
         _write(name, text)
-    for command, fname, extra in COMMAND_CASES:
-        _write(_command_out(command, fname), _capture(
+    for command, fname, extra, tag in COMMAND_CASES:
+        _write(_command_out(command, fname, tag), _capture(
             [command, os.path.join(GOLDEN, fname)] + extra))
 
 
