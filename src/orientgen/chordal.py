@@ -18,44 +18,30 @@ rather than rebuilt, and no table grows faster than n + m.
 from .errors import InputError
 from .graphs import (Digraph, find_peo, is_acyclic, is_peo, label_map, orient,
                      relabel_digraph)
+from .hypergraphs import permutation_from_orientation
 
 
 def decode(g, pi):
     """Orientation of g directing every edge toward the endpoint that
     appears further right in pi."""
-    pi = tuple(pi)
-    if sorted(pi) != list(range(1, g.n + 1)):
-        raise InputError("not a permutation of 1..%d" % g.n)
-    pos = [0] * (g.n + 1)
-    for k, v in enumerate(pi):
-        pos[v] = k
-    arcs = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in g.edges]
-    return Digraph(g.n, arcs)
+    pos = label_map(g.n, pi)
+    return Digraph(g.n, [(a, b) if pos[a] < pos[b] else (b, a)
+                         for a, b in g.edges])
 
 
 def encode(d):
     """Canonical permutation of an acyclic orientation.
 
     The underlying graph must be in perfect elimination order (each
-    vertex's smaller neighbors form a clique).  Value i is placed by its
-    orientation against its smaller neighbors: a sink is appended, a
-    source is prepended, and otherwise i lands directly before its first
-    out-neighbor, the unique one not reachable through another.  The
-    result is a linear extension of d, and decode inverts it.
+    vertex's smaller neighbors form a clique).  Its arcs are 2-uniform
+    hyperedges headed at their ends for ``permutation_from_orientation``.
+    The result is a linear extension of d, and decode inverts it.
     """
     if not is_acyclic(d):
         raise InputError("orientation is cyclic")
-    pi = []
-    for i in range(1, d.n + 1):
-        outs = [v for v in d.out[i] if v < i]
-        if not outs:
-            pi.append(i)
-            continue
-        if all(v >= i for v in d.inn[i]):
-            pi.insert(0, i)
-            continue
-        pi.insert(min(pi.index(v) for v in outs), i)
-    return tuple(pi)
+    return permutation_from_orientation(
+        d.n, [(i, j) if i < j else (j, i) for i, j in d.arcs],
+        [j for _, j in d.arcs])
 
 
 def _halvings(size):

@@ -29,7 +29,7 @@ from .oracle import (ArcListingCertifier, PairListingCertifier,
                      build_flip_graph, certify_hamilton_path,
                      check_ao_graph_cap, check_ao_hyper_cap, count_ao_graph,
                      enumerate_ao_graph, enumerate_ao_hyper, flip_graph_dot,
-                     one_arc_flip, pair_flip_relation, quotient_cover_graph)
+                     pair_flip_relation, quotient_cover_graph)
 from .quotients import (Congruence, build_ar_poset, classify,
                         forcing_closure, generate_quotient_path,
                         identity_congruence, peo_consistent_order)
@@ -125,20 +125,21 @@ def _no_dot_combo(args, *flags):
 
 
 def _graph_dot(out, g, name, make_run):
-    """Write the arc-flip graph of g's acyclic orientations as DOT, with
-    the listing of the run that ``make_run()`` starts marked as its path,
-    or no path if it returns None.
+    """Write the arc-flip graph of g's acyclic orientations as DOT, its
+    nodes their masks, joined when they differ in one bit, with the
+    listing of the run that ``make_run()`` starts marked as its path, or
+    no path if it returns None.
 
     The cap is tested before the run starts, so an oversized graph exits
     2 even when it is not chordal; the run starts before the orientations
     are enumerated, so a graph it rejects exits 1 at once."""
     check_ao_graph_cap(g)
     run = make_run()
-    fg = build_flip_graph(enumerate_ao_graph(g), one_arc_flip)
-    path = None if run is None else [run.digraph() for _ in run]
-    out.write(flip_graph_dot(
-        fg, path=path, name=name,
-        labeler=lambda d: format(orientation_mask(g, d), "x")))
+    masks = [orientation_mask(g, d) for d in enumerate_ao_graph(g)]
+    fg = build_flip_graph(masks, lambda a, b: (a ^ b).bit_count() == 1)
+    path = None if run is None else [run.mask() for _ in run]
+    out.write(flip_graph_dot(fg, path=path, name=name,
+                             labeler=lambda f: format(f, "x")))
 
 
 def _hyper_dot(out, h, name, make_run):

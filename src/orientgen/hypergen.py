@@ -5,7 +5,8 @@ forests of chordal graphs.
 The engine mirrors the chordal one: vertices are swept largest first, and
 the swept vertex walks down its restriction poset from maximal to minimal
 and back, one cover at a time.  Each step is realized as a single pair
-flip of heads, and in permutation terms as a minimal jump.
+flip of heads, and in permutation terms as a minimal jump.  ``encode``
+reads it off the heads, by the rule ``chordal.encode`` shares.
 """
 
 from .errors import InputError
@@ -16,55 +17,31 @@ from .hypergraphs import (
     graphical_building_set,
     is_acyclic_orientation,
     is_heo,
-    poset_of,
+    permutation_from_orientation,
     relabel_hypergraph,
-    restrict,
 )
 
 
 def encode(h, o):
     """Canonical permutation of an acyclic orientation of a hypergraph in
-    hyperfect elimination order (identity labeling).
-
-    Vertices are placed in increasing order: one that is maximal in its
-    restriction poset is appended, a minimal one is prepended, and any
-    other lands directly before its unique cover.  The result is a linear
-    extension of the orientation's poset, and
-    ``orientation_from_permutation`` inverts it.
+    hyperfect elimination order (identity labeling), placed by
+    ``permutation_from_orientation``: a linear extension of the
+    orientation's poset, which ``orientation_from_permutation`` inverts.
     """
     return encode_all(h, [o])[0]
 
 
 def encode_all(h, orientations):
     """``encode`` of each orientation in turn.  The elimination order is
-    checked once, and the restrictions of h are built once."""
+    checked once."""
     if not is_heo(h, tuple(range(1, h.n + 1))):
         raise InputError("hypergraph is not in hyperfect elimination order")
-    levels = [(i, restrict(h, i),
-               [k for k, e in enumerate(h.edges) if e[-1] <= i])
-              for i in range(1, h.n + 1)]
     out = []
     for o in orientations:
         o = check_orientation(h, o)
         if not is_acyclic_orientation(h, o):
             raise InputError("orientation is cyclic")
-        pi = []
-        for i, sub, ks in levels:
-            poset = poset_of(sub, tuple(o[k] for k in ks))
-            if not poset.above[i]:
-                pi.append(i)
-                continue
-            covers = [b for a, b in poset.covers if a == i]
-            if not any(b == i for _, b in poset.covers):
-                # i has nothing below: minimal
-                pi.insert(0, i)
-                continue
-            if len(covers) != 1:
-                # excluded by the elimination order
-                raise InputError("vertex %d has %d covers in its "
-                                 "restriction poset" % (i, len(covers)))
-            pi.insert(pi.index(covers[0]), i)
-        out.append(tuple(pi))
+        out.append(permutation_from_orientation(h.n, h.edges, o))
     return out
 
 

@@ -7,12 +7,13 @@ An orientation is acyclic when the digraph of arcs v -> head (for every
 non-head member v of every hyperedge) has no directed cycle; singleton
 hyperedges never contribute arcs.  The acyclicity test and the
 orientation poset run ``graphs.topological_order`` and
-``graphs.reach_masks`` on that digraph.
+``graphs.reach_masks`` on that digraph.  ``permutation_from_orientation``
+is the one permutation encoding, of graphs too, read off the heads alone.
 """
 
 from itertools import combinations, product
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, effective_cap
 from .graphs import label_map, reach_masks, topological_order
 
 
@@ -261,14 +262,13 @@ def is_building_set(h):
     return True
 
 
-def graphical_building_set(g, cap=None):
+def graphical_building_set(g):
     """The hypergraph of all connected induced vertex subsets of g.
 
     Hyperedges are emitted sorted by size then lexicographically.  Raises
-    CapExceeded when more than ``cap`` subsets exist (default 10**6).
+    CapExceeded when more subsets exist than the cap (``effective_cap``).
     """
-    if cap is None:
-        cap = 10 ** 6
+    cap = effective_cap()
     found = set()
     frontier = []
     for v in range(1, g.n + 1):
@@ -294,16 +294,41 @@ def graphical_building_set(g, cap=None):
     return Hypergraph(g.n, edges)
 
 
+def permutation_from_orientation(n, edges, heads):
+    """The canonical permutation of sorted vertex tuples ``edges`` over
+    1..n headed at ``heads``, unchecked.  Vertex i = 1..n is appended when
+    no edge of two or more members with largest member i points away from
+    i, prepended when all of them do, and otherwise inserted directly
+    before the leftmost head they point to.  Under a perfect or hyperfect
+    elimination order of an acyclic orientation that head is i's unique
+    cover c: an edge A holding i headed at h != c has a witness X inside
+    A-i holding c and h, acyclicity heads X at h, so c precedes h already.
+    The result is a linear extension of the orientation's poset."""
+    away = [0] * (n + 1)  # per i, the heads its edges point to, as bits
+    toward = [False] * (n + 1)
+    for e, head in zip(edges, heads):
+        top = e[-1]
+        if head != top:
+            away[top] |= 1 << head
+        elif len(e) > 1:
+            toward[top] = True
+    pi = []
+    for i in range(1, n + 1):
+        up = away[i]
+        if not up:
+            pi.append(i)
+        elif not toward[i]:
+            pi.insert(0, i)
+        else:
+            pi.insert(next(k for k, v in enumerate(pi) if up >> v & 1), i)
+    return tuple(pi)
+
+
 def orientation_from_permutation(h, pi):
     """Orientation heading every hyperedge at its member that appears
     furthest right in the permutation pi."""
-    pi = tuple(pi)
-    if sorted(pi) != list(range(1, h.n + 1)):
-        raise InputError("pi is not a permutation of 1..%d" % h.n)
-    pos = [0] * (h.n + 1)
-    for k, v in enumerate(pi):
-        pos[v] = k
-    return tuple(max(e, key=lambda v: pos[v]) for e in h.edges)
+    pos = label_map(h.n, pi)
+    return tuple(max(e, key=pos.__getitem__) for e in h.edges)
 
 
 def orientation_to_elim_forest(bg, heads):

@@ -16,7 +16,6 @@ from collections import defaultdict
 from functools import partial
 from itertools import combinations
 
-from .chordal import decode as _perm_decode, encode as _perm_encode
 from .errors import CapExceeded, InputError, effective_cap
 from .graphs import (
     Digraph,
@@ -25,10 +24,11 @@ from .graphs import (
     is_acyclic_mask,
     is_peo,
     is_simplicial,
-    orient,
+    label_map,
     orientation_mask,
     reach_masks,
 )
+from .hypergraphs import permutation_from_orientation
 from .oracle import check_ao_graph_cap
 
 
@@ -238,11 +238,6 @@ class ARPoset:
     def leq(a, b):
         return a & b == a
 
-    def digraph_of(self, mask):
-        """The reorientation as a Digraph; arc k keeps position k."""
-        self.index(mask)
-        return orient(self.graph, self.base ^ mask)
-
     def upper_covers(self, mask):
         return self._up[self.index(mask)]
 
@@ -297,16 +292,24 @@ class ARPoset:
                 "reference labeling is not a perfect elimination order")
 
     def permutation_of(self, mask):
-        """The permutation encoding of a reorientation; requires the
-        reference labeling to be a perfect elimination order.
-        """
+        """The permutation encoding of a reorientation, read off its
+        heads; requires the reference labeling to be a perfect
+        elimination order."""
         self._require_peo()
-        return _perm_encode(self.digraph_of(mask))
+        self.index(mask)
+        f = self.base ^ mask
+        edges = self.graph.edges
+        return permutation_from_orientation(
+            self.graph.n, edges,
+            [(v, u)[f >> k & 1] for k, (u, v) in enumerate(edges)])
 
     def mask_of(self, pi):
         """Inverse of ``permutation_of``."""
         self._require_peo()
-        return orientation_mask(self.graph, _perm_decode(self.graph, pi)) ^ self.base
+        pos = label_map(self.graph.n, pi)
+        return self.base ^ sum(1 << k for k, (u, v)
+                               in enumerate(self.graph.edges)
+                               if pos[u] > pos[v])
 
 
 def _least(above, i, j):

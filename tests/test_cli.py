@@ -26,6 +26,8 @@ from orientgen.hypergraphs import Hypergraph
 from orientgen.quotients import (build_ar_poset, generate_quotient_path,
                                  identity_congruence)
 
+from test_graphs import built_digraphs
+
 SJT3 = ["123", "132", "312", "321", "231", "213"]
 
 K3_TEXT = format_graph(complete_graph(3))
@@ -218,6 +220,19 @@ def test_ao_graph_cap_exceeded(tmp_path, capsys, monkeypatch):
     assert rc == 2 and "cap" in err
     rc, _, _ = run(capsys, "ao-graph", path, "--count-only")
     assert rc == 0  # plain generation never materializes the listing
+
+
+@pytest.mark.parametrize("command", [["ao-graph", "--output", "dot"],
+                                     ["flipgraph"]])
+def test_graph_dot_builds_no_digraph_beyond_the_enumerated_ones(
+        command, tmp_path, capsys, monkeypatch):
+    g = corpus.random_chordal(6, random.Random(3))
+    path = put(tmp_path, "g.txt", format_graph(g))
+    built = built_digraphs(monkeypatch)
+    rc, out, _ = run(capsys, command[0], path, *command[1:])
+    count = oracle.count_ao_graph(g)
+    assert rc == 0 and out.count("path=1") == count - 1
+    assert len(built) == count
 
 
 def test_ao_graph_dot_rejects_certify(tmp_path, capsys):
@@ -721,6 +736,16 @@ def test_flipgraph_hyper_searches_its_order_once(tmp_path, capsys,
     rc, out, _ = run(capsys, "flipgraph", path, "--hyper")
     assert rc == 0 and out.count("path=1") == 7
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["building-set", "elim-trees"])
+def test_building_set_reads_the_cap(command, tmp_path, capsys, monkeypatch):
+    # K_4 has 15 connected vertex subsets
+    monkeypatch.setenv("ORIENTGEN_CAP", "10")
+    path = put(tmp_path, "k4.txt", format_graph(complete_graph(4)))
+    rc, out, err = run(capsys, command, path)
+    assert rc == 2 and out == ""
+    assert "graphical building set exceeds cap of 10" in err
 
 
 def test_building_set_round_trips(tmp_path, capsys):

@@ -35,6 +35,19 @@ def cycle_graph(n):
     return Graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
+def built_digraphs(monkeypatch):
+    """The argument tuples of every Digraph built from now on, in a list
+    that grows as they are built."""
+    built = []
+    real = Digraph.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+    monkeypatch.setattr(Digraph, "__init__", counting)
+    return built
+
+
 def transitive_reduction(d):
     """Arc set of the transitive reduction of an acyclic digraph.
 

@@ -5,13 +5,15 @@ from itertools import product
 
 import pytest
 
-from orientgen import corpus
-from orientgen.chordal import generate as generate_graph
+from orientgen import corpus, hypergen, hypergraphs
+from orientgen.chordal import encode as encode_graph, generate as generate_graph
 from orientgen.errors import InputError
 from orientgen.graphs import (
+    Digraph,
     Graph,
     complete_graph,
     find_peo,
+    orient,
     path_graph,
     relabel_graph,
 )
@@ -32,6 +34,7 @@ from orientgen.hypergraphs import (
     orientation_to_elim_forest,
     poset_of,
     relabel_hypergraph,
+    restrict,
 )
 from orientgen.jumps import LanguageOracle, algorithm_J
 from orientgen.oracle import (
@@ -40,8 +43,9 @@ from orientgen.oracle import (
     enumerate_ao_hyper,
     pair_flip_relation,
 )
+from orientgen.quotients import build_ar_poset, sylvester_congruence
 
-from test_graphs import cycle_graph
+from test_graphs import built_digraphs, cycle_graph
 from test_hypergraphs import pair_flip
 from test_jumps import is_zigzag_language
 
@@ -131,6 +135,93 @@ def test_encode_all_matches_encode():
     with pytest.raises(InputError, match="^hypergraph is not in hyperfect "
                                          "elimination order$"):
         encode_all(square, [(2, 3, 4, 4)])
+
+
+def reference_encode(h, o):
+    """The encoding built from the restriction poset of every level, the
+    library's before the placement rule read heads alone: at level i,
+    vertex i is appended when nothing is above it, prepended when nothing
+    is below it, and otherwise inserted before its unique cover."""
+    pi = []
+    for i in range(1, h.n + 1):
+        ks = [k for k, e in enumerate(h.edges) if e[-1] <= i]
+        poset = poset_of(restrict(h, i), tuple(o[k] for k in ks))
+        covers = [b for a, b in poset.covers if a == i]
+        if not covers:
+            pi.append(i)
+        elif not any(b == i for _, b in poset.covers):
+            pi.insert(0, i)
+        else:
+            assert len(covers) == 1
+            pi.insert(pi.index(covers[0]), i)
+    return tuple(pi)
+
+
+def encoding_hypergraphs():
+    """Hypergraphs in hyperfect elimination order under the identity: the
+    ones among every hypergraph on up to 3 vertices with up to 6
+    hyperedges, the relabeled ``heo_corpus()``, and the building sets of
+    the chordal graphs on up to 4 vertices relabeled by a perfect
+    elimination order."""
+    out = [h for n in range(1, 4) for h in corpus.all_hypergraphs(n, 6)
+           if is_heo(h, tuple(range(1, n + 1)))]
+    out += [relabel_hypergraph(h, find_heo(h)) for h in corpus.heo_corpus()]
+    out += [graphical_building_set(relabel_graph(g, find_peo(g)))
+            for g in corpus.chordal_graphs(4)]
+    return out
+
+
+def encoding_references():
+    """Digraphs whose labeling is a perfect elimination order: T_1..T_5
+    and seeded skeletal references."""
+    return ([orient(complete_graph(n), 0) for n in range(1, 6)]
+            + corpus.skeletal_references(12, random.Random(29)))
+
+
+def test_one_encoding_matches_the_per_level_posets():
+    hypers = encoding_hypergraphs()
+    assert len(hypers) > 200
+    for h in hypers:
+        orientations = enumerate_ao_hyper(h)
+        expect = [reference_encode(h, o) for o in orientations]
+        assert encode_all(h, orientations) == expect
+        if all(len(e) <= 2 for e in h.edges):
+            assert [encode_graph(Digraph(h.n, [(sum(e) - v, v) for e, v
+                                               in zip(h.edges, o)
+                                               if len(e) == 2]))
+                    for o in orientations] == expect
+        for o, pi in zip(orientations, expect):
+            assert orientation_from_permutation(h, pi) == o
+    for d in encoding_references():
+        p = build_ar_poset(d)
+        h = Hypergraph(d.n, p.graph.edges)
+        for f in p.elements:
+            od = orient(p.graph, p.base ^ f)
+            pi = reference_encode(h, [j for _, j in od.arcs])
+            assert p.permutation_of(f) == encode_graph(od) == pi
+            assert p.mask_of(pi) == f
+
+
+def test_encode_all_reads_no_restriction_poset(monkeypatch):
+    def banned(*args):
+        raise AssertionError("per-level restriction or poset built")
+    for name in ("restrict", "poset_of"):
+        monkeypatch.setattr(hypergraphs, name, banned)
+        monkeypatch.setattr(hypergen, name, banned, raising=False)
+    for h in (PREFIX_H, stanley_pitman(4), two_uniform(complete_graph(4)),
+              graphical_building_set(path_graph(4))):
+        assert len(encode_all(h, enumerate_ao_hyper(h))) > 1
+
+
+def test_reorientation_encodings_build_no_digraph(monkeypatch):
+    posets = [build_ar_poset(d) for d in encoding_references()]
+    t4 = posets[3]
+    built = built_digraphs(monkeypatch)
+    for p in posets:
+        for f in p.elements:
+            assert p.mask_of(p.permutation_of(f)) == f
+    assert len(sylvester_congruence(t4)) == 14
+    assert built == []
 
 
 def test_encode_is_linear_extension():

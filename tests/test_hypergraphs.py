@@ -388,14 +388,15 @@ def test_chordal_building_set_iff_identity_heo():
         assert is_chordal_building_set(h) == is_heo(h, tuple(range(1, h.n + 1)))
 
 
-def test_graphical_building_set():
+def test_graphical_building_set(monkeypatch):
     b = graphical_building_set(path_graph(3))
     assert set(b.edges) == {(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)}
     assert len(graphical_building_set(complete_graph(3)).edges) == 7
     b = graphical_building_set(Graph(3, []))
     assert set(b.edges) == {(1,), (2,), (3,)}
+    monkeypatch.setenv("ORIENTGEN_CAP", "10")
     with pytest.raises(CapExceeded):
-        graphical_building_set(complete_graph(6), cap=10)
+        graphical_building_set(complete_graph(6))
 
 
 def test_building_set_restriction_of_chordal_graph():

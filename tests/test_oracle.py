@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from orientgen import chordal, oracle, quotients
+from orientgen import chordal, hypergraphs, oracle, quotients
 from orientgen.errors import CapExceeded, InputError, effective_cap
 from orientgen.graphs import (
     Graph,
@@ -69,7 +69,7 @@ def test_the_cap_has_one_setting(monkeypatch):
                oracle.check_ao_hyper_cap, oracle.enumerate_ao_hyper,
                oracle.ArcListingCertifier, oracle.certify_arc_listing,
                oracle.PairListingCertifier, quotients.build_ar_poset,
-               effective_cap):
+               hypergraphs.graphical_building_set, effective_cap):
         assert "cap" not in inspect.signature(fn).parameters, fn
     monkeypatch.setenv("ORIENTGEN_CAP", "5")
     assert effective_cap() == 5
