@@ -372,24 +372,27 @@ def _cmd_selftest(args, out):
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors exit 1 with a single-line diagnostic; exit code 2
-    stays reserved for exceeded size caps."""
+    stays reserved for exceeded size caps.
+
+    A command's parser is given ``add_arguments``, the function that adds
+    its arguments, and calls it when it first parses: a call adds the
+    arguments of the command it names and of no other."""
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def build_parser():
-    parser = _Parser(
-        prog="orientgen",
-        description="Gray-code listings of acyclic orientations and "
-                    "lattice quotients, with oracle certification.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="COMMAND")
-
-    pa = sub.add_parser(
-        "ao-graph",
-        help="arc-flip listing of the acyclic orientations of a chordal "
-             "graph")
+def _ao_graph_arguments(pa):
     pa.add_argument("file", help="graph file: 'n m' header, one edge per "
                                  "line")
     pa.add_argument("--peo", choices=("auto", "given"), default="auto",
@@ -407,10 +410,8 @@ def build_parser():
                     help="check the listing against the brute-force oracle")
     pa.set_defaults(func=_cmd_ao_graph)
 
-    ph = sub.add_parser(
-        "ao-hyper",
-        help="pair-flip listing of the acyclic orientations of a "
-             "hypergraph with a hyperfect elimination order")
+
+def _ao_hyper_arguments(ph):
     ph.add_argument("file", help="hypergraph file: 'n m' header, then "
                                  "'k v1 .. vk' per hyperedge")
     ph.add_argument("--order", choices=("auto", "given"), default="auto",
@@ -426,10 +427,8 @@ def build_parser():
                     help="check the listing against the brute-force oracle")
     ph.set_defaults(func=_cmd_ao_hyper)
 
-    pe = sub.add_parser(
-        "elim-trees",
-        help="rotation listing of the elimination forests of a chordal "
-             "graph")
+
+def _elim_trees_arguments(pe):
     pe.add_argument("file", help="graph file")
     pe.add_argument("--output", choices=("forest", "perm"),
                     default="forest",
@@ -439,10 +438,8 @@ def build_parser():
                     help="print only the number of forests")
     pe.set_defaults(func=_cmd_elim_trees)
 
-    pq = sub.add_parser(
-        "quotient",
-        help="Hamilton path in the cover graph of a lattice quotient of "
-             "an acyclic digraph's reorientation lattice")
+
+def _quotient_arguments(pq):
     pq.add_argument("file", help="digraph file: 'n m' header, one arc per "
                                  "line")
     group = pq.add_mutually_exclusive_group()
@@ -466,48 +463,66 @@ def build_parser():
                          "graph")
     pq.set_defaults(func=_cmd_quotient)
 
-    pc = sub.add_parser(
-        "classify",
-        help="print the reorientation class of a digraph: not_acyclic, "
-             "acyclic, vertebrate, peo_consistent, or skeletal")
-    pc.add_argument("file", help="digraph file")
-    pc.set_defaults(func=_cmd_classify)
 
-    pp = sub.add_parser("peo",
-                        help="print a perfect elimination order of a "
-                             "chordal graph")
-    pp.add_argument("file", help="graph file")
-    pp.set_defaults(func=_cmd_peo)
+def _file_arguments(func, help):
+    """The arguments of a command that reads one file and runs func."""
+    def add_arguments(p):
+        p.add_argument("file", help=help)
+        p.set_defaults(func=func)
+    return add_arguments
 
-    pho = sub.add_parser("heo",
-                         help="print a hyperfect elimination order of a "
-                              "hypergraph")
-    pho.add_argument("file", help="hypergraph file")
-    pho.set_defaults(func=_cmd_heo)
 
-    pf = sub.add_parser(
-        "flipgraph",
-        help="DOT flip graph over all acyclic orientations, generator "
-             "path highlighted when one exists")
+def _flipgraph_arguments(pf):
     pf.add_argument("file", help="graph file, or hypergraph file with "
                                  "--hyper")
     pf.add_argument("--hyper", action="store_true",
                     help="read a hypergraph and use pair flips")
     pf.set_defaults(func=_cmd_flipgraph)
 
-    pb = sub.add_parser(
-        "building-set",
-        help="print the graphical building set of a graph as a "
-             "hypergraph file")
-    pb.add_argument("file", help="graph file")
-    pb.set_defaults(func=_cmd_building_set)
 
-    ps = sub.add_parser("selftest",
-                        help="run the embedded acceptance corpus")
+def _selftest_arguments(ps):
     ps.add_argument("--quick", action="store_true",
                     help="small subset, finishes in a few seconds")
     ps.set_defaults(func=_cmd_selftest)
 
+
+# (name, help line, the function that adds the command's arguments)
+_COMMANDS = (
+    ("ao-graph", "arc-flip listing of the acyclic orientations of a "
+                 "chordal graph", _ao_graph_arguments),
+    ("ao-hyper", "pair-flip listing of the acyclic orientations of a "
+                 "hypergraph with a hyperfect elimination order",
+     _ao_hyper_arguments),
+    ("elim-trees", "rotation listing of the elimination forests of a "
+                   "chordal graph", _elim_trees_arguments),
+    ("quotient", "Hamilton path in the cover graph of a lattice quotient of "
+                 "an acyclic digraph's reorientation lattice",
+     _quotient_arguments),
+    ("classify", "print the reorientation class of a digraph: not_acyclic, "
+                 "acyclic, vertebrate, peo_consistent, or skeletal",
+     _file_arguments(_cmd_classify, "digraph file")),
+    ("peo", "print a perfect elimination order of a chordal graph",
+     _file_arguments(_cmd_peo, "graph file")),
+    ("heo", "print a hyperfect elimination order of a hypergraph",
+     _file_arguments(_cmd_heo, "hypergraph file")),
+    ("flipgraph", "DOT flip graph over all acyclic orientations, generator "
+                  "path highlighted when one exists", _flipgraph_arguments),
+    ("building-set", "print the graphical building set of a graph as a "
+                     "hypergraph file",
+     _file_arguments(_cmd_building_set, "graph file")),
+    ("selftest", "run the embedded acceptance corpus", _selftest_arguments),
+)
+
+
+def build_parser():
+    parser = _Parser(
+        prog="orientgen",
+        description="Gray-code listings of acyclic orientations and "
+                    "lattice quotients, with oracle certification.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="COMMAND")
+    for name, help, add_arguments in _COMMANDS:
+        sub.add_parser(name, help=help, add_arguments=add_arguments)
     return parser
 
 

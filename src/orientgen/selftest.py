@@ -51,6 +51,12 @@ def _cli(argv):
 
 
 def _write(path, text):
+    """Put text in a new file at path.  An old file there is removed, not
+    truncated: ext4 flushes a truncated and rewritten file to disk when
+    it is closed, which made a criterion that rewrites one path thousands
+    of times wait on the disk."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
     with open(path, "w") as handle:
         handle.write(text)
 

@@ -12,7 +12,7 @@ import pytest
 
 import orientgen
 from orientgen import chordal, corpus, graphs, hypergen, hypergraphs, oracle
-from orientgen.cli import BLOCK_LINES, main
+from orientgen.cli import BLOCK_LINES, build_parser, main
 from orientgen.errors import InputError
 from orientgen.fileio import (
     format_digraph,
@@ -780,6 +780,23 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "ao-graph" in out and "quotient" in out
+
+
+def test_a_call_adds_only_the_arguments_of_its_command(capsys):
+    parser = build_parser()
+    commands, = (a.choices for a in parser._actions if a.choices)
+    args = parser.parse_args(["ao-graph", "g.txt", "--certify"])
+    assert (args.file, args.certify, args.output) == ("g.txt", True, "arcs")
+
+    def dests(name):
+        return [a.dest for a in commands[name]._actions]
+    assert dests("ao-graph") == ["help", "file", "peo", "output",
+                                 "count_only", "counters", "certify"]
+    assert all(dests(name) == ["help"] for name in commands
+               if name != "ao-graph")
+    # help still lists the arguments of the command it is asked about
+    assert main(["quotient", "--help"]) == 0
+    assert "--seed-pairs" in capsys.readouterr().out
 
 
 def test_python_m_orientgen_runs_the_command_line(tmp_path, capsys):
