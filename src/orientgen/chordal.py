@@ -89,7 +89,10 @@ class ChordalRun:
     one step of another vertex, so they are updated once per sweep of
     the last vertex rather than at every step.  On K_n that loop makes
     n - 1 of every n steps.  One helper, ``_move``, updates the tracked
-    permutation for both kinds of step.
+    permutation for both kinds of step.  When the last movable vertex
+    becomes a source or a sink it moves to the front or to just before
+    the values above it, which are isolated and stay at the end, so that
+    step scans nothing.
 
     A sweep sorts the vertex's clique (its smaller neighbors) through a
     precedence map: ``_prec[a][b]`` is true iff edge {a, b} now points
@@ -114,7 +117,7 @@ class ChordalRun:
 
     __slots__ = ("graph", "order", "visits", "comparisons",
                  "max_step_comparisons", "_mask", "_prec", "_steps",
-                 "_recs", "_pi", "_names", "_labels", "_gen")
+                 "_recs", "_top", "_pi", "_names", "_labels", "_gen")
 
     def __init__(self, g, order):
         order = tuple(order)
@@ -166,6 +169,8 @@ class ChordalRun:
                         (prec[j], prec[i]) if prec[j] and i in prec[j]
                         else None)
                        for i, k in eid[j].items()] for j in range(n + 1)]
+        # the last movable vertex; every value above it is isolated
+        self._top = max((j for j in range(n + 1) if eid[j]), default=0)
         self._pi = None  # tracked from the first permutation() on
         self._names = None  # tracked from the first named_permutation() on
         self._labels = None
@@ -275,6 +280,10 @@ class ChordalRun:
             # directly before j's first out-neighbor: i after a jump
             # left, the next one in line after a jump right
             q = pi.index(i) if lj else pi.index(nxt, p) - 1
+        elif j == self._top:
+            # the values above it sit at the end, in place: a new source
+            # goes first, a new sink right before them
+            q = 0 if lj else j - 1
         elif lj:
             # a source now: left of every smaller value next to it
             q = p - 1

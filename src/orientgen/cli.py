@@ -25,7 +25,7 @@ from .graphs import (find_peo, is_acyclic, label_map, orientation_mask,
                      relabel_digraph)
 from .hypergraphs import find_heo, graphical_building_set, relabel_hypergraph
 from .jumps import LanguageOracle, algorithm_J
-from .oracle import (ArcListingCertifier, PairListingCertifier,
+from .oracle import (ArcListingCertifier, FlipGraph, PairListingCertifier,
                      build_flip_graph, certify_hamilton_path,
                      check_ao_graph_cap, check_ao_hyper_cap, count_ao_graph,
                      enumerate_ao_graph, enumerate_ao_hyper, flip_graph_dot,
@@ -128,7 +128,9 @@ def _graph_dot(out, g, name, make_run):
     """Write the arc-flip graph of g's acyclic orientations as DOT, its
     nodes their masks, joined when they differ in one bit, with the
     listing of the run that ``make_run()`` starts marked as its path, or
-    no path if it returns None.
+    no path if it returns None.  Each mask is joined to those of its m
+    one-bit neighbours that are orientations, found in a mask index, so
+    the graph takes O(N m) lookups rather than a relation call per pair.
 
     The cap is tested before the run starts, so an oversized graph exits
     2 even when it is not chordal; the run starts before the orientations
@@ -136,7 +138,15 @@ def _graph_dot(out, g, name, make_run):
     check_ao_graph_cap(g)
     run = make_run()
     masks = [orientation_mask(g, d) for d in enumerate_ao_graph(g)]
-    fg = build_flip_graph(masks, lambda a, b: (a ^ b).bit_count() == 1)
+    index = {mask: i for i, mask in enumerate(masks)}
+    bits = [1 << k for k in range(len(g.edges))]
+    joins = {}
+    for i, mask in enumerate(masks):
+        for bit in bits:
+            j = index.get(mask ^ bit, -1)
+            if j > i:
+                joins[i, j] = True
+    fg = FlipGraph(masks, joins)
     path = None if run is None else [run.mask() for _ in run]
     out.write(flip_graph_dot(fg, path=path, name=name,
                              labeler=lambda f: format(f, "x")))

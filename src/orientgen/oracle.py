@@ -49,11 +49,26 @@ def count_ao_graph(g):
     independent sets; CapExceeded is raised first if its 2^k vertex
     subsets exceed the cap.
     """
+    return _count_and_eliminate(g)[0]
+
+
+def _count_and_eliminate(g):
+    """count_ao_graph(g), and the simplicial elimination of g that counted
+    it: (v, the neighbours v still has) pairs in removal order, one
+    component after another, or None when a component is not chordal."""
     total = 1
+    elim = []
     for comp in _components(g):
-        count = _chordal_count(g, comp)
-        total *= _count_by_sources(g, comp) if count is None else count
-    return total
+        steps = _simplicial_elimination(g, comp)
+        if steps is None:
+            total *= _count_by_sources(g, comp)
+            elim = None
+            continue
+        for _, nb in steps:
+            total *= 1 + len(nb)
+        if elim is not None:
+            elim += steps
+    return total, elim
 
 
 def _components(g):
@@ -71,12 +86,13 @@ def _components(g):
         yield comp
 
 
-def _chordal_count(g, comp):
-    """prod_v (1 + d_v) over a removal of comp's vertices one simplicial
-    vertex at a time, or None when no vertex left is simplicial."""
+def _simplicial_elimination(g, comp):
+    """comp's vertices removed one simplicial vertex at a time, each paired
+    with the neighbours it still has, or None when no vertex left is
+    simplicial."""
     left = sorted(comp)
     rem = set(left)
-    total = 1
+    steps = []
     while left:
         for k, v in enumerate(left):
             nb = g.adj[v] & rem
@@ -85,8 +101,8 @@ def _chordal_count(g, comp):
         else:
             return None
         rem.remove(left.pop(k))
-        total *= 1 + len(nb)
-    return total
+        steps.append((v, nb))
+    return steps
 
 
 def _count_by_sources(g, comp):
@@ -458,7 +474,7 @@ def _reaches(out, a, b):
 
 class ArcListingCertifier:
     """Streaming validity check for a claimed arc-flip Gray listing of
-    all acyclic orientations of a graph.
+    all acyclic orientations of a chordal graph.
 
     Feed one orientation bitmask per visit (bit k set iff edge k points
     from its larger endpoint to its smaller one).  Every orientation must
@@ -470,47 +486,112 @@ class ArcListingCertifier:
     Each later visit removes the flipped arc i->j, rejects the step if i
     still reaches j, and adds j->i otherwise; reversing a non-transitive
     arc of an acyclic digraph cannot close a cycle, so every visit stays
-    acyclic.  finish() matches the total against ``count_ao_graph``,
-    which construction computes component by component: a product over a
-    simplicial elimination on a chordal component, inclusion-exclusion on
-    any other.  Any violation raises InputError; construction raises
-    CapExceeded when the orientation count would not fit under the cap,
-    or a component that is not chordal has more than log2(cap) vertices.
+    acyclic.
+
+    Repeats are found by rank, at one byte per orientation.  Construction
+    computes ``count_ao_graph`` component by component, and on chordal
+    components reuses the simplicial elimination that counted them: a(G)
+    = prod_v (1 + d_v) is a mixed radix with one digit per vertex (Stanley
+    1973; the same insertion step as Savage, Squire and West 1993).  The
+    digit c_v counts the neighbours left when v is removed that point
+    into v; they form a clique, so c_v in 0..d_v fixes v's place among
+    them, and ``rank`` = sum_v W_v * c_v, W_v the product of (1 + d_u)
+    over the vertices u removed before v, maps the acyclic orientations
+    one to one onto range(expected).  An edge moves only the digit of its
+    endpoint removed first, so a flip moves the rank by that endpoint's
+    weight.  The certifier marks each rank in a bytearray of ``expected``
+    bytes: the first visit is ranked from scratch once it is known to be
+    acyclic, each one-edge step adds its edge's step once the reachability
+    search has passed, and a step of several edges is a repeat only when
+    its mask is acyclic and its rank is marked.  finish() matches the
+    number of accepted visits against ``expected``.
+
+    Any violation raises InputError.  Construction raises CapExceeded
+    when the orientation count would not fit under the cap, or a
+    component that is not chordal has more than log2(cap) vertices, and
+    then InputError when a component is not chordal.
     """
 
-    __slots__ = ("graph", "expected", "_edges", "_seen", "_prev", "_out")
+    __slots__ = ("graph", "expected", "_edges", "_base", "_steps", "_marks",
+                 "_visited", "_prev", "_prev_rank", "_out")
 
     def __init__(self, g):
         self.graph = g
-        self.expected = count_ao_graph(g)
+        self.expected, elim = _count_and_eliminate(g)
         limit = effective_cap()
         if self.expected > limit:
             raise CapExceeded(
                 "certifying %d orientations exceeds cap %d"
                 % (self.expected, limit))
+        if elim is None:
+            raise InputError("arc listings are certified by rank only on "
+                             "chordal graphs: graph is not chordal")
+        # the weight and the removal index of each vertex
+        weight = {}
+        when = {}
+        w = 1
+        for v, nb in elim:
+            weight[v] = w
+            when[v] = len(when)
+            w *= 1 + len(nb)
+        # edge (a, b) points into b when its bit is clear and into a when
+        # it is set; only its endpoint removed first counts it
+        base = 0
+        steps = []
+        for a, b in g.edges:
+            if when[a] < when[b]:
+                steps.append(weight[a])
+            else:
+                base += weight[b]
+                steps.append(-weight[b])
         self._edges = tuple(g.edges)
-        self._seen = set()
-        self._prev = self._out = None
+        self._base = base
+        self._steps = steps
+        self._marks = bytearray(self.expected)
+        self._visited = 0
+        self._prev = self._prev_rank = self._out = None
+
+    def rank(self, mask):
+        """The rank of an acyclic orientation mask in range(expected);
+        a cyclic mask gets a rank that some acyclic mask has too."""
+        rank = self._base
+        steps = self._steps
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            rank += steps[low.bit_length() - 1]
+        return rank
+
+    def _digraph(self, mask):
+        """Out-neighbour bitsets of the orientation, its arcs added one at
+        a time, or None when an arc's head already reaches its tail."""
+        out = [0] * (self.graph.n + 1)
+        for k, (u, v) in enumerate(self._edges):
+            if mask >> k & 1:
+                u, v = v, u
+            if _reaches(out, v, u):
+                return None
+            out[u] |= 1 << v
+        return out
 
     def visit(self, mask):
         edges = self._edges
         if not 0 <= mask < 1 << len(edges):
             raise InputError("orientation mask %#x out of range" % mask)
-        if mask in self._seen:
-            raise InputError("orientation %#x repeats" % mask)
         prev = self._prev
+        marks = self._marks
         if prev is None:
-            out = [0] * (self.graph.n + 1)
-            for k, (u, v) in enumerate(edges):
-                if mask >> k & 1:
-                    u, v = v, u
-                if _reaches(out, v, u):
-                    raise InputError("orientation %#x is cyclic" % mask)
-                out[u] |= 1 << v
+            out = self._digraph(mask)
+            if out is None:
+                raise InputError("orientation %#x is cyclic" % mask)
+            rank = self.rank(mask)
             self._out = out
         else:
-            diff = mask ^ prev  # nonzero: prev is in _seen
-            if diff & (diff - 1):
+            diff = mask ^ prev
+            if not diff or diff & (diff - 1):
+                if self._digraph(mask) is not None and \
+                        marks[self.rank(mask)]:
+                    raise InputError("orientation %#x repeats" % mask)
                 raise InputError(
                     "consecutive orientations differ in %d edges, not 1"
                     % diff.bit_count())
@@ -524,15 +605,22 @@ class ArcListingCertifier:
                 out[i] |= 1 << j
                 raise InputError("flipped arc %d->%d is transitive in its "
                                  "predecessor" % (i, j))
+            step = self._steps[k]
+            rank = self._prev_rank + (step if mask >> k & 1 else -step)
+            if marks[rank]:
+                out[i] |= 1 << j
+                raise InputError("orientation %#x repeats" % mask)
             out[j] |= 1 << i
-        self._seen.add(mask)
+        marks[rank] = 1
+        self._visited += 1
         self._prev = mask
+        self._prev_rank = rank
 
     def finish(self):
-        if len(self._seen) != self.expected:
+        if self._visited != self.expected:
             raise InputError(
                 "listing visited %d orientations, expected %d"
-                % (len(self._seen), self.expected))
+                % (self._visited, self.expected))
         return self.expected
 
 

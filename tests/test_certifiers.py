@@ -1,7 +1,11 @@
-"""Rejection paths of the streaming certifiers, and a seeded fuzz of
-corrupted arc-flip listings against a reference per-visit check."""
+"""Rejection paths of the streaming certifiers, a seeded fuzz of
+corrupted arc-flip listings against a reference per-visit check and
+against the set-based arc certifier, and the rank that replaced its
+set."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -14,13 +18,77 @@ from orientgen.hypergraphs import Hypergraph
 from orientgen.oracle import (
     ArcListingCertifier,
     PairListingCertifier,
+    _reaches,
     count_ao_graph,
     enumerate_ao_graph,
     enumerate_ao_hyper,
     pair_flip_relation,
 )
 
-from test_graphs import transitive_reduction
+from test_graphs import cycle_graph, transitive_reduction
+
+
+class SetArcCertifier:
+    """The arc certifier as it was before repeats were found by rank: it
+    keeps every visited mask in a set.  The first visit adds its arcs one
+    at a time and rejects an arc whose head already reaches its tail;
+    each later visit removes the flipped arc i->j and rejects the step
+    if i still reaches j."""
+
+    def __init__(self, g):
+        self.graph = g
+        self.expected = count_ao_graph(g)
+        limit = effective_cap()
+        if self.expected > limit:
+            raise CapExceeded(
+                "certifying %d orientations exceeds cap %d"
+                % (self.expected, limit))
+        self._edges = tuple(g.edges)
+        self._seen = set()
+        self._prev = self._out = None
+
+    def visit(self, mask):
+        edges = self._edges
+        if not 0 <= mask < 1 << len(edges):
+            raise InputError("orientation mask %#x out of range" % mask)
+        if mask in self._seen:
+            raise InputError("orientation %#x repeats" % mask)
+        prev = self._prev
+        if prev is None:
+            out = [0] * (self.graph.n + 1)
+            for k, (u, v) in enumerate(edges):
+                if mask >> k & 1:
+                    u, v = v, u
+                if _reaches(out, v, u):
+                    raise InputError("orientation %#x is cyclic" % mask)
+                out[u] |= 1 << v
+            self._out = out
+        else:
+            diff = mask ^ prev  # nonzero: prev is in _seen
+            if diff & (diff - 1):
+                raise InputError(
+                    "consecutive orientations differ in %d edges, not 1"
+                    % diff.bit_count())
+            k = diff.bit_length() - 1
+            i, j = edges[k]
+            if prev >> k & 1:
+                i, j = j, i  # the arc as oriented before the flip
+            out = self._out
+            out[i] ^= 1 << j
+            if _reaches(out, i, j):
+                out[i] |= 1 << j
+                raise InputError("flipped arc %d->%d is transitive in its "
+                                 "predecessor" % (i, j))
+            out[j] |= 1 << i
+        self._seen.add(mask)
+        self._prev = mask
+
+    def finish(self):
+        if len(self._seen) != self.expected:
+            raise InputError(
+                "listing visited %d orientations, expected %d"
+                % (len(self._seen), self.expected))
+        return self.expected
 
 
 class ReferenceArcCertifier:
@@ -217,12 +285,25 @@ def test_arc_certifier_cap(monkeypatch):
     assert ArcListingCertifier(complete_graph(4)).expected == 24
 
 
-def corrupt(listing, m, rng):
-    """One seeded corruption of a listing of masks over m edges."""
+KINDS = ("replace", "insert", "delete", "toggle", "swap")
+
+
+def corrupt(listing, m, rng, kinds=KINDS):
+    """One seeded corruption of a listing of masks over m edges, of a
+    kind drawn from ``kinds``."""
     out = list(listing)
-    kind = rng.choice(("replace", "insert", "delete", "toggle", "swap"))
+    kind = rng.choice(kinds)
     k = rng.randrange(len(out))
-    if kind == "replace":
+    if kind == "repeat":
+        # an earlier mask again, right after a later one
+        k = rng.randrange(1, len(out) + 1)
+        out.insert(k, out[rng.randrange(k)])
+    elif kind == "walk back":
+        # after visit k - 1, its predecessors again back to visit j
+        k = rng.randrange(2, len(out) + 1)
+        j = rng.randrange(k - 1)
+        out[k:k] = out[j:k - 1][::-1]
+    elif kind == "replace":
         out[k] = rng.randrange(1 << (m + 1))
     elif kind == "insert":
         out.insert(rng.randrange(len(out) + 1), rng.randrange(1 << m))
@@ -259,6 +340,112 @@ def test_arc_certifier_rejects_where_the_reference_does():
             rejected += want is not None
     assert len(graphs) > 150 and checked == 40 * len(graphs)
     assert rejected >= checked * 9 // 10
+
+
+def test_arc_certifier_rejects_where_the_set_certifier_does():
+    # the same visit and the same message as the set-based certifier,
+    # with repeats and walks back among the corruptions
+    rng = random.Random(23)
+    graphs = fuzz_graphs()
+    kinds = KINDS + ("repeat", "walk back")
+    checked = 0
+    for g in graphs:
+        listing = arc_listing(g)
+        for _ in range(50):
+            bad = corrupt(listing, len(g.edges), rng, kinds)
+            want = rejection(SetArcCertifier(g), bad)
+            assert rejection(ArcListingCertifier(g), bad) == want, (g, bad)
+            checked += 1
+    assert checked == 50 * len(graphs) > 7500
+
+
+@pytest.mark.parametrize("cls", [ArcListingCertifier, SetArcCertifier])
+def test_arc_rejection_leaves_the_certifier_as_it_was(cls):
+    # after each rejected visit the rest of the listing is still accepted
+    g = complete_graph(4)
+    listing = arc_listing(g)
+    cert = cls(g)
+    rejected = 0
+    for k, mask in enumerate(listing):
+        if k >= 2:
+            prev = listing[k - 1]
+            cyclic = [prev ^ 1 << e for e in range(len(g.edges))
+                      if not is_acyclic_mask(g, prev ^ 1 << e)]
+            for bad in [listing[k - 2], prev, prev ^ 0b11, 1 << 6] + cyclic:
+                with pytest.raises(InputError):
+                    cert.visit(bad)
+                rejected += 1
+        cert.visit(mask)
+    assert cert.finish() == 24 and rejected > 66
+
+
+def acyclic_masks(g):
+    return [mask for mask in range(1 << len(g.edges))
+            if is_acyclic_mask(g, mask)]
+
+
+def assert_rank_is_a_bijection(g):
+    cert = ArcListingCertifier(g)
+    ranks = sorted(map(cert.rank, acyclic_masks(g)))
+    assert ranks == list(range(cert.expected)), g
+
+
+def test_rank_is_a_bijection_on_small_chordal_graphs():
+    graphs = list(chordal_graphs(5))
+    for g in graphs:
+        assert_rank_is_a_bijection(g)
+    assert len(graphs) == 894
+
+
+def test_rank_is_a_bijection_on_random_chordal_graphs():
+    rng = random.Random(606)
+    for _ in range(60):
+        assert_rank_is_a_bijection(random_chordal(rng.randint(6, 8), rng))
+    # K_4, P_5 and K_3 side by side: 24 * 16 * 6 orientations
+    g = Graph(12, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+              + [(k, k + 1) for k in range(5, 9)]
+              + [(10, 11), (10, 12), (11, 12)])
+    assert_rank_is_a_bijection(g)
+    assert ArcListingCertifier(g).expected == 2304
+
+
+def test_arc_certifier_keeps_one_byte_per_orientation():
+    # 40,320 orientations; a set of the masks alone took over 3 MB
+    g = complete_graph(8)
+    listing = arc_listing(g)
+    tracemalloc.start()
+    try:
+        assert rejection(ArcListingCertifier(g), listing) == (None, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_arc_certifier_needs_a_chordal_graph(monkeypatch):
+    with pytest.raises(InputError, match="not chordal"):
+        ArcListingCertifier(cycle_graph(4))
+    # a chordal component beside it does not help
+    with pytest.raises(InputError, match="not chordal"):
+        ArcListingCertifier(Graph(7, [(1, 2), (2, 3), (3, 4), (1, 4),
+                                      (5, 6), (6, 7)]))
+    # the cap checks of the count come first: C_4 beside K_3 has 16
+    # vertex subsets to count by and 14 * 6 orientations
+    g = Graph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (5, 7), (6, 7)])
+    monkeypatch.setenv("ORIENTGEN_CAP", "15")
+    with pytest.raises(CapExceeded, match="2\\^4 vertex subsets"):
+        ArcListingCertifier(g)
+    monkeypatch.setenv("ORIENTGEN_CAP", "83")
+    with pytest.raises(CapExceeded, match="certifying 84 orientations"):
+        ArcListingCertifier(g)
+    monkeypatch.setenv("ORIENTGEN_CAP", "84")
+    with pytest.raises(InputError, match="not chordal"):
+        ArcListingCertifier(g)
+    monkeypatch.delenv("ORIENTGEN_CAP")
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="2\\^40 vertex subsets"):
+        ArcListingCertifier(cycle_graph(40))
+    assert time.perf_counter() - start < 0.1
 
 
 # ---- pair certifier ------------------------------------------------------

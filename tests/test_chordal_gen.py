@@ -635,6 +635,35 @@ def test_engine_steps_like_reference_past_isolated_larger_vertices():
     assert ref.larger_stops > 0
 
 
+def with_isolated(g, spread, extra):
+    """g with ``extra`` isolated vertices: all above g's vertices, or,
+    when ``spread``, g's vertex v moved to 2v - 1 and the new ones
+    between and after them."""
+    n = g.n + extra
+    if not spread:
+        return Graph(n, g.edges)
+    where = [0] + [2 * v - 1 for v in range(1, g.n + 1)]
+    return Graph(n, [(where[a], where[b]) for a, b in g.edges])
+
+
+@pytest.mark.parametrize("perm_from, names_from",
+                         [(None, None), (1, 1), (37, 37), (1, 37)],
+                         ids=["unread", "read-from-1", "first-read-at-37",
+                              "named-first-at-37"])
+def test_last_vertex_end_steps_like_reference(perm_from, names_from):
+    # the last movable vertex's end steps place it without a scan, with
+    # or without isolated vertices above it or between the others
+    rng = random.Random(2061)
+    base = [path_graph(n) for n in (2, 3, 7, 10)]
+    base += [complete_graph(n) for n in (2, 3, 5)]
+    base += [random_chordal(rng.randint(5, 8), rng) for _ in range(4)]
+    for g in base:
+        for h in (g, with_isolated(g, False, 3), with_isolated(g, True, g.n)):
+            assert_steps_like_reference(h, perm_from, names_from)
+            assert_steps_like_reference(h, perm_from, names_from,
+                                        range(1, h.n + 1))
+
+
 def test_visit_37_of_k8_falls_mid_sweep():
     # the first reads at visit 37 land inside a sweep of the last vertex
     g = complete_graph(8)

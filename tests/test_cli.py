@@ -19,6 +19,7 @@ from orientgen.fileio import (
     format_graph,
     format_hypergraph,
     parse_congruence,
+    parse_graph,
     parse_hypergraph,
 )
 from orientgen.graphs import Digraph, Graph, complete_graph, orient, path_graph
@@ -26,7 +27,7 @@ from orientgen.hypergraphs import Hypergraph
 from orientgen.quotients import (build_ar_poset, generate_quotient_path,
                                  identity_congruence)
 
-from test_graphs import built_digraphs
+from test_graphs import built_digraphs, cycle_graph
 
 SJT3 = ["123", "132", "312", "321", "231", "213"]
 
@@ -233,6 +234,54 @@ def test_graph_dot_builds_no_digraph_beyond_the_enumerated_ones(
     count = oracle.count_ao_graph(g)
     assert rc == 0 and out.count("path=1") == count - 1
     assert len(built) == count
+
+
+def pairwise_dot(g, name):
+    """The arc-flip DOT of g built by the oracle's pairwise
+    ``build_flip_graph``, its path the listing of ``find_peo``'s run, or
+    no path when g is not chordal."""
+    masks = [graphs.orientation_mask(g, d)
+             for d in oracle.enumerate_ao_graph(g)]
+    fg = oracle.build_flip_graph(masks,
+                                 lambda a, b: (a ^ b).bit_count() == 1)
+    path = None
+    order = graphs.find_peo(g)
+    if order is not None:
+        r = chordal.ChordalRun(g, order)
+        path = [r.mask() for _ in r]
+    return oracle.flip_graph_dot(fg, path=path, name=name,
+                                 labeler=lambda f: format(f, "x"))
+
+
+def test_graph_dot_equals_the_pairwise_flip_graph(tmp_path, capsys):
+    golden = os.path.join(os.path.dirname(__file__), "golden", "r10.g")
+    with open(golden) as handle:
+        cases = [("r10.g", handle.read())]
+    cases += [("p%d.g" % n, format_graph(path_graph(n)))
+              for n in range(8, 12)]
+    for name, text in cases:
+        path = put(tmp_path, name, text)
+        g = parse_graph(text)
+        rc, out, _ = run(capsys, "ao-graph", path, "--output", "dot")
+        assert rc == 0 and out == pairwise_dot(g, "aograph"), name
+        rc, out, _ = run(capsys, "flipgraph", path)
+        assert rc == 0 and out == pairwise_dot(g, "flipgraph"), name
+    # no path when the graph is not chordal
+    path = put(tmp_path, "c5.g", format_graph(cycle_graph(5)))
+    rc, out, _ = run(capsys, "flipgraph", path)
+    assert rc == 0 and out == pairwise_dot(cycle_graph(5), "flipgraph")
+    assert "path=1" not in out
+
+
+def test_graph_dot_of_p14_is_not_quadratic(tmp_path, capsys):
+    # 8,192 orientations: about 33.5M relation calls if built pairwise
+    path = put(tmp_path, "p14.g", format_graph(path_graph(14)))
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "ao-graph", path, "--output", "dot")
+    assert time.perf_counter() - start < 2
+    assert rc == 0 and out.count("label=") == 8192
+    assert out.count(" -- ") == 8192 * 13 // 2
+    assert out.count("path=1") == 8191
 
 
 def test_ao_graph_dot_rejects_certify(tmp_path, capsys):
