@@ -526,20 +526,19 @@ class ArcListingCertifier:
         if elim is None:
             raise InputError("arc listings are certified by rank only on "
                              "chordal graphs: graph is not chordal")
-        # the weight and the removal index of each vertex
         weight = {}
-        when = {}
         w = 1
         for v, nb in elim:
             weight[v] = w
-            when[v] = len(when)
             w *= 1 + len(nb)
         # edge (a, b) points into b when its bit is clear and into a when
-        # it is set; only its endpoint removed first counts it
+        # it is set; only its endpoint removed first, the one that still
+        # has the other as a neighbour, counts it
+        later = dict(elim)
         base = 0
         steps = []
         for a, b in g.edges:
-            if when[a] < when[b]:
+            if b in later[a]:
                 steps.append(weight[a])
             else:
                 base += weight[b]
