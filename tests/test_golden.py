@@ -11,7 +11,9 @@ is covered) and one of them relabeled by a perfect elimination order, for
 whose permutation digits are joined without spaces, adds ``--output
 perm``, ``--output flips`` and ``--count-only --counters``, and K_7,
 whose 6-member cliques start the clique sort on both kinds of leading
-run, adds ``--count-only --counters``.
+run, adds ``--count-only --counters``, and so do K_8, K_9 and the
+seeded 13-vertex graph of 41,472 orientations in the shape of the
+benchmark's random graph (``long_jump_graph``).
 The ``ao-hyper`` corpus is the prefix chain on 4
 vertices, the Stanley-Pitman hypergraph on 4, K_4 and P_5 as 2-uniform
 hypergraphs, and a ``heo_corpus`` member whose hyperfect elimination
@@ -50,7 +52,9 @@ relabels its input (34,560 head vectors and 42 orientations for P_5).
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots (the ``r9`` and ``k7`` ones by the engine that
-still sorted its cliques with ``sorted`` and ``cmp_to_key``), the
+still sorted its cliques with ``sorted`` and ``cmp_to_key``, the
+``k8``, ``k9`` and ``jump13`` ones by the engine that still sorted the
+last vertex's clique at every one of its sweeps), the
 ``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
 hypergraph engine that still checked itself on every step, and the
@@ -88,6 +92,7 @@ from orientgen.hypergraphs import find_heo, graphical_building_set, \
 from orientgen.quotients import build_ar_poset, is_identity_peo_consistent, \
     rails, sylvester_congruence
 
+from test_chordal_gen import long_jump_graph
 from test_graphs import cycle_graph
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -105,7 +110,7 @@ GIVEN = ("k4", "p5", "r10-peo")
 SWEEP_CASES = (
     [("r9", mode, MODES[mode]) for mode in ("perm", "flips")]
     + [(name, "counters", ["--count-only", "--counters"])
-       for name in ("r9", "k7")])
+       for name in ("r9", "k7", "k8", "k9", "jump13")])
 
 HYPER_MODES = {
     "heads": [],
@@ -205,6 +210,9 @@ def instances():
         "r10-peo": relabel_graph(r10, find_peo(r10)),
         "r9": corpus.random_chordal(9, random.Random(9)),
         "k7": complete_graph(7),
+        "k8": complete_graph(8),
+        "k9": complete_graph(9),
+        "jump13": long_jump_graph(),
     }
 
 
