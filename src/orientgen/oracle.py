@@ -5,6 +5,7 @@ Everything here favors obviousness over speed; the generation engines are
 validated against these functions, never the other way around.
 """
 
+import heapq
 import itertools
 from collections import deque
 
@@ -87,22 +88,33 @@ def _components(g):
 
 
 def _simplicial_elimination(g, comp):
-    """comp's vertices removed one simplicial vertex at a time, each paired
-    with the neighbours it still has, or None when no vertex left is
-    simplicial."""
-    left = sorted(comp)
-    rem = set(left)
+    """comp's vertices removed one simplicial vertex at a time, the
+    smallest first, each paired with the neighbours it still has, or
+    None when no vertex left is simplicial.  Removing other vertices
+    keeps a simplicial vertex simplicial, so a min-heap holds every
+    simplicial vertex left, and a removal re-tests only the removed
+    vertex's neighbours, the only vertices whose neighbourhood shrank."""
+    adj = g.adj
+    rem = set(comp)
+
+    def simplicial(v):
+        nb = adj[v] & rem
+        return all(len(adj[a] & nb) == len(nb) - 1 for a in nb)
+
+    heap = [v for v in comp if simplicial(v)]
+    heapq.heapify(heap)
+    queued = set(heap)
     steps = []
-    while left:
-        for k, v in enumerate(left):
-            nb = g.adj[v] & rem
-            if all(len(g.adj[a] & nb) == len(nb) - 1 for a in nb):
-                break
-        else:
-            return None
-        rem.remove(left.pop(k))
+    while heap:
+        v = heapq.heappop(heap)
+        rem.remove(v)
+        nb = adj[v] & rem
         steps.append((v, nb))
-    return steps
+        for a in nb:
+            if a not in queued and simplicial(a):
+                queued.add(a)
+                heapq.heappush(heap, a)
+    return None if rem else steps
 
 
 def _count_by_sources(g, comp):

@@ -3,7 +3,9 @@
 import inspect
 import itertools
 import math
+import os
 import random
+import sys
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from orientgen.graphs import (
     complete_graph,
     orientation_mask,
     path_graph,
+    relabel_graph,
 )
 from orientgen.hypergraphs import Hypergraph, orientation_from_permutation
 from orientgen.oracle import (
@@ -135,6 +138,30 @@ def test_count_matches_the_reference_up_to_6_vertices():
     assert total == 33868
 
 
+# the engines' modules, and the order searches they run
+ENGINE_FILES = {"chordal.py", "hypergen.py", "jumps.py", "quotients.py"}
+SEARCHES = {"find_peo", "lex_bfs", "is_peo", "find_heo",
+            "peo_consistent_order"}
+
+
+def functions_called(work):
+    """Run ``work()`` and return (file base name, function name) of every
+    Python function called meanwhile."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            seen.add((os.path.basename(code.co_filename), code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
 def test_count_is_a_product_on_chordal_graphs(monkeypatch):
     from orientgen import graphs
 
@@ -146,23 +173,75 @@ def test_count_is_a_product_on_chordal_graphs(monkeypatch):
         for mod in (graphs, chordal):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, banned)
+
+    def work():
+        start = time.perf_counter()
+        assert count_ao_graph(path_graph(20)) == 1 << 19
+        assert time.perf_counter() - start < 0.1
+        assert count_ao_graph(path_graph(70)) == 1 << 69
+        assert count_ao_graph(Graph(30, [(1, 2), (1, 3), (2, 3)])) == 6
+        # K_4, P_5 and K_3 side by side multiply: 24 * 16 * 6
+        g = Graph(12, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+                  + [(k, k + 1) for k in range(5, 9)]
+                  + [(10, 11), (10, 12), (11, 12)])
+        assert count_ao_graph(g) == 2304
+        # the arc certifier ranks by the same elimination
+        assert oracle.ArcListingCertifier(g).expected == 2304
+        assert oracle.ArcListingCertifier(path_graph(20)).expected == 1 << 19
+        k6 = complete_graph(6)
+        cert = oracle.ArcListingCertifier(k6)
+        masks = [orientation_mask(k6, d) for d in enumerate_ao_graph(k6)]
+        assert sorted(map(cert.rank, masks)) == list(range(720))
+
+    called = functions_called(work)
+    # the hook saw the oracle's own elimination, and no engine code
+    assert ("oracle.py", "_simplicial_elimination") in called
+    assert not {c for c in called if c[0] in ENGINE_FILES or c[1] in SEARCHES}
+
+
+def reference_simplicial_elimination(g, comp):
+    """The oracle's elimination as first written: each round rescans the
+    vertices left, smallest first, for a simplicial one."""
+    left = sorted(comp)
+    rem = set(left)
+    steps = []
+    while left:
+        for k, v in enumerate(left):
+            nb = g.adj[v] & rem
+            if all(len(g.adj[a] & nb) == len(nb) - 1 for a in nb):
+                break
+        else:
+            return None
+        rem.remove(left.pop(k))
+        steps.append((v, nb))
+    return steps
+
+
+def test_simplicial_elimination_matches_the_rescan():
+    from orientgen.corpus import all_graphs, random_chordal
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(2117)
+    graphs += [random_chordal(rng.randint(10, 60), rng) for _ in range(60)]
+    graphs += [random_graph(rng.randint(7, 12), 0.4, rng) for _ in range(60)]
+    stuck = 0
+    for g in graphs:
+        for comp in oracle._components(g):
+            want = reference_simplicial_elimination(g, comp)
+            assert oracle._simplicial_elimination(g, comp) == want, g
+            stuck += want is None
+    assert stuck > 0
+
+
+def test_simplicial_elimination_is_linear_on_a_shuffled_path():
+    # a rescan from the smallest vertex left took 6.4 s here
+    n = 4000
+    order = list(range(1, n + 1))
+    random.Random(4000).shuffle(order)
+    g = relabel_graph(path_graph(n), order)
     start = time.perf_counter()
-    assert count_ao_graph(path_graph(20)) == 1 << 19
-    assert time.perf_counter() - start < 0.1
-    assert count_ao_graph(path_graph(70)) == 1 << 69
-    assert count_ao_graph(Graph(30, [(1, 2), (1, 3), (2, 3)])) == 6
-    # K_4, P_5 and K_3 side by side multiply: 24 * 16 * 6
-    g = Graph(12, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
-              + [(k, k + 1) for k in range(5, 9)]
-              + [(10, 11), (10, 12), (11, 12)])
-    assert count_ao_graph(g) == 2304
-    # the arc certifier ranks by the same elimination
-    assert oracle.ArcListingCertifier(g).expected == 2304
-    assert oracle.ArcListingCertifier(path_graph(20)).expected == 1 << 19
-    k6 = complete_graph(6)
-    cert = oracle.ArcListingCertifier(k6)
-    masks = [orientation_mask(k6, d) for d in enumerate_ao_graph(k6)]
-    assert sorted(map(cert.rank, masks)) == list(range(720))
+    with pytest.raises(CapExceeded):
+        oracle.ArcListingCertifier(g)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_count_caps_a_component_that_is_not_chordal(monkeypatch):
