@@ -262,18 +262,18 @@ def _cmd_ao_hyper(args, out):
 
 def _cmd_elim_trees(args, out):
     g = parse_graph(_read(args.file))
-    if args.output == "perm":
+    if args.count_only:
+        # one forest per visit of the run: none is built to be counted
+        run, _ = hypergen.elim_run(g)
+        deque(run, 0)
+        out.write("%d\n" % run.visits)
+    elif args.output == "perm":
         run, _ = hypergen.elim_run(g)
         perm_line = _perm_lines(g.n)
-        visits = run
-        lines = (perm_line(run.permutation()) for _ in run)
+        _listing(out, (perm_line(run.permutation()) for _ in run))
     else:
-        visits = hypergen.generate_elim_forests(g)
-        lines = map(_label_lines(g.n), visits)
-    if args.count_only:
-        out.write("%d\n" % sum(1 for _ in visits))
-    else:
-        _listing(out, lines)
+        _listing(out, map(_label_lines(g.n),
+                          hypergen.generate_elim_forests(g)))
     return 0
 
 

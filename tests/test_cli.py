@@ -461,6 +461,25 @@ def test_elim_trees_path_graph_catalan(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("output", ["forest", "perm"])
+def test_elim_trees_counts_from_the_run(output, tmp_path, capsys,
+                                        monkeypatch):
+    # a count steps the bare run: no forest and no permutation is read
+    def banned(*args):
+        raise AssertionError("a count builds no forest")
+
+    monkeypatch.setattr(hypergen, "generate_elim_forests", banned)
+    monkeypatch.setattr(hypergen.HyperRun, "permutation", banned)
+    monkeypatch.setattr(hypergen.HyperRun, "heads", banned)
+    path = put(tmp_path, "p7.txt", format_graph(path_graph(7)))
+    rc, out, _ = run(capsys, "elim-trees", path, "--output", output,
+                     "--count-only")
+    assert rc == 0 and out == "429\n"
+    path = put(tmp_path, "c4.txt", format_graph(cycle_graph(4)))
+    rc, out, err = run(capsys, "elim-trees", path, "--count-only")
+    assert rc == 1 and out == "" and "graph is not chordal" in err
+
+
+@pytest.mark.parametrize("output", ["forest", "perm"])
 def test_elim_trees_runs_no_order_check(output, tmp_path, capsys,
                                         monkeypatch):
     # the identity order of elim_run holds by the building-set theorem
