@@ -8,12 +8,18 @@ jumps (plain changes when the graph is complete).  A step costs what it
 changes: one bit of the orientation mask, two entries of a precedence
 map when the flipped edge lies inside a clique that a sweep sorts, and,
 once the canonical permutation has been read, one delete and one insert
-of the swept vertex in it, plus one sort of the vertex's smaller
-neighbors per sweep.  That sort is a binary insertion after the leading
-run, each comparison one lookup in the precedence map, and
-``comparisons`` counts those lookups.  Snapshots are read off that state
-rather than rebuilt, and no table grows faster than n + m.
+of the swept vertex in it.  A sweep of any vertex but the last movable
+one starts with one sort of the vertex's smaller neighbors: a binary
+insertion after the leading run, each comparison one lookup in the
+precedence map.  The last movable vertex sorts its clique once and then
+keeps the order; a step of another vertex inside that clique swaps two
+neighbors in it.  ``comparisons`` counts what each sweep's sort makes,
+the last vertex's derived from insertion ranks kept with its order.
+Snapshots are read off that state rather than rebuilt, and no table
+grows faster than n + m.
 """
+
+from bisect import bisect_left
 
 from .errors import InputError
 from .graphs import (Digraph, find_peo, is_acyclic, is_peo, label_map, orient,
@@ -88,11 +94,19 @@ class ChordalRun:
     its sorted clique; between two of its sweeps the focus pointers pick
     one step of another vertex, so they are updated once per sweep of
     the last vertex rather than at every step.  On K_n that loop makes
-    n - 1 of every n steps.  One helper, ``_move``, updates the tracked
-    permutation for both kinds of step.  When the last movable vertex
-    becomes a source or a sink it moves to the front or to just before
-    the values above it, which are isolated and stay at the end, so that
-    step scans nothing.
+    n - 1 of every n steps.  Its clique is sorted for its first sweep
+    only.  The order is kept source first, and a sweep walks it forwards
+    or backwards: the step between two sweeps flips one edge, and when
+    both ends lie in the clique they are neighbors in the order (an
+    acyclic tournament stays acyclic after one reversal only between
+    neighbors), so the step swaps them.  ``_keep`` holds what the sort
+    of the kept order would count, so each sweep adds the same
+    comparisons as a fresh sort.  One helper, ``_move``, updates the
+    tracked permutation for both kinds of step.  Within a sweep the last
+    movable vertex starts each move where the previous one put it.  When
+    it becomes a source or a sink it moves to the front or to just
+    before the values above it, which are isolated and stay at the end,
+    so that step scans nothing.
 
     A sweep sorts the vertex's clique (its smaller neighbors) through a
     precedence map: ``_prec[a][b]`` is true iff edge {a, b} now points
@@ -104,11 +118,11 @@ class ChordalRun:
     and inserts the rest by binary search: ``list.sort``'s algorithm
     below 64 items, with the same comparisons.  Each insertion counts
     the halvings its search made from a table up to the largest clique.
-    Counter attributes `visits`, `flips`, `comparisons` (map lookups of
-    the sorts) and `max_step_comparisons` (the most in one sort)
-    accumulate as the run advances.  From 64 items on ``list.sort``
-    would merge runs and compare differently; the counters stay the
-    binary insertion's.  Such a clique means at least 65! orientations.
+    Counter attributes `visits`, `flips`, `comparisons` (the sorts'
+    comparisons, one sort per sweep) and `max_step_comparisons` (the
+    most in one sort) accumulate as the run advances.  From 64 items on
+    ``list.sort`` would merge runs and compare differently; the counters
+    stay the binary insertion's.  Such a clique means at least 65! orientations.
 
     ``order`` must be a perfect elimination order of g and is not
     checked: ``generate`` checks a given one, and ``find_peo`` verifies
@@ -270,12 +284,15 @@ class ChordalRun:
             path.reverse()
         return path
 
-    def _move(self, j, lj, i, nxt):
+    def _move(self, j, lj, i, nxt, p=None):
         """Move j in the tracked permutation, and in the tracked names,
         for the step that crosses i on a sweep left (``lj``) or right;
-        ``nxt`` is the member the sweep crosses next, 0 after its last."""
+        ``nxt`` is the member the sweep crosses next, 0 after its last.
+        ``p`` is j's position when the caller knows it.  Returns j's new
+        position."""
         pi = self._pi
-        p = pi.index(j)
+        if p is None:
+            p = pi.index(j)
         if nxt:
             # directly before j's first out-neighbor: i after a jump
             # left, the next one in line after a jump right
@@ -303,6 +320,7 @@ class ChordalRun:
         if names is not None:
             del names[p]
             names.insert(q, self._labels[j])
+        return q
 
     def _iterate(self):
         n = self.graph.n
@@ -331,23 +349,36 @@ class ChordalRun:
         ldeg = deg[last]
         lpre = prevm[last]
         ll = True
+        # its clique source first, sorted once and then kept: a flip inside
+        # the clique swaps two neighbours of ``kept``
+        kept = sweep(lrecs, False)
+        swaps = None
         while True:
-            path = sweep(lrecs, ll)
-            # at the sweep's x-th step (from 0) visits == base + x, and
-            # path[x + 1] is the member crossed next
+            # at the sweep's x-th step (from 0) visits == base + x
             base = self.visits
-            for i, k, leftarc, rightarc, _ in path:
+            lp = None  # its position in the tracked permutation
+            for i, k, leftarc, rightarc, _ in reversed(kept) if ll else kept:
                 mask ^= 1 << k
                 self._mask = mask
                 if self._pi is not None:
                     x = self.visits - base + 1
-                    move(last, ll, i, path[x][0] if x < ldeg else 0)
+                    lp = move(last, ll, i,
+                              0 if x == ldeg else
+                              kept[ldeg - 1 - x][0] if ll else kept[x][0], lp)
                 self.visits += 1
                 yield leftarc if ll else rightarc
             ll = not ll
             j = s[lpre]
             if j == 0:
                 return
+            if swaps is None:
+                # built once another vertex steps, for a clique of two or more
+                swaps = {}
+                lcount = 0
+                if ldeg > 1:
+                    swaps, pos, below = self._keep(kept)
+                    steps = self._steps
+                    lrun, lcount = _count(pos, below, steps)
             s[lpre] = lpre
             tj = t[j]
             lj = left[j]
@@ -363,6 +394,23 @@ class ChordalRun:
                 # a jump right
                 link[0][i] = lj
                 link[1][j] = not lj
+                pair = swaps.get(k)
+                if pair is not None:
+                    # i and j are neighbours in ``kept``; the later of the
+                    # two in edge order, b, gains or loses a predecessor
+                    a, b = pair
+                    pa = pos[a]
+                    pb = pos[b]
+                    kept[pa], kept[pb] = kept[pb], kept[pa]
+                    pos[a] = pb
+                    pos[b] = pa
+                    was = below[b]
+                    now = below[b] = was + 1 if pb < pa else was - 1
+                    if b == a + 1 and b <= lrun:
+                        # the pair decides where the leading run ends
+                        lrun, lcount = _count(pos, below, steps)
+                    elif b >= lrun:
+                        lcount += steps[b][now] - steps[b][was]
             ended = tj == deg[j]
             if self._pi is not None:
                 move(j, lj, i, 0 if ended else Tj[tj][0])
@@ -376,6 +424,62 @@ class ChordalRun:
                 t[j] = tj
             self.visits += 1
             yield leftarc if lj else rightarc
+            # the last vertex's next sweep counts what its sort would
+            self.comparisons += lcount
+            if lcount > self.max_step_comparisons:
+                self.max_step_comparisons = lcount
+
+    def _keep(self, kept):
+        """Tables that keep the last movable vertex's clique order
+        ``kept`` (source first, two or more members) and the count of
+        the sort that would make it.  With items the vertex's records in
+        edge order:
+
+        - swaps: edge id -> (a, b), a < b the item indices of its two
+          ends, for every edge inside the clique;
+        - pos: pos[e] is the place of item e in ``kept``;
+        - below: below[e] is how many of items 0..e-1 precede item e,
+          where the sort's binary search of item e stops.
+
+        A flip inside the clique swaps two neighbours of ``kept``: it
+        moves ``below`` only at the later item, and the leading run only
+        when the two items are neighbours in edge order at or inside
+        it."""
+        items = self._recs[self._top]
+        d = len(items)
+        index = {rec[0]: e for e, rec in enumerate(items)}
+        pos = [0] * d
+        for p, rec in enumerate(kept):
+            pos[index[rec[0]]] = p
+        below = []
+        seen = []
+        for p in pos:
+            b = bisect_left(seen, p)
+            below.append(b)
+            seen.insert(b, p)
+        swaps = {}
+        for b, e in index.items():
+            for rec in self._recs[b]:
+                a = index.get(rec[0])
+                if a is not None:
+                    swaps[rec[1]] = (a, e) if a < e else (e, a)
+        return swaps, pos, below
+
+
+def _count(pos, below, steps):
+    """The length of the leading run of two or more items placed at
+    ``pos`` (ascending, or descending when the second precedes the
+    first), and the comparisons the sweep's sort makes on them: one per
+    pair of the run and one for the pair that broke it, then the
+    halvings of each later item's binary search, which stops at
+    ``below``."""
+    d = len(pos)
+    desc = pos[1] < pos[0]
+    run = 2
+    while run < d and (pos[run] < pos[run - 1]) == desc:
+        run += 1
+    return run, ((run if run < d else d - 1)
+                 + sum(steps[e][below[e]] for e in range(run, d)))
 
 
 def generate(g, order=None):

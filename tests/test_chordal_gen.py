@@ -361,7 +361,11 @@ def reference_sorted_path(run, items):
 
 class ReferenceSortRun(ChordalRun):
     """A run whose cliques are sorted by ``reference_sorted_path`` where
-    the engine sorts them; ``sorts`` counts the sorts made there."""
+    the engine sorts them; ``sorts`` counts the sorts made there.  The
+    last movable vertex's clique is sorted there only for its first
+    sweep: later sweeps keep that order, so the hook checks the other
+    vertices' sorts, ``test_last_vertex_sweeps_like_a_fresh_sort`` the
+    last vertex's, and ``ReferenceStepRun`` every step."""
 
     __slots__ = ("sorts",)
 
@@ -409,6 +413,124 @@ def test_clique_sort_matches_reference_on_large_cliques():
     # the two sorts make the same comparisons
     for n in (20, 64):
         assert_sorts_like_reference(complete_graph(n), 3000)
+
+
+def reference_insertion_sort(arcs, items):
+    """The clique sort by list.sort's algorithm below 64 items, at any
+    size: the leading run, ascending or strictly descending, then a
+    binary insertion of each later item.  Returns the path and the
+    comparisons made; r precedes s iff (r[0], s[0]) is in ``arcs``."""
+    count = 0
+
+    def precedes(r, s):
+        nonlocal count
+        count += 1
+        return (r[0], s[0]) in arcs
+
+    if len(items) < 2:
+        return list(items), 0
+    desc = precedes(items[1], items[0])
+    run = 2
+    while run < len(items) and precedes(items[run], items[run - 1]) == desc:
+        run += 1
+    path = items[run - 1::-1] if desc else items[:run]
+    for item in items[run:]:
+        lo, hi = 0, len(path)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if precedes(item, path[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        path.insert(lo, item)
+    return path, count
+
+
+def assert_last_vertex_sweeps_like_a_fresh_sort(g, limit=None):
+    """At each sweep of the last movable vertex L within the first
+    ``limit`` visits, or all of them: the members L crosses, in order,
+    are its clique sorted afresh on the orientation where the sweep
+    starts (reversed on a sweep left), and the sweep's first visit adds
+    that sort's comparisons.  The orientation is followed from the
+    steps; the sort is ``reference_sort`` below 64 members and
+    ``reference_insertion_sort`` from 64 on, where ``sorted`` compares
+    differently.  Returns the number of L's sweeps."""
+    order = find_peo(g)
+    rank = {v: x for x, v in enumerate(order, 1)}
+    edges = [(rank[x], rank[y]) for x, y in g.edges]
+    last = max((max(e) for e in edges), default=0)
+    items = [(min(e),) for e in edges if max(e) == last]
+    sort = reference_sort if len(items) < 64 else reference_insertion_sort
+    run = ChordalRun(g, order)
+    arcs = None
+    crossed = expect = None
+    sweeps = 0
+    before = 0
+    for step in islice(run, limit):
+        if step is None:
+            arcs = elimination_arcs(run.digraph(), order)
+            continue
+        a, b = rank[step[0]], rank[step[1]]
+        arcs.discard((b, a))
+        arcs.add((a, b))
+        if last in (a, b):
+            if crossed is None:
+                # L's flips leave its clique's order as it is
+                expect, count = sort(arcs, items)
+                if sweeps % 2 == 0:
+                    expect.reverse()
+                assert run.comparisons - before == count
+                assert run.max_step_comparisons >= count
+                crossed = []
+            crossed.append((a + b - last,))
+            if len(crossed) == len(items):
+                assert crossed == expect
+                sweeps += 1
+                crossed = None
+        before = run.comparisons
+    assert crossed is None or crossed == expect[:len(crossed)]
+    return sweeps
+
+
+def test_last_vertex_sweeps_like_a_fresh_sort():
+    for g in corpus.chordal_graphs(6):
+        assert_last_vertex_sweeps_like_a_fresh_sort(g)
+    for n in range(1, 10):
+        sweeps = assert_last_vertex_sweeps_like_a_fresh_sort(complete_graph(n))
+        assert sweeps == math.factorial(n - 1) or n == 1
+    rng = random.Random(2111)
+    for _ in range(40):
+        g = corpus.random_chordal(rng.randint(5, 12), rng,
+                                  max_anchor=rng.choice((3, 5)))
+        assert_last_vertex_sweeps_like_a_fresh_sort(g)
+    for n in (20, 64, 70):
+        assert_last_vertex_sweeps_like_a_fresh_sort(complete_graph(n), 5000)
+
+
+def test_reference_insertion_sort_is_reference_sort_below_64_items():
+    rng = random.Random(2113)
+    for k in list(range(7)) + [9, 30, 63]:
+        pi = rng.sample(range(1, k + 1), k)
+        arcs = {(r, s) for x, r in enumerate(pi) for s in pi[x + 1:]}
+        items = [(v,) for v in rng.sample(range(1, k + 1), k)]
+        assert reference_insertion_sort(arcs, items) == reference_sort(arcs,
+                                                                       items)
+
+
+def test_last_vertex_sorts_its_clique_once_on_complete_graphs():
+    # every other vertex sorts once per sweep, a sweep being one step
+    # per smaller neighbour
+    for n in range(2, 9):
+        g = complete_graph(n)
+        order = find_peo(g)
+        rank = {v: x for x, v in enumerate(order, 1)}
+        ref = ReferenceSortRun(g, order)
+        steps = [0] * (n + 1)
+        for step in ref:
+            if step is not None:
+                steps[max(rank[v] for v in step)] += 1
+        assert steps[n] == math.factorial(n - 1) * (n - 1)
+        assert ref.sorts == 1 + sum(steps[j] // (j - 1) for j in range(2, n))
 
 
 def clique_sort_case(pi, items):
@@ -662,6 +784,32 @@ def test_last_vertex_end_steps_like_reference(perm_from, names_from):
             assert_steps_like_reference(h, perm_from, names_from)
             assert_steps_like_reference(h, perm_from, names_from,
                                         range(1, h.n + 1))
+
+
+class PositionCountRun(ChordalRun):
+    """A run that counts the moves of the last movable vertex whose
+    position in the permutation had to be looked up."""
+
+    __slots__ = ("lookups",)
+
+    def __init__(self, g, order):
+        super().__init__(g, order)
+        self.lookups = 0
+
+    def _move(self, j, lj, i, nxt, p=None):
+        self.lookups += p is None and j == self._top
+        return super()._move(j, lj, i, nxt, p)
+
+
+def test_last_vertex_looks_up_its_position_once_per_sweep():
+    # from its second step on, a sweep moves the vertex from where its
+    # previous step put it
+    for n in range(2, 8):
+        run = PositionCountRun(complete_graph(n), range(1, n + 1))
+        run.permutation()
+        for _ in run:
+            pass
+        assert run.lookups == math.factorial(n - 1)
 
 
 def test_visit_37_of_k8_falls_mid_sweep():
