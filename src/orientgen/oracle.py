@@ -91,29 +91,26 @@ def _simplicial_elimination(g, comp):
     """comp's vertices removed one simplicial vertex at a time, the
     smallest first, each paired with the neighbours it still has, or
     None when no vertex left is simplicial.  Removing other vertices
-    keeps a simplicial vertex simplicial, so a min-heap holds every
-    simplicial vertex left, and a removal re-tests only the removed
-    vertex's neighbours, the only vertices whose neighbourhood shrank."""
+    keeps a simplicial vertex simplicial, and only a removed vertex's
+    neighbours can become simplicial.  So the vertices are tested
+    smallest first from a min-heap; one that fails waits aside until a
+    neighbour is removed, and no removal rescans the others."""
     adj = g.adj
-    rem = set(comp)
-
-    def simplicial(v):
-        nb = adj[v] & rem
-        return all(len(adj[a] & nb) == len(nb) - 1 for a in nb)
-
-    heap = [v for v in comp if simplicial(v)]
-    heapq.heapify(heap)
-    queued = set(heap)
+    heap = sorted(comp)  # a sorted list is a min-heap
+    rem = set(heap)
+    failed = set()
     steps = []
     while heap:
         v = heapq.heappop(heap)
-        rem.remove(v)
         nb = adj[v] & rem
-        steps.append((v, nb))
-        for a in nb:
-            if a not in queued and simplicial(a):
-                queued.add(a)
+        if all(len(adj[a] & nb) == len(nb) - 1 for a in nb):
+            rem.remove(v)
+            steps.append((v, nb))
+            for a in nb & failed:
+                failed.remove(a)
                 heapq.heappush(heap, a)
+        else:
+            failed.add(v)
     return None if rem else steps
 
 

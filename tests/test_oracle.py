@@ -233,7 +233,8 @@ def test_simplicial_elimination_matches_the_rescan():
 
 
 def test_simplicial_elimination_is_linear_on_a_shuffled_path():
-    # a rescan from the smallest vertex left took 6.4 s here
+    # rescanning from the smallest vertex left after each removal took
+    # 6.4 s on this input (2 vCPU, Python 3.11)
     n = 4000
     order = list(range(1, n + 1))
     random.Random(4000).shuffle(order)
