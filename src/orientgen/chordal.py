@@ -99,9 +99,9 @@ class ChordalRun:
     or backwards: the step between two sweeps flips one edge, and when
     both ends lie in the clique they are neighbors in the order (an
     acyclic tournament stays acyclic after one reversal only between
-    neighbors), so the step swaps them.  ``_keep`` holds what the sort
-    of the kept order would count, so each sweep adds the same
-    comparisons as a fresh sort.  One helper, ``_move``, updates the
+    neighbors), so the step swaps them.  ``_keep`` and ``_count`` keep
+    what the sort of the kept order would count, so each sweep adds the
+    same comparisons as a fresh sort.  One helper, ``_move``, updates the
     tracked permutation for both kinds of step.  Within a sweep the last
     movable vertex starts each move where the previous one put it.  When
     it becomes a source or a sink it moves to the front or to just
@@ -431,9 +431,9 @@ class ChordalRun:
 
     def _keep(self, kept):
         """Tables that keep the last movable vertex's clique order
-        ``kept`` (source first, two or more members) and the count of
-        the sort that would make it.  With items the vertex's records in
-        edge order:
+        ``kept`` (source first, two or more members), from which
+        ``_count`` gives the count of the sort that would make it.  With
+        items the vertex's records in edge order:
 
         - swaps: edge id -> (a, b), a < b the item indices of its two
           ends, for every edge inside the clique;
