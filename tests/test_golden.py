@@ -13,7 +13,11 @@ perm``, ``--output flips`` and ``--count-only --counters``, and K_7,
 whose 6-member cliques start the clique sort on both kinds of leading
 run, adds ``--count-only --counters``, and so do K_8, K_9 and the
 seeded 13-vertex graph of 41,472 orientations in the shape of the
-benchmark's random graph (``long_jump_graph``).
+benchmark's random graph (``long_jump_graph``).  Two graphs whose counts
+come from vertices other than the last add ``--count-only --counters``
+too: K_8 with vertex 9 pendant on 1, whose last vertex has a one-member
+clique (80,640 orientations), and two K_6 sharing the edge {5, 6}
+(259,200).
 The ``ao-hyper`` corpus is the prefix chain on 4
 vertices, the Stanley-Pitman hypergraph on 4, K_4 and P_5 as 2-uniform
 hypergraphs, and a ``heo_corpus`` member whose hyperfect elimination
@@ -54,7 +58,9 @@ The ``ao-graph`` files were written by the engine that predates
 incremental snapshots (the ``r9`` and ``k7`` ones by the engine that
 still sorted its cliques with ``sorted`` and ``cmp_to_key``, the
 ``k8``, ``k9`` and ``jump13`` ones by the engine that still sorted the
-last vertex's clique at every one of its sweeps), the
+last vertex's clique at every one of its sweeps, the ``k8-pendant`` and
+``k6-k6`` ones by the engine that still sorted every other vertex's
+clique at each of its sweeps), the
 ``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
 hypergraph engine that still checked itself on every step, and the
@@ -110,7 +116,8 @@ GIVEN = ("k4", "p5", "r10-peo")
 SWEEP_CASES = (
     [("r9", mode, MODES[mode]) for mode in ("perm", "flips")]
     + [(name, "counters", ["--count-only", "--counters"])
-       for name in ("r9", "k7", "k8", "k9", "jump13")])
+       for name in ("r9", "k7", "k8", "k9", "jump13", "k8-pendant",
+                    "k6-k6")])
 
 HYPER_MODES = {
     "heads": [],
@@ -213,6 +220,10 @@ def instances():
         "k8": complete_graph(8),
         "k9": complete_graph(9),
         "jump13": long_jump_graph(),
+        "k8-pendant": Graph(9, list(complete_graph(8).edges) + [(1, 9)]),
+        "k6-k6": Graph(10, list(complete_graph(6).edges)
+                       + [(a + 4, b + 4) for a, b in complete_graph(6).edges
+                          if (a, b) != (1, 2)]),
     }
 
 
