@@ -4,19 +4,17 @@ The generator walks all acyclic orientations so that consecutive ones
 differ in a single arc.  Vertices are swept largest first; each sweep
 slides one vertex between being a source and being a sink inside its
 prefix subgraph, which in permutation terms is a sequence of minimal
-jumps (plain changes when the graph is complete).  A step costs what it
-changes: one bit of the orientation mask, two entries of a precedence
-map when the flipped edge lies inside a clique that a sweep sorts, and,
-once the canonical permutation has been read, one delete and one insert
-of the swept vertex in it.  A sweep of any vertex but the last movable
-one starts with one sort of the vertex's smaller neighbors: a binary
-insertion after the leading run, each comparison one lookup in the
-precedence map.  The last movable vertex sorts its clique once and then
-keeps the order; a step of another vertex inside that clique swaps two
-neighbors in it.  ``comparisons`` counts what each sweep's sort makes,
-the last vertex's derived from insertion ranks kept with its order.
-Snapshots are read off that state rather than rebuilt, and no table
-grows faster than n + m.
+jumps (plain changes when the graph is complete).  A sweep crosses the
+vertex's clique (its smaller neighbors) in an order kept across its
+sweeps: the members ascending at first, and afterwards one swap of two
+neighbors whenever a smaller vertex steps across an edge inside the
+clique.  A step costs what it changes: one bit of the orientation mask,
+one swap in the order of each larger clique that holds both ends of the
+flipped edge, and, once the canonical permutation has been read, one
+delete and one insert of the swept vertex in it.  ``comparisons``
+counts what a sort of each sweep's clique would make, derived from
+insertion ranks kept with the order.  Snapshots are read off that state
+rather than rebuilt, and no table grows faster than n + m.
 """
 
 from bisect import bisect_left
@@ -68,6 +66,80 @@ def _halvings(size):
 _HALVINGS = _halvings(64)
 
 
+class _Order:
+    """The kept order of one vertex's clique of two or more members,
+    with the comparisons a sweep's sort of it would make.  With items
+    the vertex's records in edge order:
+
+    - kept: the items, source first;
+    - index: member -> its item index;
+    - pos: pos[e] is the place of item e in ``kept``;
+    - below: below[e] is how many of items 0..e-1 precede item e, where
+      the sort's binary search of item e stops;
+    - run: the length of the sort's leading run, ascending or strictly
+      descending;
+    - count: the sort's comparisons, one per pair of the run and one for
+      the pair that broke it, then the halvings of each later item's
+      binary search.
+
+    Every edge starts toward its later end, so the first order is the
+    members ascending, and ``below`` is their insertion ranks.  A swap
+    of two neighbors of ``kept`` moves ``below`` only at the later item,
+    and the leading run only when the two items are neighbors in edge
+    order at or inside it."""
+
+    __slots__ = ("kept", "index", "pos", "below", "run", "count", "_steps")
+
+    def __init__(self, items, steps):
+        members = []
+        below = []
+        for rec in items:
+            b = bisect_left(members, rec[0])
+            below.append(b)
+            members.insert(b, rec[0])
+        self.index = index = {rec[0]: e for e, rec in enumerate(items)}
+        self.kept = [items[index[v]] for v in members]
+        self.pos = pos = [0] * len(items)
+        for p, v in enumerate(members):
+            pos[index[v]] = p
+        self.below = below
+        self._steps = steps
+        self._recount()
+
+    def _recount(self):
+        pos = self.pos
+        d = len(pos)
+        desc = pos[1] < pos[0]
+        run = 2
+        while run < d and (pos[run] < pos[run - 1]) == desc:
+            run += 1
+        self.run = run
+        steps = self._steps
+        below = self.below
+        self.count = ((run if run < d else d - 1)
+                      + sum(steps[e][below[e]] for e in range(run, d)))
+
+    def swap(self, a, b):
+        """Swap items a and b, neighbors in ``kept``."""
+        if a > b:
+            a, b = b, a
+        pos = self.pos
+        pa = pos[a]
+        pb = pos[b]
+        kept = self.kept
+        kept[pa], kept[pb] = kept[pb], kept[pa]
+        pos[a] = pb
+        pos[b] = pa
+        below = self.below
+        was = below[b]
+        now = below[b] = was + 1 if pb < pa else was - 1
+        if b == a + 1 and b <= self.run:
+            self._recount()
+        elif b >= self.run:
+            steps = self._steps[b]
+            self.count += steps[now] - steps[was]
+
+
 class ChordalRun:
     """Single-pass iterator over all acyclic orientations of a chordal
     graph, one arc flip at a time.
@@ -90,39 +162,37 @@ class ChordalRun:
     - digraph(): a Digraph built from the mask in O(n + m), for callers at
       the API edge.
 
-    The last movable vertex sweeps in one inner loop, a step per item of
-    its sorted clique; between two of its sweeps the focus pointers pick
-    one step of another vertex, so they are updated once per sweep of
-    the last vertex rather than at every step.  On K_n that loop makes
-    n - 1 of every n steps.  Its clique is sorted for its first sweep
-    only.  The order is kept source first, and a sweep walks it forwards
-    or backwards: the step between two sweeps flips one edge, and when
-    both ends lie in the clique they are neighbors in the order (an
-    acyclic tournament stays acyclic after one reversal only between
-    neighbors), so the step swaps them.  ``_keep`` and ``_count`` keep
-    what the sort of the kept order would count, so each sweep adds the
-    same comparisons as a fresh sort.  One helper, ``_move``, updates the
-    tracked permutation for both kinds of step.  Within a sweep the last
-    movable vertex starts each move where the previous one put it.  When
-    it becomes a source or a sink it moves to the front or to just
-    before the values above it, which are isolated and stay at the end,
-    so that step scans nothing.
+    A sweep crosses the vertex's clique (its smaller neighbors) source
+    first or sink first.  Every vertex whose clique has two or more
+    members keeps the clique's order in an ``_Order`` across its sweeps;
+    the first is the members ascending, and no sort is ever made.
+    Between two sweeps of a vertex v exactly one smaller vertex j steps,
+    across some i.  When i and j both lie in v's clique they are
+    neighbors in its order (an acyclic tournament stays acyclic after
+    one reversal only between neighbors), and j's step swaps them.
+    Each vertex lists the orders of the larger cliques that hold it,
+    with its item index in each: one entry per edge at most, and none
+    on a path.
 
-    A sweep sorts the vertex's clique (its smaller neighbors) through a
-    precedence map: ``_prec[a][b]`` is true iff edge {a, b} now points
-    a -> b.  It holds only the edges between two members of one clique,
-    the only pairs a sort compares, so it never holds an edge of the
-    last movable vertex or of a path; it is built in O(n + m) and the
-    other vertices' steps keep it current with two stores per flip.
-    The sort takes the leading run, reversed when strictly descending,
-    and inserts the rest by binary search: ``list.sort``'s algorithm
-    below 64 items, with the same comparisons.  Each insertion counts
-    the halvings its search made from a table up to the largest clique.
-    Counter attributes `visits`, `flips`, `comparisons` (the sorts'
-    comparisons, one sort per sweep) and `max_step_comparisons` (the
-    most in one sort) accumulate as the run advances.  From 64 items on
-    ``list.sort`` would merge runs and compare differently; the counters
-    stay the binary insertion's.  Such a clique means at least 65! orientations.
+    The last movable vertex sweeps in one inner loop; between two of its
+    sweeps the focus pointers pick one step of another vertex, so they
+    are updated once per sweep of the last vertex rather than at every
+    step.  On K_n that loop makes n - 1 of every n steps.  One helper,
+    ``_move``, updates the tracked permutation for both kinds of step.
+    Within a sweep the last movable vertex starts each move where the
+    previous one put it.  When it becomes a source or a sink it moves to
+    the front or to just before the values above it, which are isolated
+    and stay at the end, so that step scans nothing.
+
+    Counter attributes `visits`, `flips`, `comparisons` and
+    `max_step_comparisons` accumulate as the run advances.  Each sweep
+    adds to ``comparisons`` what a sort of the clique in edge order
+    would compare, kept by its ``_Order``: the leading run, reversed
+    when strictly descending, then a binary insertion of the rest, which
+    is ``list.sort``'s algorithm below 64 items.  `max_step_comparisons`
+    is the most for one sweep.  From 64 items on ``list.sort`` would
+    merge runs and compare differently; the counters stay the binary
+    insertion's.  Such a clique means at least 65! orientations.
 
     ``order`` must be a perfect elimination order of g and is not
     checked: ``generate`` checks a given one, and ``find_peo`` verifies
@@ -130,8 +200,8 @@ class ChordalRun:
     """
 
     __slots__ = ("graph", "order", "visits", "comparisons",
-                 "max_step_comparisons", "_mask", "_prec", "_steps",
-                 "_recs", "_top", "_pi", "_names", "_labels", "_gen")
+                 "max_step_comparisons", "_mask", "_recs", "_orders", "_ups",
+                 "_top", "_pi", "_names", "_labels", "_gen")
 
     def __init__(self, g, order):
         order = tuple(order)
@@ -153,36 +223,28 @@ class ChordalRun:
                 flipped[k] = "1"
             eid[b][a] = k
         self._mask = int("".join(reversed(flipped)) or "0", 2)
-        # the rest of a clique lies in the clique of its largest member,
-        # so the edges from that member to the rest, over every clique,
-        # are all the edges between two members of one clique; each
-        # starts toward its larger end
-        prec = [None] * (n + 1)
-        for below in eid:
-            if len(below) > 1:
-                top = max(below)
-                pt = prec[top]
-                if pt is None:
-                    pt = prec[top] = {}
-                for a in below:
-                    if a != top:
-                        pa = prec[a]
-                        if pa is None:
-                            pa = prec[a] = {}
-                        pa[top] = True
-                        pt[a] = False
-        self._prec = prec
         size = max(map(len, eid))
-        self._steps = _HALVINGS if size <= 64 else _halvings(size)
+        steps = _HALVINGS if size <= 64 else _halvings(size)
         # per vertex j, per smaller neighbor i in edge order: i, the edge,
-        # the arc a flip makes when j sweeps left, and right, and the
-        # entries prec[j] and prec[i] the flip updates (None if no sort
-        # compares i with j)
+        # and the arc a flip makes when j sweeps left, and right
         orig = (0,) + order
-        self._recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]),
-                        (prec[j], prec[i]) if prec[j] and i in prec[j]
-                        else None)
-                       for i, k in eid[j].items()] for j in range(n + 1)]
+        recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]))
+                 for i, k in eid[j].items()] for j in range(n + 1)]
+        self._recs = recs
+        # the order of each clique of two or more members; per vertex,
+        # (order, its item index there) for each larger clique holding it
+        orders = [None] * (n + 1)
+        ups = [()] * (n + 1)
+        for j, items in enumerate(recs):
+            if len(items) > 1:
+                o = orders[j] = _Order(items, steps)
+                for e, rec in enumerate(items):
+                    up = ups[rec[0]]
+                    if not up:
+                        up = ups[rec[0]] = []
+                    up.append((o, e))
+        self._orders = orders
+        self._ups = ups
         # the last movable vertex; every value above it is isolated
         self._top = max((j for j in range(n + 1) if eid[j]), default=0)
         self._pi = None  # tracked from the first permutation() on
@@ -238,52 +300,6 @@ class ChordalRun:
         arc k corresponding to edge k."""
         return orient(self.graph, self._mask)
 
-    def _sweep(self, items, lj):
-        """The members ``items``, tuples led by the members of a clique,
-        in the order a sweep left (``lj``) or right crosses them: sorted
-        source first by precedence lookups, which are counted, and
-        reversed for a sweep left.  Returns a new list."""
-        n = len(items)
-        if n < 2:
-            return list(items)
-        prec = self._prec
-        # the leading run: ascending, or strictly descending when the
-        # second member precedes the first
-        r = items[0][0]
-        s = items[1][0]
-        desc = prec[s][r]
-        run = 2
-        while run < n:
-            r = s
-            s = items[run][0]
-            if prec[s][r] != desc:
-                break
-            run += 1
-        # one lookup per pair of the run, and one for the pair that broke it
-        count = run if run < n else n - 1
-        path = items[run - 1::-1] if desc else items[:run]
-        steps = self._steps
-        for end in range(run, n):
-            pivot = items[end]
-            pp = prec[pivot[0]]
-            lo = 0
-            hi = end
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                # does the pivot precede path[mid]?
-                if pp[path[mid][0]]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            count += steps[end][lo]
-            path.insert(lo, pivot)
-        self.comparisons += count
-        if count > self.max_step_comparisons:
-            self.max_step_comparisons = count
-        if lj:
-            path.reverse()
-        return path
-
     def _move(self, j, lj, i, nxt, p=None):
         """Move j in the tracked permutation, and in the tracked names,
         for the step that crosses i on a sweep left (``lj``) or right;
@@ -325,6 +341,8 @@ class ChordalRun:
     def _iterate(self):
         n = self.graph.n
         recs = self._recs
+        orders = self._orders
+        ups = self._ups
         deg = [len(r) for r in recs]
         movable = [j for j in range(1, n + 1) if deg[j]]
         prevm = [0] * (n + 1)
@@ -332,7 +350,8 @@ class ChordalRun:
         for j in movable:
             prevm[j] = last
             last = j
-        T = [None] * (n + 1)  # recs[j] in the order j's sweep crosses them
+        # each clique source first: its kept order, or its one member
+        T = [o.kept if o else r for o, r in zip(orders, recs)]
         t = [0] * (n + 1)
         left = [True] * (n + 1)
         s = list(range(n + 1))
@@ -340,24 +359,25 @@ class ChordalRun:
         yield None
         if last == 0:
             return
-        sweep = self._sweep
         move = self._move
         mask = self._mask
         # the last movable vertex sweeps in one loop; between two of its
         # sweeps the focus pointers pick one step of another vertex
-        lrecs = recs[last]
+        kept = T[last]
+        lorder = orders[last]
         ldeg = deg[last]
         lpre = prevm[last]
         ll = True
-        # its clique source first, sorted once and then kept: a flip inside
-        # the clique swaps two neighbours of ``kept``
-        kept = sweep(lrecs, False)
-        swaps = None
         while True:
+            if lorder:
+                c = lorder.count
+                self.comparisons += c
+                if c > self.max_step_comparisons:
+                    self.max_step_comparisons = c
             # at the sweep's x-th step (from 0) visits == base + x
             base = self.visits
             lp = None  # its position in the tracked permutation
-            for i, k, leftarc, rightarc, _ in reversed(kept) if ll else kept:
+            for i, k, leftarc, rightarc in reversed(kept) if ll else kept:
                 mask ^= 1 << k
                 self._mask = mask
                 if self._pi is not None:
@@ -371,49 +391,29 @@ class ChordalRun:
             j = s[lpre]
             if j == 0:
                 return
-            if swaps is None:
-                # built once another vertex steps, for a clique of two or more
-                swaps = {}
-                lcount = 0
-                if ldeg > 1:
-                    swaps, pos, below = self._keep(kept)
-                    steps = self._steps
-                    lrun, lcount = _count(pos, below, steps)
             s[lpre] = lpre
             tj = t[j]
             lj = left[j]
-            if tj == 0:
-                T[j] = sweep(recs[j], lj)
             Tj = T[j]
-            i, k, leftarc, rightarc, link = Tj[tj]
+            dj = deg[j]
+            if tj == 0 and orders[j]:
+                c = orders[j].count
+                self.comparisons += c
+                if c > self.max_step_comparisons:
+                    self.max_step_comparisons = c
+            i, k, leftarc, rightarc = Tj[dj - 1 - tj] if lj else Tj[tj]
             tj += 1
             mask ^= 1 << k
             self._mask = mask
-            if link:
-                # j now precedes i after a jump left, follows it after
-                # a jump right
-                link[0][i] = lj
-                link[1][j] = not lj
-                pair = swaps.get(k)
-                if pair is not None:
-                    # i and j are neighbours in ``kept``; the later of the
-                    # two in edge order, b, gains or loses a predecessor
-                    a, b = pair
-                    pa = pos[a]
-                    pb = pos[b]
-                    kept[pa], kept[pb] = kept[pb], kept[pa]
-                    pos[a] = pb
-                    pos[b] = pa
-                    was = below[b]
-                    now = below[b] = was + 1 if pb < pa else was - 1
-                    if b == a + 1 and b <= lrun:
-                        # the pair decides where the leading run ends
-                        lrun, lcount = _count(pos, below, steps)
-                    elif b >= lrun:
-                        lcount += steps[b][now] - steps[b][was]
-            ended = tj == deg[j]
+            # i and j are neighbors in each larger clique order holding both
+            for o, b in ups[j]:
+                a = o.index.get(i)
+                if a is not None:
+                    o.swap(a, b)
+            ended = tj == dj
             if self._pi is not None:
-                move(j, lj, i, 0 if ended else Tj[tj][0])
+                move(j, lj, i, 0 if ended else
+                     Tj[dj - 1 - tj][0] if lj else Tj[tj][0])
             if ended:
                 left[j] = not lj
                 t[j] = 0
@@ -424,62 +424,6 @@ class ChordalRun:
                 t[j] = tj
             self.visits += 1
             yield leftarc if lj else rightarc
-            # the last vertex's next sweep counts what its sort would
-            self.comparisons += lcount
-            if lcount > self.max_step_comparisons:
-                self.max_step_comparisons = lcount
-
-    def _keep(self, kept):
-        """Tables that keep the last movable vertex's clique order
-        ``kept`` (source first, two or more members), from which
-        ``_count`` gives the count of the sort that would make it.  With
-        items the vertex's records in edge order:
-
-        - swaps: edge id -> (a, b), a < b the item indices of its two
-          ends, for every edge inside the clique;
-        - pos: pos[e] is the place of item e in ``kept``;
-        - below: below[e] is how many of items 0..e-1 precede item e,
-          where the sort's binary search of item e stops.
-
-        A flip inside the clique swaps two neighbours of ``kept``: it
-        moves ``below`` only at the later item, and the leading run only
-        when the two items are neighbours in edge order at or inside
-        it."""
-        items = self._recs[self._top]
-        d = len(items)
-        index = {rec[0]: e for e, rec in enumerate(items)}
-        pos = [0] * d
-        for p, rec in enumerate(kept):
-            pos[index[rec[0]]] = p
-        below = []
-        seen = []
-        for p in pos:
-            b = bisect_left(seen, p)
-            below.append(b)
-            seen.insert(b, p)
-        swaps = {}
-        for b, e in index.items():
-            for rec in self._recs[b]:
-                a = index.get(rec[0])
-                if a is not None:
-                    swaps[rec[1]] = (a, e) if a < e else (e, a)
-        return swaps, pos, below
-
-
-def _count(pos, below, steps):
-    """The length of the leading run of two or more items placed at
-    ``pos`` (ascending, or descending when the second precedes the
-    first), and the comparisons the sweep's sort makes on them: one per
-    pair of the run and one for the pair that broke it, then the
-    halvings of each later item's binary search, which stops at
-    ``below``."""
-    d = len(pos)
-    desc = pos[1] < pos[0]
-    run = 2
-    while run < d and (pos[run] < pos[run - 1]) == desc:
-        run += 1
-    return run, ((run if run < d else d - 1)
-                 + sum(steps[e][below[e]] for e in range(run, d)))
 
 
 def generate(g, order=None):

@@ -21,15 +21,14 @@ from . import chordal, hypergen
 from .errors import CapExceeded, InputError
 from .fileio import (format_hypergraph, parse_congruence, parse_digraph,
                      parse_graph, parse_hypergraph, parse_seed_pairs)
-from .graphs import (find_peo, is_acyclic, label_map, orientation_mask,
-                     relabel_digraph)
+from .graphs import find_peo, is_acyclic, label_map, relabel_digraph
 from .hypergraphs import find_heo, graphical_building_set, relabel_hypergraph
 from .jumps import LanguageOracle, algorithm_J
 from .oracle import (ArcListingCertifier, FlipGraph, PairListingCertifier,
-                     build_flip_graph, certify_hamilton_path,
+                     acyclic_masks, build_flip_graph, certify_hamilton_path,
                      check_ao_graph_cap, check_ao_hyper_cap, count_ao_graph,
-                     enumerate_ao_graph, enumerate_ao_hyper, flip_graph_dot,
-                     pair_flip_relation, quotient_cover_graph)
+                     enumerate_ao_hyper, flip_graph_dot, pair_flip_relation,
+                     quotient_cover_graph)
 from .quotients import (Congruence, build_ar_poset, classify,
                         forcing_closure, generate_quotient_path,
                         identity_congruence, peo_consistent_order)
@@ -137,7 +136,7 @@ def _graph_dot(out, g, name, make_run):
     are enumerated, so a graph it rejects exits 1 at once."""
     check_ao_graph_cap(g)
     run = make_run()
-    masks = [orientation_mask(g, d) for d in enumerate_ao_graph(g)]
+    masks = acyclic_masks(g)
     index = {mask: i for i, mask in enumerate(masks)}
     bits = [1 << k for k in range(len(g.edges))]
     joins = {}

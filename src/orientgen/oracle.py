@@ -22,18 +22,21 @@ def check_ao_graph_cap(g):
         raise CapExceeded("2^%d orientations exceed cap %d" % (m, limit))
 
 
-def enumerate_ao_graph(g):
-    """All acyclic orientations of a graph, in ascending bitmask order.
+def acyclic_masks(g):
+    """The bitmasks of all acyclic orientations of a graph, ascending.
 
     Bit k of a mask orients edge k from its larger endpoint toward its
     smaller one.  Raises CapExceeded when 2^m exceeds the cap.
     """
     check_ao_graph_cap(g)
-    out = []
-    for mask in range(1 << len(g.edges)):
-        if is_acyclic_mask(g, mask):
-            out.append(orient(g, mask))
-    return out
+    return [mask for mask in range(1 << len(g.edges))
+            if is_acyclic_mask(g, mask)]
+
+
+def enumerate_ao_graph(g):
+    """All acyclic orientations of a graph as Digraphs, in the order of
+    ``acyclic_masks``."""
+    return [orient(g, mask) for mask in acyclic_masks(g)]
 
 
 def count_ao_graph(g):

@@ -3,13 +3,15 @@
 import math
 import random
 import tracemalloc
+from bisect import bisect_left
 from functools import cmp_to_key
-from itertools import islice, permutations, zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 
-from orientgen import corpus
-from orientgen.chordal import ChordalRun, decode, encode, generate
+from orientgen import chordal, corpus
+from orientgen.chordal import (_HALVINGS, ChordalRun, _halvings, _Order,
+                               decode, encode, generate)
 from orientgen.cli import main
 from orientgen.errors import InputError
 from orientgen.fileio import format_graph
@@ -244,7 +246,7 @@ def test_counters():
     assert visits == 24 and flips == 23
     assert comparisons > 0
     assert run.max_step_comparisons <= 8 * math.log2(4)
-    # a path sorts singleton neighborhoods: no comparisons at all
+    # a path's cliques have one member each: no comparisons at all
     run, _ = run_masks(path_graph(6))
     assert cost_counters(run)[1] == 0
 
@@ -359,62 +361,6 @@ def reference_sorted_path(run, items):
     return reference_sort(elimination_arcs(run.digraph(), run.order), items)
 
 
-class ReferenceSortRun(ChordalRun):
-    """A run whose cliques are sorted by ``reference_sorted_path`` where
-    the engine sorts them; ``sorts`` counts the sorts made there.  The
-    last movable vertex's clique is sorted there only for its first
-    sweep: later sweeps keep that order, so the hook checks the other
-    vertices' sorts, ``test_last_vertex_sweeps_like_a_fresh_sort`` the
-    last vertex's, and ``ReferenceStepRun`` every step."""
-
-    __slots__ = ("sorts",)
-
-    def __init__(self, g, order):
-        super().__init__(g, order)
-        self.sorts = 0
-
-    def _sweep(self, items, lj):
-        self.sorts += 1
-        path, c = reference_sorted_path(self, items)
-        self.comparisons += c
-        if c > self.max_step_comparisons:
-            self.max_step_comparisons = c
-        if lj:
-            path.reverse()
-        return path
-
-
-def assert_sorts_like_reference(g, limit=None):
-    """The same arc and the same comparison counters as the reference
-    run at each of the first ``limit`` visits, or at every one."""
-    order = find_peo(g)
-    run = ChordalRun(g, order)
-    ref = ReferenceSortRun(g, order)
-    end = object()
-    for step, ref_step in islice(zip_longest(run, ref, fillvalue=end),
-                                 limit):
-        assert step == ref_step
-        assert run.comparisons == ref.comparisons
-        assert run.max_step_comparisons == ref.max_step_comparisons
-    # the engine sorted through the hook: the reference run did not
-    # compare the engine's sort with itself
-    assert ref.sorts > 0 or ref.visits == 1
-
-
-def test_clique_sort_matches_reference_runs():
-    for n in range(1, 9):
-        assert_sorts_like_reference(complete_graph(n))
-    for g in snapshot_corpus():
-        assert_sorts_like_reference(g)
-
-
-def test_clique_sort_matches_reference_on_large_cliques():
-    # K_64's vertex 64 sorts 63 members, the largest clique on which
-    # the two sorts make the same comparisons
-    for n in (20, 64):
-        assert_sorts_like_reference(complete_graph(n), 3000)
-
-
 def reference_insertion_sort(arcs, items):
     """The clique sort by list.sort's algorithm below 64 items, at any
     size: the leading run, ascending or strictly descending, then a
@@ -446,25 +392,28 @@ def reference_insertion_sort(arcs, items):
     return path, count
 
 
-def assert_last_vertex_sweeps_like_a_fresh_sort(g, limit=None):
-    """At each sweep of the last movable vertex L within the first
-    ``limit`` visits, or all of them: the members L crosses, in order,
-    are its clique sorted afresh on the orientation where the sweep
-    starts (reversed on a sweep left), and the sweep's first visit adds
-    that sort's comparisons.  The orientation is followed from the
-    steps; the sort is ``reference_sort`` below 64 members and
+def assert_sweeps_like_a_fresh_sort(g, limit=None):
+    """At each sweep of every vertex within the first ``limit`` visits,
+    or all of them: the members the vertex crosses, in order, are its
+    clique sorted afresh on the orientation where the sweep starts
+    (reversed on a sweep left, each vertex's first among them), and
+    the sweep's first visit adds that sort's comparisons; no other
+    visit adds any.  The orientation is followed from the steps; the
+    sort is ``reference_sort`` below 64 members and
     ``reference_insertion_sort`` from 64 on, where ``sorted`` compares
-    differently.  Returns the number of L's sweeps."""
+    differently.  Returns each vertex's number of finished sweeps."""
     order = find_peo(g)
+    n = g.n
     rank = {v: x for x, v in enumerate(order, 1)}
-    edges = [(rank[x], rank[y]) for x, y in g.edges]
-    last = max((max(e) for e in edges), default=0)
-    items = [(min(e),) for e in edges if max(e) == last]
-    sort = reference_sort if len(items) < 64 else reference_insertion_sort
+    items = [[] for _ in range(n + 1)]
+    for x, y in g.edges:
+        a, b = sorted((rank[x], rank[y]))
+        items[b].append((a,))
     run = ChordalRun(g, order)
     arcs = None
-    crossed = expect = None
-    sweeps = 0
+    crossed = [None] * (n + 1)
+    expect = [None] * (n + 1)
+    sweeps = [0] * (n + 1)
     before = 0
     for step in islice(run, limit):
         if step is None:
@@ -473,38 +422,45 @@ def assert_last_vertex_sweeps_like_a_fresh_sort(g, limit=None):
         a, b = rank[step[0]], rank[step[1]]
         arcs.discard((b, a))
         arcs.add((a, b))
-        if last in (a, b):
-            if crossed is None:
-                # L's flips leave its clique's order as it is
-                expect, count = sort(arcs, items)
-                if sweeps % 2 == 0:
-                    expect.reverse()
-                assert run.comparisons - before == count
-                assert run.max_step_comparisons >= count
-                crossed = []
-            crossed.append((a + b - last,))
-            if len(crossed) == len(items):
-                assert crossed == expect
-                sweeps += 1
-                crossed = None
+        v = max(a, b)
+        added = 0
+        if crossed[v] is None:
+            # v's flips leave its clique's order as it is
+            sort = reference_sort if len(items[v]) < 64 else \
+                reference_insertion_sort
+            expect[v], added = sort(arcs, items[v])
+            if sweeps[v] % 2 == 0:
+                expect[v].reverse()
+            assert run.max_step_comparisons >= added
+            crossed[v] = []
+        assert run.comparisons - before == added
         before = run.comparisons
-    assert crossed is None or crossed == expect[:len(crossed)]
+        crossed[v].append((a + b - v,))
+        if len(crossed[v]) == len(items[v]):
+            assert crossed[v] == expect[v]
+            sweeps[v] += 1
+            crossed[v] = None
+    for v in range(n + 1):
+        assert crossed[v] is None or crossed[v] == expect[v][:len(crossed[v])]
     return sweeps
 
 
-def test_last_vertex_sweeps_like_a_fresh_sort():
+def test_every_vertex_sweeps_like_a_fresh_sort():
     for g in corpus.chordal_graphs(6):
-        assert_last_vertex_sweeps_like_a_fresh_sort(g)
+        assert_sweeps_like_a_fresh_sort(g)
     for n in range(1, 10):
-        sweeps = assert_last_vertex_sweeps_like_a_fresh_sort(complete_graph(n))
-        assert sweeps == math.factorial(n - 1) or n == 1
+        sweeps = assert_sweeps_like_a_fresh_sort(complete_graph(n))
+        assert sweeps[2:] == [math.factorial(v - 1) for v in range(2, n + 1)]
     rng = random.Random(2111)
     for _ in range(40):
         g = corpus.random_chordal(rng.randint(5, 12), rng,
                                   max_anchor=rng.choice((3, 5)))
-        assert_last_vertex_sweeps_like_a_fresh_sort(g)
+        assert_sweeps_like_a_fresh_sort(g)
+    # K_64's vertex 64 crosses 63 members, the largest clique on which
+    # the two sorts make the same comparisons
     for n in (20, 64, 70):
-        assert_last_vertex_sweeps_like_a_fresh_sort(complete_graph(n), 5000)
+        sweeps = assert_sweeps_like_a_fresh_sort(complete_graph(n), 20000)
+        assert sweeps[n - 1] > 0
 
 
 def test_reference_insertion_sort_is_reference_sort_below_64_items():
@@ -517,77 +473,158 @@ def test_reference_insertion_sort_is_reference_sort_below_64_items():
                                                                        items)
 
 
-def test_last_vertex_sorts_its_clique_once_on_complete_graphs():
-    # every other vertex sorts once per sweep, a sweep being one step
-    # per smaller neighbour
-    for n in range(2, 9):
-        g = complete_graph(n)
-        order = find_peo(g)
-        rank = {v: x for x, v in enumerate(order, 1)}
-        ref = ReferenceSortRun(g, order)
-        steps = [0] * (n + 1)
-        for step in ref:
-            if step is not None:
-                steps[max(rank[v] for v in step)] += 1
-        assert steps[n] == math.factorial(n - 1) * (n - 1)
-        assert ref.sorts == 1 + sum(steps[j] // (j - 1) for j in range(2, n))
+def test_a_run_sorts_nothing_after_set_up(monkeypatch):
+    # set-up ranks each clique's members with one binary search per
+    # member; after it an order changes by swaps only: no search and no
+    # new order
+    made = {"searches": 0, "orders": 0}
+
+    def search(a, x):
+        made["searches"] += 1
+        return bisect_left(a, x)
+
+    build = chordal._Order.__init__
+
+    def order(self, items, steps):
+        made["orders"] += 1
+        build(self, items, steps)
+
+    monkeypatch.setattr(chordal, "bisect_left", search)
+    monkeypatch.setattr(chordal._Order, "__init__", order)
+    for g in [complete_graph(n) for n in range(1, 8)] + [long_jump_graph()]:
+        made.update(searches=0, orders=0)
+        run = ChordalRun(g, find_peo(g))
+        orders = [o for o in run._orders if o]
+        assert made == {"searches": sum(len(o.kept) for o in orders),
+                        "orders": len(orders)}
+        set_up = dict(made)
+        for _ in run:
+            pass
+        assert run.visits == count_ao_graph(g)
+        assert made == set_up
 
 
-def clique_sort_case(pi, items):
-    """The engine's sort and the reference on ``items``, tuples led by
-    members of the clique 1..k, each as (path, lookups), in a
-    K_(k+1) run whose precedence map is set to the orientation that
-    orders the clique as ``pi``."""
-    k = len(pi)
-    g = complete_graph(k + 1)
-    run = ChordalRun(g, range(1, k + 2))
-    arcs = elimination_arcs(decode(g, tuple(pi) + (k + 1,)), run.order)
-    for a, b in arcs:
-        if max(a, b) <= k:
-            run._prec[a][b] = True
-            run._prec[b][a] = False
-    path = run._sweep(items, False)
-    return (path, run.comparisons), reference_sort(arcs, items)
+def plain_changes(k):
+    """The places p of the swaps of neighbours p and p + 1 that walk
+    every order of k items once from the first, by plain changes: the
+    largest item sweeps between the ends, and between two of its sweeps
+    the others make one swap of plain changes on k - 1 items."""
+    if k < 2:
+        return []
+    out = []
+    top = k - 1  # the place of the largest item
+    inner = plain_changes(k - 1)
+    for x in range(len(inner) + 1):
+        for _ in range(k - 1):
+            if x % 2 == 0:
+                top -= 1
+                out.append(top)
+            else:
+                top += 1
+                out.append(top - 1)
+        if x < len(inner):
+            out.append(inner[x] + (top == 0))
+    return out
 
 
-def test_clique_sort_makes_list_sort_comparisons_below_64_items():
-    # every order of up to 7 members, then seeded orders and inputs of
-    # 8 to 63
-    for k in range(8):
-        items = [(v,) for v in range(1, k + 1)]
-        for pi in permutations(range(1, k + 1)):
-            got, ref = clique_sort_case(pi, items)
-            assert got == ref
+class KeptArcs:
+    """The arcs that order a clique as ``kept``, tuples led by members:
+    (r, s) is one iff r comes first."""
+
+    def __init__(self, kept):
+        self.place = {rec[0]: p for p, rec in enumerate(kept)}
+
+    def __contains__(self, arc):
+        return self.place[arc[0]] < self.place[arc[1]]
+
+
+def assert_order_walk_counts_like(sort, items, walk):
+    """An order over ``items``, tuples led by the members 1..k in edge
+    order, starts ascending and swaps the neighbours at each place of
+    ``walk`` in turn.  At the start and after every swap its order and
+    count are those of ``sort`` on the orientation it stands for.
+    Returns the orders it took."""
+    k = len(items)
+    o = _Order(items, _HALVINGS if k <= 64 else _halvings(k))
+    kept = sorted(items)
+    seen = set()
+    for p in [None] + walk:
+        if p is not None:
+            o.swap(o.index[kept[p][0]], o.index[kept[p + 1][0]])
+            kept[p], kept[p + 1] = kept[p + 1], kept[p]
+        path, count = sort(KeptArcs(kept), items)
+        assert o.kept == path == kept
+        assert o.count == count
+        seen.add(tuple(kept))
+    return seen
+
+
+def test_clique_order_counts_like_list_sort_below_64_items():
+    # every order of up to 7 members by plain changes, with the items in
+    # edge order ascending, descending and shuffled; then seeded walks
+    # on 8 to 63 members
     rng = random.Random(61)
+    for k in range(2, 8):
+        walk = plain_changes(k)
+        for members in (list(range(1, k + 1)), list(range(k, 0, -1)),
+                        rng.sample(range(1, k + 1), k)):
+            seen = assert_order_walk_counts_like(
+                reference_sort, [(v,) for v in members], walk)
+            assert len(seen) == math.factorial(k)
     for k in range(8, 64):
-        for _ in range(8):
-            pi = rng.sample(range(1, k + 1), k)
-            items = [(v,) for v in rng.sample(range(1, k + 1), k)]
-            got, ref = clique_sort_case(pi, items)
-            assert got == ref
+        for members in (list(range(1, k + 1)), rng.sample(range(1, k + 1), k)):
+            walk = [rng.randrange(k - 1) for _ in range(60)]
+            assert_order_walk_counts_like(reference_sort,
+                                          [(v,) for v in members], walk)
 
 
-def test_clique_sort_orders_64_items_and_more():
-    # list.sort merges runs from 64 items on, so only the order agrees
+def test_clique_order_counts_like_insertion_sort_from_64_items():
+    # list.sort merges runs from 64 items on; the count stays the
+    # binary insertion's
     rng = random.Random(67)
     for k in (64, 65, 100):
-        pi = rng.sample(range(1, k + 1), k)
-        items = [(v,) for v in rng.sample(range(1, k + 1), k)]
-        (path, count), (ref_path, _) = clique_sort_case(pi, items)
-        assert path == ref_path == [(v,) for v in pi]
-        assert count <= k * math.ceil(math.log2(k))
+        for members in (list(range(1, k + 1)), rng.sample(range(1, k + 1), k)):
+            walk = [rng.randrange(k - 1) for _ in range(60)]
+            assert_order_walk_counts_like(reference_insertion_sort,
+                                          [(v,) for v in members], walk)
 
 
-def test_precedence_map_holds_only_clique_edges():
-    # the precedence map holds the edges inside the cliques a sweep
-    # sorts: none of the last vertex's, none of a path's
-    g = complete_graph(5)
-    run = ChordalRun(g, range(1, 6))
-    held = {(a, b) for a, row in enumerate(run._prec) if row for b in row}
-    assert held == {(a, b) for a in range(1, 5) for b in range(1, 5)
-                    if a != b}
+def test_order_tables_hold_at_most_m_entries():
+    # an order per clique of two or more members, and per vertex one
+    # entry for each such clique that holds it: one per edge at most
+    rng = random.Random(2213)
+    graphs = [complete_graph(6), long_jump_graph()]
+    graphs += [corpus.random_chordal(rng.randint(5, 13), rng,
+                                     max_anchor=rng.choice((3, 5)))
+               for _ in range(20)]
+    for g in graphs:
+        run = ChordalRun(g, find_peo(g))
+        assert [o is not None for o in run._orders] == \
+            [len(r) > 1 for r in run._recs]
+        held = sum(len(o.kept) for o in run._orders if o)
+        assert sum(map(len, run._ups)) == held <= len(g.edges)
+    # K_6: every edge but {1, 2}, the one member of vertex 2's clique
+    run = ChordalRun(complete_graph(6), range(1, 7))
+    assert sum(map(len, run._ups)) == 14
     run = ChordalRun(path_graph(6), range(1, 7))
-    assert not any(run._prec)
+    assert not any(run._orders) and not any(run._ups)
+
+
+def test_memory_is_linear_on_a_dense_graph():
+    # tables of edge pairs per vertex would hold about n^3 / 6 = 1.3
+    # million pairs here
+    n = 200
+    g = complete_graph(n)
+    tracemalloc.start()
+    try:
+        run = ChordalRun(g, range(1, n + 1))
+        for _ in islice(run, 20000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.visits == 20000
+    assert peak < 512 * len(g.edges)
 
 
 class ReferenceStepRun(ChordalRun):
