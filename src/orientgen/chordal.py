@@ -91,17 +91,17 @@ class _Order:
     __slots__ = ("kept", "index", "pos", "below", "run", "count", "_steps")
 
     def __init__(self, items, steps):
-        members = []
+        # the items are led by distinct members, so they compare as those
+        self.kept = kept = []
         below = []
         for rec in items:
-            b = bisect_left(members, rec[0])
+            b = bisect_left(kept, rec)
             below.append(b)
-            members.insert(b, rec[0])
+            kept.insert(b, rec)
         self.index = index = {rec[0]: e for e, rec in enumerate(items)}
-        self.kept = [items[index[v]] for v in members]
         self.pos = pos = [0] * len(items)
-        for p, v in enumerate(members):
-            pos[index[v]] = p
+        for p, rec in enumerate(kept):
+            pos[index[rec[0]]] = p
         self.below = below
         self._steps = steps
         self._recount()
@@ -165,7 +165,8 @@ class ChordalRun:
     A sweep crosses the vertex's clique (its smaller neighbors) source
     first or sink first.  Every vertex whose clique has two or more
     members keeps the clique's order in an ``_Order`` across its sweeps;
-    the first is the members ascending, and no sort is ever made.
+    the first is the members ascending, ranked once at set-up, and no
+    sweep sorts.
     Between two sweeps of a vertex v exactly one smaller vertex j steps,
     across some i.  When i and j both lie in v's clique they are
     neighbors in its order (an acyclic tournament stays acyclic after
