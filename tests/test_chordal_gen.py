@@ -448,14 +448,23 @@ def assert_sweeps_like_a_fresh_sort(g, limit=None):
 def test_every_vertex_sweeps_like_a_fresh_sort():
     for g in corpus.chordal_graphs(6):
         assert_sweeps_like_a_fresh_sort(g)
-    for n in range(1, 10):
-        sweeps = assert_sweeps_like_a_fresh_sort(complete_graph(n))
-        assert sweeps[2:] == [math.factorial(v - 1) for v in range(2, n + 1)]
     rng = random.Random(2111)
     for _ in range(40):
         g = corpus.random_chordal(rng.randint(5, 12), rng,
                                   max_anchor=rng.choice((3, 5)))
         assert_sweeps_like_a_fresh_sort(g)
+
+
+def test_last_vertex_sweeps_like_a_fresh_sort():
+    # on K_n the last vertex sweeps once per orientation of the others,
+    # (n - 1)! times, and each vertex v below it (v - 1)! times
+    for n in range(1, 10):
+        sweeps = assert_sweeps_like_a_fresh_sort(complete_graph(n))
+        assert sweeps[n] == math.factorial(n - 1) or n == 1
+        assert sweeps[2:] == [math.factorial(v - 1) for v in range(2, n + 1)]
+
+
+def test_clique_sort_matches_reference_on_large_cliques():
     # K_64's vertex 64 crosses 63 members, the largest clique on which
     # the two sorts make the same comparisons
     for n in (20, 64, 70):
