@@ -48,7 +48,10 @@ the order searches work: ``heo`` on three shuffled seeded random
 hypergraphs and the building set of a shuffled P_6, ``quotient --output
 perm --certify`` on three shuffled skeletal references, ``classify`` on
 C_4 oriented as the vertebrate witness beside 12 isolated vertices and
-on the directed P_12, ``ao-graph --certify --count-only`` on K_4,
+on the directed P_12, ``heo`` on a shuffled 2-uniform P_400 and
+``classify`` on a shuffled directed P_4000, whose orders the greedy
+searches that rescanned after every removal took seconds to find,
+``ao-graph --certify --count-only`` on K_4,
 P_5 and K_3 side by side, and ``ao-hyper --certify``, with and without
 ``--count-only``, on the three shuffled random hypergraphs and the
 building set of a shuffled P_5, so that the permutation-trace check
@@ -200,6 +203,7 @@ COMMAND_CASES = (
     + [("quotient", f, ["--output", "perm", "--certify"], "")
        for f in SEARCH_QUOTIENT]
     + [("classify", f, [], "") for f in ("c4-iso12.d", "dpath12.d")]
+    + [("heo", "p400-2u.h", [], ""), ("classify", "dpath4000.d", [], "")]
     + [("ao-graph", "k4p5k3.g", ["--certify", "--count-only"], "")]
     + [("ao-hyper", f, ["--certify"] + extra, tag) for f in CERTIFY_HEO
        for extra, tag in (([], ""), (["--count-only"], "count"))]
@@ -329,7 +333,8 @@ def search_instances():
     building set of a shuffled P_6 and of a shuffled P_5; three skeletal references, shuffled
     until their own labels are not peo-consistent; C_4 oriented as the
     vertebrate witness beside 12 isolated vertices; the directed P_12;
-    and K_4, P_5 and K_3 side by side."""
+    a shuffled 2-uniform P_400 and a shuffled directed P_4000; and K_4,
+    P_5 and K_3 side by side."""
     rng = random.Random(13)
     files = {}
     while len(files) < 3:
@@ -356,6 +361,10 @@ def search_instances():
     files["c4-iso12.d"] = format_digraph(Digraph(16, vert.arcs))
     files["dpath12.d"] = format_digraph(
         Digraph(12, [(k, k + 1) for k in range(1, 12)]))
+    files["p400-2u.h"] = format_hypergraph(corpus.two_uniform(
+        shuffled_path(400, random.Random(400))))
+    files["dpath4000.d"] = format_digraph(
+        shuffled_digraph(4000, random.Random(4000)))
     files["k4p5k3.g"] = format_graph(disjoint_union(
         complete_graph(4), path_graph(5), complete_graph(3)))
     return files
@@ -366,6 +375,15 @@ def shuffled_path(n, rng):
     order = list(range(1, n + 1))
     rng.shuffle(order)
     return relabel_graph(path_graph(n), order)
+
+
+def shuffled_digraph(n, rng):
+    """The directed path 1 -> 2 -> ... -> n relabeled by a random vertex
+    order."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return relabel_digraph(Digraph(n, [(k, k + 1) for k in range(1, n)]),
+                           order)
 
 
 def disjoint_union(*parts):
