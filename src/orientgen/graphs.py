@@ -9,11 +9,12 @@ endpoint.
 ``topological_order`` is the library's one topological sort and
 ``reach_masks`` its one reachability closure; the digraph, mask and
 hypergraph acyclicity tests and posets all run them.  ``label_map`` is
-its one relabeling map.  The streaming certifier of ``oracle`` keeps its
+its one relabeling map, and ``greedy_elimination`` the worklist behind
+its greedy order searches.  The streaming certifier of ``oracle`` keeps its
 own reachability search, so that it does not run the code it checks.
 """
 
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import InputError
@@ -292,6 +293,35 @@ def lex_bfs(g):
         for new in split:
             heapify(new[1])
     return tuple(order)
+
+
+def greedy_elimination(n, passes, touches):
+    """The order of 1..n whose reverse removes, each round, the largest
+    vertex v left for which ``passes(v, left)`` holds, ``left`` the
+    bitmask of the vertices not yet removed, or None once no vertex left
+    passes.
+
+    The test must be local: removing u changes only the tests of the
+    vertices in ``touches[u]``, a set.  So the candidates wait in a
+    max-heap; one that fails waits aside until a vertex it touches is
+    removed, and no removal rescans the others.  The result is the order
+    that rescanning all the vertices left after every removal would give.
+    """
+    heap = list(range(-n, 0))  # negated and ascending: a max-heap
+    left = (1 << (n + 1)) - 2
+    failed = set()
+    picked = []
+    while heap:
+        v = -heappop(heap)
+        if passes(v, left):
+            left &= ~(1 << v)
+            picked.append(v)
+            for a in failed & touches[v]:
+                failed.remove(a)
+                heappush(heap, -a)
+        else:
+            failed.add(v)
+    return None if left else tuple(reversed(picked))
 
 
 def find_peo(g):

@@ -14,7 +14,8 @@ is the one permutation encoding, of graphs too, read off the heads alone.
 from itertools import combinations, product
 
 from .errors import CapExceeded, InputError, effective_cap
-from .graphs import label_map, reach_masks, topological_order
+from .graphs import (greedy_elimination, label_map, reach_masks,
+                     topological_order)
 
 
 def _bits(mask):
@@ -210,20 +211,17 @@ def find_heo(h):
     vertices only drops hyperedge pairs to check, and a witness X inside
     (A|B)-v does not depend on the vertices left.  So eliminating any
     vertex that passes keeps an order in reach, and greedy elimination
-    never dead-ends.
+    never dead-ends.  The test is local too: eliminating u drops only
+    hyperedges that hold u, so only the tests of the vertices that share
+    a hyperedge with u change, and ``greedy_elimination`` re-tests just
+    those.
     """
-    smask = (1 << (h.n + 1)) - 2
-    left = list(range(h.n, 0, -1))
-    tail = []
-    while left:
-        k = next((k for k, v in enumerate(left) if _elim_ok(h, smask, v)),
-                 None)
-        if k is None:
-            return None
-        v = left.pop(k)
-        smask &= ~(1 << v)
-        tail.append(v)
-    return tuple(reversed(tail))
+    touches = [set() for _ in range(h.n + 1)]
+    for e in h.edges:
+        for v in e:
+            touches[v].update(e)
+    return greedy_elimination(h.n, lambda v, left: _elim_ok(h, left, v),
+                              touches)
 
 
 def check_unique_parent_child(h):

@@ -20,6 +20,7 @@ from .errors import CapExceeded, InputError, effective_cap
 from .graphs import (
     Digraph,
     descendant_masks,
+    greedy_elimination,
     is_acyclic,
     is_acyclic_mask,
     is_peo,
@@ -101,15 +102,19 @@ def is_filled(d):
     It suffices to check single intermediate vertices: a vertex v strictly
     between the endpoints of an arc (reachable from one, reaching the
     other) must carry both forward arcs; the full condition follows by
-    induction on subpaths.  Rejects cyclic input.
+    induction on subpaths.  Those vertices are i's descendants among j's
+    ancestors, one mask intersection per arc.  Rejects cyclic input.
     """
     masks = descendant_masks(d)
+    ancestors = reach_masks(d.n, d.inn)
     for i, j in d.arcs:
-        between = masks[i] & ~(1 << j)
-        for v in range(1, d.n + 1):
-            if between >> v & 1 and masks[v] >> j & 1:
-                if not (d.has_arc(i, v) and d.has_arc(v, j)):
-                    return False
+        between = masks[i] & ancestors[j]
+        while between:
+            low = between & -between
+            v = low.bit_length() - 1
+            if not (d.has_arc(i, v) and d.has_arc(v, j)):
+                return False
+            between ^= low
     return True
 
 
@@ -125,22 +130,19 @@ def peo_consistent_order(d):
     order, as with the simplicial vertices of a chordal graph (Fulkerson
     and Gross 1965), and greedy extraction never dead-ends.  Each round
     extracts the largest extractable vertex; a digraph already labeled
-    consistently keeps its labels.
+    consistently keeps its labels.  The test reads only v's neighbours,
+    so ``greedy_elimination`` re-tests just the neighbours of each vertex
+    extracted.
     """
     if not is_acyclic(d):
         return None
-    left = list(range(d.n, 0, -1))
-    rem = set(left)
-    picked = []
-    while left:
-        k = next((k for k, v in enumerate(left) if _extractable(d, v, rem)),
-                 None)
-        if k is None:
-            return None
-        v = left.pop(k)
-        rem.remove(v)
-        picked.append(v)
-    return tuple(reversed(picked))
+    touches = [d.out[v] | d.inn[v] for v in range(d.n + 1)]
+
+    def passes(v, left):
+        # only v's neighbours among the vertices left enter the test
+        return _extractable(d, v, {a for a in touches[v] if left >> a & 1})
+
+    return greedy_elimination(d.n, passes, touches)
 
 
 def is_identity_peo_consistent(d):

@@ -7,7 +7,10 @@ backtracking searches they replaced are kept here as references, with
 their memo of failed vertex sets; the loops must return exactly the
 order the references' first branch returns, and None exactly when they
 do.  That rests on both extraction tests being hereditary over vertex
-subsets, which is tested directly on small inputs.
+subsets, and on their being local, so that ``greedy_elimination``
+re-tests only the vertices a removal touches; both are tested directly
+on small inputs.  On shuffled paths, which a rescan after every removal
+made quadratic or cubic, the searches run within a time bound.
 """
 
 import random
@@ -15,8 +18,10 @@ import time
 from itertools import combinations
 
 from orientgen import corpus
-from orientgen.corpus import all_graphs, all_hypergraphs, heo_corpus
-from orientgen.graphs import Graph, is_acyclic, orient, relabel_digraph
+from orientgen.corpus import (all_graphs, all_hypergraphs, heo_corpus,
+                              two_uniform)
+from orientgen.graphs import (Digraph, Graph, is_acyclic, orient, path_graph,
+                              relabel_digraph, relabel_graph)
 from orientgen.hypergraphs import _bits, _elim_ok, find_heo
 from orientgen.oracle import enumerate_ao_graph
 from orientgen.quotients import (
@@ -208,3 +213,59 @@ def test_elimination_condition_is_hereditary():
                         (h, v, rem, sub)
                     checked += 1
     assert checked > 10000
+
+
+def test_extraction_is_local():
+    """Removing a vertex that shares no arc with v leaves v's test as it
+    was."""
+    checked = 0
+    for n in range(1, 5):
+        vertices = frozenset(range(1, n + 1))
+        for g in all_graphs(n):
+            for d in enumerate_ao_graph(g):
+                for v in vertices:
+                    for rem in _subsets_with(vertices, v):
+                        ok = _extractable(d, v, rem)
+                        for u in rem - d.out[v] - d.inn[v] - {v}:
+                            assert _extractable(d, v, rem - {u}) == ok
+                            checked += 1
+    assert checked > 10000
+
+
+def test_elimination_condition_is_local():
+    """Eliminating a vertex that shares no hyperedge with v leaves v's
+    test as it was."""
+    checked = 0
+    for h in list(all_hypergraphs(4, 3)) + heo_corpus():
+        vertices = frozenset(range(1, h.n + 1))
+        for v in vertices:
+            touched = {u for e in h.edges if v in e for u in e}
+            for rem in _subsets_with(vertices, v):
+                smask = sum(1 << u for u in rem)
+                ok = _elim_ok(h, smask, v)
+                for u in rem - touched:
+                    assert _elim_ok(h, smask & ~(1 << u), v) == ok
+                    checked += 1
+    assert checked > 10000
+
+
+def test_find_heo_on_a_shuffled_path_is_fast():
+    # a rescan after every removal took 2.6 s here
+    h = two_uniform(relabel_graph(path_graph(400),
+                                  _shuffled(400, random.Random(400))))
+    start = time.perf_counter()
+    order = find_heo(h)
+    assert time.perf_counter() - start < 0.5
+    assert order is not None and order != tuple(range(1, 401))
+
+
+def test_classify_on_a_shuffled_directed_path_is_fast():
+    # a rescan after every extraction and a scan of every vertex per arc
+    # took 9 s here
+    d = Digraph(4000, [(k, k + 1) for k in range(1, 4000)])
+    d = relabel_digraph(d, _shuffled(4000, random.Random(4000)))
+    start = time.perf_counter()
+    order = peo_consistent_order(d)
+    assert classify(d) == "skeletal"
+    assert time.perf_counter() - start < 0.5
+    assert order is not None and order != tuple(range(1, 4001))

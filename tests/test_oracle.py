@@ -141,7 +141,7 @@ def test_count_matches_the_reference_up_to_6_vertices():
 # the engines' modules, and the order searches they run
 ENGINE_FILES = {"chordal.py", "hypergen.py", "jumps.py", "quotients.py"}
 SEARCHES = {"find_peo", "lex_bfs", "is_peo", "find_heo",
-            "peo_consistent_order"}
+            "peo_consistent_order", "greedy_elimination"}
 
 
 def functions_called(work):
@@ -168,7 +168,7 @@ def test_count_is_a_product_on_chordal_graphs(monkeypatch):
     def banned(*args):
         raise AssertionError("the oracle must not use the engines' search")
 
-    for name in ("find_peo", "lex_bfs"):
+    for name in ("find_peo", "lex_bfs", "greedy_elimination"):
         assert not hasattr(oracle, name)
         for mod in (graphs, chordal):
             if hasattr(mod, name):
