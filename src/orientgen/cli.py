@@ -2,14 +2,14 @@
 
 Subcommands parse instance files, stream Gray-code listings one line per
 visit, optionally certify them against the brute-force oracles, and
-export flip graphs as DOT.  A listing command hands ``_listing`` an
-iterator of lines, built from the run with ``map`` or a generator
-expression, and ``_listing`` pulls them into blocks in C: no CLI code
-runs per visit of an ``ao-graph`` flips listing or of a count.  With
-``--certify``, ``_certified`` yields each step once the certifier has
-accepted it, so a rejected visit ends the listing after the lines
-before it.  Exit codes: 0
-success, 1 invalid input or failed certification, 2 size cap exceeded.
+export flip graphs as DOT.  Every listing command hands ``_stream`` an
+iterator with one item per visit and a line maker.  A count drains the
+visits in C; a listing gives the lines to ``_listing``, which pulls them
+into blocks in C, so no CLI code runs per visit of an ``ao-graph``
+flips listing or of a count.  With ``--certify``, ``_certified`` yields
+each step once the certifier has accepted it, so a rejected visit ends
+the listing after the lines before it.  Exit codes: 0 success, 1
+invalid input or failed certification, 2 size cap exceeded.
 """
 
 import argparse
@@ -77,12 +77,16 @@ def _certified(run, visit, snapshot):
         yield step
 
 
-def _kept(walk, trail):
-    """The visits of a quotient walk, the class of each kept in
-    ``trail``."""
-    for visit in walk:
-        trail.append(visit[1])
-        yield visit
+def _stream(out, visits, lines, count_only):
+    """The one listing pipeline: ``visits`` has one item per visit, and
+    the line maker ``lines`` turns them into output lines.  A count drains
+    the visits in C, ``deque`` over ``enumerate``, and prints their number;
+    a listing hands ``lines(visits)`` to ``_listing``."""
+    if count_only:
+        last = deque(enumerate(visits, 1), 1)
+        out.write("%d\n" % (last[0][0] if last else 0))
+    else:
+        _listing(out, lines(visits))
 
 
 def _label_lines(n, sep=" "):
@@ -178,14 +182,11 @@ def _cmd_ao_graph(args, out):
     run = chordal.generate(g, order)
     cert = ArcListingCertifier(g) if args.certify else None
     steps = run if cert is None else _certified(run, cert.visit, run.mask)
-    if args.count_only:
-        deque(steps, 0)
-        out.write("%d\n" % run.visits)
-    elif args.output == "perm":
+    if args.output == "perm":
         names = [str(v) for v in range(g.n + 1)]
         join = _perm_sep(g.n).join
         named = run.named_permutation
-        _listing(out, (join(named(names)) + "\n" for _ in steps))
+        lines = lambda steps: (join(named(names)) + "\n" for _ in steps)
     else:
         # every arc either way round: the edge it orients and its text
         arcs = {}
@@ -194,11 +195,13 @@ def _cmd_ao_graph(args, out):
             arcs[y, x] = k, "%d %d" % (y, x)
         if args.output == "flips":
             flip_line = {arc: t + "\n" for arc, (_, t) in arcs.items()}
-            next(steps)  # the first visit flips no arc
-            _listing(out, map(flip_line.__getitem__, steps))
+            # the first visit flips no arc
+            lines = lambda steps: map(flip_line.__getitem__,
+                                      islice(steps, 1, None))
         else:
-            line = [arcs[d][1] for d in run.digraph().arcs]
-            _listing(out, _arc_lines(steps, arcs, line))
+            lines = lambda steps: _arc_lines(
+                steps, arcs, [arcs[d][1] for d in run.digraph().arcs])
+    _stream(out, steps, lines, args.count_only)
     if cert is not None:
         out.write("certified %d orientations\n" % cert.finish())
     if args.counters:
@@ -240,18 +243,16 @@ def _cmd_ao_hyper(args, out):
             cert.visit(heads)
             trace.append(run.permutation())
         steps = _certified(run, visit, run.heads)
-    if args.count_only:
-        deque(steps, 0)
-        out.write("%d\n" % run.visits)
-    elif args.output == "heads":
+    if args.output == "heads":
         heads_line = _label_lines(h.n)
-        _listing(out, (heads_line(run.heads()) for _ in steps))
+        lines = lambda steps: (heads_line(run.heads()) for _ in steps)
     elif args.output == "perm":
         perm_line = _perm_lines(h.n)
-        _listing(out, (perm_line(run.permutation()) for _ in steps))
+        lines = lambda steps: (perm_line(run.permutation()) for _ in steps)
     else:
-        next(steps)  # the first visit flips no pair
-        _listing(out, map("%d %d\n".__mod__, steps))
+        # the first visit flips no pair
+        lines = lambda steps: map("%d %d\n".__mod__, islice(steps, 1, None))
+    _stream(out, steps, lines, args.count_only)
     if cert is not None:
         count = cert.finish()
         _check_jump_trace(cert, run.order, trace)
@@ -261,18 +262,14 @@ def _cmd_ao_hyper(args, out):
 
 def _cmd_elim_trees(args, out):
     g = parse_graph(_read(args.file))
-    if args.count_only:
-        # one forest per visit of the run: none is built to be counted
-        run, _ = hypergen.elim_run(g)
-        deque(run, 0)
-        out.write("%d\n" % run.visits)
-    elif args.output == "perm":
-        run, _ = hypergen.elim_run(g)
+    run, order = hypergen.elim_run(g)
+    if args.output == "perm":
         perm_line = _perm_lines(g.n)
-        _listing(out, (perm_line(run.permutation()) for _ in run))
+        lines = lambda steps: (perm_line(run.permutation()) for _ in steps)
     else:
-        _listing(out, map(_label_lines(g.n),
-                          hypergen.generate_elim_forests(g)))
+        lines = lambda steps: map(_label_lines(g.n),
+                                  hypergen.elim_forests(run, order, steps))
+    _stream(out, run, lines, args.count_only)
     return 0
 
 
@@ -299,28 +296,25 @@ def _cmd_quotient(args, out):
         c = forcing_closure(p, parse_seed_pairs(_read(args.seed_pairs)))
     else:
         c = identity_congruence(p)
-    trail = []
-    visits = _kept(generate_quotient_path(d, c), trail)
-    if args.count_only or args.output == "dot":
-        deque(visits, 0)
-    elif args.output == "classes":
-        def line(mask, cls):
-            members = [mask] + [m for m in c.classes[cls] if m != mask]
-            return " ".join(format(m, "x") for m in members) + "\n"
-        _listing(out, (line(mask, cls) for mask, cls in visits))
-    else:
-        perm_line = _perm_lines(d.n)
-        _listing(out, (perm_line(p.permutation_of(mask))
-                       for mask, _ in visits))
-    fg = None
+    walk = list(generate_quotient_path(d, c))
+    if args.output != "dot":
+        if args.output == "classes":
+            def line(mask, cls):
+                members = [mask] + [m for m in c.classes[cls] if m != mask]
+                return " ".join(format(m, "x") for m in members) + "\n"
+            lines = lambda visits: (line(mask, cls) for mask, cls in visits)
+        else:
+            perm_line = _perm_lines(d.n)
+            lines = lambda visits: (perm_line(p.permutation_of(mask))
+                                    for mask, _ in visits)
+        _stream(out, walk, lines, args.count_only)
+    trail = [cls for _, cls in walk]
     if args.output == "dot" or args.certify:
         fg = quotient_cover_graph(c.classes)
     if args.output == "dot":
         out.write(flip_graph_dot(
             fg, path=trail, name="quotient",
             labeler=lambda k: format(c.classes[k][0], "x")))
-    if args.count_only:
-        out.write("%d\n" % len(trail))
     if args.certify:
         res = certify_hamilton_path(fg, trail)
         if not res:

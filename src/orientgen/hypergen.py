@@ -26,8 +26,8 @@ def encode(h, o):
     """Canonical permutation of an acyclic orientation of a hypergraph in
     hyperfect elimination order (identity labeling), placed by
     ``permutation_from_orientation``: a linear extension of the
-    orientation's poset, which ``orientation_from_permutation`` inverts.
-    """
+    orientation's poset, which heading every hyperedge at its member
+    furthest right inverts."""
     return encode_all(h, [o])[0]
 
 
@@ -239,32 +239,37 @@ def elim_run(g):
 
 
 def generate_elim_forests(g):
-    """Iterate over the elimination forests of a chordal graph, one
-    rotation at a time.
+    """The forests of ``elim_forests`` over a new ``elim_run`` of g."""
+    run, order = elim_run(g)
+    yield from elim_forests(run, order, run)
 
-    Forests are emitted as parent tuples indexed by vertex (entry v-1 is
-    the parent of v, 0 for roots), read off the acyclic orientations of
-    the graphical building set of g.  On a building set the heads of the
+
+def elim_forests(run, order, steps):
+    """The elimination forests of a chordal graph, one rotation at a
+    time: the forest of the run and order that ``elim_run`` returned,
+    read at every item of ``steps``.
+
+    Forests are parent tuples indexed by vertex (entry v-1 is the parent
+    of v, 0 for roots), read off the acyclic orientations of the
+    graphical building set.  On a building set the heads of the
     hyperedges that contain v but are not headed at v form a chain of v's
     ancestors, so v's parent is the one leftmost in the run's
     permutation.  A visit costs O(sum over v of the hyperedges containing
     v).
     """
-    run, order = elim_run(g)
-    n = g.n
-    bg = run.hypergraph
+    n = len(order)
     heads = run._heads
     pos = run._pos
     # per vertex v in elimination coordinates: v, the output slot of its
     # original label, and the hyperedges containing v
     incident = [[] for _ in range(n + 1)]
-    for k, e in enumerate(bg.edges):
+    for k, e in enumerate(run.hypergraph.edges):
         for v in e:
             incident[v].append(k)
     slots = [(v, order[v - 1] - 1, incident[v]) for v in range(1, n + 1)]
     orig = (0,) + order
     out = [0] * n
-    for _ in run:
+    for _ in steps:
         for v, slot, ks in slots:
             parent = 0
             best = n
