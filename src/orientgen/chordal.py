@@ -20,17 +20,9 @@ rather than rebuilt, and no table grows faster than n + m.
 from bisect import bisect_left
 
 from .errors import InputError
-from .graphs import (Digraph, find_peo, is_acyclic, is_peo, label_map, orient,
+from .graphs import (find_peo, is_acyclic, is_peo, label_map, orient,
                      relabel_digraph)
 from .hypergraphs import permutation_from_orientation
-
-
-def decode(g, pi):
-    """Orientation of g directing every edge toward the endpoint that
-    appears further right in pi."""
-    pos = label_map(g.n, pi)
-    return Digraph(g.n, [(a, b) if pos[a] < pos[b] else (b, a)
-                         for a, b in g.edges])
 
 
 def encode(d):
@@ -39,7 +31,8 @@ def encode(d):
     The underlying graph must be in perfect elimination order (each
     vertex's smaller neighbors form a clique).  Its arcs are 2-uniform
     hyperedges headed at their ends for ``permutation_from_orientation``.
-    The result is a linear extension of d, and decode inverts it.
+    The result is a linear extension of d: orienting every edge toward
+    its end further right in it gives d back.
     """
     if not is_acyclic(d):
         raise InputError("orientation is cyclic")

@@ -298,15 +298,13 @@ def lex_bfs(g):
 def greedy_elimination(n, passes, touches):
     """The order of 1..n whose reverse removes, each round, the largest
     vertex v left for which ``passes(v, left)`` holds, ``left`` the
-    bitmask of the vertices not yet removed, or None once no vertex left
-    passes.
+    bitmask of the vertices not yet removed, or None once none passes.
 
     The test must be local: removing u changes only the tests of the
-    vertices in ``touches[u]``, a set.  So the candidates wait in a
-    max-heap; one that fails waits aside until a vertex it touches is
-    removed, and no removal rescans the others.  The result is the order
-    that rescanning all the vertices left after every removal would give.
-    """
+    vertices in the set ``touches[u]``.  So the candidates wait in a
+    max-heap, and one that fails waits aside until a vertex it touches
+    is removed: the order of a rescan after every removal, without the
+    rescans."""
     heap = list(range(-n, 0))  # negated and ascending: a max-heap
     left = (1 << (n + 1)) - 2
     failed = set()

@@ -11,7 +11,7 @@ orientation poset run ``graphs.topological_order`` and
 is the one permutation encoding, of graphs too, read off the heads alone.
 """
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import CapExceeded, InputError, effective_cap
 from .graphs import (greedy_elimination, label_map, reach_masks,
@@ -122,9 +122,6 @@ class OrientationPoset:
         self.above = above
         self.covers = covers
 
-    def less(self, i, j):
-        return bool(self.above[i] >> j & 1)
-
 
 def poset_of(h, heads):
     """The orientation poset: transitive closure of v < head relations.
@@ -211,10 +208,9 @@ def find_heo(h):
     vertices only drops hyperedge pairs to check, and a witness X inside
     (A|B)-v does not depend on the vertices left.  So eliminating any
     vertex that passes keeps an order in reach, and greedy elimination
-    never dead-ends.  The test is local too: eliminating u drops only
-    hyperedges that hold u, so only the tests of the vertices that share
-    a hyperedge with u change, and ``greedy_elimination`` re-tests just
-    those.
+    never dead-ends.  It is local too: eliminating u drops only the
+    hyperedges that hold u, so ``greedy_elimination`` re-tests only the
+    vertices that share a hyperedge with u.
     """
     touches = [set() for _ in range(h.n + 1)]
     for e in h.edges:
@@ -222,30 +218,6 @@ def find_heo(h):
             touches[v].update(e)
     return greedy_elimination(h.n, lambda v, left: _elim_ok(h, left, v),
                               touches)
-
-
-def check_unique_parent_child(h):
-    """Brute-force oracle: in every acyclic orientation of every prefix
-    restriction of h, the last vertex has at most one cover and at most
-    one cocover in the orientation poset."""
-    for i in range(1, h.n + 1):
-        hi = restrict(h, i)
-        if not any(m >> i & 1 for m in hi.masks):
-            continue
-        for heads in product(*hi.edges):
-            if not is_acyclic_orientation(hi, heads):
-                continue
-            p = poset_of(hi, heads)
-            ups = 0
-            downs = 0
-            for a, b in p.covers:
-                if a == i:
-                    ups += 1
-                if b == i:
-                    downs += 1
-            if ups > 1 or downs > 1:
-                return False
-    return True
 
 
 def is_building_set(h):
@@ -320,13 +292,6 @@ def permutation_from_orientation(n, edges, heads):
         else:
             pi.insert(next(k for k, v in enumerate(pi) if up >> v & 1), i)
     return tuple(pi)
-
-
-def orientation_from_permutation(h, pi):
-    """Orientation heading every hyperedge at its member that appears
-    furthest right in the permutation pi."""
-    pos = label_map(h.n, pi)
-    return tuple(max(e, key=pos.__getitem__) for e in h.edges)
 
 
 def orientation_to_elim_forest(bg, heads):

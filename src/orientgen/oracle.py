@@ -11,7 +11,7 @@ from collections import deque
 
 from .errors import CapExceeded, InputError, effective_cap
 from .graphs import is_acyclic_mask, orient, topological_order
-from .hypergraphs import arc_out, check_orientation
+from .hypergraphs import arc_out, check_orientation, poset_of, restrict
 
 
 def check_ao_graph_cap(g):
@@ -175,6 +175,23 @@ def enumerate_ao_hyper(h):
         if topological_order(h.n, arc_out(h, heads)) is not None:
             out.append(heads)
     return out
+
+
+def check_unique_parent_child(h):
+    """Brute-force check: in every acyclic orientation of every prefix
+    restriction of h, enumerated by ``enumerate_ao_hyper``, the last
+    vertex has at most one cover and at most one cocover in the
+    orientation poset.  Raises CapExceeded as that enumeration does."""
+    for i in range(1, h.n + 1):
+        hi = restrict(h, i)
+        if not any(m >> i & 1 for m in hi.masks):
+            continue
+        for heads in enumerate_ao_hyper(hi):
+            covers = poset_of(hi, heads).covers
+            if (sum(a == i for a, _ in covers) > 1
+                    or sum(b == i for _, b in covers) > 1):
+                return False
+    return True
 
 
 class FlipGraph:

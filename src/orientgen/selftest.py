@@ -23,10 +23,10 @@ from .fileio import format_congruence, format_digraph, format_graph, \
     format_hypergraph
 from .graphs import Digraph, complete_graph, find_peo, orient, \
     orientation_mask, path_graph
-from .hypergraphs import check_unique_parent_child, is_acyclic_orientation, \
-    is_heo
+from .hypergraphs import is_acyclic_orientation, is_heo
 from .oracle import build_flip_graph, check_flip_distance, \
-    congruence_closure, enumerate_ao_graph, one_arc_flip, pair_flip_relation
+    check_unique_parent_child, congruence_closure, enumerate_ao_graph, \
+    one_arc_flip, pair_flip_relation
 from .quotients import ARPoset, Congruence, build_ar_poset, classify, \
     rails, restriction, sylvester_congruence, validate_congruence
 

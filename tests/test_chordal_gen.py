@@ -11,14 +11,16 @@ import pytest
 
 from orientgen import chordal, corpus
 from orientgen.chordal import (_HALVINGS, ChordalRun, _halvings, _Order,
-                               decode, encode, generate)
+                               encode, generate)
 from orientgen.cli import main
 from orientgen.errors import InputError
 from orientgen.fileio import format_graph
 from orientgen.graphs import (
+    Digraph,
     Graph,
     complete_graph,
     find_peo,
+    label_map,
     orient,
     orientation_mask,
     path_graph,
@@ -71,6 +73,14 @@ def run_masks(g, order=None):
     return run, masks
 
 
+def decode(g, pi):
+    """Orientation of g directing every edge toward the endpoint that
+    appears further right in pi: the inverse of ``encode``."""
+    pos = label_map(g.n, pi)
+    return Digraph(g.n, [(a, b) if pos[a] < pos[b] else (b, a)
+                         for a, b in g.edges])
+
+
 def test_decode_examples():
     g = complete_graph(4)
     assert decode(g, (1, 2, 3, 4)) == orient(g, 0)
@@ -90,7 +100,6 @@ def test_encode_identity_orientation():
 
 def test_encode_rejects_cyclic():
     g = cycle_graph(3)
-    from orientgen.graphs import Digraph
     with pytest.raises(InputError):
         encode(Digraph(3, [(1, 2), (2, 3), (3, 1)]))
 

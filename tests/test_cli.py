@@ -444,6 +444,22 @@ def test_hyper_dot_cap_wins_over_a_cycle(command, tmp_path, capsys,
     assert "head-vector space exceeds cap 10" in err
 
 
+@pytest.mark.parametrize("output", ["heads", "perm", "flips"])
+def test_ao_hyper_counts_from_the_run(output, tmp_path, capsys,
+                                      monkeypatch):
+    # a count steps the bare run: no head vector and no permutation is read
+    def banned(*args):
+        raise AssertionError("a count reads no snapshot")
+
+    monkeypatch.setattr(hypergen.HyperRun, "heads", banned)
+    monkeypatch.setattr(hypergen.HyperRun, "permutation", banned)
+    path = put(tmp_path, "k4.txt",
+               format_hypergraph(corpus.two_uniform(complete_graph(4))))
+    rc, out, _ = run(capsys, "ao-hyper", path, "--output", output,
+                     "--count-only")
+    assert rc == 0 and out == "24\n"
+
+
 # -------------------------------------------------------------- elim-trees
 
 
@@ -469,6 +485,7 @@ def test_elim_trees_counts_from_the_run(output, tmp_path, capsys,
         raise AssertionError("a count builds no forest")
 
     monkeypatch.setattr(hypergen, "generate_elim_forests", banned)
+    monkeypatch.setattr(hypergen, "elim_forests", banned)
     monkeypatch.setattr(hypergen.HyperRun, "permutation", banned)
     monkeypatch.setattr(hypergen.HyperRun, "heads", banned)
     path = put(tmp_path, "p7.txt", format_graph(path_graph(7)))
@@ -613,6 +630,23 @@ def test_quotient_certify_counts_the_poset_elements(tmp_path, capsys,
     rc, out, err = run(capsys, "quotient", path, "--certify", "--count-only")
     assert rc == 1 and out == ""
     assert "poset holds 5 reorientations, the oracle counts 6" in err
+
+
+@pytest.mark.parametrize("output", ["classes", "perm"])
+def test_quotient_counts_from_the_walk(output, tmp_path, capsys,
+                                       monkeypatch):
+    # a count reads no permutation of a representative
+    from orientgen import quotients
+
+    def banned(*args):
+        raise AssertionError("a count reads no snapshot")
+
+    monkeypatch.setattr(quotients.ARPoset, "permutation_of", banned)
+    path = put(tmp_path, "t4.txt", format_digraph(orient(complete_graph(4),
+                                                         0)))
+    rc, out, _ = run(capsys, "quotient", path, "--output", output,
+                     "--count-only", "--certify")
+    assert rc == 0 and out == "24\ncertified 24 classes\n"
 
 
 def test_quotient_cap_exceeded(tmp_path, capsys, monkeypatch):

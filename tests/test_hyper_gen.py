@@ -30,7 +30,6 @@ from orientgen.hypergraphs import (
     graphical_building_set,
     is_acyclic_orientation,
     is_heo,
-    orientation_from_permutation,
     orientation_to_elim_forest,
     poset_of,
     relabel_hypergraph,
@@ -46,7 +45,7 @@ from orientgen.oracle import (
 from orientgen.quotients import build_ar_poset, sylvester_congruence
 
 from test_graphs import built_digraphs, cycle_graph
-from test_hypergraphs import pair_flip
+from test_hypergraphs import orientation_from_permutation, pair_flip
 from test_jumps import is_zigzag_language
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])

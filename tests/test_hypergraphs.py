@@ -4,22 +4,22 @@ from itertools import combinations, permutations, product
 import pytest
 
 from orientgen.errors import CapExceeded, InputError
-from orientgen.graphs import Digraph, Graph, complete_graph, find_peo, path_graph
+from orientgen.graphs import (Digraph, Graph, complete_graph, find_peo,
+                              label_map, path_graph)
 from orientgen.hypergraphs import (
     Hypergraph,
-    check_unique_parent_child,
     find_heo,
     check_orientation,
     graphical_building_set,
     is_acyclic_orientation,
     is_building_set,
     is_heo,
-    orientation_from_permutation,
     orientation_to_elim_forest,
     poset_of,
     relabel_hypergraph,
     restrict,
 )
+from orientgen.oracle import check_unique_parent_child
 
 from test_graphs import cycle_graph
 
@@ -81,9 +81,21 @@ def pair_flip(h, heads, i, j):
     return new
 
 
+def orientation_from_permutation(h, pi):
+    """Orientation heading every hyperedge at its member that appears
+    furthest right in the permutation pi."""
+    pos = label_map(h.n, pi)
+    return tuple(max(e, key=pos.__getitem__) for e in h.edges)
+
+
+def less(p, i, j):
+    """True iff i < j in the orientation poset p."""
+    return bool(p.above[i] >> j & 1)
+
+
 def comparable(p, i, j):
     """True iff i and j are comparable in the orientation poset p."""
-    return p.less(i, j) or p.less(j, i)
+    return less(p, i, j) or less(p, j, i)
 
 
 def flippable_pairs(h, heads):
@@ -211,8 +223,8 @@ def test_acyclic_count_matches_permutation_induced():
 
 def test_poset_of_prefix_chain():
     p = poset_of(PREFIX_H, (1, 1, 4))
-    assert p.less(2, 1) and p.less(3, 1) and p.less(1, 4)
-    assert p.less(2, 4) and p.less(3, 4)
+    assert less(p, 2, 1) and less(p, 3, 1) and less(p, 1, 4)
+    assert less(p, 2, 4) and less(p, 3, 4)
     assert not comparable(p, 2, 3)
     assert p.covers == {(2, 1), (3, 1), (1, 4)}
 
@@ -324,6 +336,15 @@ def test_check_unique_parent_child():
     assert not check_unique_parent_child(graphical_building_set(cycle_graph(4)))
 
 
+def test_check_unique_parent_child_enumerates_under_the_cap(monkeypatch):
+    # the prefix chain's last restriction has 2 * 3 * 4 = 24 head vectors
+    monkeypatch.setenv("ORIENTGEN_CAP", "23")
+    with pytest.raises(CapExceeded):
+        check_unique_parent_child(PREFIX_H)
+    monkeypatch.setenv("ORIENTGEN_CAP", "24")
+    assert check_unique_parent_child(PREFIX_H)
+
+
 def test_heo_iff_unique_parent_child_small():
     # spot sample of the exhaustive acceptance sweep
     rng = random.Random(41)
@@ -425,7 +446,7 @@ def test_permutation_classes_are_linear_extensions():
         p = poset_of(PREFIX_H, o)
         exts = [q for q in permutations(range(1, 5))
                 if all(q.index(i) < q.index(j)
-                       for i in range(1, 5) for j in range(1, 5) if p.less(i, j))]
+                       for i in range(1, 5) for j in range(1, 5) if less(p, i, j))]
         assert sorted(cls) == sorted(exts)
 
 

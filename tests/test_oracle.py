@@ -19,7 +19,7 @@ from orientgen.graphs import (
     path_graph,
     relabel_graph,
 )
-from orientgen.hypergraphs import Hypergraph, orientation_from_permutation
+from orientgen.hypergraphs import Hypergraph
 from orientgen.oracle import (
     build_flip_graph,
     certify_arc_listing,
@@ -34,6 +34,7 @@ from orientgen.oracle import (
 )
 
 from test_graphs import cycle_graph, transitive_reduction
+from test_hypergraphs import orientation_from_permutation
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
 
