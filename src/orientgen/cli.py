@@ -83,8 +83,8 @@ def _stream(out, visits, lines, count_only):
     the visits in C, ``deque`` over ``enumerate``, and prints their number;
     a listing hands ``lines(visits)`` to ``_listing``."""
     if count_only:
-        last = deque(enumerate(visits, 1), 1)
-        out.write("%d\n" % (last[0][0] if last else 0))
+        count, _ = deque(enumerate(visits, 1), 1).pop()
+        out.write("%d\n" % count)
     else:
         _listing(out, lines(visits))
 
