@@ -195,9 +195,9 @@ def _cmd_ao_graph(args, out):
             arcs[y, x] = k, "%d %d" % (y, x)
         if args.output == "flips":
             flip_line = {arc: t + "\n" for arc, (_, t) in arcs.items()}
-            # the first visit flips no arc
-            lines = lambda steps: map(flip_line.__getitem__,
-                                      islice(steps, 1, None))
+            def lines(steps):
+                next(steps)  # the first visit flips no arc
+                return map(flip_line.__getitem__, steps)
         else:
             lines = lambda steps: _arc_lines(
                 steps, arcs, [arcs[d][1] for d in run.digraph().arcs])
