@@ -250,7 +250,7 @@ def test_elimination_condition_is_local():
 
 
 def test_find_heo_on_a_shuffled_path_is_fast():
-    # a rescan after every removal took 2.6 s here
+    # a rescan after every removal took 2.6 s on a 2-vCPU machine
     h = two_uniform(relabel_graph(path_graph(400),
                                   _shuffled(400, random.Random(400))))
     start = time.perf_counter()
@@ -261,7 +261,7 @@ def test_find_heo_on_a_shuffled_path_is_fast():
 
 def test_classify_on_a_shuffled_directed_path_is_fast():
     # a rescan after every extraction and a scan of every vertex per arc
-    # took 9 s here
+    # took 9 s on a 2-vCPU machine
     d = Digraph(4000, [(k, k + 1) for k in range(1, 4000)])
     d = relabel_digraph(d, _shuffled(4000, random.Random(4000)))
     start = time.perf_counter()
