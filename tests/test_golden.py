@@ -34,8 +34,12 @@ Vertex 4 of T_3 beside a transitive triangle on 4, 5, 6 and two
 isolated vertices has no smaller neighbour, under the identity and a
 seed-pair file, and T_3 beside 20 isolated vertices has 20 such levels.
 ``flipgraph`` runs on K_4, P_5 and C_4 (not chordal, so no path is
-marked), and with ``--hyper`` on the prefix chain and on C_4 as a
-2-uniform hypergraph, which has no hyperfect elimination order.
+marked), and with ``--hyper`` on the prefix chain, on C_4 as a
+2-uniform hypergraph, which has no hyperfect elimination order, and on
+the building set of a shuffled P_5 and the three shuffled random
+hypergraphs of the search corpus; ``ao-hyper --output dot`` runs on that
+building set too.  Their node numbering is the oracle's enumeration
+order.
 ``classify`` runs on every ``corpus.CLASS_WITNESSES`` digraph and on
 the relabeled T_4, whose own labeling is not peo-consistent.
 ``peo`` runs on the two random chordal graphs, on a seeded shuffled
@@ -79,7 +83,10 @@ unvisited vertices' labels at every step.  The search corpus files were
 written by the searches that still backtracked over a memo of failed
 vertex sets, and by the inclusion-exclusion count of orientations, and
 its ``ao-hyper --certify`` files by the encoder that still built the
-restriction poset of every level.  To rewrite them after a
+restriction poset of every level.  The hypergraph DOT files of the
+building set of P_5 and of the three random hypergraphs were written by
+the oracle that still filtered the product of the hyperedge sizes and
+joined its orientations pairwise.  To rewrite them after a
 deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -192,7 +199,10 @@ SEARCH_QUOTIENT = ("skel1.d", "skel2.d", "skel3.d")
 # it has one, and ".out"
 COMMAND_CASES = (
     [("flipgraph", f, [], "") for f in ("k4.g", "p5.g", "c4.g")]
-    + [("flipgraph", f, ["--hyper"], "") for f in ("prefix4.h", "c4-2u.h")]
+    + [("flipgraph", f, ["--hyper"], "")
+       for f in ("prefix4.h", "c4-2u.h", "bp5.h", "rh1.h", "rh2.h",
+                 "rh3.h")]
+    + [("ao-hyper", "bp5.h", ["--output", "dot"], "dot")]
     + [("classify", f, [], "")
        for f in list(WITNESS_FILES.values()) + ["t4-relabeled.d"]]
     + [("peo", f, [], "")
