@@ -4,12 +4,13 @@ Subcommands parse instance files, stream Gray-code listings one line per
 visit, optionally certify them against the brute-force oracles, and
 export flip graphs as DOT.  Every listing command hands ``_stream`` an
 iterator with one item per visit and a line maker.  A count drains the
-visits in C; a listing gives the lines to ``_listing``, which pulls them
-into blocks in C, so no CLI code runs per visit of an ``ao-graph``
-flips listing or of a count.  With ``--certify``, ``_certified`` yields
-each step once the certifier has accepted it, so a rejected visit ends
-the listing after the lines before it.  Exit codes: 0 success, 1
-invalid input or failed certification, 2 size cap exceeded.
+visits in C and prints the producer's count of them; a listing gives
+the lines to ``_listing``, which pulls them into blocks in C, so no CLI
+code runs per visit of an ``ao-graph`` flips listing or of a count.
+With ``--certify``, ``_certified`` yields each step once the certifier
+has accepted it, so a rejected visit ends the listing after the lines
+before it.  Exit codes: 0 success, 1 invalid input or failed
+certification, 2 size cap exceeded.
 """
 
 import argparse
@@ -25,10 +26,9 @@ from .graphs import find_peo, is_acyclic, label_map, relabel_digraph
 from .hypergraphs import find_heo, graphical_building_set, relabel_hypergraph
 from .jumps import LanguageOracle, algorithm_J
 from .oracle import (ArcListingCertifier, FlipGraph, PairListingCertifier,
-                     acyclic_masks, build_flip_graph, certify_hamilton_path,
-                     check_ao_graph_cap, check_ao_hyper_cap, count_ao_graph,
-                     enumerate_ao_hyper, flip_graph_dot, pair_flip_relation,
-                     quotient_cover_graph)
+                     acyclic_masks, certify_hamilton_path,
+                     check_ao_graph_cap, count_ao_graph, enumerate_ao_hyper,
+                     flip_graph_dot, quotient_cover_graph)
 from .quotients import (Congruence, build_ar_poset, classify,
                         forcing_closure, generate_quotient_path,
                         identity_congruence, peo_consistent_order)
@@ -77,14 +77,14 @@ def _certified(run, visit, snapshot):
         yield step
 
 
-def _stream(out, visits, lines, count_only):
+def _stream(out, visits, lines, count_only, total):
     """The one listing pipeline: ``visits`` has one item per visit, and
     the line maker ``lines`` turns them into output lines.  A count drains
-    the visits in C, ``deque`` over ``enumerate``, and prints their number;
-    a listing hands ``lines(visits)`` to ``_listing``."""
+    the visits in C and prints ``total()``, the producer's own count of
+    them; a listing hands ``lines(visits)`` to ``_listing``."""
     if count_only:
-        count, _ = deque(enumerate(visits, 1), 1).pop()
-        out.write("%d\n" % count)
+        deque(visits, 0)
+        out.write("%d\n" % total())
     else:
         _listing(out, lines(visits))
 
@@ -127,43 +127,53 @@ def _no_dot_combo(args, *flags):
                                  % flag)
 
 
+def _flip_dot(out, nodes, flips, path, name, labeler):
+    """Write the flip graph over ``nodes`` as DOT, ``path`` marked unless
+    it is None.  Each node is joined to the nodes among ``flips(node)``,
+    looked up in an index rather than by a relation call per pair."""
+    index = {node: i for i, node in enumerate(nodes)}
+    joins = {}
+    for i, node in enumerate(nodes):
+        for flipped in flips(node):
+            j = index.get(flipped, -1)
+            if j > i:
+                joins[i, j] = True
+    out.write(flip_graph_dot(FlipGraph(nodes, joins), path=path, name=name,
+                             labeler=labeler))
+
+
 def _graph_dot(out, g, name, make_run):
     """Write the arc-flip graph of g's acyclic orientations as DOT, its
-    nodes their masks, joined when they differ in one bit, with the
-    listing of the run that ``make_run()`` starts marked as its path, or
-    no path if it returns None.  Each mask is joined to those of its m
-    one-bit neighbours that are orientations, found in a mask index, so
-    the graph takes O(N m) lookups rather than a relation call per pair.
+    nodes their masks, each flip one bit, with the listing of the run
+    that ``make_run()`` starts marked as its path, or no path if it
+    returns None.
 
     The cap is tested before the run starts, so an oversized graph exits
     2 even when it is not chordal; the run starts before the orientations
     are enumerated, so a graph it rejects exits 1 at once."""
     check_ao_graph_cap(g)
     run = make_run()
-    masks = acyclic_masks(g)
-    index = {mask: i for i, mask in enumerate(masks)}
     bits = [1 << k for k in range(len(g.edges))]
-    joins = {}
-    for i, mask in enumerate(masks):
-        for bit in bits:
-            j = index.get(mask ^ bit, -1)
-            if j > i:
-                joins[i, j] = True
-    fg = FlipGraph(masks, joins)
     path = None if run is None else [run.mask() for _ in run]
-    out.write(flip_graph_dot(fg, path=path, name=name,
-                             labeler=lambda f: format(f, "x")))
+    _flip_dot(out, acyclic_masks(g), lambda mask: [mask ^ b for b in bits],
+              path, name, lambda f: format(f, "x"))
 
 
 def _hyper_dot(out, h, name, make_run):
-    """Write the pair-flip graph of h's acyclic orientations as DOT; the
-    path, the cap test and the order of the steps as in ``_graph_dot``."""
-    check_ao_hyper_cap(h)
+    """Write the pair-flip graph of h's acyclic orientations as DOT, the
+    path as in ``_graph_dot``.  A pair (j, i), j heading a hyperedge that
+    holds i, flips each hyperedge headed at j that holds i to i.  The cap
+    counts orientations found, so they are enumerated before the run
+    starts: an oversized hypergraph without an order exits 2."""
+    nodes = enumerate_ao_hyper(h)
     run = make_run()
-    fg = build_flip_graph(enumerate_ao_hyper(h), pair_flip_relation(h))
+    flips = lambda heads: (
+        tuple(i if a == j and m >> i & 1 else a
+              for a, m in zip(heads, h.masks))
+        for j, i in {(a, v) for a, e in zip(heads, h.edges) for v in e
+                     if v != a})
     path = None if run is None else [run.heads() for _ in run]
-    out.write(flip_graph_dot(
-        fg, path=path, name=name, labeler=lambda o: ",".join(map(str, o))))
+    _flip_dot(out, nodes, flips, path, name, lambda o: ",".join(map(str, o)))
 
 
 def _run_if(run, obj, order):
@@ -201,7 +211,7 @@ def _cmd_ao_graph(args, out):
         else:
             lines = lambda steps: _arc_lines(
                 steps, arcs, [arcs[d][1] for d in run.digraph().arcs])
-    _stream(out, steps, lines, args.count_only)
+    _stream(out, steps, lines, args.count_only, lambda: run.visits)
     if cert is not None:
         out.write("certified %d orientations\n" % cert.finish())
     if args.counters:
@@ -252,7 +262,7 @@ def _cmd_ao_hyper(args, out):
     else:
         # the first visit flips no pair
         lines = lambda steps: map("%d %d\n".__mod__, islice(steps, 1, None))
-    _stream(out, steps, lines, args.count_only)
+    _stream(out, steps, lines, args.count_only, lambda: run.visits)
     if cert is not None:
         count = cert.finish()
         _check_jump_trace(cert, run.order, trace)
@@ -269,7 +279,7 @@ def _cmd_elim_trees(args, out):
     else:
         lines = lambda steps: map(_label_lines(g.n),
                                   hypergen.elim_forests(run, order, steps))
-    _stream(out, run, lines, args.count_only)
+    _stream(out, run, lines, args.count_only, lambda: run.visits)
     return 0
 
 
@@ -307,7 +317,7 @@ def _cmd_quotient(args, out):
             perm_line = _perm_lines(d.n)
             lines = lambda visits: (perm_line(p.permutation_of(mask))
                                     for mask, _ in visits)
-        _stream(out, walk, lines, args.count_only)
+        _stream(out, walk, lines, args.count_only, walk.__len__)
     trail = [cls for _, cls in walk]
     if args.output == "dot" or args.certify:
         fg = quotient_cover_graph(c.classes)

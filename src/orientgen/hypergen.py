@@ -109,14 +109,12 @@ class HyperRun:
         pi = self._pi
         pos = self._pos
         orig = self._orig
+        incident = h.incident
         # an edge is restricted at its own maximum; singletons never move
         redges = [[] for _ in range(n + 1)]
-        incident = [[] for _ in range(n + 1)]
         for k, e in enumerate(edges):
             if len(e) >= 2:
                 redges[max(e)].append(k)
-            for v in e:
-                incident[v].append(k)
         movable = [j for j in range(1, n + 1) if redges[j]]
         prevm = [0] * (n + 1)
         last = 0
@@ -262,10 +260,7 @@ def elim_forests(run, order, steps):
     pos = run._pos
     # per vertex v in elimination coordinates: v, the output slot of its
     # original label, and the hyperedges containing v
-    incident = [[] for _ in range(n + 1)]
-    for k, e in enumerate(run.hypergraph.edges):
-        for v in e:
-            incident[v].append(k)
+    incident = run.hypergraph.incident
     slots = [(v, order[v - 1] - 1, incident[v]) for v in range(1, n + 1)]
     orig = (0,) + order
     out = [0] * n

@@ -32,10 +32,11 @@ class Hypergraph:
     """Hypergraph on vertices 1..n with distinct nonempty hyperedges.
 
     Hyperedges keep their input order; each is stored as a sorted vertex
-    tuple in ``edges`` and as a bitmask in ``masks``.
+    tuple in ``edges`` and as a bitmask in ``masks``.  ``incident[v]``
+    holds the indices of the hyperedges that hold v, ascending.
     """
 
-    __slots__ = ("n", "edges", "masks", "_mask_set")
+    __slots__ = ("n", "edges", "masks", "incident", "_mask_set")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -44,6 +45,7 @@ class Hypergraph:
         elist = []
         masks = []
         mask_set = set()
+        incident = [[] for _ in range(n + 1)]
         for e in edges:
             ev = tuple(e)
             vs = sorted(set(ev))
@@ -59,10 +61,13 @@ class Hypergraph:
             if m in mask_set:
                 raise InputError("duplicate hyperedge %r" % (vs,))
             mask_set.add(m)
+            for v in vs:
+                incident[v].append(len(elist))
             elist.append(tuple(vs))
             masks.append(m)
         self.edges = tuple(elist)
         self.masks = tuple(masks)
+        self.incident = tuple(map(tuple, incident))
         self._mask_set = frozenset(mask_set)
 
     def __repr__(self):
@@ -166,20 +171,22 @@ def _elim_ok(h, smask, v):
     """Condition for v to be eliminated last from the vertex set smask:
     for all hyperedges A, B inside smask containing v (A = B allowed) and
     all distinct a in A-v, b in B-v, some hyperedge X satisfies
-    {a,b} <= X <= (A|B)-v."""
+    {a,b} <= X <= (A|B)-v.  A and B are read from v's hyperedges, and X
+    from a's."""
     vbit = 1 << v
-    level = [m for m in h.masks if m & vbit and not m & ~smask]
     masks = h.masks
+    level = [masks[k] for k in h.incident[v] if not masks[k] & ~smask]
     for am in level:
         arest = am & ~vbit
         for bm in level:
             target = (am | bm) & ~vbit
             for a in _bits(arest):
+                xs = [masks[k] for k in h.incident[a]]
                 for b in _bits(bm & ~vbit):
                     if a == b:
                         continue
                     ab = (1 << a) | (1 << b)
-                    if not any(x & ab == ab and not x & ~target for x in masks):
+                    if not any(x & ab == ab and not x & ~target for x in xs):
                         return False
     return True
 
@@ -212,10 +219,7 @@ def find_heo(h):
     hyperedges that hold u, so ``greedy_elimination`` re-tests only the
     vertices that share a hyperedge with u.
     """
-    touches = [set() for _ in range(h.n + 1)]
-    for e in h.edges:
-        for v in e:
-            touches[v].update(e)
+    touches = [{u for k in ks for u in h.edges[k]} for ks in h.incident]
     return greedy_elimination(h.n, lambda v, left: _elim_ok(h, left, v),
                               touches)
 

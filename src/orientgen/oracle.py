@@ -6,12 +6,11 @@ validated against these functions, never the other way around.
 """
 
 import heapq
-import itertools
 from collections import deque
 
 from .errors import CapExceeded, InputError, effective_cap
-from .graphs import is_acyclic_mask, orient, topological_order
-from .hypergraphs import arc_out, check_orientation, poset_of, restrict
+from .graphs import orient
+from .hypergraphs import check_orientation, poset_of, restrict
 
 
 def check_ao_graph_cap(g):
@@ -29,8 +28,9 @@ def acyclic_masks(g):
     smaller one.  Raises CapExceeded when 2^m exceeds the cap.
     """
     check_ao_graph_cap(g)
-    return [mask for mask in range(1 << len(g.edges))
-            if is_acyclic_mask(g, mask)]
+    return sorted(sum(1 << k for k, (u, _) in enumerate(g.edges)
+                      if heads[k] == u)
+                  for heads in _acyclic_heads(g.n, g.edges))
 
 
 def enumerate_ao_graph(g):
@@ -151,30 +151,52 @@ def _count_by_sources(g, comp):
     return counts[full]
 
 
-def check_ao_hyper_cap(h):
-    """Raise CapExceeded when the head vectors of h, the product of its
-    hyperedge sizes, exceed the cap."""
+def _acyclic_heads(n, edges):
+    """The acyclic head tuples of the sorted vertex tuples ``edges`` over
+    1..n, in lexicographic order: a backtracking search that heads the
+    edges in order, each at its members in sorted order, over the partial
+    digraph kept as out-neighbour bitsets.  Heading e at h adds arcs into
+    h only, so it closes a cycle iff h reaches another member of e.  An
+    acyclic partial orientation always extends (head each edge left at
+    its member latest in a topological order), so no branch dead-ends.
+    Raises CapExceeded once more orientations than the cap are found."""
     limit = effective_cap()
-    total = 1
-    for e in h.edges:
-        total *= len(e)
-        if total > limit:
-            raise CapExceeded("head-vector space exceeds cap %d" % limit)
+    masks = [sum(1 << v for v in e) for e in edges]
+    heads = [0] * len(edges)
+    outs = [[0] * (n + 1)]  # per level, the digraph of the heads before it
+    tries = [iter(edges[0])] if edges else []  # per level, the heads left
+    found = [] if edges else [()]
+    while tries:
+        k = len(tries) - 1
+        for h in tries[k]:
+            if not _reaches(outs[k], h, masks[k] ^ 1 << h):
+                break
+        else:
+            tries.pop()
+            outs.pop()
+            continue
+        heads[k] = h
+        if k + 1 < len(edges):
+            out = outs[k][:]
+            for v in edges[k]:
+                if v != h:
+                    out[v] |= 1 << h
+            outs.append(out)
+            tries.append(iter(edges[k + 1]))
+        else:
+            found.append(tuple(heads))
+            if len(found) > limit:
+                raise CapExceeded("acyclic orientations exceed cap %d"
+                                  % limit)
+    return found
 
 
 def enumerate_ao_hyper(h):
     """All acyclic orientations of a hypergraph as head tuples, in
-    lexicographic order.  Raises CapExceeded when the product of the
-    hyperedge sizes exceeds the cap.
+    lexicographic order.  Raises CapExceeded as soon as more of them than
+    the cap have been found.
     """
-    check_ao_hyper_cap(h)
-    out = []
-    # product over the sorted hyperedges runs in lexicographic order and
-    # draws each head from its own hyperedge
-    for heads in itertools.product(*h.edges):
-        if topological_order(h.n, arc_out(h, heads)) is not None:
-            out.append(heads)
-    return out
+    return _acyclic_heads(h.n, h.edges)
 
 
 def check_unique_parent_child(h):
@@ -483,13 +505,13 @@ def quotient_cover_graph(partition):
     return FlipGraph(range(k), annotations)
 
 
-def _reaches(out, a, b):
+def _reaches(out, a, targets):
     """True iff the digraph whose out-neighbours of v are the set bits of
-    out[v] has a directed path from a to b."""
+    out[v] has a directed path from a to a set bit of ``targets``."""
     seen = 0
     todo = out[a]
     while todo:
-        if todo >> b & 1:
+        if todo & targets:
             return True
         seen |= todo
         nxt = 0
@@ -597,7 +619,7 @@ class ArcListingCertifier:
         for k, (u, v) in enumerate(self._edges):
             if mask >> k & 1:
                 u, v = v, u
-            if _reaches(out, v, u):
+            if _reaches(out, v, 1 << u):
                 return None
             out[u] |= 1 << v
         return out
@@ -629,7 +651,7 @@ class ArcListingCertifier:
                 i, j = j, i  # the arc as oriented before the flip
             out = self._out
             out[i] ^= 1 << j
-            if _reaches(out, i, j):
+            if _reaches(out, i, 1 << j):
                 out[i] |= 1 << j
                 raise InputError("flipped arc %d->%d is transitive in its "
                                  "predecessor" % (i, j))

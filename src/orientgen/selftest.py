@@ -23,10 +23,10 @@ from .fileio import format_congruence, format_digraph, format_graph, \
     format_hypergraph
 from .graphs import Digraph, complete_graph, find_peo, orient, \
     orientation_mask, path_graph
-from .hypergraphs import is_acyclic_orientation, is_heo
-from .oracle import build_flip_graph, check_flip_distance, \
-    check_unique_parent_child, congruence_closure, enumerate_ao_graph, \
-    one_arc_flip, pair_flip_relation
+from .hypergraphs import is_heo
+from .oracle import PairListingCertifier, build_flip_graph, \
+    check_flip_distance, check_unique_parent_child, congruence_closure, \
+    enumerate_ao_graph, one_arc_flip
 from .quotients import ARPoset, Congruence, build_ar_poset, classify, \
     rails, restriction, sylvester_congruence, validate_congruence
 
@@ -226,23 +226,12 @@ def crit_specializations(quick):
         rc, text = _cli(["elim-trees", path])
         forests = text.splitlines()
         _require(len(forests) == len(set(forests)) == cats[-1])
-    # certify the rotation listing directly: the head-vector space of a
-    # path's building set is far too large to enumerate, but validity,
-    # distinctness, flip legality, and the Catalan total pin it down
+    # certify the rotation listing through the oracle's enumeration
     run, _ = hypergen.elim_run(path_graph(top))
-    bg = run.hypergraph
-    rel = pair_flip_relation(bg)
-    seen = set()
-    prev = None
+    cert = PairListingCertifier(run.hypergraph)
     for _ in run:
-        heads = run.heads()
-        _require(is_acyclic_orientation(bg, heads), "rotation visit is cyclic")
-        _require(heads not in seen, "rotation listing repeats a forest")
-        _require(prev is None or rel(prev, heads) is not None,
-                 "consecutive forests are not one rotation apart")
-        seen.add(heads)
-        prev = heads
-    _require(len(seen) == cats[-1])
+        cert.visit(run.heads())
+    _require(cert.finish() == cats[-1])
     return "%d two-uniform visits equal across engines; P_2..P_%d " \
            "forests Catalan, rotations certified" % (matched, top)
 

@@ -58,7 +58,7 @@ class SetArcCertifier:
             for k, (u, v) in enumerate(edges):
                 if mask >> k & 1:
                     u, v = v, u
-                if _reaches(out, v, u):
+                if _reaches(out, v, 1 << u):
                     raise InputError("orientation %#x is cyclic" % mask)
                 out[u] |= 1 << v
             self._out = out
@@ -74,7 +74,7 @@ class SetArcCertifier:
                 i, j = j, i  # the arc as oriented before the flip
             out = self._out
             out[i] ^= 1 << j
-            if _reaches(out, i, j):
+            if _reaches(out, i, 1 << j):
                 out[i] |= 1 << j
                 raise InputError("flipped arc %d->%d is transitive in its "
                                  "predecessor" % (i, j))
@@ -505,8 +505,9 @@ def test_pair_rejects_a_short_listing_at_finish():
 
 
 def test_pair_certifier_cap(monkeypatch):
-    monkeypatch.setenv("ORIENTGEN_CAP", "23")
+    # the cap counts the 8 orientations found, not the 24 head vectors
+    monkeypatch.setenv("ORIENTGEN_CAP", "7")
     with pytest.raises(CapExceeded):
         PairListingCertifier(H)
-    monkeypatch.setenv("ORIENTGEN_CAP", "24")
+    monkeypatch.setenv("ORIENTGEN_CAP", "8")
     assert PairListingCertifier(H).expected == 8

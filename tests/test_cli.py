@@ -274,6 +274,44 @@ def test_graph_dot_equals_the_pairwise_flip_graph(tmp_path, capsys):
     assert "path=1" not in out
 
 
+def pairwise_hyper_dot(h, name):
+    """The pair-flip DOT of h built by the oracle's pairwise
+    ``build_flip_graph``, its path the listing of ``find_heo``'s run, or
+    no path when h has no hyperfect elimination order."""
+    fg = oracle.build_flip_graph(oracle.enumerate_ao_hyper(h),
+                                 oracle.pair_flip_relation(h))
+    path = None
+    order = hypergraphs.find_heo(h)
+    if order is not None:
+        r = hypergen.HyperRun(h, order)
+        path = [r.heads() for _ in r]
+    return oracle.flip_graph_dot(fg, path=path, name=name,
+                                 labeler=lambda o: ",".join(map(str, o)))
+
+
+def test_hyper_dot_equals_the_pairwise_flip_graph(tmp_path, capsys):
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    cases = []
+    for name in ("bp5.h", "rh1.h", "rh2.h", "rh3.h", "h54.h"):
+        with open(os.path.join(golden, name)) as handle:
+            cases.append((name, handle.read()))
+    cases += [("k5-2u.h", format_hypergraph(
+        corpus.two_uniform(complete_graph(5))))]
+    for name, text in cases:
+        path = put(tmp_path, name, text)
+        h = parse_hypergraph(text)
+        rc, out, _ = run(capsys, "ao-hyper", path, "--output", "dot")
+        assert rc == 0 and out == pairwise_hyper_dot(h, "aohyper"), name
+        rc, out, _ = run(capsys, "flipgraph", path, "--hyper")
+        assert rc == 0 and out == pairwise_hyper_dot(h, "flipgraph"), name
+    # no path when there is no hyperfect elimination order
+    h = hypergraphs.graphical_building_set(cycle_graph(4))
+    path = put(tmp_path, "bc4.h", format_hypergraph(h))
+    rc, out, _ = run(capsys, "flipgraph", path, "--hyper")
+    assert rc == 0 and out == pairwise_hyper_dot(h, "flipgraph")
+    assert "path=1" not in out and out.count("label=") > 1
+
+
 def test_graph_dot_of_p14_is_not_quadratic(tmp_path, capsys):
     # 8,192 orientations: about 33.5M relation calls if built pairwise
     path = put(tmp_path, "p14.g", format_graph(path_graph(14)))
@@ -441,7 +479,19 @@ def test_hyper_dot_cap_wins_over_a_cycle(command, tmp_path, capsys,
         Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])))
     rc, out, err = run(capsys, command[0], path, *command[1:])
     assert rc == 2 and out == ""
-    assert "head-vector space exceeds cap 10" in err
+    assert "acyclic orientations exceed cap 10" in err
+
+
+def test_ao_hyper_certifies_k7_whose_product_is_over_the_cap(tmp_path,
+                                                              capsys):
+    # 2^21 head vectors, over the default cap, but 5,040 orientations
+    path = put(tmp_path, "k7-2u.h", format_hypergraph(
+        corpus.two_uniform(complete_graph(7))))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "ao-hyper", path, "--certify", "--count-only")
+    assert time.perf_counter() - start < 5
+    assert rc == 0 and err == ""
+    assert out == "5040\ncertified 5040 orientations\n"
 
 
 @pytest.mark.parametrize("output", ["heads", "perm", "flips"])

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, permutations, product
 
 import pytest
@@ -174,6 +175,7 @@ def test_hypergraph_validation():
         Hypergraph(3, [(1, 2), (2, 1)])  # duplicate as a set
     h = Hypergraph(4, [(2, 1), (1, 2, 3)])
     assert h.edges == ((1, 2), (1, 2, 3))
+    assert h.incident == ((), (0, 1), (0, 1), (1,), ())
 
 
 def test_restrict():
@@ -326,6 +328,19 @@ def test_find_heo_result_verifies():
             assert is_heo(h, order)
 
 
+def test_find_heo_on_a_shuffled_path_reads_only_incident_hyperedges():
+    # scanning all m hyperedges at every elimination test took 1.5 s on
+    # this input (2 vCPU, Python 3.11)
+    n = 2000
+    order = list(range(1, n + 1))
+    random.Random(2000).shuffle(order)
+    h = Hypergraph(n, [(order[k], order[k + 1]) for k in range(n - 1)])
+    start = time.perf_counter()
+    found = find_heo(h)
+    assert time.perf_counter() - start < 0.3
+    assert found is not None and is_heo(h, found)
+
+
 def test_check_unique_parent_child():
     assert check_unique_parent_child(PREFIX_H)
     assert check_unique_parent_child(Hypergraph(2, [(1, 2)]))
@@ -337,11 +352,11 @@ def test_check_unique_parent_child():
 
 
 def test_check_unique_parent_child_enumerates_under_the_cap(monkeypatch):
-    # the prefix chain's last restriction has 2 * 3 * 4 = 24 head vectors
-    monkeypatch.setenv("ORIENTGEN_CAP", "23")
+    # the prefix chain's last restriction has 8 acyclic orientations
+    monkeypatch.setenv("ORIENTGEN_CAP", "7")
     with pytest.raises(CapExceeded):
         check_unique_parent_child(PREFIX_H)
-    monkeypatch.setenv("ORIENTGEN_CAP", "24")
+    monkeypatch.setenv("ORIENTGEN_CAP", "8")
     assert check_unique_parent_child(PREFIX_H)
 
 

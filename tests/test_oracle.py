@@ -15,9 +15,11 @@ from orientgen.errors import CapExceeded, InputError, effective_cap
 from orientgen.graphs import (
     Graph,
     complete_graph,
+    is_acyclic_mask,
     orientation_mask,
     path_graph,
     relabel_graph,
+    topological_order,
 )
 from orientgen.hypergraphs import Hypergraph
 from orientgen.oracle import (
@@ -70,7 +72,7 @@ def test_enumerate_ao_graph_cap(monkeypatch):
 def test_the_cap_has_one_setting(monkeypatch):
     # ORIENTGEN_CAP is read in one place; no entry point takes a cap
     for fn in (oracle.check_ao_graph_cap, oracle.enumerate_ao_graph,
-               oracle.check_ao_hyper_cap, oracle.enumerate_ao_hyper,
+               oracle.enumerate_ao_hyper,
                oracle.ArcListingCertifier, oracle.certify_arc_listing,
                oracle.PairListingCertifier, quotients.build_ar_poset,
                hypergraphs.graphical_building_set, effective_cap):
@@ -277,10 +279,58 @@ def test_enumerate_ao_hyper(monkeypatch):
     assert enumerate_ao_hyper(Hypergraph(3, [(1,), (2,), (3,)])) == [(1, 2, 3)]
     out = enumerate_ao_hyper(PREFIX_H)
     assert out == sorted(out)
-    assert len(out) == len(set(out))
-    monkeypatch.setenv("ORIENTGEN_CAP", "10")
-    with pytest.raises(CapExceeded):
+    assert len(out) == len(set(out)) == 8
+    # the cap counts the orientations found, not the 24 head vectors
+    monkeypatch.setenv("ORIENTGEN_CAP", "7")
+    with pytest.raises(CapExceeded, match="acyclic orientations exceed cap 7"):
         enumerate_ao_hyper(PREFIX_H)
+    monkeypatch.setenv("ORIENTGEN_CAP", "8")
+    assert enumerate_ao_hyper(PREFIX_H) == out
+
+
+def reference_ao_hyper(h):
+    """The oracle's hypergraph enumeration as first written: every head
+    vector of the product of the sorted hyperedges, in lexicographic
+    order, kept when its arc digraph has a topological order."""
+    return [heads for heads in itertools.product(*h.edges)
+            if topological_order(h.n, hypergraphs.arc_out(h, heads))
+            is not None]
+
+
+def reference_acyclic_masks(g):
+    """The oracle's graph enumeration as first written: every one of the
+    2^m masks, ascending, kept when it is acyclic."""
+    return [mask for mask in range(1 << len(g.edges))
+            if is_acyclic_mask(g, mask)]
+
+
+def test_the_search_equals_the_product_and_mask_filters():
+    from orientgen.corpus import all_graphs, heo_corpus
+    cases = heo_corpus()
+    rng = random.Random(1454)
+    cases += [random_hypergraph(rng.randint(1, 5), rng.randint(1, 6), rng)
+              for _ in range(300)]
+    for h in cases:
+        assert enumerate_ao_hyper(h) == reference_ao_hyper(h), h
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    for g in graphs:
+        assert oracle.acyclic_masks(g) == reference_acyclic_masks(g), g
+    assert len(cases) + len(graphs) == 1454
+
+
+def test_enumerating_a_building_set_runs_no_engine_code():
+    # the head-vector product of P_7's building set is about 1.3e11
+    bg = hypergraphs.graphical_building_set(path_graph(7))
+
+    def work():
+        assert len(enumerate_ao_hyper(bg)) == 429  # Catalan(7)
+        assert oracle.PairListingCertifier(bg).expected == 429
+        assert len(enumerate_ao_hyper(
+            hypergraphs.graphical_building_set(complete_graph(4)))) == 24
+
+    called = functions_called(work)
+    assert ("oracle.py", "_acyclic_heads") in called
+    assert not {c for c in called if c[0] in ENGINE_FILES or c[1] in SEARCHES}
 
 
 def random_hypergraph(n, m, rng):
