@@ -56,9 +56,12 @@ on the directed P_12, ``heo`` on a shuffled 2-uniform P_400 and
 ``classify`` on a shuffled directed P_4000, whose orders the greedy
 searches that rescanned after every removal took seconds to find,
 ``ao-graph --certify --count-only`` on K_4,
-P_5 and K_3 side by side, and ``ao-hyper --certify``, with and without
-``--count-only``, on the three shuffled random hypergraphs and the
-building set of a shuffled P_5, so that the permutation-trace check
+P_5 and K_3 side by side, ``arcs`` and ``perm`` listings of the same
+graph and of K_5 on the odd vertices of 1..9 beside five isolated
+vertices between and above them, so that a new source or sink is placed
+across components and past isolated values, and ``ao-hyper --certify``,
+with and without ``--count-only``, on the three shuffled random
+hypergraphs and the building set of a shuffled P_5, so that the permutation-trace check
 relabels its input (34,560 head vectors and 42 orientations for P_5).
 
 The ``ao-graph`` files were written by the engine that predates
@@ -67,7 +70,9 @@ still sorted its cliques with ``sorted`` and ``cmp_to_key``, the
 ``k8``, ``k9`` and ``jump13`` ones by the engine that still sorted the
 last vertex's clique at every one of its sweeps, the ``k8-pendant`` and
 ``k6-k6`` ones by the engine that still sorted every other vertex's
-clique at each of its sweeps), the
+clique at each of its sweeps, the ``k4p5k3`` and ``k5-iso5`` listings by
+the engine that still stepped its last movable vertex one Python step at
+a time and scanned for a new source's or sink's place), the
 ``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
 hypergraph engine that still checked itself on every step, and the
@@ -108,7 +113,7 @@ from orientgen.hypergraphs import find_heo, graphical_building_set, \
 from orientgen.quotients import build_ar_poset, is_identity_peo_consistent, \
     rails, sylvester_congruence
 
-from test_chordal_gen import long_jump_graph
+from test_chordal_gen import long_jump_graph, with_isolated
 from test_graphs import cycle_graph
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -215,6 +220,8 @@ COMMAND_CASES = (
     + [("classify", f, [], "") for f in ("c4-iso12.d", "dpath12.d")]
     + [("heo", "p400-2u.h", [], ""), ("classify", "dpath4000.d", [], "")]
     + [("ao-graph", "k4p5k3.g", ["--certify", "--count-only"], "")]
+    + [("ao-graph", f, extra, tag) for f in ("k4p5k3.g", "k5-iso5.g")
+       for extra, tag in (([], "arcs"), (["--output", "perm"], "perm"))]
     + [("ao-hyper", f, ["--certify"] + extra, tag) for f in CERTIFY_HEO
        for extra, tag in (([], ""), (["--count-only"], "count"))]
 )
@@ -327,6 +334,7 @@ def command_instances():
         "path40.g": format_graph(shuffled_path(40, random.Random(40))),
         "disjoint.g": format_graph(disjoint_graph(random.Random(19))),
         "r200.g": format_graph(corpus.random_chordal(200, random.Random(200))),
+        "k5-iso5.g": format_graph(with_isolated(complete_graph(5), True, 5)),
     }
     for key, name in WITNESS_FILES.items():
         if key != "peo_consistent":
