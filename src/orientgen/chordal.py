@@ -11,7 +11,9 @@ neighbors whenever a smaller vertex steps across an edge inside the
 clique.  A step costs what it changes: one bit of the orientation mask,
 one swap in the order of each larger clique that holds both ends of the
 flipped edge, and, once the canonical permutation has been read, one
-delete and one insert of the swept vertex in it.  ``comparisons``
+delete and one insert of the swept vertex in it.  The last movable
+vertex sweeps as data, one ``yield from`` over a list of its arcs, and
+snapshots read its progress.  ``comparisons``
 counts what a sort of each sweep's clique would make, derived from
 insertion ranks kept with the order.  Snapshots are read off that state
 rather than rebuilt, and no table grows faster than n + m.
@@ -113,7 +115,7 @@ class _Order:
                       + sum(steps[e][below[e]] for e in range(run, d)))
 
     def swap(self, a, b):
-        """Swap items a and b, neighbors in ``kept``."""
+        """Swap items a and b, neighbors in ``kept``; returns the lower."""
         if a > b:
             a, b = b, a
         pos = self.pos
@@ -131,6 +133,36 @@ class _Order:
         elif b >= self.run:
             steps = self._steps[b]
             self.count += steps[now] - steps[was]
+        return pa if pa < pb else pb
+
+
+class _Sweep(_Order):
+    """The last movable vertex's order with its sweeps as data: per item
+    kept, the arc a sweep left makes (walked in reverse) and the one a
+    sweep right makes; pre[x] XORs the edge bits of the first x items,
+    so x steps left flip pre[d] ^ pre[d - x] and x steps right pre[x].
+    A swap moves two entries of each arc list and one of ``pre``."""
+
+    __slots__ = ("larcs", "rarcs", "pre")
+
+    def __init__(self, items, steps):
+        super().__init__(items, steps)
+        kept = self.kept
+        self.larcs = [rec[2] for rec in kept]
+        self.rarcs = [rec[3] for rec in kept]
+        self.pre = pre = [0]
+        for rec in kept:
+            pre.append(pre[-1] ^ 1 << rec[1])
+
+    def swap(self, a, b):
+        p = _Order.swap(self, a, b)
+        q = p + 1
+        larcs = self.larcs
+        larcs[p], larcs[q] = larcs[q], larcs[p]
+        rarcs = self.rarcs
+        rarcs[p], rarcs[q] = rarcs[q], rarcs[p]
+        pre = self.pre
+        pre[q] = pre[p] ^ 1 << self.kept[p][1]
 
 
 class ChordalRun:
@@ -142,16 +174,13 @@ class ChordalRun:
     oriented u -> w.  Snapshots of the current orientation are valid only
     until the next step:
 
-    - mask(): the orientation bitmask, kept by one XOR per flip and read
-      in O(1);
+    - mask(): the orientation bitmask, read in O(1);
     - permutation(): the canonical permutation (``encode`` of the
-      orientation in elimination coordinates).  From its first call on,
-      each flip moves the swept vertex by one delete and one insert,
-      its positions found by ``list.index``, and a read copies n
-      entries.  A first call after the first flip pays one ``encode``;
+      orientation in elimination coordinates), a copy of n entries.  A
+      first call after the first flip pays one ``encode``; from then on
+      each flip moves the swept vertex by one delete and one insert;
     - named_permutation(labels): the same permutation as the list of
-      ``labels[v]``, built at its first call and from then on moved by
-      the same delete and insert as the permutation, so a read is free;
+      ``labels[v]``, moved with it from its first call on;
     - digraph(): a Digraph built from the mask in O(n + m), for callers at
       the API edge.
 
@@ -168,17 +197,21 @@ class ChordalRun:
     with its item index in each: one entry per edge at most, and none
     on a path.
 
-    The last movable vertex sweeps in one inner loop; between two of its
-    sweeps the focus pointers pick one step of another vertex, so they
-    are updated once per sweep of the last vertex rather than at every
-    step.  On K_n that loop makes n - 1 of every n steps.  One helper,
-    ``_move``, updates the tracked permutation for both kinds of step.
-    Within a sweep the last movable vertex starts each move where the
-    previous one put it.  When it becomes a source or a sink it moves to
-    the front or to just before the values above it, which are isolated
-    and stay at the end, so that step scans nothing.
+    The last movable vertex (n - 1 of every n steps on K_n) sweeps as
+    data, one ``yield from`` over the arcs its ``_Sweep`` keeps; the
+    sweep is committed at its end, and snapshots read the steps made
+    off the list iterator's length hint.  A permutation read moves the
+    vertex where the last of them puts it: before the member crossed
+    (left) or next (right), or at the end to the front or just before
+    the isolated values above it.  No other jump crosses it, so its
+    place is looked up once per run.  With one member it steps as the
+    others do, cheaper than a one-item sweep.  When another vertex j
+    steps, each larger movable vertex is a source or a sink, so 1..j
+    form one block behind the larger sources, where a new source goes
+    first and a new sink last.  Inside its sweep j goes directly before
+    its first out-neighbor, which ``list.index`` finds.
 
-    Counter attributes `visits`, `flips`, `comparisons` and
+    Counters `visits` (read-only), `flips`, `comparisons` and
     `max_step_comparisons` accumulate as the run advances.  Each sweep
     adds to ``comparisons`` what a sort of the clique in edge order
     would compare, kept by its ``_Order``: the leading run, reversed
@@ -193,9 +226,10 @@ class ChordalRun:
     its own.
     """
 
-    __slots__ = ("graph", "order", "visits", "comparisons",
-                 "max_step_comparisons", "_mask", "_recs", "_orders", "_ups",
-                 "_top", "_pi", "_names", "_labels", "_gen")
+    __slots__ = ("graph", "order", "comparisons", "max_step_comparisons",
+                 "_mask", "_visits", "_recs", "_orders", "_ups", "_top",
+                 "_last", "_sweep", "_left", "_undone", "_lp", "_pi",
+                 "_names", "_labels", "_gen")
 
     def __init__(self, g, order):
         order = tuple(order)
@@ -225,13 +259,15 @@ class ChordalRun:
         recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]))
                  for i, k in eid[j].items()] for j in range(n + 1)]
         self._recs = recs
+        # the last movable vertex; every value above it is isolated
+        self._top = top = max((j for j in range(n + 1) if eid[j]), default=0)
         # the order of each clique of two or more members; per vertex,
         # (order, its item index there) for each larger clique holding it
         orders = [None] * (n + 1)
         ups = [()] * (n + 1)
         for j, items in enumerate(recs):
             if len(items) > 1:
-                o = orders[j] = _Order(items, steps)
+                o = orders[j] = (_Sweep if j == top else _Order)(items, steps)
                 for e, rec in enumerate(items):
                     up = ups[rec[0]]
                     if not up:
@@ -239,12 +275,16 @@ class ChordalRun:
                     up.append((o, e))
         self._orders = orders
         self._ups = ups
-        # the last movable vertex; every value above it is isolated
-        self._top = max((j for j in range(n + 1) if eid[j]), default=0)
+        # the sweep in progress: its list iterator, or None between sweeps
+        self._sweep = None
+        self._last = orders[top]  # the _Sweep of the last movable vertex
+        # the steps of the sweep that the tracked permutation has not made
+        self._undone = len(recs[top])
+        self._lp = None  # the last movable vertex's place in it
         self._pi = None  # tracked from the first permutation() on
         self._names = None  # tracked from the first named_permutation() on
         self._labels = None
-        self.visits = 0
+        self._visits = 0
         self.comparisons = 0
         self.max_step_comparisons = 0
         self._gen = self._iterate()
@@ -258,6 +298,14 @@ class ChordalRun:
         return next(self._gen)
 
     @property
+    def visits(self):
+        """Visits so far, the current sweep's steps made included."""
+        sweep = self._sweep
+        if sweep is None:
+            return self._visits
+        return self._visits + len(self._last.kept) - sweep.__length_hint__()
+
+    @property
     def flips(self):
         """Arc flips so far: one per visit after the first."""
         return max(self.visits - 1, 0)
@@ -266,71 +314,76 @@ class ChordalRun:
         """Bitmask of the current orientation over the original edge
         list: bit k set iff edge k points from its larger endpoint to its
         smaller one."""
-        return self._mask
+        sweep = self._sweep
+        if sweep is None:
+            return self._mask
+        pre = self._last.pre
+        if self._left:
+            return self._mask ^ pre[-1] ^ pre[sweep.__length_hint__()]
+        return self._mask ^ pre[-1 - sweep.__length_hint__()]
 
     def permutation(self):
         """Current canonical permutation, in elimination coordinates."""
-        if self._pi is None:
+        self.named_permutation(self._labels)
+        return tuple(self._pi)
+
+    def named_permutation(self, labels):
+        """The current canonical permutation with each value v replaced
+        by ``labels[v]``, named once and then moved with the vertices.
+        The list returned is the run's own: read it before the next step
+        and do not change it.  ``permutation()`` reads through here with
+        the labels tracked (None: none), so one place makes the pending
+        moves of a sweep."""
+        pi = self._pi
+        if pi is None:
             if self.flips:
                 pi = list(encode(relabel_digraph(self.digraph(), self.order)))
             else:
                 pi = list(range(1, self.graph.n + 1))
             self._pi = pi
-        return tuple(self._pi)
-
-    def named_permutation(self, labels):
-        """The current canonical permutation with each value v replaced
-        by ``labels[v]``.  The first call names the permutation once;
-        from then on each step moves the swept vertex's name as it moves
-        the vertex, so a read costs nothing.  The list returned is the
-        run's own: read it before the next step and do not change it."""
-        if self._names is None or labels is not self._labels:
-            self._names = [labels[v] for v in self.permutation()]
+            if self._top:
+                self._lp = pi.index(self._top)
+            if self._sweep is not None:
+                self._undone = self._sweep.__length_hint__()
+        elif self._sweep is not None:
+            undone = self._sweep.__length_hint__()
+            if undone != self._undone:
+                # the last vertex goes where the last step made puts it
+                self._undone = undone
+                top = self._top
+                p = self._lp
+                del pi[p]
+                if undone:
+                    kept = self._last.kept
+                    q = pi.index(kept[undone][0] if self._left
+                                 else kept[-undone][0])
+                else:
+                    q = 0 if self._left else top - 1
+                pi.insert(q, top)
+                self._lp = q
+                names = self._names
+                if names is not None:
+                    del names[p]
+                    names.insert(q, self._labels[top])
+        if labels is not self._labels:
+            self._names = None if labels is None else [labels[v] for v in pi]
             self._labels = labels
         return self._names
 
     def digraph(self):
         """Digraph snapshot of the current orientation, original labels,
         arc k corresponding to edge k."""
-        return orient(self.graph, self._mask)
+        return orient(self.graph, self.mask())
 
-    def _move(self, j, lj, i, nxt, p=None):
-        """Move j in the tracked permutation, and in the tracked names,
-        for the step that crosses i on a sweep left (``lj``) or right;
-        ``nxt`` is the member the sweep crosses next, 0 after its last.
-        ``p`` is j's position when the caller knows it.  Returns j's new
-        position."""
+    def _move(self, v, p, q):
+        """Move v from place p to place q of the tracked lists."""
         pi = self._pi
-        if p is None:
-            p = pi.index(j)
-        if nxt:
-            # directly before j's first out-neighbor: i after a jump
-            # left, the next one in line after a jump right
-            q = pi.index(i) if lj else pi.index(nxt, p) - 1
-        elif j == self._top:
-            # the values above it sit at the end, in place: a new source
-            # goes first, a new sink right before them
-            q = 0 if lj else j - 1
-        elif lj:
-            # a source now: left of every smaller value next to it
-            q = p - 1
-            while q >= 0 and pi[q] < j:
-                q -= 1
-            q += 1
-        else:
-            # a sink now: right of every smaller value next to it
-            q = p + 1
-            n = len(pi)
-            while q < n and pi[q] < j:
-                q += 1
-            q -= 1
         del pi[p]
-        pi.insert(q, j)
+        pi.insert(q, v)
         names = self._names
         if names is not None:
             del names[p]
-            names.insert(q, self._labels[j])
-        return q
+            names.insert(q, self._labels[v])
 
     def _iterate(self):
         n = self.graph.n
@@ -349,18 +402,22 @@ class ChordalRun:
         t = [0] * (n + 1)
         left = [True] * (n + 1)
         s = list(range(n + 1))
-        self.visits = 1
+        self._visits = 1
         yield None
         if last == 0:
             return
-        move = self._move
         mask = self._mask
-        # the last movable vertex sweeps in one loop; between two of its
-        # sweeps the focus pointers pick one step of another vertex
-        kept = T[last]
-        lorder = orders[last]
+        src = 0  # bit v set iff the movable vertex v is now a source
         ldeg = deg[last]
         lpre = prevm[last]
+        ltop = 1 << last
+        lorder = orders[last]
+        if lorder:
+            larcs, rarcs = lorder.larcs, lorder.rarcs
+            lall = lorder.pre[ldeg]  # a swap never moves it
+        else:
+            _, k, lleft, lright = recs[last][0]
+            lbit = 1 << k
         ll = True
         while True:
             if lorder:
@@ -368,19 +425,26 @@ class ChordalRun:
                 self.comparisons += c
                 if c > self.max_step_comparisons:
                     self.max_step_comparisons = c
-            # at the sweep's x-th step (from 0) visits == base + x
-            base = self.visits
-            lp = None  # its position in the tracked permutation
-            for i, k, leftarc, rightarc in reversed(kept) if ll else kept:
-                mask ^= 1 << k
+                self._left = ll
+                self._sweep = sweep = reversed(larcs) if ll else iter(rarcs)
+                yield from sweep
+                if self._pi is not None:
+                    self.named_permutation(self._labels)
+                    self._undone = ldeg
+                self._sweep = None
+                mask ^= lall
+                self._mask = mask
+                self._visits += ldeg
+            else:
+                mask ^= lbit
                 self._mask = mask
                 if self._pi is not None:
-                    x = self.visits - base + 1
-                    lp = move(last, ll, i,
-                              0 if x == ldeg else
-                              kept[ldeg - 1 - x][0] if ll else kept[x][0], lp)
-                self.visits += 1
-                yield leftarc if ll else rightarc
+                    q = 0 if ll else last - 1
+                    self._move(last, self._lp, q)
+                    self._lp = q
+                self._visits += 1
+                yield lleft if ll else lright
+            src ^= ltop
             ll = not ll
             j = s[lpre]
             if j == 0:
@@ -405,10 +469,19 @@ class ChordalRun:
                 if a is not None:
                     o.swap(a, b)
             ended = tj == dj
-            if self._pi is not None:
-                move(j, lj, i, 0 if ended else
-                     Tj[dj - 1 - tj][0] if lj else Tj[tj][0])
+            pi = self._pi
+            if pi is not None:
+                p = pi.index(j)
+                if ended:
+                    # the block of 1..j follows the larger sources
+                    q = (src >> j + 1).bit_count() + (0 if lj else j - 1)
+                else:
+                    # directly before j's first out-neighbor: i after a
+                    # jump left, the next one in line after a jump right
+                    q = pi.index(i) if lj else pi.index(Tj[tj][0], p) - 1
+                self._move(j, p, q)
             if ended:
+                src ^= 1 << j
                 left[j] = not lj
                 t[j] = 0
                 pj = prevm[j]
@@ -416,7 +489,7 @@ class ChordalRun:
                 s[pj] = pj
             else:
                 t[j] = tj
-            self.visits += 1
+            self._visits += 1
             yield leftarc if lj else rightarc
 
 

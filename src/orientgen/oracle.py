@@ -531,13 +531,15 @@ class ArcListingCertifier:
     from its larger endpoint to its smaller one).  Every orientation must
     be acyclic, never repeat, and differ from its predecessor by
     reversing exactly one arc of the predecessor's transitive reduction.
-    The certifier keeps the current digraph as out-neighbour bitsets and
-    runs its own reachability search.  The first visit adds its arcs one
-    at a time and rejects an arc whose head already reaches its tail.
-    Each later visit removes the flipped arc i->j, rejects the step if i
-    still reaches j, and adds j->i otherwise; reversing a non-transitive
-    arc of an acyclic digraph cannot close a cycle, so every visit stays
-    acyclic.
+    The certifier keeps the current digraph as out- and in-neighbour
+    bitsets.  The first visit adds its arcs one at a time and rejects an
+    arc whose head already reaches its tail.  Each later visit rejects
+    the flipped arc i->j if some z has i->z->j, and reverses it
+    otherwise.  On a chordal graph a shortest second path from i to j
+    closes a chordless cycle with {i, j} (a chord would shorten the path
+    or close a directed cycle), so it has length 2.  Reversing a
+    non-transitive arc of an acyclic digraph cannot close a cycle, so
+    every visit stays acyclic.
 
     Repeats are found by rank, at one byte per orientation.  Construction
     computes ``count_ao_graph`` component by component, and on chordal
@@ -564,7 +566,7 @@ class ArcListingCertifier:
     """
 
     __slots__ = ("graph", "expected", "_edges", "_base", "_steps", "_marks",
-                 "_visited", "_prev", "_prev_rank", "_out")
+                 "_visited", "_prev", "_prev_rank", "_out", "_inn")
 
     def __init__(self, g):
         self.graph = g
@@ -599,7 +601,7 @@ class ArcListingCertifier:
         self._steps = steps
         self._marks = bytearray(self.expected)
         self._visited = 0
-        self._prev = self._prev_rank = self._out = None
+        self._prev = self._prev_rank = self._out = self._inn = None
 
     def rank(self, mask):
         """The rank of an acyclic orientation mask in range(expected);
@@ -613,16 +615,18 @@ class ArcListingCertifier:
         return rank
 
     def _digraph(self, mask):
-        """Out-neighbour bitsets of the orientation, its arcs added one at
-        a time, or None when an arc's head already reaches its tail."""
+        """Out- and in-neighbour bitsets, arcs added one at a time, or
+        None when an arc's head already reaches its tail."""
         out = [0] * (self.graph.n + 1)
+        inn = out[:]
         for k, (u, v) in enumerate(self._edges):
             if mask >> k & 1:
                 u, v = v, u
             if _reaches(out, v, 1 << u):
                 return None
             out[u] |= 1 << v
-        return out
+            inn[v] |= 1 << u
+        return out, inn
 
     def visit(self, mask):
         edges = self._edges
@@ -631,11 +635,11 @@ class ArcListingCertifier:
         prev = self._prev
         marks = self._marks
         if prev is None:
-            out = self._digraph(mask)
-            if out is None:
+            digraph = self._digraph(mask)
+            if digraph is None:
                 raise InputError("orientation %#x is cyclic" % mask)
             rank = self.rank(mask)
-            self._out = out
+            self._out, self._inn = digraph
         else:
             diff = mask ^ prev
             if not diff or diff & (diff - 1):
@@ -650,17 +654,18 @@ class ArcListingCertifier:
             if prev >> k & 1:
                 i, j = j, i  # the arc as oriented before the flip
             out = self._out
-            out[i] ^= 1 << j
-            if _reaches(out, i, 1 << j):
-                out[i] |= 1 << j
+            inn = self._inn
+            if out[i] & inn[j]:
                 raise InputError("flipped arc %d->%d is transitive in its "
                                  "predecessor" % (i, j))
             step = self._steps[k]
             rank = self._prev_rank + (step if mask >> k & 1 else -step)
             if marks[rank]:
-                out[i] |= 1 << j
                 raise InputError("orientation %#x repeats" % mask)
+            out[i] ^= 1 << j
+            inn[j] ^= 1 << i
             out[j] |= 1 << i
+            inn[i] |= 1 << j
         marks[rank] = 1
         self._visited += 1
         self._prev = mask

@@ -217,3 +217,32 @@ def test_criterion_08_verdict_survives_optimize(corrupt):
     else:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert lines[1].startswith("PASS quotient-hamilton")
+
+
+# the arc certifier on K_4, the engine's listing and one with a
+# transitive flip: its step test is a bitset AND, not an assert
+_OPTIMIZED_ARC_CERT = """
+from orientgen.chordal import generate
+from orientgen.errors import InputError
+from orientgen.graphs import complete_graph
+from orientgen.oracle import certify_arc_listing
+print("debug", __debug__)
+g = complete_graph(4)
+run = generate(g)
+listing = [run.mask() for _ in run]
+print("certified", certify_arc_listing(g, listing))
+# every edge starts toward its larger end, so 1->3 is transitive via 2
+bad = listing[:1] + [listing[0] ^ 1 << g.edges.index((1, 3))]
+try:
+    certify_arc_listing(g, bad)
+except InputError as e:
+    print("rejected", e)
+"""
+
+
+def test_arc_certifier_verdicts_survive_optimize():
+    proc = _run_optimized(_OPTIMIZED_ARC_CERT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False", "certified 24",
+        "rejected flipped arc 1->3 is transitive in its predecessor"]

@@ -18,6 +18,7 @@ from orientgen.oracle import (
     ArcListingCertifier,
     PairListingCertifier,
     _reaches,
+    acyclic_masks,
     count_ao_graph,
     enumerate_ao_graph,
     enumerate_ao_hyper,
@@ -390,6 +391,30 @@ def test_rank_is_a_bijection_on_small_chordal_graphs():
     for g in graphs:
         assert_rank_is_a_bijection(g)
     assert len(graphs) == 894
+
+
+def test_triangle_test_equals_reachability_on_small_chordal_graphs():
+    # on a chordal graph an arc i->j of an acyclic orientation has a
+    # second path from i to j iff some z has i->z->j
+    graphs = list(chordal_graphs(5))
+    arcs = 0
+    for g in graphs:
+        for mask in acyclic_masks(g):
+            out = [0] * (g.n + 1)
+            inn = [0] * (g.n + 1)
+            for k, (u, v) in enumerate(g.edges):
+                if mask >> k & 1:
+                    u, v = v, u
+                out[u] |= 1 << v
+                inn[v] |= 1 << u
+            for k, (i, j) in enumerate(g.edges):
+                if mask >> k & 1:
+                    i, j = j, i
+                out[i] ^= 1 << j
+                assert bool(out[i] & inn[j]) == _reaches(out, i, 1 << j)
+                out[i] ^= 1 << j
+                arcs += 1
+    assert len(graphs) == 894 and arcs == 127338
 
 
 def test_rank_is_a_bijection_on_random_chordal_graphs():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from bisect import bisect_left
 from functools import cmp_to_key
@@ -653,9 +654,15 @@ class ReferenceStepRun(ChordalRun):
     permutation tracked from the first visit through a position array.
     ``longest_jump`` is the most places one step moved a vertex, and
     ``larger_stops`` counts the moves of a new source or sink whose
-    scan stopped at a larger value rather than at an end."""
+    scan stopped at a larger value rather than at an end.  It counts
+    its visits itself, as the run's ``visits`` reads the run's own
+    state."""
 
-    __slots__ = ("_ref_pi", "longest_jump", "larger_stops")
+    __slots__ = ("_ref_pi", "_ref_visits", "longest_jump", "larger_stops")
+
+    @property
+    def visits(self):
+        return self._ref_visits
 
     def permutation(self):
         return tuple(self._ref_pi)
@@ -691,7 +698,7 @@ class ReferenceStepRun(ChordalRun):
         t = [0] * (n + 1)
         left = [True] * (n + 1)
         s = list(range(n + 1))
-        self.visits = 1
+        self._ref_visits = 1
         yield None
         if last == 0:
             return
@@ -744,7 +751,7 @@ class ReferenceStepRun(ChordalRun):
                 s[pj] = pj
             else:
                 t[j] = tj
-            self.visits += 1
+            self._ref_visits += 1
             yield leftarc if lj else rightarc
 
 
@@ -841,30 +848,32 @@ def test_last_vertex_end_steps_like_reference(perm_from, names_from):
                                         range(1, h.n + 1))
 
 
-class PositionCountRun(ChordalRun):
-    """A run that counts the moves of the last movable vertex whose
-    position in the permutation had to be looked up."""
+class CountingList(list):
+    """A list that counts the lookups of ``value`` by ``index``."""
 
-    __slots__ = ("lookups",)
-
-    def __init__(self, g, order):
-        super().__init__(g, order)
+    def __init__(self, items, value):
+        super().__init__(items)
+        self.value = value
         self.lookups = 0
 
-    def _move(self, j, lj, i, nxt, p=None):
-        self.lookups += p is None and j == self._top
-        return super()._move(j, lj, i, nxt, p)
+    def index(self, x, *args):
+        self.lookups += x == self.value
+        return super().index(x, *args)
 
 
-def test_last_vertex_looks_up_its_position_once_per_sweep():
-    # from its second step on, a sweep moves the vertex from where its
-    # previous step put it
+def test_last_vertex_looks_up_its_position_once_per_run():
+    # the first read looks the vertex's place up; no later step or read
+    # does, since no other vertex's jump crosses it
     for n in range(2, 8):
-        run = PositionCountRun(complete_graph(n), range(1, n + 1))
-        run.permutation()
-        for _ in run:
-            pass
-        assert run.lookups == math.factorial(n - 1)
+        for every_visit in (False, True):
+            run = ChordalRun(complete_graph(n), range(1, n + 1))
+            run.permutation()
+            pi = run._pi = CountingList(run._pi, n)
+            for _ in run:
+                if every_visit:
+                    run.permutation()
+            assert pi.lookups == 0
+            assert run.permutation() == encode(run.digraph())
 
 
 def test_visit_37_of_k8_falls_mid_sweep():
@@ -873,6 +882,70 @@ def test_visit_37_of_k8_falls_mid_sweep():
     order = find_peo(g)
     steps = list(islice(ChordalRun(g, order), 36, 38))
     assert all(order[-1] in step for step in steps)
+
+
+def last_sweep_visits(g, order, sweeps):
+    """The visits made by the last movable vertex's first ``sweeps``
+    sweeps under ``order``."""
+    run = ChordalRun(g, order)
+    top = order[run._top - 1]
+    groups = []
+    for visit, step in enumerate(run, 1):
+        if step is not None and top in step:
+            if not groups or groups[-1][-1] != visit - 1:
+                if len(groups) == sweeps:
+                    break
+                groups.append([])
+            groups[-1].append(visit)
+    return [v for group in groups for v in group]
+
+
+def assert_first_reads_like_reference(g, order, first):
+    """The run's first mask(), visits and permutation() reads come at
+    visit ``first``, and from there on it agrees with the reference at
+    every visit."""
+    run = ChordalRun(g, order)
+    ref = ReferenceStepRun(g, order)
+    names = ["v%d" % v for v in range(g.n + 1)]
+    end = object()
+    visit = 0
+    for step, ref_step in zip_longest(run, ref, fillvalue=end):
+        visit += 1
+        assert step == ref_step
+        if visit >= first:
+            assert engine_state(run) == engine_state(ref), visit
+            expect = ref.permutation()
+            assert run.permutation() == expect, visit
+            assert run.named_permutation(names) == [names[v] for v in expect]
+    assert visit == count_ao_graph(g) and first <= visit
+
+
+def test_first_reads_inside_the_first_sweeps_like_reference():
+    # every visit of the last vertex's first left and first right sweep
+    # as the first read: mid-sweep, at a sweep's end, and with one member
+    # an ordinary step (K_4 with 5 pendant on 1)
+    pendant = Graph(5, list(complete_graph(4).edges) + [(1, 5)])
+    for g, sweep in ((complete_graph(5), 4), (pendant, 1)):
+        order = tuple(range(1, g.n + 1))
+        visits = last_sweep_visits(g, order, 2)
+        assert len(visits) == 2 * sweep
+        for first in visits:
+            assert_first_reads_like_reference(g, order, first)
+
+
+def test_tracked_path_places_sources_and_sinks_without_a_scan():
+    # P_4000 under the identity order: every step makes its vertex a
+    # source or a sink, placed by a count of the larger sources
+    n = 4000
+    run = ChordalRun(path_graph(n), range(1, n + 1))
+    names = [str(v) for v in range(n + 1)]
+    start = time.perf_counter()
+    for _ in islice(run, 5000):
+        run.named_permutation(names)
+    elapsed = time.perf_counter() - start
+    assert run.named_permutation(names) == [str(v) for v in
+                                            encode(run.digraph())]
+    assert elapsed < 0.3
 
 
 def test_named_permutation_is_named_once_per_labels():

@@ -61,8 +61,8 @@ graph and of K_5 on the odd vertices of 1..9 beside five isolated
 vertices between and above them, so that a new source or sink is placed
 across components and past isolated values, and ``ao-hyper --certify``,
 with and without ``--count-only``, on the three shuffled random
-hypergraphs and the building set of a shuffled P_5, so that the permutation-trace check
-relabels its input (34,560 head vectors and 42 orientations for P_5).
+hypergraphs and the building set of a shuffled P_5, so that the
+permutation-trace check relabels its input (34,560 head vectors and 42 orientations for P_5).
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots (the ``r9`` and ``k7`` ones by the engine that
