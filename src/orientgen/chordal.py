@@ -13,10 +13,10 @@ one swap in the order of each larger clique that holds both ends of the
 flipped edge, and, once the canonical permutation has been read, one
 delete and one insert of the swept vertex in it.  The last movable
 vertex sweeps as data, one ``yield from`` over a list of its arcs, and
-snapshots read its progress.  ``comparisons``
-counts what a sort of each sweep's clique would make, derived from
-insertion ranks kept with the order.  Snapshots are read off that state
-rather than rebuilt, and no table grows faster than n + m.
+snapshots read its progress.  ``comparisons`` counts what a sort of
+each sweep's clique would make, derived from insertion ranks kept with
+the order.  Snapshots are read off that state rather than rebuilt, and
+no table grows faster than n + m.
 """
 
 from bisect import bisect_left
@@ -278,7 +278,8 @@ class ChordalRun:
         # the sweep in progress: its list iterator, or None between sweeps
         self._sweep = None
         self._last = orders[top]  # the _Sweep of the last movable vertex
-        # the steps of the sweep that the tracked permutation has not made
+        # the sweep's steps left at the last vertex's last move; a move
+        # is where the last step made puts it, so a repeat changes nothing
         self._undone = len(recs[top])
         self._lp = None  # the last movable vertex's place in it
         self._pi = None  # tracked from the first permutation() on
@@ -335,6 +336,7 @@ class ChordalRun:
         the labels tracked (None: none), so one place makes the pending
         moves of a sweep."""
         pi = self._pi
+        sweep = self._sweep
         if pi is None:
             if self.flips:
                 pi = list(encode(relabel_digraph(self.digraph(), self.order)))
@@ -343,10 +345,8 @@ class ChordalRun:
             self._pi = pi
             if self._top:
                 self._lp = pi.index(self._top)
-            if self._sweep is not None:
-                self._undone = self._sweep.__length_hint__()
-        elif self._sweep is not None:
-            undone = self._sweep.__length_hint__()
+        elif sweep is not None:
+            undone = sweep.__length_hint__()
             if undone != self._undone:
                 # the last vertex goes where the last step made puts it
                 self._undone = undone
