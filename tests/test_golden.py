@@ -56,10 +56,14 @@ on the directed P_12, ``heo`` on a shuffled 2-uniform P_400 and
 ``classify`` on a shuffled directed P_4000, whose orders the greedy
 searches that rescanned after every removal took seconds to find,
 ``ao-graph --certify --count-only`` on K_4,
-P_5 and K_3 side by side, ``arcs`` and ``perm`` listings of the same
-graph and of K_5 on the odd vertices of 1..9 beside five isolated
-vertices between and above them, so that a new source or sink is placed
-across components and past isolated values, and ``ao-hyper --certify``,
+P_5 and K_3 side by side, ``arcs``, ``perm`` and ``flips`` listings of
+the same graph and of K_5 on the odd vertices of 1..9 beside five
+isolated vertices between and above them, so that a new source or sink
+is placed across components and past isolated values, ``ao-graph
+--certify`` ``arcs``, ``flips`` and ``perm`` listings of a seeded random
+chordal graph on 8 vertices beside 8 isolated ones, shuffled (648
+orientations, so the permutations are space-separated), and ``ao-hyper
+--certify``,
 with and without ``--count-only``, on the three shuffled random
 hypergraphs and the building set of a shuffled P_5, so that the
 permutation-trace check relabels its input (34,560 head vectors and 42 orientations for P_5).
@@ -70,9 +74,12 @@ still sorted its cliques with ``sorted`` and ``cmp_to_key``, the
 ``k8``, ``k9`` and ``jump13`` ones by the engine that still sorted the
 last vertex's clique at every one of its sweeps, the ``k8-pendant`` and
 ``k6-k6`` ones by the engine that still sorted every other vertex's
-clique at each of its sweeps, the ``k4p5k3`` and ``k5-iso5`` listings by
-the engine that still stepped its last movable vertex one Python step at
-a time and scanned for a new source's or sink's place), the
+clique at each of its sweeps, the ``k4p5k3`` and ``k5-iso5`` ``arcs``
+and ``perm`` listings by the engine that still stepped its last movable
+vertex one Python step at a time and scanned for a new source's or
+sink's place, their ``flips`` listings and the ``r8-iso8`` ones by the
+engine that still yielded bare arcs for the command line to look up and
+found the place of a vertex starting its sweep with ``list.index``), the
 ``quotient`` files by the poset that predates
 the lattice index, the ``ao-hyper`` and ``elim-trees`` files by the
 hypergraph engine that still checked itself on every step, and the
@@ -221,7 +228,11 @@ COMMAND_CASES = (
     + [("heo", "p400-2u.h", [], ""), ("classify", "dpath4000.d", [], "")]
     + [("ao-graph", "k4p5k3.g", ["--certify", "--count-only"], "")]
     + [("ao-graph", f, extra, tag) for f in ("k4p5k3.g", "k5-iso5.g")
-       for extra, tag in (([], "arcs"), (["--output", "perm"], "perm"))]
+       for extra, tag in (([], "arcs"), (["--output", "perm"], "perm"),
+                          (["--output", "flips"], "flips"))]
+    + [("ao-graph", "r8-iso8.g", ["--certify"] + extra, "certify-" + tag)
+       for extra, tag in (([], "arcs"), (["--output", "flips"], "flips"),
+                          (["--output", "perm"], "perm"))]
     + [("ao-hyper", f, ["--certify"] + extra, tag) for f in CERTIFY_HEO
        for extra, tag in (([], ""), (["--count-only"], "count"))]
 )
@@ -335,6 +346,9 @@ def command_instances():
         "disjoint.g": format_graph(disjoint_graph(random.Random(19))),
         "r200.g": format_graph(corpus.random_chordal(200, random.Random(200))),
         "k5-iso5.g": format_graph(with_isolated(complete_graph(5), True, 5)),
+        "r8-iso8.g": format_graph(shuffled(with_isolated(
+            corpus.random_chordal(8, random.Random(9)), True, 8),
+            random.Random(9))),
     }
     for key, name in WITNESS_FILES.items():
         if key != "peo_consistent":
@@ -388,11 +402,16 @@ def search_instances():
     return files
 
 
+def shuffled(g, rng):
+    """g relabeled by a random vertex order."""
+    order = list(range(1, g.n + 1))
+    rng.shuffle(order)
+    return relabel_graph(g, order)
+
+
 def shuffled_path(n, rng):
     """P_n relabeled by a random vertex order."""
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    return relabel_graph(path_graph(n), order)
+    return shuffled(path_graph(n), rng)
 
 
 def shuffled_digraph(n, rng):
