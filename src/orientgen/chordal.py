@@ -171,16 +171,18 @@ class ChordalRun:
 
     Iteration yields None for the first orientation and afterwards the
     flipped arc (u, w) in original vertex labels, meaning that edge is now
-    oriented u -> w.  Snapshots of the current orientation are valid only
-    until the next step:
+    oriented u -> w; given ``names``, it yields ``names[(u, w)]``, each
+    looked up once at set-up.  Snapshots of the current orientation are
+    valid only until the next step:
 
     - mask(): the orientation bitmask, read in O(1);
-    - permutation(): the canonical permutation (``encode`` of the
-      orientation in elimination coordinates), a copy of n entries.  A
-      first call after the first flip pays one ``encode``; from then on
-      each flip moves the swept vertex by one delete and one insert;
-    - named_permutation(labels): the same permutation as the list of
-      ``labels[v]``, moved with it from its first call on;
+    - named_permutation(labels): the canonical permutation (``encode``
+      of the orientation in elimination coordinates) as the run's one
+      list of ``labels[v]``.  A first read after the first flip pays one
+      ``encode``; from then on each flip moves the swept vertex by one
+      pop and one insert, and a read with other labels renames it;
+    - permutation(): the same read through the identity labels, a copy
+      of n entries;
     - digraph(): a Digraph built from the mask in O(n + m), for callers at
       the API edge.
 
@@ -207,9 +209,10 @@ class ChordalRun:
     place is looked up once per run.  With one member it steps as the
     others do, cheaper than a one-item sweep.  When another vertex j
     steps, each larger movable vertex is a source or a sink, so 1..j
-    form one block behind the larger sources, where a new source goes
-    first and a new sink last.  Inside its sweep j goes directly before
-    its first out-neighbor, which ``list.index`` finds.
+    form one block behind the larger sources: a sweep starts at the end
+    of it where j's last sweep left it, a new source goes first and a
+    new sink last.  Only inside a sweep does ``list.index`` find j, and
+    its place directly before its first out-neighbor.
 
     Counters `visits` (read-only), `flips`, `comparisons` and
     `max_step_comparisons` accumulate as the run advances.  Each sweep
@@ -229,9 +232,9 @@ class ChordalRun:
     __slots__ = ("graph", "order", "comparisons", "max_step_comparisons",
                  "_mask", "_visits", "_recs", "_orders", "_ups", "_top",
                  "_last", "_sweep", "_left", "_undone", "_lp", "_pi",
-                 "_names", "_labels", "_gen")
+                 "_labels", "_ident", "_gen")
 
-    def __init__(self, g, order):
+    def __init__(self, g, order, names=None):
         order = tuple(order)
         self.graph = g
         self.order = order
@@ -254,10 +257,13 @@ class ChordalRun:
         size = max(map(len, eid))
         steps = _HALVINGS if size <= 64 else _halvings(size)
         # per vertex j, per smaller neighbor i in edge order: i, the edge,
-        # and the arc a flip makes when j sweeps left, and right
+        # and the arc a flip makes when j sweeps left, and right, named
         orig = (0,) + order
         recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]))
                  for i, k in eid[j].items()] for j in range(n + 1)]
+        if names is not None:
+            recs = [[(i, k, names[la], names[ra]) for i, k, la, ra in r]
+                    for r in recs]
         self._recs = recs
         # the last movable vertex; every value above it is isolated
         self._top = top = max((j for j in range(n + 1) if eid[j]), default=0)
@@ -282,9 +288,9 @@ class ChordalRun:
         # is where the last step made puts it, so a repeat changes nothing
         self._undone = len(recs[top])
         self._lp = None  # the last movable vertex's place in it
-        self._pi = None  # tracked from the first permutation() on
-        self._names = None  # tracked from the first named_permutation() on
+        self._pi = None  # labels[v] per place, from the first read on
         self._labels = None
+        self._ident = range(n + 1)  # the labels permutation() reads
         self._visits = 0
         self.comparisons = 0
         self.max_step_comparisons = 0
@@ -325,65 +331,49 @@ class ChordalRun:
 
     def permutation(self):
         """Current canonical permutation, in elimination coordinates."""
-        self.named_permutation(self._labels)
-        return tuple(self._pi)
+        return tuple(self.named_permutation(self._ident))
 
     def named_permutation(self, labels):
         """The current canonical permutation with each value v replaced
-        by ``labels[v]``, named once and then moved with the vertices.
-        The list returned is the run's own: read it before the next step
-        and do not change it.  ``permutation()`` reads through here with
-        the labels tracked (None: none), so one place makes the pending
-        moves of a sweep."""
+        by ``labels[v]``; the labels must be distinct.  The list returned
+        is the run's one tracked permutation: read it before the next
+        step and do not change it.  The first read names it from
+        ``encode`` of the orientation, and a read with other labels than
+        the last one names its vertices anew; ``permutation()`` reads it
+        through the identity labels."""
         pi = self._pi
         sweep = self._sweep
-        if pi is None:
-            if self.flips:
-                pi = list(encode(relabel_digraph(self.digraph(), self.order)))
-            else:
-                pi = list(range(1, self.graph.n + 1))
-            self._pi = pi
-            if self._top:
-                self._lp = pi.index(self._top)
-        elif sweep is not None:
+        if pi is not None and sweep is not None:
             undone = sweep.__length_hint__()
             if undone != self._undone:
                 # the last vertex goes where the last step made puts it
                 self._undone = undone
-                top = self._top
-                p = self._lp
-                del pi[p]
+                v = pi.pop(self._lp)
                 if undone:
                     kept = self._last.kept
-                    q = pi.index(kept[undone][0] if self._left
-                                 else kept[-undone][0])
+                    q = pi.index(self._labels[kept[undone][0] if self._left
+                                             else kept[-undone][0]])
                 else:
-                    q = 0 if self._left else top - 1
-                pi.insert(q, top)
+                    q = 0 if self._left else self._top - 1
+                pi.insert(q, v)
                 self._lp = q
-                names = self._names
-                if names is not None:
-                    del names[p]
-                    names.insert(q, self._labels[top])
         if labels is not self._labels:
-            self._names = None if labels is None else [labels[v] for v in pi]
+            if pi is not None:  # the vertices behind the last labels
+                perm = map(dict(zip(self._labels, self._ident)).get, pi)
+            elif self.flips:
+                perm = encode(relabel_digraph(self.digraph(), self.order))
+            else:
+                perm = range(1, self.graph.n + 1)
+            if pi is None and self._top:
+                self._lp = perm.index(self._top)
+            self._pi = pi = [labels[v] for v in perm]
             self._labels = labels
-        return self._names
+        return pi
 
     def digraph(self):
         """Digraph snapshot of the current orientation, original labels,
         arc k corresponding to edge k."""
         return orient(self.graph, self.mask())
-
-    def _move(self, v, p, q):
-        """Move v from place p to place q of the tracked lists."""
-        pi = self._pi
-        del pi[p]
-        pi.insert(q, v)
-        names = self._names
-        if names is not None:
-            del names[p]
-            names.insert(q, self._labels[v])
 
     def _iterate(self):
         n = self.graph.n
@@ -438,9 +428,10 @@ class ChordalRun:
             else:
                 mask ^= lbit
                 self._mask = mask
-                if self._pi is not None:
+                pi = self._pi
+                if pi is not None:
                     q = 0 if ll else last - 1
-                    self._move(last, self._lp, q)
+                    pi.insert(q, pi.pop(self._lp))
                     self._lp = q
                 self._visits += 1
                 yield lleft if ll else lright
@@ -471,15 +462,20 @@ class ChordalRun:
             ended = tj == dj
             pi = self._pi
             if pi is not None:
-                p = pi.index(j)
+                # the block of 1..j follows the larger sources; a sweep
+                # starts at the end of it where j's last sweep ended
+                labels = self._labels
+                front = (src >> j + 1).bit_count()
+                p = (front + (j - 1 if lj else 0) if tj == 1
+                     else pi.index(labels[j]))
                 if ended:
-                    # the block of 1..j follows the larger sources
-                    q = (src >> j + 1).bit_count() + (0 if lj else j - 1)
+                    q = front + (0 if lj else j - 1)
                 else:
                     # directly before j's first out-neighbor: i after a
                     # jump left, the next one in line after a jump right
-                    q = pi.index(i) if lj else pi.index(Tj[tj][0], p) - 1
-                self._move(j, p, q)
+                    q = (pi.index(labels[i]) if lj
+                         else pi.index(labels[Tj[tj][0]], p) - 1)
+                pi.insert(q, pi.pop(p))
             if ended:
                 src ^= 1 << j
                 left[j] = not lj
@@ -493,13 +489,14 @@ class ChordalRun:
             yield leftarc if lj else rightarc
 
 
-def generate(g, order=None):
+def generate(g, order=None, names=None):
     """Run the arc-flip generator over all acyclic orientations of g.
 
     With no order given, a perfect elimination order is computed; a
     non-chordal graph is rejected.  An explicit order is validated.  The
     first visit is the orientation directing every edge toward the later
-    endpoint in the elimination order.
+    endpoint in the elimination order.  Given ``names``, which holds
+    every arc either way round, the run yields ``names[arc]`` for arc.
     """
     if order is None:
         order = find_peo(g)
@@ -509,4 +506,4 @@ def generate(g, order=None):
         order = tuple(order)
         if not is_peo(g, order):
             raise InputError("order is not a perfect elimination order")
-    return ChordalRun(g, order)
+    return ChordalRun(g, order, names)

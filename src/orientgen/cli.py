@@ -5,8 +5,10 @@ visit, optionally certify them against the brute-force oracles, and
 export flip graphs as DOT.  Every listing command hands ``_stream`` an
 iterator with one item per visit and a line maker.  A count drains the
 visits in C and prints the producer's count of them; a listing gives
-the lines to ``_listing``, which pulls them into blocks in C, so no CLI
-code runs per visit of an ``ao-graph`` flips listing or of a count.
+the lines to ``_listing``, which pulls them into blocks in C.  An
+``ao-graph`` arcs or flips listing has the run yield each step named,
+by its line or by its edge and text, so no CLI code runs per visit of a
+flips listing or of a count, and an arcs line looks nothing up.
 With ``--certify``, ``_certified`` yields each step once the certifier
 has accepted it, so a rejected visit ends the listing after the lines
 before it.  Exit codes: 0 success, 1 invalid input or failed
@@ -107,15 +109,15 @@ def _perm_lines(n):
     return _label_lines(n, _perm_sep(n))
 
 
-def _arc_lines(steps, arcs, line):
+def _arc_lines(steps, line):
     """Lines of an arcs listing: ``line`` starts as the text of every arc
-    of the first visit, and each later step rewrites the edge it flips;
-    ``arcs`` maps an arc to its edge and its text."""
+    of the first visit, and each later step, named (edge, text), rewrites
+    the edge it flips."""
     join = " ".join
     for step in steps:
         if step is not None:
-            k, arc = arcs[step]
-            line[k] = arc
+            k, text = step
+            line[k] = text
         yield join(line) + "\n"
 
 
@@ -189,28 +191,29 @@ def _cmd_ao_graph(args, out):
     if args.output == "dot":
         _graph_dot(out, g, "aograph", lambda: chordal.generate(g, order))
         return 0
-    run = chordal.generate(g, order)
-    cert = ArcListingCertifier(g) if args.certify else None
-    steps = run if cert is None else _certified(run, cert.visit, run.mask)
+    names = lines = None
     if args.output == "perm":
-        names = [str(v) for v in range(g.n + 1)]
+        labels = [str(v) for v in range(g.n + 1)]
         join = _perm_sep(g.n).join
-        named = run.named_permutation
-        lines = lambda steps: (join(named(names)) + "\n" for _ in steps)
-    else:
-        # every arc either way round: the edge it orients and its text
-        arcs = {}
-        for k, (x, y) in enumerate(g.edges):
-            arcs[x, y] = k, "%d %d" % (x, y)
-            arcs[y, x] = k, "%d %d" % (y, x)
-        if args.output == "flips":
-            flip_line = {arc: t + "\n" for arc, (_, t) in arcs.items()}
+        lines = lambda steps: (join(run.named_permutation(labels)) + "\n"
+                               for _ in steps)
+    elif not args.count_only:
+        # the run names every arc either way round by its line, or by
+        # the edge it orients and its text
+        flips = args.output == "flips"
+        names = {arc: "%d %d\n" % arc if flips else (k, "%d %d" % arc)
+                 for k, (x, y) in enumerate(g.edges)
+                 for arc in ((x, y), (y, x))}
+        if flips:
             def lines(steps):
                 next(steps)  # the first visit flips no arc
-                return map(flip_line.__getitem__, steps)
+                return steps
         else:
             lines = lambda steps: _arc_lines(
-                steps, arcs, [arcs[d][1] for d in run.digraph().arcs])
+                steps, [names[d][1] for d in run.digraph().arcs])
+    run = chordal.generate(g, order, names)
+    cert = ArcListingCertifier(g) if args.certify else None
+    steps = run if cert is None else _certified(run, cert.visit, run.mask)
     _stream(out, steps, lines, args.count_only, lambda: run.visits)
     if cert is not None:
         out.write("certified %d orientations\n" % cert.finish())

@@ -117,6 +117,44 @@ def test_criterion_01_verdict_survives_optimize(corrupt):
         assert lines[1].startswith("PASS sjt-reproduction")
 
 
+# criterion 02's certified count on K_5, optionally with the third visit
+# reported as the first one again
+_OPTIMIZED_CHORDAL = """
+import os, sys, tempfile
+from orientgen import cli, selftest
+from orientgen.fileio import format_graph
+from orientgen.graphs import complete_graph
+print("debug", __debug__)
+if sys.argv[1] == "repeat":
+    certified = cli._certified
+    def repeated(run, visit, snapshot):
+        seen = []
+        def again():
+            seen.append(snapshot())
+            return seen[0] if len(seen) == 3 else seen[-1]
+        return certified(run, visit, again)
+    cli._certified = repeated
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "k5.g")
+    selftest._write(path, format_graph(complete_graph(5)))
+    rc, text = selftest._cli(["ao-graph", path, "--certify", "--count-only"])
+print("exit", rc)
+print(text, end="")
+"""
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_criterion_02_verdict_survives_optimize(repeat):
+    proc = _run_optimized(_OPTIMIZED_CHORDAL, "repeat" if repeat else "intact")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    if repeat:
+        assert proc.stdout.splitlines() == ["debug False", "exit 1"]
+        assert proc.stderr == "error: orientation 0x0 repeats\n"
+    else:
+        assert proc.stdout.splitlines() == [
+            "debug False", "exit 0", "120", "certified 120 orientations"]
+
+
 # quick criterion 07 with the lattice test's answer inverted
 _OPTIMIZED_LATTICE = """
 import sys

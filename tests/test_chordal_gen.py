@@ -849,7 +849,8 @@ def test_last_vertex_end_steps_like_reference(perm_from, names_from):
 
 
 class CountingList(list):
-    """A list that counts the lookups of ``value`` by ``index``."""
+    """A list that counts the lookups of ``value`` by ``index``, or of
+    any value when ``value`` is None."""
 
     def __init__(self, items, value):
         super().__init__(items)
@@ -857,7 +858,7 @@ class CountingList(list):
         self.lookups = 0
 
     def index(self, x, *args):
-        self.lookups += x == self.value
+        self.lookups += self.value is None or x == self.value
         return super().index(x, *args)
 
 
@@ -934,18 +935,46 @@ def test_first_reads_inside_the_first_sweeps_like_reference():
 
 
 def test_tracked_path_places_sources_and_sinks_without_a_scan():
-    # P_4000 under the identity order: every step makes its vertex a
-    # source or a sink, placed by a count of the larger sources
+    # P_4000 under the identity order: every step starts and ends its
+    # vertex's sweep, found and placed by a count of the larger sources
     n = 4000
     run = ChordalRun(path_graph(n), range(1, n + 1))
     names = [str(v) for v in range(n + 1)]
+    steps = islice(run, 5000)
     start = time.perf_counter()
-    for _ in islice(run, 5000):
-        run.named_permutation(names)
+    next(steps)
+    run.named_permutation(names)
+    pi = run._pi = CountingList(run._pi, None)
+    for _ in steps:
+        assert run.named_permutation(names) is pi
     elapsed = time.perf_counter() - start
+    assert pi.lookups == 0
     assert run.named_permutation(names) == [str(v) for v in
                                             encode(run.digraph())]
     assert elapsed < 0.3
+
+
+def arc_names(g):
+    """A distinct name for every arc of g either way round."""
+    return {arc: "%d>%d" % arc for x, y in g.edges
+            for arc in ((x, y), (y, x))}
+
+
+def test_named_run_yields_the_name_of_each_arc():
+    # the named run yields None first, then names[arc] itself wherever
+    # the unnamed run yields arc, the last vertex's sweeps included
+    for g in [complete_graph(n) for n in range(1, 9)] + snapshot_corpus():
+        names = arc_names(g)
+        order = find_peo(g)
+        end = object()
+        for step, named in zip_longest(ChordalRun(g, order),
+                                       generate(g, order, names),
+                                       fillvalue=end):
+            assert step is not end and named is not end
+            if step is None:
+                assert named is None
+            else:
+                assert named is names[step]
 
 
 def test_named_permutation_is_named_once_per_labels():
