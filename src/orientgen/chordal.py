@@ -257,7 +257,7 @@ class ChordalRun:
         size = max(map(len, eid))
         steps = _HALVINGS if size <= 64 else _halvings(size)
         # per vertex j, per smaller neighbor i in edge order: i, the edge,
-        # and the arc a flip makes when j sweeps left, and right, named
+        # and the arc (or its name) a flip makes when j sweeps left, right
         orig = (0,) + order
         recs = [[(i, k, (orig[j], orig[i]), (orig[i], orig[j]))
                  for i, k in eid[j].items()] for j in range(n + 1)]

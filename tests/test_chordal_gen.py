@@ -954,17 +954,12 @@ def test_tracked_path_places_sources_and_sinks_without_a_scan():
     assert elapsed < 0.3
 
 
-def arc_names(g):
-    """A distinct name for every arc of g either way round."""
-    return {arc: "%d>%d" % arc for x, y in g.edges
-            for arc in ((x, y), (y, x))}
-
-
 def test_named_run_yields_the_name_of_each_arc():
     # the named run yields None first, then names[arc] itself wherever
     # the unnamed run yields arc, the last vertex's sweeps included
     for g in [complete_graph(n) for n in range(1, 9)] + snapshot_corpus():
-        names = arc_names(g)
+        names = {arc: "%d>%d" % arc for x, y in g.edges
+                 for arc in ((x, y), (y, x))}
         order = find_peo(g)
         end = object()
         for step, named in zip_longest(ChordalRun(g, order),
