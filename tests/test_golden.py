@@ -63,10 +63,10 @@ is placed across components and past isolated values, ``ao-graph
 --certify`` ``arcs``, ``flips`` and ``perm`` listings of a seeded random
 chordal graph on 8 vertices beside 8 isolated ones, shuffled (648
 orientations, so the permutations are space-separated), and ``ao-hyper
---certify``,
-with and without ``--count-only``, on the three shuffled random
-hypergraphs and the building set of a shuffled P_5, so that the
-permutation-trace check relabels its input (34,560 head vectors and 42 orientations for P_5).
+--certify`` ``heads``, ``perm`` and ``flips`` listings and counts on the
+three shuffled random hypergraphs and the building set of a shuffled
+P_5, so that the jump-listing check relabels its input (34,560 head
+vectors and 42 orientations for P_5).
 
 The ``ao-graph`` files were written by the engine that predates
 incremental snapshots (the ``r9`` and ``k7`` ones by the engine that
@@ -94,8 +94,11 @@ written by the quadratic lexicographic BFS that took a maximum over all
 unvisited vertices' labels at every step.  The search corpus files were
 written by the searches that still backtracked over a memo of failed
 vertex sets, and by the inclusion-exclusion count of orientations, and
-its ``ao-hyper --certify`` files by the encoder that still built the
-restriction poset of every level.  The hypergraph DOT files of the
+its ``ao-hyper --certify`` heads listings and counts by the encoder
+that still built the restriction poset of every level, and its
+``certify-perm`` and ``certify-flips`` listings by the command line that
+still kept a trace of every visit and checked it against the jump
+listing after the run.  The hypergraph DOT files of the
 building set of P_5 and of the three random hypergraphs were written by
 the oracle that still filtered the product of the hyperedge sizes and
 joined its orientations pairwise.  To rewrite them after a
@@ -234,7 +237,9 @@ COMMAND_CASES = (
        for extra, tag in (([], "arcs"), (["--output", "flips"], "flips"),
                           (["--output", "perm"], "perm"))]
     + [("ao-hyper", f, ["--certify"] + extra, tag) for f in CERTIFY_HEO
-       for extra, tag in (([], ""), (["--count-only"], "count"))]
+       for extra, tag in (([], ""), (["--count-only"], "count"),
+                          (["--output", "perm"], "certify-perm"),
+                          (["--output", "flips"], "certify-flips"))]
 )
 
 
