@@ -10,9 +10,10 @@ the lines to ``_listing``, which pulls them into blocks in C.  An
 by its line or by its edge and text, so no CLI code runs per visit of a
 flips listing or of a count, and an arcs line looks nothing up.
 With ``--certify``, ``_certified`` yields each step once the certifier
-has accepted it, so a rejected visit ends the listing after the lines
-before it.  Exit codes: 0 success, 1 invalid input or failed
-certification, 2 size cap exceeded.
+has accepted it, an ``ao-hyper`` step also once its permutation is the
+next of the jump listing made before the run, so a rejected visit ends
+the listing after the lines before it.  Exit codes: 0 success, 1
+invalid input or failed certification, 2 size cap exceeded.
 """
 
 import argparse
@@ -25,7 +26,8 @@ from .errors import CapExceeded, InputError
 from .fileio import (format_hypergraph, parse_congruence, parse_digraph,
                      parse_graph, parse_hypergraph, parse_seed_pairs)
 from .graphs import find_peo, is_acyclic, label_map, relabel_digraph
-from .hypergraphs import find_heo, graphical_building_set, relabel_hypergraph
+from .hypergraphs import (find_heo, graphical_building_set, is_heo,
+                          permutation_from_orientation, relabel_hypergraph)
 from .jumps import LanguageOracle, algorithm_J
 from .oracle import (ArcListingCertifier, FlipGraph, PairListingCertifier,
                      acyclic_masks, certify_hamilton_path,
@@ -225,19 +227,19 @@ def _cmd_ao_graph(args, out):
     return 0
 
 
-def _check_jump_trace(cert, order, trace):
-    """The permutation trace of a hypergraph run must be the jump listing
-    of the full encoding language: the encodings of the acyclic
-    orientations that the certifier enumerated, relabeled by the run's
-    elimination order, which is checked once."""
+def _jump_listing(cert, order):
+    """Algorithm J's listing of the encodings of the acyclic orientations
+    that the certifier enumerated, relabeled by the run's elimination
+    order, which is checked once.  The certifier's search found each one
+    acyclic, each head in its hyperedge, so they are encoded unchecked."""
     h = cert.hypergraph
+    if not is_heo(h, order):
+        raise InputError("hypergraph is not in hyperfect elimination order")
+    edges = relabel_hypergraph(h, order).edges
     newlab = label_map(h.n, order)
-    lang = set(hypergen.encode_all(
-        relabel_hypergraph(h, order),
-        (tuple(newlab[v] for v in o) for o in cert.orientations)))
-    expect = list(algorithm_J(LanguageOracle.from_set(lang)))
-    if list(trace) != expect:
-        raise InputError("permutation trace differs from the jump listing")
+    lang = {permutation_from_orientation(h.n, edges, [newlab[v] for v in o])
+            for o in cert.orientations}
+    return algorithm_J(LanguageOracle.from_set(lang))
 
 
 def _cmd_ao_hyper(args, out):
@@ -249,12 +251,19 @@ def _cmd_ao_hyper(args, out):
         return 0
     run = hypergen.generate(h, order)
     cert = PairListingCertifier(h) if args.certify else None
-    trace = []
     steps = run
     if cert is not None:
+        jumps = iter(_jump_listing(cert, run.order))
+
+        def follows(pi):
+            # pi is the listing's next permutation, None past its end
+            if pi != next(jumps, None):
+                raise InputError(
+                    "permutation trace differs from the jump listing")
+
         def visit(heads):
             cert.visit(heads)
-            trace.append(run.permutation())
+            follows(run.permutation())
         steps = _certified(run, visit, run.heads)
     if args.output == "heads":
         heads_line = _label_lines(h.n)
@@ -268,7 +277,7 @@ def _cmd_ao_hyper(args, out):
     _stream(out, steps, lines, args.count_only, lambda: run.visits)
     if cert is not None:
         count = cert.finish()
-        _check_jump_trace(cert, run.order, trace)
+        follows(None)
         out.write("certified %d orientations\n" % count)
     return 0
 

@@ -32,12 +32,16 @@ class _Reader:
         self.pos += 1
         return tok
 
-    def take_int(self, desc):
+    def take_int(self, desc, least=None):
         tok = self.take(desc)
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
             raise InputError("%s file: expected %s, got %r" % (self.what, desc, tok))
+        if least is not None and value < least:
+            raise InputError("%s file: %s must be %s" % (
+                self.what, desc, "positive" if least else "nonnegative"))
+        return value
 
     def done(self):
         if self.pos != len(self.toks):
@@ -48,7 +52,7 @@ class _Reader:
 def parse_graph(text):
     r = _Reader(text, "graph")
     n = r.take_int("vertex count")
-    m = r.take_int("edge count")
+    m = r.take_int("edge count", 0)
     edges = [(r.take_int("edge endpoint"), r.take_int("edge endpoint"))
              for _ in range(m)]
     r.done()
@@ -58,7 +62,7 @@ def parse_graph(text):
 def parse_digraph(text):
     r = _Reader(text, "digraph")
     n = r.take_int("vertex count")
-    m = r.take_int("arc count")
+    m = r.take_int("arc count", 0)
     arcs = [(r.take_int("arc tail"), r.take_int("arc head")) for _ in range(m)]
     r.done()
     return Digraph(n, arcs)
@@ -67,12 +71,10 @@ def parse_digraph(text):
 def parse_hypergraph(text):
     r = _Reader(text, "hypergraph")
     n = r.take_int("vertex count")
-    m = r.take_int("hyperedge count")
+    m = r.take_int("hyperedge count", 0)
     edges = []
     for _ in range(m):
-        k = r.take_int("hyperedge size")
-        if k < 1:
-            raise InputError("hypergraph file: hyperedge size must be positive")
+        k = r.take_int("hyperedge size", 1)
         edges.append(tuple(r.take_int("hyperedge vertex") for _ in range(k)))
     r.done()
     return Hypergraph(n, edges)

@@ -6,20 +6,16 @@ The engine mirrors the chordal one: vertices are swept largest first, and
 the swept vertex walks down its restriction poset from maximal to minimal
 and back, one cover at a time.  Each step is realized as a single pair
 flip of heads, and in permutation terms as a minimal jump.  ``encode``
-reads it off the heads, by the rule ``chordal.encode`` shares.
+checks an orientation and reads it off the heads by the rule of
+``hypergraphs.permutation_from_orientation``, which ``ao-hyper
+--certify`` applies to the oracle's orientations unchecked.
 """
 
 from .errors import InputError
 from .graphs import find_peo, relabel_graph
-from .hypergraphs import (
-    check_orientation,
-    find_heo,
-    graphical_building_set,
-    is_acyclic_orientation,
-    is_heo,
-    permutation_from_orientation,
-    relabel_hypergraph,
-)
+from .hypergraphs import (check_orientation, find_heo, graphical_building_set,
+                          is_acyclic_orientation, is_heo,
+                          permutation_from_orientation, relabel_hypergraph)
 
 
 def encode(h, o):
@@ -28,21 +24,12 @@ def encode(h, o):
     ``permutation_from_orientation``: a linear extension of the
     orientation's poset, which heading every hyperedge at its member
     furthest right inverts."""
-    return encode_all(h, [o])[0]
-
-
-def encode_all(h, orientations):
-    """``encode`` of each orientation in turn.  The elimination order is
-    checked once."""
     if not is_heo(h, tuple(range(1, h.n + 1))):
         raise InputError("hypergraph is not in hyperfect elimination order")
-    out = []
-    for o in orientations:
-        o = check_orientation(h, o)
-        if not is_acyclic_orientation(h, o):
-            raise InputError("orientation is cyclic")
-        out.append(permutation_from_orientation(h.n, h.edges, o))
-    return out
+    o = check_orientation(h, o)
+    if not is_acyclic_orientation(h, o):
+        raise InputError("orientation is cyclic")
+    return permutation_from_orientation(h.n, h.edges, o)
 
 
 class HyperRun:

@@ -177,15 +177,13 @@ def test_criterion_07_verdict_survives_optimize():
                         "classification disagree on Digraph(n=1, arcs=[])")
 
 
-# quick criterion 04 with every jump-trace check rejecting the listing
+# quick criterion 04 with every jump listing empty, so that the check at
+# the first visit rejects the listing
 _OPTIMIZED_HYPER = """
 import sys
 from orientgen import cli, selftest
-from orientgen.errors import InputError
 print("debug", __debug__)
-def reject(h, order, trace):
-    raise InputError("permutation trace differs from the jump listing")
-cli._check_jump_trace = reject
+cli._jump_listing = lambda cert, order: []
 selftest.CRITERIA = [c for c in selftest.CRITERIA
                      if c[0] == "hyper-certified"]
 sys.exit(selftest.run_selftest(quick=True, out=sys.stdout))
@@ -199,6 +197,32 @@ def test_criterion_04_verdict_survives_optimize():
     assert proc.returncode == 1
     assert lines[1] == ("FAIL hyper-certified        certification failed "
                         "on Hypergraph(n=1, m=1)")
+
+
+# a certified perm listing of the building set of P_5 whose permutation
+# is reversed at its third visit: the jump-listing check is no assert
+_OPTIMIZED_JUMP = """
+import sys
+from orientgen import cli, hypergen
+from orientgen.fileio import format_hypergraph
+from orientgen.graphs import path_graph
+from orientgen.hypergraphs import graphical_building_set
+print("debug", __debug__)
+with open(sys.argv[1], "w") as handle:
+    handle.write(format_hypergraph(graphical_building_set(path_graph(5))))
+real = hypergen.HyperRun.permutation
+hypergen.HyperRun.permutation = lambda run: (
+    real(run)[::-1] if run.visits == 3 else real(run))
+sys.exit(cli.main(["ao-hyper", sys.argv[1], "--certify", "--output", "perm"]))
+"""
+
+
+def test_jump_listing_verdict_survives_optimize(tmp_path):
+    proc = _run_optimized(_OPTIMIZED_JUMP, str(tmp_path / "bp5.h"))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == ["debug False", "12345", "51234"]
+    assert proc.stderr == ("error: permutation trace differs from the jump "
+                           "listing\n")
 
 
 # quick criterion 06 with every digraph classified acyclic

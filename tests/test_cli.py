@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import pytest
 
@@ -59,6 +60,19 @@ def count_calls(monkeypatch, name, *modules):
             return _real(*args)
         monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def binding_modules(name):
+    """The loaded orientgen modules that bind ``name``."""
+    return [mod for key, mod in sorted(sys.modules.items())
+            if key.split(".")[0] == "orientgen" and hasattr(mod, name)]
+
+
+def bp5_path(tmp_path):
+    """A file holding the graphical building set of P_5, whose 42
+    acyclic orientations ``ao-hyper`` lists."""
+    return put(tmp_path, "bp5.h", format_hypergraph(
+        hypergraphs.graphical_building_set(path_graph(5))))
 
 
 class FirstLineOnly(io.StringIO):
@@ -400,27 +414,82 @@ def test_ao_hyper_certify_enumerates_the_head_vectors_once(tmp_path, capsys,
     assert calls == [h]
 
 
-def test_jump_trace_check_reads_the_certified_orientations():
-    from orientgen import cli, corpus, hypergen
-    from orientgen.errors import InputError
+def test_jump_listing_is_the_runs_permutation_trace():
+    from orientgen import cli
     from orientgen.oracle import PairListingCertifier
     h = corpus.heo_corpus()[54]
     run = hypergen.generate(h)
     assert run.order != tuple(range(1, h.n + 1))
     trace = [run.permutation() for _ in run]
-    cert = PairListingCertifier(h)
-    cli._check_jump_trace(cert, run.order, trace)
-    for bad in (trace[1:] + trace[:1], trace[:-1]):
-        with pytest.raises(InputError, match="differs from the jump"):
-            cli._check_jump_trace(cert, run.order, bad)
+    assert cli._jump_listing(PairListingCertifier(h), run.order) == trace
+
+
+@pytest.mark.parametrize("visit", [1, 2, 17, 42])
+def test_ao_hyper_certify_ends_at_a_permutation_changed_at_one_visit(
+        visit, tmp_path, capsys, monkeypatch):
+    path = bp5_path(tmp_path)
+    rc, listing, _ = run(capsys, "ao-hyper", path, "--output", "perm")
+    assert rc == 0 and len(listing.splitlines()) == 42
+    real = hypergen.HyperRun.permutation
+
+    def permutation(self):
+        pi = real(self)
+        return pi[::-1] if self.visits == visit else pi
+
+    monkeypatch.setattr(hypergen.HyperRun, "permutation", permutation)
+    for extra in (["--count-only"], ["--output", "perm"]):
+        rc, out, err = run(capsys, "ao-hyper", path, "--certify", *extra)
+        assert rc == 1
+        assert err == ("error: permutation trace differs from the jump "
+                       "listing\n")
+        if extra == ["--output", "perm"]:
+            assert out == "".join(listing.splitlines(True)[:visit - 1])
+
+
+def test_ao_hyper_certify_rejects_a_run_one_visit_short(tmp_path, capsys,
+                                                        monkeypatch):
+    real = hypergen.HyperRun.__iter__
+    monkeypatch.setattr(hypergen.HyperRun, "__iter__",
+                        lambda self: islice(real(self), 41))
+    rc, out, err = run(capsys, "ao-hyper", bp5_path(tmp_path), "--certify",
+                       "--count-only")
+    assert rc == 1 and out == "41\n"
+    assert err == "error: listing visited 41 orientations, expected 42\n"
+
+
+def test_ao_hyper_certify_rejects_a_jump_listing_left_over(tmp_path, capsys,
+                                                           monkeypatch):
+    from orientgen import cli
+    real = cli._jump_listing
+    monkeypatch.setattr(cli, "_jump_listing", lambda cert, order:
+                        real(cert, order) + [(1, 2, 3, 4, 5)])
+    rc, out, err = run(capsys, "ao-hyper", bp5_path(tmp_path), "--certify",
+                       "--count-only")
+    assert rc == 1 and out == "42\n"
+    assert err == ("error: permutation trace differs from the jump "
+                   "listing\n")
+
+
+def test_ao_hyper_certify_checks_no_orientation_again(tmp_path, capsys,
+                                                      monkeypatch):
+    # the oracle's search found every orientation acyclic, each head in
+    # its own hyperedge: the jump listing encodes them unchecked
+    def banned(*args):
+        raise AssertionError("orientation checked again")
+    for name in ("check_orientation", "is_acyclic_orientation"):
+        for mod in binding_modules(name):
+            monkeypatch.setattr(mod, name, banned)
+    rc, out, _ = run(capsys, "ao-hyper", bp5_path(tmp_path), "--certify",
+                     "--count-only")
+    assert rc == 0 and out == "42\ncertified 42 orientations\n"
 
 
 @pytest.mark.parametrize("order, checks", [("auto", 1), ("given", 2)])
 def test_ao_hyper_certify_checks_the_order_once_per_listing(
         order, checks, tmp_path, capsys, monkeypatch):
-    # a given order is checked by generate, and the jump-trace check
-    # tests the run's order once, not once per orientation
-    calls = count_calls(monkeypatch, "is_heo", hypergraphs, hypergen)
+    # a given order is checked by generate, and the jump listing tests
+    # the run's order once, not once per orientation
+    calls = count_calls(monkeypatch, "is_heo", *binding_modules("is_heo"))
     path = put(tmp_path, "k4.txt", format_hypergraph(
         Hypergraph(4, complete_graph(4).edges)))
     rc, out, _ = run(capsys, "ao-hyper", path, "--order", order,
@@ -551,7 +620,7 @@ def test_elim_trees_counts_from_the_run(output, tmp_path, capsys,
 def test_elim_trees_runs_no_order_check(output, tmp_path, capsys,
                                         monkeypatch):
     # the identity order of elim_run holds by the building-set theorem
-    calls = count_calls(monkeypatch, "is_heo", hypergraphs, hypergen)
+    calls = count_calls(monkeypatch, "is_heo", *binding_modules("is_heo"))
     path = put(tmp_path, "p5.txt", format_graph(path_graph(5)))
     rc, out, _ = run(capsys, "elim-trees", path, "--output", output)
     assert rc == 0 and len(out.splitlines()) == 42
@@ -916,6 +985,18 @@ def test_building_set_round_trips(tmp_path, capsys):
 def test_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, "ao-graph", str(tmp_path / "absent.txt"))
     assert rc == 1 and "cannot read" in err
+
+
+@pytest.mark.parametrize("command, text, what", [
+    ("ao-graph", "3 -1\n", "graph file: edge count"),
+    ("quotient", "3 -1\n", "digraph file: arc count"),
+    ("ao-hyper", "3 -2\n", "hypergraph file: hyperedge count"),
+])
+def test_negative_count_exits_one(command, text, what, tmp_path, capsys):
+    path = put(tmp_path, "negative.txt", text)
+    rc, out, err = run(capsys, command, path, "--count-only")
+    assert rc == 1 and out == ""
+    assert err == "error: %s must be nonnegative\n" % what
 
 
 def test_usage_errors_exit_one(capsys):

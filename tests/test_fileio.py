@@ -64,6 +64,16 @@ def test_hypergraph_errors():
         parse_hypergraph("3 1\n2 1\n")  # truncated hyperedge
 
 
+@pytest.mark.parametrize("parse, text, what", [
+    (parse_graph, "3 -1\n", "graph file: edge count"),
+    (parse_digraph, "3 -1\n", "digraph file: arc count"),
+    (parse_hypergraph, "3 -2\n", "hypergraph file: hyperedge count"),
+])
+def test_negative_counts_are_rejected(parse, text, what):
+    with pytest.raises(InputError, match="^%s must be nonnegative$" % what):
+        parse(text)
+
+
 def test_empty_bodies():
     assert parse_graph("0 0\n").n == 0
     assert parse_hypergraph("2 0\n").edges == ()

@@ -20,7 +20,6 @@ from orientgen.graphs import (
 from orientgen.hypergen import (
     HyperRun,
     encode,
-    encode_all,
     generate,
     generate_elim_forests,
 )
@@ -102,7 +101,8 @@ def test_encode_examples():
         encode(tri, (2, 1, 3))
     # hypergraph without a hyperfect elimination order in this labeling
     square = two_uniform(cycle_graph(4))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^hypergraph is not in hyperfect "
+                                         "elimination order$"):
         encode(square, (2, 3, 4, 4))
 
 
@@ -121,19 +121,6 @@ def test_encode_decode_roundtrip():
             assert orientation_from_permutation(h, pi) == o
             seen.add(pi)
         assert len(seen) == len(enumerate_ao_hyper(h))
-
-
-def test_encode_all_matches_encode():
-    # one order check for the whole list, the same permutations
-    for h in corpus.heo_corpus():
-        h = relabel_hypergraph(h, find_heo(h))
-        orientations = enumerate_ao_hyper(h)
-        assert encode_all(h, orientations) == [encode(h, o)
-                                               for o in orientations]
-    square = two_uniform(cycle_graph(4))
-    with pytest.raises(InputError, match="^hypergraph is not in hyperfect "
-                                         "elimination order$"):
-        encode_all(square, [(2, 3, 4, 4)])
 
 
 def reference_encode(h, o):
@@ -183,7 +170,7 @@ def test_one_encoding_matches_the_per_level_posets():
     for h in hypers:
         orientations = enumerate_ao_hyper(h)
         expect = [reference_encode(h, o) for o in orientations]
-        assert encode_all(h, orientations) == expect
+        assert [encode(h, o) for o in orientations] == expect
         if all(len(e) <= 2 for e in h.edges):
             assert [encode_graph(Digraph(h.n, [(sum(e) - v, v) for e, v
                                                in zip(h.edges, o)
@@ -201,7 +188,7 @@ def test_one_encoding_matches_the_per_level_posets():
             assert p.mask_of(pi) == f
 
 
-def test_encode_all_reads_no_restriction_poset(monkeypatch):
+def test_encode_reads_no_restriction_poset(monkeypatch):
     def banned(*args):
         raise AssertionError("per-level restriction or poset built")
     for name in ("restrict", "poset_of"):
@@ -209,7 +196,7 @@ def test_encode_all_reads_no_restriction_poset(monkeypatch):
         monkeypatch.setattr(hypergen, name, banned, raising=False)
     for h in (PREFIX_H, stanley_pitman(4), two_uniform(complete_graph(4)),
               graphical_building_set(path_graph(4))):
-        assert len(encode_all(h, enumerate_ao_hyper(h))) > 1
+        assert len({encode(h, o) for o in enumerate_ao_hyper(h)}) > 1
 
 
 def test_reorientation_encodings_build_no_digraph(monkeypatch):
