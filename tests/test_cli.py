@@ -28,6 +28,7 @@ from orientgen.hypergraphs import Hypergraph
 from orientgen.quotients import (build_ar_poset, generate_quotient_path,
                                  identity_congruence)
 
+from test_chordal_gen import long_jump_graph
 from test_graphs import built_digraphs, cycle_graph
 
 SJT3 = ["123", "132", "312", "321", "231", "213"]
@@ -1129,6 +1130,36 @@ def test_listings_are_written_in_blocks(command, instance, flags, summary,
     blocks = 1 + -(-(lines - 1) // BLOCK_LINES)
     assert len(writes) == blocks + summary
     assert all(w.count("\n") == 1 for w in writes[blocks:])
+
+
+# (instance, flags, sha256 of the whole stdout) of the benchmark's
+# ao-graph call shapes: K_8 and the 13-vertex random graph, whose perm
+# lines are space-separated
+SHAPE_PINS = [
+    ("k8", ["--output", "perm"],
+     "bd5ff572cc3797e10fce2bae3e64e056215c2114fdaed5bd63db9bc0d351bbbd"),
+    ("long-jump", ["--output", "perm"],
+     "b3293435b3fdab49716c51395b181e508994cce7b899769ad9e7620395c3e5aa"),
+    ("k8", ["--certify", "--output", "perm"],
+     "c37c78fa95478f5a071643eeca8c39eb8ae6e17dd94eddf48a8b6423ddee654f"),
+    ("long-jump", ["--certify", "--output", "perm"],
+     "881336ad7a677ad47c22c6be9e442f7232388c1723233071e57a4ae9bb5f32f3"),
+    ("long-jump", ["--count-only", "--certify", "--counters"],
+     "221ff13cec178de4e7a7c70ee85159edb061658a9a52b386b37e88260f9710d4"),
+]
+
+
+@pytest.mark.parametrize(
+    "instance, flags, digest", SHAPE_PINS,
+    ids=["%s-%s" % (c[0], "-".join(f.lstrip("-") for f in c[1]))
+         for c in SHAPE_PINS])
+def test_benchmark_call_shapes_are_pinned(instance, flags, digest, tmp_path,
+                                          capsys):
+    g = complete_graph(8) if instance == "k8" else long_jump_graph()
+    path = put(tmp_path, instance + ".g", format_graph(g))
+    rc, out, err = run(capsys, "ao-graph", path, *flags)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def fail_at_visit(monkeypatch, certifier, k):
