@@ -10,13 +10,15 @@ sweeps: the members ascending at first, and afterwards one swap of two
 neighbors whenever a smaller vertex steps across an edge inside the
 clique.  A step costs what it changes: one bit of the orientation mask,
 one swap in the order of each larger clique that holds both ends of the
-flipped edge, and, once the canonical permutation has been read, one
-delete and one insert of the swept vertex in it.  The last movable
-vertex sweeps as data, one ``yield from`` over a list of its arcs, and
-snapshots read its progress.  ``comparisons`` counts what a sort of
-each sweep's clique would make, derived from insertion ranks kept with
-the order.  Snapshots are read off that state rather than rebuilt, and
-no table grows faster than n + m.
+flipped edge (the last movable vertex's swapped inline by the step
+itself), and, once the canonical permutation has been read, one delete
+and one insert of the swept vertex in it.  The last movable vertex
+sweeps as data, one ``yield from`` over a list of its arcs, or of its
+perm lines in a run that makes them, and snapshots read its progress.
+``comparisons`` counts what a sort of each sweep's clique would make,
+derived from insertion ranks kept with the order.  Snapshots are read
+off that state rather than rebuilt, and no table grows faster than
+n + m.
 """
 
 from bisect import bisect_left
@@ -115,7 +117,7 @@ class _Order:
                       + sum(steps[e][below[e]] for e in range(run, d)))
 
     def swap(self, a, b):
-        """Swap items a and b, neighbors in ``kept``; returns the lower."""
+        """Swap items a and b, neighbors in ``kept``."""
         if a > b:
             a, b = b, a
         pos = self.pos
@@ -133,36 +135,6 @@ class _Order:
         elif b >= self.run:
             steps = self._steps[b]
             self.count += steps[now] - steps[was]
-        return pa if pa < pb else pb
-
-
-class _Sweep(_Order):
-    """The last movable vertex's order with its sweeps as data: per item
-    kept, the arc a sweep left makes (walked in reverse) and the one a
-    sweep right makes; pre[x] XORs the edge bits of the first x items,
-    so x steps left flip pre[d] ^ pre[d - x] and x steps right pre[x].
-    A swap moves two entries of each arc list and one of ``pre``."""
-
-    __slots__ = ("larcs", "rarcs", "pre")
-
-    def __init__(self, items, steps):
-        super().__init__(items, steps)
-        kept = self.kept
-        self.larcs = [rec[2] for rec in kept]
-        self.rarcs = [rec[3] for rec in kept]
-        self.pre = pre = [0]
-        for rec in kept:
-            pre.append(pre[-1] ^ 1 << rec[1])
-
-    def swap(self, a, b):
-        p = _Order.swap(self, a, b)
-        q = p + 1
-        larcs = self.larcs
-        larcs[p], larcs[q] = larcs[q], larcs[p]
-        rarcs = self.rarcs
-        rarcs[p], rarcs[q] = rarcs[q], rarcs[p]
-        pre = self.pre
-        pre[q] = pre[p] ^ 1 << self.kept[p][1]
 
 
 class ChordalRun:
@@ -172,15 +144,20 @@ class ChordalRun:
     Iteration yields None for the first orientation and afterwards the
     flipped arc (u, w) in original vertex labels, meaning that edge is now
     oriented u -> w; given ``names``, it yields ``names[(u, w)]``, each
-    looked up once at set-up.  Snapshots of the current orientation are
-    valid only until the next step:
+    looked up once at set-up.  Given ``sep``, it yields at every visit
+    its perm line instead: the canonical permutation's values in
+    decimal, joined by ``sep``, and a newline, made where the
+    permutation moves.  Snapshots of the current orientation are valid
+    only until the next step:
 
     - mask(): the orientation bitmask, read in O(1);
     - named_permutation(labels): the canonical permutation (``encode``
       of the orientation in elimination coordinates) as the run's one
       list of ``labels[v]``.  A first read after the first flip pays one
       ``encode``; from then on each flip moves the swept vertex by one
-      pop and one insert, and a read with other labels renames it;
+      pop and one insert, and a read with other labels renames it (a
+      run that makes perm lines keeps their labels and gives a renamed
+      copy);
     - permutation(): the same read through the identity labels, a copy
       of n entries;
     - digraph(): a Digraph built from the mask in O(n + m), for callers at
@@ -195,24 +172,31 @@ class ChordalRun:
     across some i.  When i and j both lie in v's clique they are
     neighbors in its order (an acyclic tournament stays acyclic after
     one reversal only between neighbors), and j's step swaps them.
-    Each vertex lists the orders of the larger cliques that hold it,
-    with its item index in each: one entry per edge at most, and none
-    on a path.
+    Each member of the last movable vertex's clique holds its item index
+    in that order, and each vertex lists the orders of the other larger
+    cliques that hold it, with its item index in each: one entry per
+    edge at most, and none on a path.
 
     The last movable vertex (n - 1 of every n steps on K_n) sweeps as
-    data, one ``yield from`` over the arcs its ``_Sweep`` keeps; the
-    sweep is committed at its end, and snapshots read the steps made
-    off the list iterator's length hint.  A permutation read moves the
-    vertex where the last of them puts it: before the member crossed
-    (left) or next (right), or at the end to the front or just before
-    the isolated values above it.  No other jump crosses it, so its
-    place is looked up once per run.  With one member it steps as the
-    others do, cheaper than a one-item sweep.  When another vertex j
-    steps, each larger movable vertex is a source or a sink, so 1..j
-    form one block behind the larger sources: a sweep starts at the end
-    of it where j's last sweep left it, a new source goes first and a
-    new sink last.  Only inside a sweep does ``list.index`` find j, and
-    its place directly before its first out-neighbor.
+    data.  The step of a smaller vertex swaps its order inline, with
+    the arc a sweep left and a sweep right makes per item kept and the
+    XOR of the edge bits per prefix, so a sweep is one ``yield from``
+    over those arcs.  It is committed at its end, and snapshots read the
+    steps made off the list iterator's length hint.  A permutation read
+    moves the vertex where the last of them puts it: before the member
+    crossed (left) or next (right), or at the end to the front or just
+    before the isolated values above it.  No other jump crosses it, so
+    its place is looked up once per run.  A run that makes perm lines
+    makes the sweep's lines in one pass when it starts, from the places
+    of the members crossed, and yields from them instead; every other
+    step yields the join of the tracked permutation.  With one member
+    the last vertex steps as the others do, cheaper than a one-item
+    sweep.  When another vertex j steps, each larger movable vertex is
+    a source or a sink, so 1..j form one block behind the larger
+    sources: a sweep starts at the end of it where j's last sweep left
+    it, a new source goes first and a new sink last.  Only inside a
+    sweep does ``list.index`` find j, and its place directly before its
+    first out-neighbor.
 
     Counters `visits` (read-only), `flips`, `comparisons` and
     `max_step_comparisons` accumulate as the run advances.  Each sweep
@@ -230,11 +214,11 @@ class ChordalRun:
     """
 
     __slots__ = ("graph", "order", "comparisons", "max_step_comparisons",
-                 "_mask", "_visits", "_recs", "_orders", "_ups", "_top",
-                 "_last", "_sweep", "_left", "_undone", "_lp", "_pi",
-                 "_labels", "_ident", "_gen")
+                 "_mask", "_visits", "_recs", "_orders", "_ups", "_lup",
+                 "_top", "_last", "_pre", "_sweep", "_left", "_undone",
+                 "_lp", "_pi", "_labels", "_sep", "_ident", "_gen")
 
-    def __init__(self, g, order, names=None):
+    def __init__(self, g, order, names=None, sep=None):
         order = tuple(order)
         self.graph = g
         self.order = order
@@ -267,34 +251,46 @@ class ChordalRun:
         self._recs = recs
         # the last movable vertex; every value above it is isolated
         self._top = top = max((j for j in range(n + 1) if eid[j]), default=0)
-        # the order of each clique of two or more members; per vertex,
-        # (order, its item index there) for each larger clique holding it
+        # the order of each clique of two or more members; per member of
+        # the last movable vertex's clique its item index there, -1 for
+        # the other vertices, and per vertex (order, its item index
+        # there) for each other larger clique holding it
         orders = [None] * (n + 1)
         ups = [()] * (n + 1)
+        lup = [-1] * (n + 1)
         for j, items in enumerate(recs):
             if len(items) > 1:
-                o = orders[j] = (_Sweep if j == top else _Order)(items, steps)
+                o = orders[j] = _Order(items, steps)
                 for e, rec in enumerate(items):
+                    if j == top:
+                        lup[rec[0]] = e
+                        continue
                     up = ups[rec[0]]
                     if not up:
                         up = ups[rec[0]] = []
                     up.append((o, e))
         self._orders = orders
         self._ups = ups
+        self._lup = lup
         # the sweep in progress: its list iterator, or None between sweeps
         self._sweep = None
-        self._last = orders[top]  # the _Sweep of the last movable vertex
+        self._last = orders[top]  # the _Order of the last movable vertex
+        self._pre = None  # its edge bits XORed per prefix, from the start
         # the sweep's steps left at the last vertex's last move; a move
         # is where the last step made puts it, so a repeat changes nothing
         self._undone = len(recs[top])
         self._lp = None  # the last movable vertex's place in it
         self._pi = None  # labels[v] per place, from the first read on
         self._labels = None
+        self._sep = sep
         self._ident = range(n + 1)  # the labels permutation() reads
         self._visits = 0
         self.comparisons = 0
         self.max_step_comparisons = 0
         self._gen = self._iterate()
+        if sep is not None:
+            # the lines name the values in decimal from the first visit on
+            self.named_permutation([str(v) for v in self._ident])
 
     def __iter__(self):
         # a for loop steps the generator directly; next(run) steps the
@@ -324,7 +320,7 @@ class ChordalRun:
         sweep = self._sweep
         if sweep is None:
             return self._mask
-        pre = self._last.pre
+        pre = self._pre
         if self._left:
             return self._mask ^ pre[-1] ^ pre[sweep.__length_hint__()]
         return self._mask ^ pre[-1 - sweep.__length_hint__()]
@@ -340,7 +336,9 @@ class ChordalRun:
         step and do not change it.  The first read names it from
         ``encode`` of the orientation, and a read with other labels than
         the last one names its vertices anew; ``permutation()`` reads it
-        through the identity labels."""
+        through the identity labels.  A run that makes perm lines keeps
+        the lines' labels, and a read with other labels gets a renamed
+        copy."""
         pi = self._pi
         sweep = self._sweep
         if pi is not None and sweep is not None:
@@ -360,6 +358,8 @@ class ChordalRun:
         if labels is not self._labels:
             if pi is not None:  # the vertices behind the last labels
                 perm = map(dict(zip(self._labels, self._ident)).get, pi)
+                if self._sep is not None:
+                    return [labels[v] for v in perm]
             elif self.flips:
                 perm = encode(relabel_digraph(self.digraph(), self.order))
             else:
@@ -375,11 +375,49 @@ class ChordalRun:
         arc k corresponding to edge k."""
         return orient(self.graph, self.mask())
 
+    def _sweep_lines(self, left, join):
+        """The perm lines of the last movable vertex's coming sweep, one
+        per step, from the places the sweep puts it at; the tracked
+        permutation is left where the sweep ends.  The vertex goes before
+        the member crossed (left) or next (right), and at the end to the
+        front or just before the isolated values above it.  The members
+        keep kept order among the other values, so their places are found
+        once, and not at all when they are every smaller value."""
+        pi = self._pi
+        kept = self._last.kept
+        d = len(kept)
+        v = pi.pop(self._lp)
+        if d == self._top - 1:
+            places = range(d - 1, -1, -1) if left else range(1, d + 1)
+        else:
+            labels = self._labels
+            found = []
+            p = 0
+            for rec in kept:
+                p = pi.index(labels[rec[0]], p)
+                found.append(p)
+            places = (found[:0:-1] + [0] if left
+                      else found[1:] + [self._top - 1])
+        lines = []
+        for p in places:
+            pi.insert(p, v)
+            lines.append(join(pi) + "\n")
+            del pi[p]
+        q = places[-1]
+        pi.insert(q, v)
+        self._lp = q
+        self._undone = 0
+        return lines
+
     def _iterate(self):
         n = self.graph.n
         recs = self._recs
         orders = self._orders
         ups = self._ups
+        lup = self._lup
+        sep = self._sep
+        lines = sep is not None
+        join = sep.join if lines else None
         deg = [len(r) for r in recs]
         movable = [j for j in range(1, n + 1) if deg[j]]
         prevm = [0] * (n + 1)
@@ -393,7 +431,7 @@ class ChordalRun:
         left = [True] * (n + 1)
         s = list(range(n + 1))
         self._visits = 1
-        yield None
+        yield join(self._pi) + "\n" if lines else None
         if last == 0:
             return
         mask = self._mask
@@ -403,8 +441,22 @@ class ChordalRun:
         ltop = 1 << last
         lorder = orders[last]
         if lorder:
-            larcs, rarcs = lorder.larcs, lorder.rarcs
-            lall = lorder.pre[ldeg]  # a swap never moves it
+            # the last vertex's order, swapped here rather than by
+            # _Order.swap; per item kept, the arc a sweep left makes
+            # (walked in reverse) and the one a sweep right makes; pre[x]
+            # XORs the edge bits of the first x items, so x steps left
+            # flip pre[d] ^ pre[d - x] and x steps right pre[x]
+            kept = lorder.kept
+            pos = lorder.pos
+            below = lorder.below
+            halvings = lorder._steps
+            lrun = lorder.run
+            larcs = [rec[2] for rec in kept]
+            rarcs = [rec[3] for rec in kept]
+            self._pre = pre = [0]
+            for rec in kept:
+                pre.append(pre[-1] ^ 1 << rec[1])
+            lall = pre[ldeg]  # a swap never moves it
         else:
             _, k, lleft, lright = recs[last][0]
             lbit = 1 << k
@@ -416,7 +468,11 @@ class ChordalRun:
                 if c > self.max_step_comparisons:
                     self.max_step_comparisons = c
                 self._left = ll
-                self._sweep = sweep = reversed(larcs) if ll else iter(rarcs)
+                if lines:
+                    sweep = iter(self._sweep_lines(ll, join))
+                else:
+                    sweep = reversed(larcs) if ll else iter(rarcs)
+                self._sweep = sweep
                 yield from sweep
                 if self._pi is not None:
                     self.named_permutation(self._labels)
@@ -434,7 +490,10 @@ class ChordalRun:
                     pi.insert(q, pi.pop(self._lp))
                     self._lp = q
                 self._visits += 1
-                yield lleft if ll else lright
+                if lines:
+                    yield join(pi) + "\n"
+                else:
+                    yield lleft if ll else lright
             src ^= ltop
             ll = not ll
             j = s[lpre]
@@ -454,11 +513,41 @@ class ChordalRun:
             tj += 1
             mask ^= 1 << k
             self._mask = mask
-            # i and j are neighbors in each larger clique order holding both
-            for o, b in ups[j]:
-                a = o.index.get(i)
-                if a is not None:
-                    o.swap(a, b)
+            # i and j are neighbors in each larger clique order holding
+            # both; in the last vertex's, swap them as _Order.swap does,
+            # with their arcs and the prefix between them
+            y = lup[j]
+            if y >= 0:
+                x = lup[i]
+                if x >= 0:
+                    if x > y:
+                        x, y = y, x
+                    px = pos[x]
+                    py = pos[y]
+                    pos[x] = py
+                    pos[y] = px
+                    was = below[y]
+                    if py < px:
+                        below[y] = now = was + 1
+                        p = py
+                    else:
+                        below[y] = now = was - 1
+                        p = px
+                    q = p + 1
+                    kept[p], kept[q] = kept[q], kept[p]
+                    larcs[p], larcs[q] = larcs[q], larcs[p]
+                    rarcs[p], rarcs[q] = rarcs[q], rarcs[p]
+                    pre[q] = pre[p] ^ 1 << kept[p][1]
+                    if y == x + 1 and y <= lrun:
+                        lorder._recount()
+                        lrun = lorder.run
+                    elif y >= lrun:
+                        h = halvings[y]
+                        lorder.count += h[now] - h[was]
+            for o, y in ups[j]:
+                x = o.index.get(i)
+                if x is not None:
+                    o.swap(x, y)
             ended = tj == dj
             pi = self._pi
             if pi is not None:
@@ -486,10 +575,13 @@ class ChordalRun:
             else:
                 t[j] = tj
             self._visits += 1
-            yield leftarc if lj else rightarc
+            if lines:
+                yield join(pi) + "\n"
+            else:
+                yield leftarc if lj else rightarc
 
 
-def generate(g, order=None, names=None):
+def generate(g, order=None, names=None, sep=None):
     """Run the arc-flip generator over all acyclic orientations of g.
 
     With no order given, a perfect elimination order is computed; a
@@ -497,6 +589,9 @@ def generate(g, order=None, names=None):
     first visit is the orientation directing every edge toward the later
     endpoint in the elimination order.  Given ``names``, which holds
     every arc either way round, the run yields ``names[arc]`` for arc.
+    Given ``sep``, it yields each visit's perm line instead: the
+    canonical permutation's values in decimal, joined by ``sep``, and a
+    newline.
     """
     if order is None:
         order = find_peo(g)
@@ -506,4 +601,4 @@ def generate(g, order=None, names=None):
         order = tuple(order)
         if not is_peo(g, order):
             raise InputError("order is not a perfect elimination order")
-    return ChordalRun(g, order, names)
+    return ChordalRun(g, order, names, sep)

@@ -7,8 +7,9 @@ iterator with one item per visit and a line maker.  A count drains the
 visits in C and prints the producer's count of them; a listing gives
 the lines to ``_listing``, which pulls them into blocks in C.  An
 ``ao-graph`` arcs or flips listing has the run yield each step named,
-by its line or by its edge and text, so no CLI code runs per visit of a
-flips listing or of a count, and an arcs line looks nothing up.
+by its line or by its edge and text, and a perm listing has it yield
+each visit's line, so no CLI code runs per visit of a flips or perm
+listing or of a count, and an arcs line looks nothing up.
 With ``--certify``, ``_certified`` yields each step once the certifier
 has accepted it, an ``ao-hyper`` step also once its permutation is the
 next of the jump listing made before the run, so a rejected visit ends
@@ -193,12 +194,11 @@ def _cmd_ao_graph(args, out):
     if args.output == "dot":
         _graph_dot(out, g, "aograph", lambda: chordal.generate(g, order))
         return 0
-    names = lines = None
-    if args.output == "perm":
-        labels = [str(v) for v in range(g.n + 1)]
-        join = _perm_sep(g.n).join
-        lines = lambda steps: (join(run.named_permutation(labels)) + "\n"
-                               for _ in steps)
+    names = lines = sep = None
+    if args.output == "perm" and not args.count_only:
+        # the run yields each visit's line
+        sep = _perm_sep(g.n)
+        lines = iter
     elif not args.count_only:
         # the run names every arc either way round by its line, or by
         # the edge it orients and its text
@@ -213,7 +213,7 @@ def _cmd_ao_graph(args, out):
         else:
             lines = lambda steps: _arc_lines(
                 steps, [names[d][1] for d in run.digraph().arcs])
-    run = chordal.generate(g, order, names)
+    run = chordal.generate(g, order, names, sep)
     cert = ArcListingCertifier(g) if args.certify else None
     steps = run if cert is None else _certified(run, cert.visit, run.mask)
     _stream(out, steps, lines, args.count_only, lambda: run.visits)
@@ -231,7 +231,10 @@ def _jump_listing(cert, order):
     """Algorithm J's listing of the encodings of the acyclic orientations
     that the certifier enumerated, relabeled by the run's elimination
     order, which is checked once.  The certifier's search found each one
-    acyclic, each head in its hyperedge, so they are encoded unchecked."""
+    acyclic, each head in its hyperedge, so they are encoded unchecked.
+    Each encoding is a permutation of 1..n by construction, and there is
+    at least one orientation, so the language skips ``from_set``'s
+    checks."""
     h = cert.hypergraph
     if not is_heo(h, order):
         raise InputError("hypergraph is not in hyperfect elimination order")
@@ -239,7 +242,7 @@ def _jump_listing(cert, order):
     newlab = label_map(h.n, order)
     lang = {permutation_from_orientation(h.n, edges, [newlab[v] for v in o])
             for o in cert.orientations}
-    return algorithm_J(LanguageOracle.from_set(lang))
+    return algorithm_J(LanguageOracle(h.n, lang.__contains__))
 
 
 def _cmd_ao_hyper(args, out):

@@ -556,8 +556,10 @@ class ArcListingCertifier:
     bytes: the first visit is ranked from scratch once it is known to be
     acyclic, each one-edge step adds its edge's step once the reachability
     search has passed, and a step of several edges is a repeat only when
-    its mask is acyclic and its rank is marked.  finish() matches the
-    number of accepted visits against ``expected``.
+    its mask is acyclic and its rank is marked.  Each edge's two flips,
+    the arc reversed with its bits and the rank's step, are tabled at
+    construction by the edge's bit.  finish() matches the marked ranks,
+    one per accepted visit, against ``expected``.
 
     Any violation raises InputError.  Construction raises CapExceeded
     when the orientation count would not fit under the cap, or a
@@ -565,8 +567,8 @@ class ArcListingCertifier:
     then InputError when a component is not chordal.
     """
 
-    __slots__ = ("graph", "expected", "_edges", "_base", "_steps", "_marks",
-                 "_visited", "_prev", "_prev_rank", "_out", "_inn")
+    __slots__ = ("graph", "expected", "_edges", "_bound", "_base", "_steps",
+                 "_flips", "_marks", "_prev", "_prev_rank", "_out", "_inn")
 
     def __init__(self, g):
         self.graph = g
@@ -597,10 +599,15 @@ class ArcListingCertifier:
                 base += weight[b]
                 steps.append(-weight[b])
         self._edges = tuple(g.edges)
+        self._bound = 1 << len(g.edges)
         self._base = base
         self._steps = steps
+        # per edge bit, per state of that bit before the flip: the arc
+        # i->j it then reverses, 1 << i, 1 << j and the rank's step
+        self._flips = {1 << k: ((a, b, 1 << a, 1 << b, step),
+                                (b, a, 1 << b, 1 << a, -step))
+                       for k, ((a, b), step) in enumerate(zip(g.edges, steps))}
         self._marks = bytearray(self.expected)
-        self._visited = 0
         self._prev = self._prev_rank = self._out = self._inn = None
 
     def rank(self, mask):
@@ -629,53 +636,55 @@ class ArcListingCertifier:
         return out, inn
 
     def visit(self, mask):
-        edges = self._edges
-        if not 0 <= mask < 1 << len(edges):
+        if not 0 <= mask < self._bound:
             raise InputError("orientation mask %#x out of range" % mask)
         prev = self._prev
-        marks = self._marks
         if prev is None:
-            digraph = self._digraph(mask)
-            if digraph is None:
-                raise InputError("orientation %#x is cyclic" % mask)
-            rank = self.rank(mask)
-            self._out, self._inn = digraph
-        else:
-            diff = mask ^ prev
-            if not diff or diff & (diff - 1):
-                if self._digraph(mask) is not None and \
-                        marks[self.rank(mask)]:
-                    raise InputError("orientation %#x repeats" % mask)
-                raise InputError(
-                    "consecutive orientations differ in %d edges, not 1"
-                    % diff.bit_count())
-            k = diff.bit_length() - 1
-            i, j = edges[k]
-            if prev >> k & 1:
-                i, j = j, i  # the arc as oriented before the flip
-            out = self._out
-            inn = self._inn
-            if out[i] & inn[j]:
-                raise InputError("flipped arc %d->%d is transitive in its "
-                                 "predecessor" % (i, j))
-            step = self._steps[k]
-            rank = self._prev_rank + (step if mask >> k & 1 else -step)
-            if marks[rank]:
+            self._start(mask)
+            return
+        diff = mask ^ prev
+        if not diff or diff & (diff - 1):
+            if self._digraph(mask) is not None and \
+                    self._marks[self.rank(mask)]:
                 raise InputError("orientation %#x repeats" % mask)
-            out[i] ^= 1 << j
-            inn[j] ^= 1 << i
-            out[j] |= 1 << i
-            inn[i] |= 1 << j
+            raise InputError(
+                "consecutive orientations differ in %d edges, not 1"
+                % diff.bit_count())
+        i, j, bi, bj, step = self._flips[diff][prev & diff and 1]
+        out = self._out
+        inn = self._inn
+        if out[i] & inn[j]:
+            raise InputError("flipped arc %d->%d is transitive in its "
+                             "predecessor" % (i, j))
+        rank = self._prev_rank + step
+        marks = self._marks
+        if marks[rank]:
+            raise InputError("orientation %#x repeats" % mask)
+        out[i] ^= bj
+        inn[j] ^= bi
+        out[j] |= bi
+        inn[i] |= bj
         marks[rank] = 1
-        self._visited += 1
         self._prev = mask
         self._prev_rank = rank
 
+    def _start(self, mask):
+        """Accept the first visit, checked from scratch."""
+        digraph = self._digraph(mask)
+        if digraph is None:
+            raise InputError("orientation %#x is cyclic" % mask)
+        self._out, self._inn = digraph
+        rank = self._prev_rank = self.rank(mask)
+        self._marks[rank] = 1
+        self._prev = mask
+
     def finish(self):
-        if self._visited != self.expected:
+        # each accepted visit marked a rank no other had marked
+        visited = self._marks.count(1)
+        if visited != self.expected:
             raise InputError(
                 "listing visited %d orientations, expected %d"
-                % (self._visited, self.expected))
+                % (visited, self.expected))
         return self.expected
 
 

@@ -10,6 +10,7 @@ runs.
 
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -153,6 +154,44 @@ def test_criterion_02_verdict_survives_optimize(repeat):
     else:
         assert proc.stdout.splitlines() == [
             "debug False", "exit 0", "120", "certified 120 orientations"]
+
+
+# a certified count on K_5 whose third visit flips, instead of the run's
+# step, the first arc of the second visit that is transitive there
+_OPTIMIZED_TRANSITIVE = """
+import os, sys, tempfile
+from orientgen import cli, selftest
+from orientgen.fileio import format_graph
+from orientgen.graphs import complete_graph, is_acyclic_mask
+print("debug", __debug__)
+g = complete_graph(5)
+certified = cli._certified
+def transitive(run, visit, snapshot):
+    seen = []
+    def flipped():
+        seen.append(snapshot())
+        if len(seen) != 3:
+            return seen[-1]
+        # reversing an arc closes a cycle iff it is transitive
+        return next(seen[1] ^ 1 << k for k in range(len(g.edges))
+                    if not is_acyclic_mask(g, seen[1] ^ 1 << k))
+    return certified(run, visit, flipped)
+cli._certified = transitive
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "k5.g")
+    selftest._write(path, format_graph(g))
+    rc, text = selftest._cli(["ao-graph", path, "--certify", "--count-only"])
+print("exit", rc)
+print(text, end="")
+"""
+
+
+def test_transitive_flip_verdict_survives_optimize():
+    proc = _run_optimized(_OPTIMIZED_TRANSITIVE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["debug False", "exit 1"]
+    assert re.fullmatch(r"error: flipped arc \d+->\d+ is transitive in "
+                        r"its predecessor\n", proc.stderr), proc.stderr
 
 
 # quick criterion 07 with the lattice test's answer inverted

@@ -608,6 +608,12 @@ def test_clique_order_counts_like_insertion_sort_from_64_items():
                                           [(v,) for v in members], walk)
 
 
+def order_entries(run):
+    """The entries that place vertices in larger clique orders: one per
+    member of the last movable vertex's order, one per other order."""
+    return sum(map(len, run._ups)) + sum(e >= 0 for e in run._lup)
+
+
 def test_order_tables_hold_at_most_m_entries():
     # an order per clique of two or more members, and per vertex one
     # entry for each such clique that holds it: one per edge at most
@@ -621,12 +627,18 @@ def test_order_tables_hold_at_most_m_entries():
         assert [o is not None for o in run._orders] == \
             [len(r) > 1 for r in run._recs]
         held = sum(len(o.kept) for o in run._orders if o)
-        assert sum(map(len, run._ups)) == held <= len(g.edges)
-    # K_6: every edge but {1, 2}, the one member of vertex 2's clique
+        assert order_entries(run) == held <= len(g.edges)
+        last = run._orders[run._top]
+        assert {v: e for v, e in enumerate(run._lup) if e >= 0} == (
+            last.index if last else {})
+    # K_6: every edge but {1, 2}, the one member of vertex 2's clique;
+    # vertex 6's five members hold their index in its order
     run = ChordalRun(complete_graph(6), range(1, 7))
-    assert sum(map(len, run._ups)) == 14
+    assert order_entries(run) == 14
+    assert run._lup == [-1, 0, 1, 2, 3, 4, -1]
     run = ChordalRun(path_graph(6), range(1, 7))
     assert not any(run._orders) and not any(run._ups)
+    assert run._lup == [-1] * 7
 
 
 def test_memory_is_linear_on_a_dense_graph():
@@ -760,23 +772,28 @@ def engine_state(run):
             run.max_step_comparisons)
 
 
-def assert_steps_like_reference(g, perm_from, names_from, order=None):
+def assert_steps_like_reference(g, perm_from, names_from, order=None,
+                                sep=None):
     """The run and the reference agree on the step and the counters at
-    every visit.  The run's permutation is read from visit ``perm_from``
-    on and its named permutation from ``names_from`` on (None: never);
-    the reference's permutation is read at every visit.  ``order`` is
+    every visit.  Given ``sep``, the run makes perm lines, and each step
+    it yields is ``sep.join`` of the reference's permutation and a
+    newline.  The run's permutation is read from visit ``perm_from`` on
+    and its named permutation from ``names_from`` on (None: never); the
+    reference's permutation is read at every visit.  ``order`` is
     ``find_peo``'s unless given.  Returns the reference."""
     order = find_peo(g) if order is None else tuple(order)
-    run = ChordalRun(g, order)
+    run = ChordalRun(g, order, sep=sep)
     ref = ReferenceStepRun(g, order)
     names = ["v%d" % v for v in range(g.n + 1)]
     end = object()
     visit = 0
     for step, ref_step in zip_longest(run, ref, fillvalue=end):
         visit += 1
+        expect = ref.permutation()
+        if sep is not None and ref_step is not end:
+            ref_step = sep.join(map(str, expect)) + "\n"
         assert step == ref_step
         assert engine_state(run) == engine_state(ref)
-        expect = ref.permutation()
         if perm_from is not None and visit >= perm_from:
             assert run.permutation() == expect
         if names_from is not None and visit >= names_from:
@@ -837,15 +854,38 @@ def with_isolated(g, spread, extra):
 def test_last_vertex_end_steps_like_reference(perm_from, names_from):
     # the last movable vertex's end steps place it without a scan, with
     # or without isolated vertices above it or between the others
+    for h in isolated_corpus():
+        assert_steps_like_reference(h, perm_from, names_from)
+        assert_steps_like_reference(h, perm_from, names_from,
+                                    range(1, h.n + 1))
+
+
+def isolated_corpus():
+    """Paths, complete graphs and seeded random chordal graphs, each as
+    it is, with isolated vertices above it and with them spread
+    through it."""
     rng = random.Random(2061)
     base = [path_graph(n) for n in (2, 3, 7, 10)]
     base += [complete_graph(n) for n in (2, 3, 5)]
     base += [random_chordal(rng.randint(5, 8), rng) for _ in range(4)]
-    for g in base:
-        for h in (g, with_isolated(g, False, 3), with_isolated(g, True, g.n)):
-            assert_steps_like_reference(h, perm_from, names_from)
-            assert_steps_like_reference(h, perm_from, names_from,
-                                        range(1, h.n + 1))
+    return [h for g in base
+            for h in (g, with_isolated(g, False, 3),
+                      with_isolated(g, True, g.n))]
+
+
+@pytest.mark.parametrize("sep", ["", " "], ids=["joined", "spaced"])
+@pytest.mark.parametrize("perm_from, names_from", [(None, None), (1, 1),
+                                                   (37, 37)],
+                         ids=["unread", "read-from-1", "first-read-at-37"])
+def test_line_run_steps_like_reference(sep, perm_from, names_from):
+    # a run that makes perm lines yields the reference's permutation,
+    # joined, at every visit, with mask, visits, the counters and both
+    # permutation reads right mid-sweep; K_n sweeps its last vertex
+    # across every smaller value, the others across some of them
+    graphs = [complete_graph(n) for n in range(1, 9)] + snapshot_corpus()
+    graphs += [long_jump_graph()] + isolated_corpus()
+    for g in graphs:
+        assert_steps_like_reference(g, perm_from, names_from, sep=sep)
 
 
 class CountingList(list):

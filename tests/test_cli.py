@@ -12,7 +12,8 @@ from itertools import islice
 import pytest
 
 import orientgen
-from orientgen import chordal, corpus, graphs, hypergen, hypergraphs, oracle
+from orientgen import (chordal, corpus, graphs, hypergen, hypergraphs, jumps,
+                       oracle)
 from orientgen.cli import BLOCK_LINES, build_parser, main
 from orientgen.errors import InputError
 from orientgen.fileio import (
@@ -483,6 +484,22 @@ def test_ao_hyper_certify_checks_no_orientation_again(tmp_path, capsys,
     rc, out, _ = run(capsys, "ao-hyper", bp5_path(tmp_path), "--certify",
                      "--count-only")
     assert rc == 0 and out == "42\ncertified 42 orientations\n"
+
+
+def test_ao_hyper_certify_checks_no_encoding_again(tmp_path, capsys,
+                                                   monkeypatch):
+    # each encoding is a permutation by construction: the jump listing's
+    # language skips from_set's checks, which stay for other callers
+    def banned(*args):
+        raise AssertionError("encoding checked again")
+    monkeypatch.setattr(jumps, "_check_permutation", banned)
+    rc, out, _ = run(capsys, "ao-hyper", bp5_path(tmp_path), "--certify",
+                     "--output", "perm")
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 43
+    assert lines[-1] == "certified 42 orientations"
+    with pytest.raises(AssertionError, match="encoding checked again"):
+        jumps.LanguageOracle.from_set([(1, 2)])
 
 
 @pytest.mark.parametrize("order, checks", [("auto", 1), ("given", 2)])
