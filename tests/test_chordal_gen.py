@@ -917,6 +917,34 @@ def test_last_vertex_looks_up_its_position_once_per_run():
             assert run.permutation() == encode(run.digraph())
 
 
+def index_lookups(g, order, sep):
+    """The ``list.index`` calls on the tracked permutation over a whole
+    run that makes perm lines joined by ``sep``, or, with None, over a
+    run that tracks it from the first visit on."""
+    run = ChordalRun(g, order, sep=sep)
+    if sep is None:
+        run.permutation()
+    pi = run._pi = CountingList(run._pi, None)
+    for _ in run:
+        pass
+    return pi.lookups
+
+
+def test_line_run_finds_the_last_vertex_places_once_per_sweep():
+    # on K_n the members a sweep crosses fill the places before the last
+    # vertex, so its lines look nothing up and the line run makes the
+    # tracked run's lookups, all by smaller vertices; with 5 joined to
+    # 1, 2 and 4 of K_4 each of 5's 24 sweeps looks up its 3 members
+    for n in range(2, 8):
+        g = complete_graph(n)
+        order = range(1, n + 1)
+        assert index_lookups(g, order, "") == index_lookups(g, order, None)
+    g = Graph(5, list(complete_graph(4).edges) + [(1, 5), (2, 5), (4, 5)])
+    order = range(1, 6)
+    assert index_lookups(g, order, " ") == (index_lookups(g, order, None)
+                                            + 3 * 24)
+
+
 def test_visit_37_of_k8_falls_mid_sweep():
     # the first reads at visit 37 land inside a sweep of the last vertex
     g = complete_graph(8)
