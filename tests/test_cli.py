@@ -1150,8 +1150,9 @@ def test_listings_are_written_in_blocks(command, instance, flags, summary,
 
 
 # (instance, flags, sha256 of the whole stdout) of the benchmark's
-# ao-graph call shapes: K_8 and the 13-vertex random graph, whose perm
-# lines are space-separated
+# ao-graph call shapes, and of the certified arcs and flips listings:
+# K_8 and the 13-vertex random graph, whose perm lines are
+# space-separated
 SHAPE_PINS = [
     ("k8", ["--output", "perm"],
      "bd5ff572cc3797e10fce2bae3e64e056215c2114fdaed5bd63db9bc0d351bbbd"),
@@ -1163,6 +1164,16 @@ SHAPE_PINS = [
      "881336ad7a677ad47c22c6be9e442f7232388c1723233071e57a4ae9bb5f32f3"),
     ("long-jump", ["--count-only", "--certify", "--counters"],
      "221ff13cec178de4e7a7c70ee85159edb061658a9a52b386b37e88260f9710d4"),
+    ("k8", ["--output", "arcs"],
+     "4d8ba5029a4a199444b4c44da43394ee511d1514cdd8c0ce3c9e1acbfcacc166"),
+    ("long-jump", ["--output", "arcs"],
+     "791e0990c5ffc5a038155f49ed17521a2eb5c42efde476bc52a0a1014523c89e"),
+    ("k8", ["--count-only", "--certify", "--counters"],
+     "98484911350abe4231362fb445314323b55ffbdc53866f22b99f3780fdd915c4"),
+    ("k8", ["--certify", "--output", "arcs"],
+     "89a7b8866cef9e6e43aa99965eead1bb6a1444a084ee8ec4cb52b4c8a44b482b"),
+    ("k8", ["--certify", "--output", "flips"],
+     "295f22ccf2f288e99b01a1f6abc2851078e797e83c91b723f5b015854ec2966b"),
 ]
 
 
