@@ -7,14 +7,17 @@ iterator with one item per visit and a line maker.  A count drains the
 visits in C and prints the producer's count of them; a listing gives
 the lines to ``_listing``, which pulls them into blocks in C.  An
 ``ao-graph`` arcs or flips listing has the run yield each step named,
-by its line or by its edge and text, and a perm listing has it yield
-each visit's line, so no CLI code runs per visit of a flips or perm
-listing or of a count, and an arcs line looks nothing up.
-With ``--certify``, ``_certified`` yields each step once the certifier
-has accepted it, an ``ao-hyper`` step also once its permutation is the
-next of the jump listing made before the run, so a rejected visit ends
-the listing after the lines before it.  Exit codes: 0 success, 1
-invalid input or failed certification, 2 size cap exceeded.
+by its line or by its edge's slot in an arcs line and its text, and a
+perm listing has it yield each visit's line, so no CLI code runs per
+visit of a flips or perm listing or of a count, and an arcs line is the
+last one with one slot rewritten.  With ``--certify``, an ``ao-graph``
+listing pulls the run through ``ArcListingCertifier.certified`` and an
+``ao-hyper`` listing through ``_certified``: each yields a step once the
+certifier has accepted the visit it reaches, an ``ao-hyper`` step also
+once its permutation is the next of the jump listing made before the
+run, so a rejected visit ends the listing after the lines before it.
+Exit codes: 0 success, 1 invalid input or failed certification, 2 size
+cap exceeded.
 """
 
 import argparse
@@ -113,15 +116,15 @@ def _perm_lines(n):
 
 
 def _arc_lines(steps, line):
-    """Lines of an arcs listing: ``line`` starts as the text of every arc
-    of the first visit, and each later step, named (edge, text), rewrites
-    the edge it flips."""
-    join = " ".join
-    for step in steps:
-        if step is not None:
-            k, text = step
-            line[k] = text
-        yield join(line) + "\n"
+    """Lines of an arcs listing: ``line`` starts as the first visit's,
+    and each later step, named (start, text, end), rewrites the slot
+    line[start:end] of the edge it flips, whose two texts have the same
+    width."""
+    next(steps)  # the first visit flips no arc
+    yield line
+    for start, text, end in steps:
+        line = line[:start] + text + line[end:]
+        yield line
 
 
 def _no_dot_combo(args, *flags):
@@ -195,27 +198,35 @@ def _cmd_ao_graph(args, out):
         _graph_dot(out, g, "aograph", lambda: chordal.generate(g, order))
         return 0
     names = lines = sep = None
-    if args.output == "perm" and not args.count_only:
+    if args.count_only:
+        pass  # the run yields its bare steps
+    elif args.output == "perm":
         # the run yields each visit's line
         sep = _perm_sep(g.n)
         lines = iter
-    elif not args.count_only:
-        # the run names every arc either way round by its line, or by
-        # the edge it orients and its text
-        flips = args.output == "flips"
-        names = {arc: "%d %d\n" % arc if flips else (k, "%d %d" % arc)
-                 for k, (x, y) in enumerate(g.edges)
-                 for arc in ((x, y), (y, x))}
-        if flips:
-            def lines(steps):
-                next(steps)  # the first visit flips no arc
-                return steps
-        else:
-            lines = lambda steps: _arc_lines(
-                steps, [names[d][1] for d in run.digraph().arcs])
+    elif args.output == "flips":
+        # the run names every arc either way round by its line
+        names = {arc: "%d %d\n" % arc
+                 for e in g.edges for arc in (e, e[::-1])}
+
+        def lines(steps):
+            next(steps)  # the first visit flips no arc
+            return steps
+    else:
+        # the run names every arc either way round by its edge's slot in
+        # an arcs line and its text
+        names = {}
+        start = 0
+        for e in g.edges:
+            end = start + len("%d %d" % e)
+            for arc in (e, e[::-1]):
+                names[arc] = (start, "%d %d" % arc, end)
+            start = end + 1
+        lines = lambda steps: _arc_lines(steps, " ".join(
+            [names[d][1] for d in run.digraph().arcs]) + "\n")
     run = chordal.generate(g, order, names, sep)
     cert = ArcListingCertifier(g) if args.certify else None
-    steps = run if cert is None else _certified(run, cert.visit, run.mask)
+    steps = run if cert is None else cert.certified(run, run.mask)
     _stream(out, steps, lines, args.count_only, lambda: run.visits)
     if cert is not None:
         out.write("certified %d orientations\n" % cert.finish())

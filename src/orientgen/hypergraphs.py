@@ -294,7 +294,15 @@ def permutation_from_orientation(n, edges, heads):
         elif not toward[i]:
             pi.insert(0, i)
         else:
-            pi.insert(next(k for k, v in enumerate(pi) if up >> v & 1), i)
+            # before the head of up found first in pi
+            q = i
+            while up:
+                low = up & -up
+                up ^= low
+                k = pi.index(low.bit_length() - 1)
+                if k < q:
+                    q = k
+            pi.insert(q, i)
     return tuple(pi)
 
 

@@ -528,13 +528,16 @@ class ArcListingCertifier:
     all acyclic orientations of a chordal graph.
 
     Feed one orientation bitmask per visit (bit k set iff edge k points
-    from its larger endpoint to its smaller one).  Every orientation must
-    be acyclic, never repeat, and differ from its predecessor by
-    reversing exactly one arc of the predecessor's transitive reduction.
-    The certifier keeps the current digraph as out- and in-neighbour
-    bitsets.  The first visit adds its arcs one at a time and rejects an
-    arc whose head already reaches its tail.  Each later visit rejects
-    the flipped arc i->j if some z has i->z->j, and reverses it
+    from its larger endpoint to its smaller one), by ``visit(mask)`` or
+    by running ``certified(steps, snapshot)`` over a listing.  Every
+    orientation must be acyclic, never repeat, and differ from its
+    predecessor by reversing exactly one arc of the predecessor's
+    transitive reduction.  The certifier keeps the current digraph as one
+    int per vertex, its out-neighbours in bits 0..n and its in-neighbours
+    in the n + 1 bits above them.  The first visit adds its arcs one at a
+    time and rejects an arc whose head already reaches its tail.  Each
+    later visit rejects the flipped arc i->j if some z has i->z->j, one
+    AND of i's out-neighbours with j's in-neighbours, and reverses it
     otherwise.  On a chordal graph a shortest second path from i to j
     closes a chordless cycle with {i, j} (a chord would shorten the path
     or close a directed cycle), so it has length 2.  Reversing a
@@ -554,21 +557,25 @@ class ArcListingCertifier:
     endpoint removed first, so a flip moves the rank by that endpoint's
     weight.  The certifier marks each rank in a bytearray of ``expected``
     bytes: the first visit is ranked from scratch once it is known to be
-    acyclic, each one-edge step adds its edge's step once the reachability
-    search has passed, and a step of several edges is a repeat only when
+    acyclic, each one-edge step adds its edge's step once the triangle
+    test has passed, and a step of several edges is a repeat only when
     its mask is acyclic and its rank is marked.  Each edge's two flips,
-    the arc reversed with its bits and the rank's step, are tabled at
-    construction by the edge's bit.  finish() matches the marked ranks,
-    one per accepted visit, against ``expected``.
+    the arc i->j reversed, the bits of j and of i that the reversal
+    toggles in i's and j's ints, and the rank's step, are tabled at
+    construction by the edge's bit, so an accepted flip costs one lookup
+    of ``mask ^ prev``, one AND, a rank mark and two XORs.  finish()
+    matches the marked ranks, one per accepted visit, against
+    ``expected``.
 
-    Any violation raises InputError.  Construction raises CapExceeded
-    when the orientation count would not fit under the cap, or a
-    component that is not chordal has more than log2(cap) vertices, and
-    then InputError when a component is not chordal.
+    A certifier checks one listing.  Any violation raises InputError and
+    leaves the certifier at the last visit it accepted.  Construction
+    raises CapExceeded when the orientation count would not fit under the
+    cap, or a component that is not chordal has more than log2(cap)
+    vertices, and then InputError when a component is not chordal.
     """
 
     __slots__ = ("graph", "expected", "_edges", "_bound", "_base", "_steps",
-                 "_flips", "_marks", "_prev", "_prev_rank", "_out", "_inn")
+                 "_flips", "_marks", "_prev", "_rank", "_adj")
 
     def __init__(self, g):
         self.graph = g
@@ -602,13 +609,21 @@ class ArcListingCertifier:
         self._bound = 1 << len(g.edges)
         self._base = base
         self._steps = steps
-        # per edge bit, per state of that bit before the flip: the arc
-        # i->j it then reverses, 1 << i, 1 << j and the rank's step
-        self._flips = {1 << k: ((a, b, 1 << a, 1 << b, step),
-                                (b, a, 1 << b, 1 << a, -step))
+        # per edge bit, the flip from the bit set (b->a reversed) and
+        # from the bit clear (a->b reversed), so that a step from prev to
+        # mask reads its flip at index mask > prev: (i, j) for the arc
+        # i->j reversed, the bits of j and of i in i's and in j's ints,
+        # and the rank's step
+        shift = g.n + 1
+        both = [1 << v | 1 << v + shift for v in range(shift)]
+        self._flips = {1 << k: ((b, a, both[a], both[b], -step),
+                                (a, b, both[b], both[a], step))
                        for k, ((a, b), step) in enumerate(zip(g.edges, steps))}
         self._marks = bytearray(self.expected)
-        self._prev = self._prev_rank = self._out = self._inn = None
+        # the last visit accepted: its mask, its rank and its digraph,
+        # None before the first visit
+        self._prev = self._rank = 0
+        self._adj = None
 
     def rank(self, mask):
         """The rank of an acyclic orientation mask in range(expected);
@@ -622,61 +637,82 @@ class ArcListingCertifier:
         return rank
 
     def _digraph(self, mask):
-        """Out- and in-neighbour bitsets, arcs added one at a time, or
-        None when an arc's head already reaches its tail."""
-        out = [0] * (self.graph.n + 1)
-        inn = out[:]
+        """One int per vertex, its out-neighbours in bits 0..n and its
+        in-neighbours above them, arcs added one at a time, or None when
+        an arc's head already reaches its tail."""
+        shift = self.graph.n + 1
+        out = [0] * shift
+        adj = out[:]
         for k, (u, v) in enumerate(self._edges):
             if mask >> k & 1:
                 u, v = v, u
             if _reaches(out, v, 1 << u):
                 return None
             out[u] |= 1 << v
-            inn[v] |= 1 << u
-        return out, inn
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u + shift
+        return adj
 
     def visit(self, mask):
+        """Check the listing's next orientation mask."""
+        for _ in self.certified((None,), lambda: mask):
+            pass
+
+    def certified(self, steps, snapshot):
+        """Yield each item of ``steps`` once the orientation mask that
+        ``snapshot()`` reads after it is accepted as the listing's next
+        visit.  The state of the check lives in locals while the
+        generator runs and goes back to the certifier when it ends."""
+        marks = self._marks
+        shift = self.graph.n + 1
+        prev = self._prev
+        rank = self._rank
+        adj = self._adj
+        # before the first visit no mask is one flip away
+        flip = {}.get if adj is None else self._flips.get
+        try:
+            for step in steps:
+                mask = snapshot()
+                pair = flip(mask ^ prev)
+                if pair is None:
+                    adj, rank = self._not_one_flip(mask, prev, adj)
+                    flip = self._flips.get
+                else:
+                    i, j, bj, bi, d = pair[mask > prev]
+                    if adj[i] & adj[j] >> shift:
+                        raise InputError("flipped arc %d->%d is transitive "
+                                         "in its predecessor" % (i, j))
+                    r = rank + d
+                    if marks[r]:
+                        raise InputError("orientation %#x repeats" % mask)
+                    marks[r] = 1
+                    rank = r
+                    adj[i] ^= bj
+                    adj[j] ^= bi
+                prev = mask
+                yield step
+        finally:
+            self._prev = prev
+            self._rank = rank
+            self._adj = adj
+
+    def _not_one_flip(self, mask, prev, adj):
+        """Check a mask that is not one edge flip from ``prev``: accept
+        the first visit (``adj`` None), checked from scratch, and return
+        its digraph and rank; reject any other."""
         if not 0 <= mask < self._bound:
             raise InputError("orientation mask %#x out of range" % mask)
-        prev = self._prev
-        if prev is None:
-            self._start(mask)
-            return
-        diff = mask ^ prev
-        if not diff or diff & (diff - 1):
-            if self._digraph(mask) is not None and \
-                    self._marks[self.rank(mask)]:
-                raise InputError("orientation %#x repeats" % mask)
-            raise InputError(
-                "consecutive orientations differ in %d edges, not 1"
-                % diff.bit_count())
-        i, j, bi, bj, step = self._flips[diff][prev & diff and 1]
-        out = self._out
-        inn = self._inn
-        if out[i] & inn[j]:
-            raise InputError("flipped arc %d->%d is transitive in its "
-                             "predecessor" % (i, j))
-        rank = self._prev_rank + step
-        marks = self._marks
-        if marks[rank]:
+        if adj is None:
+            adj = self._digraph(mask)
+            if adj is None:
+                raise InputError("orientation %#x is cyclic" % mask)
+            rank = self.rank(mask)
+            self._marks[rank] = 1
+            return adj, rank
+        if self._digraph(mask) is not None and self._marks[self.rank(mask)]:
             raise InputError("orientation %#x repeats" % mask)
-        out[i] ^= bj
-        inn[j] ^= bi
-        out[j] |= bi
-        inn[i] |= bj
-        marks[rank] = 1
-        self._prev = mask
-        self._prev_rank = rank
-
-    def _start(self, mask):
-        """Accept the first visit, checked from scratch."""
-        digraph = self._digraph(mask)
-        if digraph is None:
-            raise InputError("orientation %#x is cyclic" % mask)
-        self._out, self._inn = digraph
-        rank = self._prev_rank = self.rank(mask)
-        self._marks[rank] = 1
-        self._prev = mask
+        raise InputError("consecutive orientations differ in %d edges, not 1"
+                         % (mask ^ prev).bit_count())
 
     def finish(self):
         # each accepted visit marked a rank no other had marked

@@ -122,19 +122,19 @@ def test_criterion_01_verdict_survives_optimize(corrupt):
 # reported as the first one again
 _OPTIMIZED_CHORDAL = """
 import os, sys, tempfile
-from orientgen import cli, selftest
+from orientgen import oracle, selftest
 from orientgen.fileio import format_graph
 from orientgen.graphs import complete_graph
 print("debug", __debug__)
 if sys.argv[1] == "repeat":
-    certified = cli._certified
-    def repeated(run, visit, snapshot):
+    certified = oracle.ArcListingCertifier.certified
+    def repeated(self, steps, snapshot):
         seen = []
         def again():
             seen.append(snapshot())
             return seen[0] if len(seen) == 3 else seen[-1]
-        return certified(run, visit, again)
-    cli._certified = repeated
+        return certified(self, steps, again)
+    oracle.ArcListingCertifier.certified = repeated
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "k5.g")
     selftest._write(path, format_graph(complete_graph(5)))
@@ -157,26 +157,29 @@ def test_criterion_02_verdict_survives_optimize(repeat):
 
 
 # a certified count on K_5 whose third visit flips, instead of the run's
-# step, the first arc of the second visit that is transitive there
-_OPTIMIZED_TRANSITIVE = """
+# step, the first arc of the second visit that is transitive there, or
+# the second visit's first two edges
+_OPTIMIZED_STEP = """
 import os, sys, tempfile
-from orientgen import cli, selftest
+from orientgen import oracle, selftest
 from orientgen.fileio import format_graph
 from orientgen.graphs import complete_graph, is_acyclic_mask
 print("debug", __debug__)
 g = complete_graph(5)
-certified = cli._certified
-def transitive(run, visit, snapshot):
+certified = oracle.ArcListingCertifier.certified
+def corrupted(self, steps, snapshot):
     seen = []
-    def flipped():
+    def read():
         seen.append(snapshot())
         if len(seen) != 3:
             return seen[-1]
+        if sys.argv[1] == "two-edges":
+            return seen[1] ^ 0b11
         # reversing an arc closes a cycle iff it is transitive
         return next(seen[1] ^ 1 << k for k in range(len(g.edges))
                     if not is_acyclic_mask(g, seen[1] ^ 1 << k))
-    return certified(run, visit, flipped)
-cli._certified = transitive
+    return certified(self, steps, read)
+oracle.ArcListingCertifier.certified = corrupted
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "k5.g")
     selftest._write(path, format_graph(g))
@@ -187,11 +190,19 @@ print(text, end="")
 
 
 def test_transitive_flip_verdict_survives_optimize():
-    proc = _run_optimized(_OPTIMIZED_TRANSITIVE)
+    proc = _run_optimized(_OPTIMIZED_STEP, "transitive")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["debug False", "exit 1"]
     assert re.fullmatch(r"error: flipped arc \d+->\d+ is transitive in "
                         r"its predecessor\n", proc.stderr), proc.stderr
+
+
+def test_two_edge_step_verdict_survives_optimize():
+    proc = _run_optimized(_OPTIMIZED_STEP, "two-edges")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["debug False", "exit 1"]
+    assert proc.stderr == ("error: consecutive orientations differ in 2 "
+                           "edges, not 1\n")
 
 
 # quick criterion 07 with the lattice test's answer inverted

@@ -379,6 +379,84 @@ def test_arc_rejection_leaves_the_certifier_as_it_was(cls):
     assert cert.finish() == 24 and rejected > 66
 
 
+def stream_rejection(cert, listing):
+    """``rejection`` through one run of ``cert.certified``: each step is
+    a visit's index, and ``snapshot()`` reads that visit's mask.  The
+    steps come out in order, each once its visit is accepted."""
+    at = [None]
+
+    def steps():
+        for k in range(len(listing)):
+            at[0] = k
+            yield k
+
+    accepted = []
+    try:
+        accepted.extend(cert.certified(steps(), lambda: listing[at[0]]))
+    except InputError as exc:
+        assert accepted == list(range(at[0]))
+        return at[0], str(exc)
+    assert accepted == list(range(len(listing)))
+    try:
+        cert.finish()
+    except InputError as exc:
+        return len(listing), str(exc)
+    return None, None
+
+
+def parity_listings():
+    """(graph, listing) for every bad listing that the arc rejection
+    tests above build, seeded corruptions of every kind, and a repeat
+    several edges away, each with the good listing it came from."""
+    listing = arc_listing(K3)
+    yield K3, listing
+    for bad in (-1, -8, 8, 1 << 40):
+        yield K3, listing[:2] + [bad] + listing[2:]
+        yield K3, [bad] + listing
+    yield K3, [2]
+    yield K3, [5]
+    yield K3, listing[:3] + listing[1:2]
+    yield K3, [0, 3]
+    yield K3, listing[:-1]
+    for g in [K3, complete_graph(4), path_graph(4),
+              Graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])]:
+        listing = arc_listing(g)
+        yield g, listing
+        for d in enumerate_ao_graph(g):
+            mask = orientation_mask(g, d)
+            for k in range(len(g.edges)):
+                yield g, [mask, mask ^ 1 << k]
+    # K_4's fifth visit again after its eighth, three edges from it
+    listing = arc_listing(complete_graph(4))
+    assert (listing[7] ^ listing[4]).bit_count() == 3
+    yield complete_graph(4), listing[:8] + listing[4:5] + listing[8:]
+    rng = random.Random(31)
+    kinds = KINDS + ("repeat", "walk back")
+    for g in fuzz_graphs()[::4]:
+        listing = arc_listing(g)
+        yield g, listing
+        for _ in range(10):
+            yield g, corrupt(listing, len(g.edges), rng, kinds)
+
+
+def test_certified_rejects_where_visit_does():
+    # one run of the generator keeps its state in locals; visit() hands
+    # it back after each mask
+    cases = good = 0
+    messages = []
+    for g, listing in parity_listings():
+        want = rejection(ArcListingCertifier(g), listing)
+        assert stream_rejection(ArcListingCertifier(g), listing) == want, (
+            g, listing)
+        cases += 1
+        good += want == (None, None)
+        messages.append(want[1])
+    assert cases == 693 and good == 56
+    for text in ("out of range", "is cyclic", "repeats", "is transitive",
+                 "differ in 2 edges", "differ in 3 edges", "listing visited"):
+        assert any(text in m for m in messages if m), text
+
+
 def assert_rank_is_a_bijection(g):
     cert = ArcListingCertifier(g)
     ranks = sorted(cert.rank(mask) for mask in range(1 << len(g.edges))

@@ -1191,17 +1191,34 @@ def test_benchmark_call_shapes_are_pinned(instance, flags, digest, tmp_path,
 
 
 def fail_at_visit(monkeypatch, certifier, k):
-    """Make ``certifier.visit`` reject the k-th visit it is given."""
-    real = certifier.visit
+    """Make ``certifier`` reject the k-th visit it is given: the arc
+    certifier's ``certified`` generator as it reads the visit's mask,
+    the pair certifier's ``visit``."""
     seen = []
 
-    def visit(self, *args):
+    def reject():
         seen.append(None)
         if len(seen) == k:
             raise InputError("visit %d rejected" % k)
-        return real(self, *args)
 
-    monkeypatch.setattr(certifier, "visit", visit)
+    if certifier is oracle.ArcListingCertifier:
+        real = certifier.certified
+
+        def certified(self, steps, snapshot):
+            def read():
+                reject()
+                return snapshot()
+            return real(self, steps, read)
+
+        monkeypatch.setattr(certifier, "certified", certified)
+    else:
+        real = certifier.visit
+
+        def visit(self, *args):
+            reject()
+            return real(self, *args)
+
+        monkeypatch.setattr(certifier, "visit", visit)
 
 
 @pytest.mark.parametrize("command, instance, certifier", [

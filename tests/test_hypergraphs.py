@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from orientgen import corpus
 from orientgen.errors import CapExceeded, InputError
 from orientgen.graphs import (Digraph, Graph, complete_graph, find_peo,
                               label_map, path_graph)
@@ -16,11 +17,12 @@ from orientgen.hypergraphs import (
     is_building_set,
     is_heo,
     orientation_to_elim_forest,
+    permutation_from_orientation,
     poset_of,
     relabel_hypergraph,
     restrict,
 )
-from orientgen.oracle import check_unique_parent_child
+from orientgen.oracle import check_unique_parent_child, enumerate_ao_hyper
 
 from test_graphs import cycle_graph
 
@@ -540,3 +542,46 @@ def test_relabel_hypergraph():
     assert h.edges == ((3, 4), (2, 3, 4), (1, 2, 3, 4))
     with pytest.raises(InputError):
         relabel_hypergraph(PREFIX_H, (1, 2, 3))
+
+
+def scan_permutation(n, edges, heads):
+    """``permutation_from_orientation`` as it placed a vertex that has
+    edges toward and away from it: by a scan of the permutation built so
+    far for the first of its heads."""
+    away = [0] * (n + 1)
+    toward = [False] * (n + 1)
+    for e, head in zip(edges, heads):
+        top = e[-1]
+        if head != top:
+            away[top] |= 1 << head
+        elif len(e) > 1:
+            toward[top] = True
+    pi = []
+    for i in range(1, n + 1):
+        up = away[i]
+        if not up:
+            pi.append(i)
+        elif not toward[i]:
+            pi.insert(0, i)
+        else:
+            pi.insert(next(k for k, v in enumerate(pi) if up >> v & 1), i)
+    return tuple(pi)
+
+
+def test_permutation_places_a_vertex_before_its_leftmost_head():
+    hypergraphs = (corpus.heo_corpus()
+                   + [graphical_building_set(path_graph(n))
+                      for n in range(2, 11)]
+                   + [corpus.two_uniform(complete_graph(n))
+                      for n in range(2, 7)])
+    checked = 0
+    for h in hypergraphs:
+        order = find_heo(h)
+        edges = relabel_hypergraph(h, order).edges
+        newlab = label_map(h.n, order)
+        for o in enumerate_ao_hyper(h):
+            heads = [newlab[v] for v in o]
+            assert (permutation_from_orientation(h.n, edges, heads)
+                    == scan_permutation(h.n, edges, heads)), (h, o)
+            checked += 1
+    assert checked == 24888
