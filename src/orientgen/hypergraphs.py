@@ -294,7 +294,7 @@ def permutation_from_orientation(n, edges, heads):
         elif not toward[i]:
             pi.insert(0, i)
         else:
-            # before the head of up found first in pi
+            # directly before the leftmost head: the least place of one
             q = i
             while up:
                 low = up & -up

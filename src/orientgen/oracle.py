@@ -621,7 +621,7 @@ class ArcListingCertifier:
                        for k, ((a, b), step) in enumerate(zip(g.edges, steps))}
         self._marks = bytearray(self.expected)
         # the last visit accepted: its mask, its rank and its digraph,
-        # None before the first visit
+        # the digraph None before the first visit
         self._prev = self._rank = 0
         self._adj = None
 
