@@ -824,6 +824,26 @@ def long_jump_graph():
             return g
 
 
+def seeded_chordal(seed):
+    """``corpus.random_chordal`` on 9 to 13 vertices, seeded."""
+    rng = random.Random(seed)
+    return corpus.random_chordal(rng.randint(9, 13), rng)
+
+
+def two_member_graph():
+    """A seeded chordal graph on 12 vertices, 19 edges and 27,648
+    orientations whose last movable vertex under ``find_peo`` has two
+    members, with one isolated value above it."""
+    return seeded_chordal(9)
+
+
+def one_member_graph():
+    """A seeded chordal graph on 13 vertices, 18 edges and 20,736
+    orientations whose last movable vertex under ``find_peo`` has one
+    member, with two isolated values above it."""
+    return seeded_chordal(386)
+
+
 def test_engine_steps_like_reference_on_long_jumps():
     ref = assert_steps_like_reference(long_jump_graph(), 1, 37)
     assert ref.longest_jump >= 11

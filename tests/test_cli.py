@@ -29,7 +29,8 @@ from orientgen.hypergraphs import Hypergraph
 from orientgen.quotients import (build_ar_poset, generate_quotient_path,
                                  identity_congruence)
 
-from test_chordal_gen import long_jump_graph
+from test_chordal_gen import (long_jump_graph, one_member_graph,
+                              two_member_graph)
 from test_graphs import built_digraphs, cycle_graph
 
 SJT3 = ["123", "132", "312", "321", "231", "213"]
@@ -1151,8 +1152,10 @@ def test_listings_are_written_in_blocks(command, instance, flags, summary,
 
 # (instance, flags, sha256 of the whole stdout) of the benchmark's
 # ao-graph call shapes, and of the certified arcs and flips listings:
-# K_8 and the 13-vertex random graph, whose perm lines are
-# space-separated
+# K_8, K_9 and the 13-vertex random graph, whose perm lines are
+# space-separated; and every shape on two seeded random graphs whose
+# last movable vertex has two members, or one with isolated values
+# above it
 SHAPE_PINS = [
     ("k8", ["--output", "perm"],
      "bd5ff572cc3797e10fce2bae3e64e056215c2114fdaed5bd63db9bc0d351bbbd"),
@@ -1174,7 +1177,33 @@ SHAPE_PINS = [
      "89a7b8866cef9e6e43aa99965eead1bb6a1444a084ee8ec4cb52b4c8a44b482b"),
     ("k8", ["--certify", "--output", "flips"],
      "295f22ccf2f288e99b01a1f6abc2851078e797e83c91b723f5b015854ec2966b"),
+    ("k9", ["--output", "flips"],
+     "01f5f16baeefe3bc6916732a6f8409c7b77c502d38c86760756d1f5385809044"),
+    ("two-member", ["--output", "flips"],
+     "3393411e912c4800b8be35c0678657d448f23c19aca1ca3161b075b2757301ab"),
+    ("two-member", ["--output", "arcs"],
+     "ffbbca8c361e539e2c0ca6563896b89ea46eb4a9095f0925b62cb3c79422282a"),
+    ("two-member", ["--output", "perm"],
+     "ccbf07b01a9f3455fc0e8cb077e7a3187eaf069b120ba789b44d033376107dea"),
+    ("two-member", ["--count-only", "--certify", "--counters"],
+     "5232d7e40809fad3c6cbf76e63c486f8c30d211be3cd3695c65ac000637d35ba"),
+    ("one-member", ["--output", "flips"],
+     "dbdb459e679efeae1266771944a1ab036774f151863573994e65e5926e4e1cfb"),
+    ("one-member", ["--output", "arcs"],
+     "63bd7648018c91027aaa208e6553cc3c2fa2e1a75df6b176732416a4f98ce56d"),
+    ("one-member", ["--output", "perm"],
+     "790c87742effa543c3b745a88d26a41c68782751346f193b64d91e816387bfed"),
+    ("one-member", ["--count-only", "--certify", "--counters"],
+     "f7eba3ec06826e30f0272e551ecee84798fc43bf93d4722668e48d13c0b36cf7"),
 ]
+
+SHAPE_GRAPHS = {
+    "k8": lambda: complete_graph(8),
+    "k9": lambda: complete_graph(9),
+    "long-jump": long_jump_graph,
+    "two-member": two_member_graph,
+    "one-member": one_member_graph,
+}
 
 
 @pytest.mark.parametrize(
@@ -1183,7 +1212,7 @@ SHAPE_PINS = [
          for c in SHAPE_PINS])
 def test_benchmark_call_shapes_are_pinned(instance, flags, digest, tmp_path,
                                           capsys):
-    g = complete_graph(8) if instance == "k8" else long_jump_graph()
+    g = SHAPE_GRAPHS[instance]()
     path = put(tmp_path, instance + ".g", format_graph(g))
     rc, out, err = run(capsys, "ao-graph", path, *flags)
     assert (rc, err) == (0, "")
