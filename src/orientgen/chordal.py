@@ -12,9 +12,11 @@ clique.  A step costs what it changes: one bit of the orientation mask,
 one swap in the order of each larger clique that holds both ends of the
 flipped edge (the last movable vertex's swapped inline by the step
 itself), and, once the canonical permutation has been read, one delete
-and one insert of the swept vertex in it.  The last movable vertex
-sweeps as data, one ``yield from`` over a list of its arcs, or of its
-perm lines in a run that makes them, and snapshots read its progress.
+and one insert of the swept vertex in it.  When its clique has two or
+more members, the last movable vertex sweeps as data: each resume of
+the generator hands ``itertools.chain`` one block, a list of the step
+before a sweep and the sweep's arcs, or their perm lines in a run that
+makes them, and snapshots read the block's progress.
 ``comparisons`` counts what a sort of each sweep's clique would make,
 derived from insertion ranks kept with the order.  Snapshots are read
 off that state rather than rebuilt, and no table grows faster than
@@ -22,6 +24,7 @@ n + m.
 """
 
 from bisect import bisect_left
+from itertools import chain
 
 from .errors import InputError
 from .graphs import (find_peo, is_acyclic, is_peo, label_map, orient,
@@ -111,10 +114,15 @@ class _Order:
         while run < d and (pos[run] < pos[run - 1]) == desc:
             run += 1
         self.run = run
+        if run == d:
+            self.count = d - 1
+            return
         steps = self._steps
         below = self.below
-        self.count = ((run if run < d else d - 1)
-                      + sum(steps[e][below[e]] for e in range(run, d)))
+        count = run
+        for e in range(run, d):
+            count += steps[e][below[e]]
+        self.count = count
 
     def swap(self, a, b):
         """Swap items a and b, neighbors in ``kept``."""
@@ -178,32 +186,41 @@ class ChordalRun:
     edge at most, and none on a path.
 
     The last movable vertex (n - 1 of every n steps on K_n) sweeps as
-    data.  The step of a smaller vertex swaps its order inline, with
-    the arc a sweep left and a sweep right makes per item kept and the
-    XOR of the edge bits per prefix, so a sweep is one ``yield from``
-    over those arcs.  It is committed at its end, and snapshots read the
-    steps made off the list iterator's length hint.  A permutation read
-    moves the vertex where the last of them puts it: before the member
-    crossed (left) or next (right), or at the end to the front or just
-    before the isolated values above it.  No other jump crosses it, so
-    its place is looked up once per run.  A run that makes perm lines
-    makes the sweep's lines in one pass when it starts, from the places
-    of the members crossed, and yields from them instead; every other
-    step yields the join of the tracked permutation.  With one member
-    the last vertex steps as the others do, cheaper than a one-item
-    sweep.  When another vertex j steps, each larger movable vertex is
-    a source or a sink, so 1..j form one block behind the larger
-    sources: a sweep starts at the end of it where j's last sweep left
-    it, a new source goes first and a new sink last.  Only inside a
+    data when its clique has two or more members.  Between two of its
+    sweeps exactly one smaller vertex steps, so the run is
+    ``itertools.chain`` over the generator, and each resume of the
+    generator hands out one block: a list led by the step before the
+    sweep (the first visit, or the smaller vertex's arc), then the
+    sweep's arcs in walk order.  Each direction keeps its block, and
+    the step of a smaller vertex swaps its order inline, in both blocks
+    and in the XOR of the edge bits per prefix.  A block is committed
+    at its start, and snapshots undo the steps still left in it, read
+    off the list iterator's length hint; the sweep's comparisons count
+    from its first step on and are committed at its end.  A permutation
+    read moves the vertex where the last step made puts it: before the
+    member crossed (left) or next (right), at the end to the front or
+    just before the isolated values above it, and at the head to where
+    the sweep starts.  No other jump crosses it, so its place is looked
+    up once per run.  A run that makes perm lines makes a block's lines
+    in one pass when it starts, the tracked permutation's and then the
+    sweep's from the places of the members crossed; every other step
+    yields the join of the tracked permutation.  With one member the
+    last vertex steps as the others do, and the run is the bare
+    generator: a block of two items costs more than two steps.  When
+    another vertex j steps, each larger movable vertex is a source or a
+    sink, so 1..j form one group behind the larger sources: a sweep
+    starts at the end of it where j's last sweep left it, a new source
+    goes first and a new sink last.  Only inside a
     sweep does ``list.index`` find j, and its place directly before its
     first out-neighbor.
 
-    Counters `visits` (read-only), `flips`, `comparisons` and
-    `max_step_comparisons` accumulate as the run advances.  Each sweep
-    adds to ``comparisons`` what a sort of the clique in edge order
-    would compare, kept by its ``_Order``: the leading run, reversed
-    when strictly descending, then a binary insertion of the rest, which
-    is ``list.sort``'s algorithm below 64 items.  `max_step_comparisons`
+    Counters `visits`, `flips`, `comparisons` and
+    `max_step_comparisons` are read-only and accumulate as the run
+    advances.  Each sweep adds to ``comparisons`` what a sort of the
+    clique in edge order would compare, kept by its ``_Order``: the
+    leading run, reversed when strictly descending, then a binary
+    insertion of the rest, which is ``list.sort``'s algorithm below 64
+    items.  `max_step_comparisons`
     is the most for one sweep.  From 64 items on ``list.sort`` would
     merge runs and compare differently; the counters stay the binary
     insertion's.  Such a clique means at least 65! orientations.
@@ -213,10 +230,10 @@ class ChordalRun:
     its own.
     """
 
-    __slots__ = ("graph", "order", "comparisons", "max_step_comparisons",
+    __slots__ = ("graph", "order", "_comparisons", "_max_step", "_bc",
                  "_mask", "_visits", "_recs", "_orders", "_ups", "_lup",
-                 "_top", "_last", "_pre", "_sweep", "_left", "_undone",
-                 "_lp", "_pi", "_labels", "_sep", "_ident", "_gen")
+                 "_top", "_last", "_pre", "_block", "_left", "_undone",
+                 "_lp", "_pi", "_labels", "_sep", "_ident", "_gen", "_it")
 
     def __init__(self, g, order, names=None, sep=None):
         order = tuple(order)
@@ -272,8 +289,8 @@ class ChordalRun:
         self._orders = orders
         self._ups = ups
         self._lup = lup
-        # the sweep in progress: its list iterator, or None between sweeps
-        self._sweep = None
+        # the block in progress: its list iterator, or None outside one
+        self._block = None
         self._last = orders[top]  # the _Order of the last movable vertex
         self._pre = None  # its edge bits XORed per prefix, from the start
         # the sweep's steps left at the last vertex's last move; a move
@@ -285,28 +302,49 @@ class ChordalRun:
         self._sep = sep
         self._ident = range(n + 1)  # the labels permutation() reads
         self._visits = 0
-        self.comparisons = 0
-        self.max_step_comparisons = 0
-        self._gen = self._iterate()
+        self._comparisons = 0
+        self._max_step = 0
+        self._bc = 0  # the comparisons of the block's sweep
+        self._gen = gen = self._iterate()
+        # a last vertex of two or more members hands out blocks
+        self._it = chain.from_iterable(gen) if self._last else gen
         if sep is not None:
             # the lines name the values in decimal from the first visit on
             self.named_permutation([str(v) for v in self._ident])
 
     def __iter__(self):
-        # a for loop steps the generator directly; next(run) steps the
-        # same generator
-        return self._gen
+        # a for loop steps the chain, or the generator, directly;
+        # next(run) steps the same one
+        return self._it
 
     def __next__(self):
-        return next(self._gen)
+        return next(self._it)
 
     @property
     def visits(self):
-        """Visits so far, the current sweep's steps made included."""
-        sweep = self._sweep
-        if sweep is None:
+        """Visits so far, the current block's steps made included."""
+        block = self._block
+        if block is None:
             return self._visits
-        return self._visits + len(self._last.kept) - sweep.__length_hint__()
+        return self._visits - block.__length_hint__()
+
+    def _sweep_count(self):
+        """The comparisons of the current block's sweep once it has
+        begun, else 0."""
+        block = self._block
+        if block is None or block.__length_hint__() == len(self._last.kept):
+            return 0
+        return self._bc
+
+    @property
+    def comparisons(self):
+        """Comparisons so far, the current sweep's included."""
+        return self._comparisons + self._sweep_count()
+
+    @property
+    def max_step_comparisons(self):
+        """The most comparisons of one sweep so far."""
+        return max(self._max_step, self._sweep_count())
 
     @property
     def flips(self):
@@ -317,13 +355,13 @@ class ChordalRun:
         """Bitmask of the current orientation over the original edge
         list: bit k set iff edge k points from its larger endpoint to its
         smaller one."""
-        sweep = self._sweep
-        if sweep is None:
+        block = self._block
+        if block is None:
             return self._mask
         pre = self._pre
         if self._left:
-            return self._mask ^ pre[-1] ^ pre[sweep.__length_hint__()]
-        return self._mask ^ pre[-1 - sweep.__length_hint__()]
+            return self._mask ^ pre[block.__length_hint__()]
+        return self._mask ^ pre[-1] ^ pre[-1 - block.__length_hint__()]
 
     def permutation(self):
         """Current canonical permutation, in elimination coordinates."""
@@ -340,19 +378,22 @@ class ChordalRun:
         the lines' labels, and a read with other labels gets a renamed
         copy."""
         pi = self._pi
-        sweep = self._sweep
-        if pi is not None and sweep is not None:
-            undone = sweep.__length_hint__()
+        block = self._block
+        if pi is not None and block is not None:
+            undone = block.__length_hint__()
             if undone != self._undone:
-                # the last vertex goes where the last step made puts it
+                # the last vertex goes where the last step made puts it,
+                # at the sweep's start when only the head was read
                 self._undone = undone
                 v = pi.pop(self._lp)
-                if undone:
-                    kept = self._last.kept
+                kept = self._last.kept
+                if 0 < undone < len(kept):
                     q = pi.index(self._labels[kept[undone][0] if self._left
                                              else kept[-undone][0]])
+                elif (undone == 0) == self._left:
+                    q = 0
                 else:
-                    q = 0 if self._left else self._top - 1
+                    q = self._top - 1
                 pi.insert(q, v)
                 self._lp = q
         if labels is not self._labels:
@@ -376,16 +417,18 @@ class ChordalRun:
         return orient(self.graph, self.mask())
 
     def _sweep_lines(self, left, join):
-        """The perm lines of the last movable vertex's coming sweep, one
-        per step, from the places the sweep puts it at; the tracked
-        permutation is left where the sweep ends.  The vertex goes before
-        the member crossed (left) or next (right), and at the end to the
-        front or just before the isolated values above it.  The members
-        keep kept order among the other values, so their places are found
-        once, and not at all when they are every smaller value."""
+        """The perm lines of a block: the tracked permutation's, then the
+        last movable vertex's coming sweep's, one per step, from the
+        places the sweep puts it at; the tracked permutation is left where
+        the sweep ends.  The vertex goes before the member crossed (left)
+        or next (right), and at the end to the front or just before the
+        isolated values above it.  The members keep kept order among the
+        other values, so their places are found once, and not at all when
+        they are every smaller value."""
         pi = self._pi
         kept = self._last.kept
         d = len(kept)
+        lines = [join(pi) + "\n"]
         v = pi.pop(self._lp)
         if d == self._top - 1:
             places = range(d - 1, -1, -1) if left else range(1, d + 1)
@@ -398,7 +441,6 @@ class ChordalRun:
                 found.append(p)
             places = (found[:0:-1] + [0] if left
                       else found[1:] + [self._top - 1])
-        lines = []
         for p in places:
             pi.insert(p, v)
             lines.append(join(pi) + "\n")
@@ -430,57 +472,64 @@ class ChordalRun:
         t = [0] * (n + 1)
         left = [True] * (n + 1)
         s = list(range(n + 1))
-        self._visits = 1
-        yield join(self._pi) + "\n" if lines else None
-        if last == 0:
-            return
+        lorder = orders[last]
+        if not lorder:
+            self._visits = 1
+            yield join(self._pi) + "\n" if lines else None
+            if last == 0:
+                return
         mask = self._mask
         src = 0  # bit v set iff the movable vertex v is now a source
         ldeg = deg[last]
         lpre = prevm[last]
         ltop = 1 << last
-        lorder = orders[last]
         if lorder:
             # the last vertex's order, swapped here rather than by
-            # _Order.swap; per item kept, the arc a sweep left makes
-            # (walked in reverse) and the one a sweep right makes; pre[x]
-            # XORs the edge bits of the first x items, so x steps left
-            # flip pre[d] ^ pre[d - x] and x steps right pre[x]
+            # _Order.swap; per direction a block led by the step before
+            # the sweep, then the arcs of the sweep, a sweep left walking
+            # the items kept in reverse; pre[x] XORs the edge bits of the
+            # first x items, so x steps left flip pre[d] ^ pre[d - x] and
+            # x steps right pre[x]
             kept = lorder.kept
             pos = lorder.pos
             below = lorder.below
             halvings = lorder._steps
             lrun = lorder.run
-            larcs = [rec[2] for rec in kept]
-            rarcs = [rec[3] for rec in kept]
+            lblock = [None] + [rec[2] for rec in reversed(kept)]
+            rblock = [None] + [rec[3] for rec in kept]
             self._pre = pre = [0]
             for rec in kept:
                 pre.append(pre[-1] ^ 1 << rec[1])
             lall = pre[ldeg]  # a swap never moves it
+            head = None  # the first visit
         else:
             _, k, lleft, lright = recs[last][0]
             lbit = 1 << k
         ll = True
         while True:
             if lorder:
-                c = lorder.count
-                self.comparisons += c
-                if c > self.max_step_comparisons:
-                    self.max_step_comparisons = c
+                # one block: the step before the sweep, then the sweep,
+                # committed at its start and read off the iterator's
+                # length hint until it ends
+                c = self._bc = lorder.count
                 self._left = ll
                 if lines:
-                    sweep = iter(self._sweep_lines(ll, join))
+                    block = self._sweep_lines(ll, join)
                 else:
-                    sweep = reversed(larcs) if ll else iter(rarcs)
-                self._sweep = sweep
-                yield from sweep
+                    block = lblock if ll else rblock
+                    block[0] = head
+                mask ^= lall
+                self._mask = mask
+                self._visits += ldeg + 1
+                self._block = it = iter(block)
+                yield it
+                self._comparisons += c
+                if c > self._max_step:
+                    self._max_step = c
                 if self._pi is not None:
                     self.named_permutation(self._labels)
                     self._undone = ldeg
-                self._sweep = None
-                mask ^= lall
-                self._mask = mask
-                self._visits += ldeg
+                self._block = None
             else:
                 mask ^= lbit
                 self._mask = mask
@@ -506,16 +555,15 @@ class ChordalRun:
             dj = deg[j]
             if tj == 0 and orders[j]:
                 c = orders[j].count
-                self.comparisons += c
-                if c > self.max_step_comparisons:
-                    self.max_step_comparisons = c
+                self._comparisons += c
+                if c > self._max_step:
+                    self._max_step = c
             i, k, leftarc, rightarc = Tj[dj - 1 - tj] if lj else Tj[tj]
             tj += 1
             mask ^= 1 << k
-            self._mask = mask
             # i and j are neighbors in each larger clique order holding
             # both; in the last vertex's, swap them as _Order.swap does,
-            # with their arcs and the prefix between them
+            # with their arcs in both blocks and the prefix between them
             y = lup[j]
             if y >= 0:
                 x = lup[i]
@@ -535,8 +583,9 @@ class ChordalRun:
                         p = px
                     q = p + 1
                     kept[p], kept[q] = kept[q], kept[p]
-                    larcs[p], larcs[q] = larcs[q], larcs[p]
-                    rarcs[p], rarcs[q] = rarcs[q], rarcs[p]
+                    b = ldeg - p
+                    lblock[b], lblock[b - 1] = lblock[b - 1], lblock[b]
+                    rblock[q], rblock[q + 1] = rblock[q + 1], rblock[q]
                     pre[q] = pre[p] ^ 1 << kept[p][1]
                     if y == x + 1 and y <= lrun:
                         lorder._recount()
@@ -551,7 +600,7 @@ class ChordalRun:
             ended = tj == dj
             pi = self._pi
             if pi is not None:
-                # the block of 1..j follows the larger sources; a sweep
+                # the group of 1..j follows the larger sources; a sweep
                 # starts at the end of it where j's last sweep ended
                 labels = self._labels
                 front = (src >> j + 1).bit_count()
@@ -574,11 +623,16 @@ class ChordalRun:
                 s[pj] = pj
             else:
                 t[j] = tj
-            self._visits += 1
-            if lines:
-                yield join(pi) + "\n"
+            if lorder:
+                # the head of the next block
+                head = leftarc if lj else rightarc
             else:
-                yield leftarc if lj else rightarc
+                self._mask = mask
+                self._visits += 1
+                if lines:
+                    yield join(pi) + "\n"
+                else:
+                    yield leftarc if lj else rightarc
 
 
 def generate(g, order=None, names=None, sep=None):

@@ -668,9 +668,18 @@ class ReferenceStepRun(ChordalRun):
     ``larger_stops`` counts the moves of a new source or sink whose
     scan stopped at a larger value rather than at an end.  It counts
     its visits itself, as the run's ``visits`` reads the run's own
-    state."""
+    state, iterates its own generator one step at a time, where the run
+    hands out blocks through a chain, and keeps its counters in plain
+    attributes, which shadow the run's read-only ones."""
 
-    __slots__ = ("_ref_pi", "_ref_visits", "longest_jump", "larger_stops")
+    __slots__ = ("_ref_pi", "_ref_visits", "longest_jump", "larger_stops",
+                 "comparisons", "max_step_comparisons")
+
+    def __init__(self, g, order):
+        super().__init__(g, order)
+        self._it = self._gen
+        self.comparisons = 0
+        self.max_step_comparisons = 0
 
     @property
     def visits(self):
@@ -1020,6 +1029,108 @@ def test_first_reads_inside_the_first_sweeps_like_reference():
         assert len(visits) == 2 * sweep
         for first in visits:
             assert_first_reads_like_reference(g, order, first)
+
+
+def block_graphs():
+    """(graph, members of its last movable vertex's clique under
+    ``find_peo``, visits read at block heads, None for all): one member
+    with isolated values above it, two members, three members that are
+    not every smaller value (5 joined to 1, 2 and 4 of K_4), and K_9's
+    eight, read over its first 50,000 visits."""
+    return [
+        (one_member_graph(), 1, None),
+        (Graph(5, list(complete_graph(4).edges) + [(1, 5)]), 1, None),
+        (complete_graph(3), 2, None),
+        (two_member_graph(), 2, None),
+        (complete_graph(4), 3, None),
+        (Graph(5, list(complete_graph(4).edges) + [(1, 5), (2, 5), (4, 5)]),
+         3, None),
+        (complete_graph(9), 8, 50000),
+    ]
+
+
+def assert_reads_like_reference(run, ref, names, visit):
+    assert engine_state(run) == engine_state(ref), visit
+    expect = ref.permutation()
+    assert run.permutation() == expect, visit
+    assert run.named_permutation(names) == [names[v] for v in expect], visit
+
+
+def assert_head_reads_like_reference(g, members, cap, sep):
+    """Reads at the head of each block only (the first visit, or one
+    right after a smaller vertex's step), for the first ``cap`` visits;
+    after every third head ``next(run)`` inside the for loop takes the
+    next visit, read too.  Then the rest of the run is drained unread,
+    and the reads after it is exhausted agree as well."""
+    order = find_peo(g)
+    run = ChordalRun(g, order, sep=sep)
+    ref = ReferenceStepRun(g, order)
+    assert (len(run._last.kept) if run._last else 1) == members
+    top = order[run._top - 1]
+    names = ["v%d" % v for v in range(g.n + 1)]
+    end = object()
+
+    def agree(step, ref_step):
+        if sep is not None:
+            ref_step = sep.join(map(str, ref.permutation())) + "\n"
+        assert step == ref_step
+
+    visit = heads = 0
+    for step in run:
+        ref_step = next(ref)
+        agree(step, ref_step)
+        visit += 1
+        if ref_step is None or top not in ref_step:
+            heads += 1
+            assert_reads_like_reference(run, ref, names, visit)
+            if heads % 3 == 0:
+                step = next(run, end)
+                ref_step = next(ref, end)
+                if step is end:
+                    assert ref_step is end
+                    break
+                agree(step, ref_step)
+                visit += 1
+                assert_reads_like_reference(run, ref, names, visit)
+        if visit == cap:
+            break
+    rest = sum(1 for _ in run)
+    assert rest == sum(1 for _ in ref)
+    visit += rest
+    assert visit == count_ao_graph(g) and heads > 1
+    assert next(run, end) is end
+    for _ in range(2):
+        assert_reads_like_reference(run, ref, names, visit)
+
+
+@pytest.mark.parametrize("sep", [None, ""], ids=["steps", "lines"])
+def test_block_heads_read_like_reference(sep):
+    # a block's head reads its step, not its sweep: the last vertex
+    # where the sweep starts, and the sweep's comparisons not yet
+    # counted; with one member every step is its own block
+    for g, members, cap in block_graphs():
+        assert_head_reads_like_reference(g, members, cap, sep)
+
+
+def test_blocks_hold_whole_sweeps():
+    # K_8: one block per sweep of 8, the step before it and its 7 steps;
+    # with one member the run is the generator, one yield per visit
+    run = ChordalRun(complete_graph(8), range(1, 9))
+    sizes = [len(list(block)) for block in run._gen]
+    assert len(sizes) == 5040 and set(sizes) == {8}
+    assert run.visits == 40320
+    g = one_member_graph()
+    run = ChordalRun(g, find_peo(g))
+    assert iter(run) is run._gen
+    assert sum(1 for _ in run._gen) == run.visits == 20736
+
+
+def test_counters_are_read_only():
+    run = ChordalRun(complete_graph(4), range(1, 5))
+    for counter in ("visits", "flips", "comparisons",
+                    "max_step_comparisons"):
+        with pytest.raises(AttributeError):
+            setattr(run, counter, 0)
 
 
 def test_tracked_path_places_sources_and_sinks_without_a_scan():
