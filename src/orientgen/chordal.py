@@ -230,7 +230,7 @@ class ChordalRun:
     its own.
     """
 
-    __slots__ = ("graph", "order", "_comparisons", "_max_step", "_bc",
+    __slots__ = ("graph", "order", "_comparisons", "_max_step",
                  "_mask", "_visits", "_recs", "_orders", "_ups", "_lup",
                  "_top", "_last", "_pre", "_block", "_left", "_undone",
                  "_lp", "_pi", "_labels", "_sep", "_ident", "_gen", "_it")
@@ -304,7 +304,6 @@ class ChordalRun:
         self._visits = 0
         self._comparisons = 0
         self._max_step = 0
-        self._bc = 0  # the comparisons of the block's sweep
         self._gen = gen = self._iterate()
         # a last vertex of two or more members hands out blocks
         self._it = chain.from_iterable(gen) if self._last else gen
@@ -330,11 +329,12 @@ class ChordalRun:
 
     def _sweep_count(self):
         """The comparisons of the current block's sweep once it has
-        begun, else 0."""
+        begun, else 0; no swap moves them inside a block."""
         block = self._block
-        if block is None or block.__length_hint__() == len(self._last.kept):
+        last = self._last
+        if block is None or block.__length_hint__() == len(last.kept):
             return 0
-        return self._bc
+        return last.count
 
     @property
     def comparisons(self):
@@ -511,7 +511,7 @@ class ChordalRun:
                 # one block: the step before the sweep, then the sweep,
                 # committed at its start and read off the iterator's
                 # length hint until it ends
-                c = self._bc = lorder.count
+                c = lorder.count
                 self._left = ll
                 if lines:
                     block = self._sweep_lines(ll, join)
