@@ -853,6 +853,29 @@ def one_member_graph():
     return seeded_chordal(386)
 
 
+def tail_graph():
+    """A seeded chordal graph on 12 vertices, 18 edges and 27,648
+    orientations whose last three movable vertices under ``find_peo``
+    have one member each, the movable vertex before them two."""
+    return seeded_chordal(27)
+
+
+def random_tree(n, rng):
+    """A random tree on n vertices, each vertex v > 1 joined to a random
+    smaller one, its labels shuffled."""
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return Graph(n, [(label[rng.randrange(v - 1)], label[v - 1])
+                     for v in range(2, n + 1)])
+
+
+def spread_tree_graph():
+    """A seeded random tree on 12 vertices with 12 isolated vertices
+    spread through it: 24 vertices, 11 edges and 2,048 orientations,
+    every movable vertex of one member."""
+    return with_isolated(random_tree(12, random.Random(12)), True, 12)
+
+
 def test_engine_steps_like_reference_on_long_jumps():
     ref = assert_steps_like_reference(long_jump_graph(), 1, 37)
     assert ref.longest_jump >= 11

@@ -30,6 +30,7 @@ from orientgen.quotients import (build_ar_poset, generate_quotient_path,
                                  identity_congruence)
 
 from test_chordal_gen import (long_jump_graph, one_member_graph,
+                              spread_tree_graph, tail_graph,
                               two_member_graph)
 from test_graphs import built_digraphs, cycle_graph
 
@@ -1155,7 +1156,10 @@ def test_listings_are_written_in_blocks(command, instance, flags, summary,
 # K_8, K_9 and the 13-vertex random graph, whose perm lines are
 # space-separated; and every shape on two seeded random graphs whose
 # last movable vertex has two members, or one with isolated values
-# above it
+# above it; and every shape on graphs whose last movable vertices have
+# one member each: the last three of a seeded graph, P_12's eleven under
+# its own order, and a tree's with isolated vertices spread through its
+# labels, plus a certified perm listing of the first
 SHAPE_PINS = [
     ("k8", ["--output", "perm"],
      "bd5ff572cc3797e10fce2bae3e64e056215c2114fdaed5bd63db9bc0d351bbbd"),
@@ -1195,6 +1199,32 @@ SHAPE_PINS = [
      "790c87742effa543c3b745a88d26a41c68782751346f193b64d91e816387bfed"),
     ("one-member", ["--count-only", "--certify", "--counters"],
      "f7eba3ec06826e30f0272e551ecee84798fc43bf93d4722668e48d13c0b36cf7"),
+    ("tail", ["--output", "flips"],
+     "abb9c89bdca02c00078daa0f83cdcad1dd182021a245e25a4615e050ffec932d"),
+    ("tail", ["--output", "arcs"],
+     "6d15f31b5a75a3916fa0130ae2d5d8a154e5b295e693974904f74a024c89a764"),
+    ("tail", ["--output", "perm"],
+     "3b4d6bc32fdd2da0fe40e8118fc5f06734b820be3a2c396c5d164fbc3ef3bc2c"),
+    ("tail", ["--count-only", "--certify", "--counters"],
+     "4618b33313a43d33abe7ebeead6e7b82928be20b56e34d95c60b43ba108a81ff"),
+    ("tail", ["--certify", "--output", "perm"],
+     "15284ec7bca00312af0cc50557e699f4402e04835a3a2fcaf0f721020b3a6639"),
+    ("p12", ["--output", "flips", "--peo", "given"],
+     "ffb77d481811d2fa03c4dff5689770bd3748ed09d67debb9c9adab710017e499"),
+    ("p12", ["--output", "arcs", "--peo", "given"],
+     "80ab2d465c570be65fad2059edff0f6c6a979fe7b8b8953a26c0bae8a12ee8c5"),
+    ("p12", ["--output", "perm", "--peo", "given"],
+     "d3e4c57e028cbd27f55cf30657b709731aaf8d6d3e8289bc7d9ec4f6c22e587a"),
+    ("p12", ["--count-only", "--certify", "--counters", "--peo", "given"],
+     "86e6921536b720b7551734a04262a6d764a5805bed9d5910ad1021a0ca7ee64a"),
+    ("spread-tree", ["--output", "flips"],
+     "f1f0f8096b65e2332ed239c86d098dd1f6f1b9324c6515638ac1ffcb8fd31157"),
+    ("spread-tree", ["--output", "arcs"],
+     "72d655d2c42e9d4744ad48fdd214c5abef4c098c4b1d32320112f260229d5c19"),
+    ("spread-tree", ["--output", "perm"],
+     "b86034b5bdfb6288c55d89b941ca04b28e30966cb0b27e856044930b010c1022"),
+    ("spread-tree", ["--count-only", "--certify", "--counters"],
+     "86e6921536b720b7551734a04262a6d764a5805bed9d5910ad1021a0ca7ee64a"),
 ]
 
 SHAPE_GRAPHS = {
@@ -1203,6 +1233,9 @@ SHAPE_GRAPHS = {
     "long-jump": long_jump_graph,
     "two-member": two_member_graph,
     "one-member": one_member_graph,
+    "tail": tail_graph,
+    "p12": lambda: path_graph(12),
+    "spread-tree": spread_tree_graph,
 }
 
 
