@@ -16,7 +16,11 @@ and one insert of the swept vertex in it.  When its clique has two or
 more members, the last movable vertex sweeps as data: each resume of
 the generator hands ``itertools.chain`` one block, a list of the step
 before a sweep and the sweep's arcs, or their perm lines in a run that
-makes them, and snapshots read the block's progress.
+makes them, and snapshots read the block's progress.  When it has one
+member, a binary tail of k >= 2 trailing vertices of one member each
+(2^k <= n + m) sweeps as data the same way: one block per pass of its
+binary reflected Gray code, the passes alternating between two lists
+built at set-up.
 ``comparisons`` counts what a sort of each sweep's clique would make,
 derived from insertion ranks kept with the order.  Snapshots are read
 off that state rather than rebuilt, and no table grows faster than
@@ -204,15 +208,34 @@ class ChordalRun:
     up once per run.  A run that makes perm lines makes a block's lines
     in one pass when it starts, the tracked permutation's and then the
     sweep's from the places of the members crossed; every other step
-    yields the join of the tracked permutation.  With one member the
-    last vertex steps as the others do, and the run is the bare
-    generator: a block of two items costs more than two steps.  When
-    another vertex j steps, each larger movable vertex is a source or a
-    sink, so 1..j form one group behind the larger sources: a sweep
+    yields the join of the tracked permutation.
+
+    With one member the last vertex is a binary digit.  The binary tail
+    is the longest run of trailing movable vertices of one member each,
+    cut to its last k with 2^k <= n + m, so that every table stays
+    within O(n + m).  When k >= 2 it sweeps as data: no step touches the
+    records of its vertices, so between two steps of the vertex below it
+    the tail runs the binary reflected Gray code over its k edges.  A
+    pass flips the first tail vertex once and every other one an even
+    number of times, so the blocks alternate between two lists built
+    once at set-up, each the step before the pass and 2^k - 1 arcs, with
+    each step's fixed (pop, insert) places in the permutation.  Inside a
+    tail block ``mask()`` costs one Gray code of the steps made and two
+    table reads, O(1): the edge masks, ints of up to m bits, are tabled
+    for the subsets of each half of the tail, 2^(k/2) each, not per
+    step.  ``visits`` costs one length hint, and a tail adds no
+    comparisons.  A permutation read replays the places from the last
+    one it applied, and a run that makes perm lines makes a block's
+    lines from them in one pass.  A tail of one vertex steps as the
+    others do, and the run is the bare generator: a block of two items
+    costs more than two steps.
+
+    When another vertex j steps, each larger movable vertex is a source
+    or a sink, so 1..j form one group behind the larger sources: a sweep
     starts at the end of it where j's last sweep left it, a new source
-    goes first and a new sink last.  Only inside a
-    sweep does ``list.index`` find j, and its place directly before its
-    first out-neighbor.
+    goes first and a new sink last.  Only inside a sweep does
+    ``list.index`` find j, and its place directly before its first
+    out-neighbor.
 
     Counters `visits`, `flips`, `comparisons` and
     `max_step_comparisons` are read-only and accumulate as the run
@@ -232,8 +255,9 @@ class ChordalRun:
 
     __slots__ = ("graph", "order", "_comparisons", "_max_step",
                  "_mask", "_visits", "_recs", "_orders", "_ups", "_lup",
-                 "_top", "_last", "_pre", "_block", "_left", "_undone",
-                 "_lp", "_pi", "_labels", "_sep", "_ident", "_gen", "_it")
+                 "_top", "_last", "_tail", "_pre", "_block", "_left",
+                 "_undone", "_moves", "_done", "_halves", "_lp", "_pi",
+                 "_labels", "_sep", "_ident", "_gen", "_it")
 
     def __init__(self, g, order, names=None, sep=None):
         order = tuple(order)
@@ -289,6 +313,18 @@ class ChordalRun:
         self._orders = orders
         self._ups = ups
         self._lup = lup
+        # the binary tail: with one member at the top, the longest run of
+        # trailing movable vertices of one member each, ascending, cut to
+        # the last k with 2^k <= n + m; None unless k >= 2
+        tail = []
+        if top and not orders[top]:
+            cap = (n + len(g.edges)).bit_length() - 1
+            for j in range(top, 0, -1):
+                if len(tail) == cap or len(recs[j]) > 1:
+                    break
+                if recs[j]:
+                    tail.append(j)
+        self._tail = tail[::-1] if len(tail) > 1 else None
         # the block in progress: its list iterator, or None outside one
         self._block = None
         self._last = orders[top]  # the _Order of the last movable vertex
@@ -297,6 +333,11 @@ class ChordalRun:
         # is where the last step made puts it, so a repeat changes nothing
         self._undone = len(recs[top])
         self._lp = None  # the last movable vertex's place in it
+        # a tail block's (pop, insert) places, and how many of them the
+        # tracked permutation has made
+        self._moves = None
+        self._done = 0
+        self._halves = None  # the tail's edge masks for mask(), by halves
         self._pi = None  # labels[v] per place, from the first read on
         self._labels = None
         self._sep = sep
@@ -305,8 +346,10 @@ class ChordalRun:
         self._comparisons = 0
         self._max_step = 0
         self._gen = gen = self._iterate()
-        # a last vertex of two or more members hands out blocks
-        self._it = chain.from_iterable(gen) if self._last else gen
+        # a last vertex of two or more members, or a binary tail, hands
+        # out blocks
+        self._it = (chain.from_iterable(gen) if self._last or self._tail
+                    else gen)
         if sep is not None:
             # the lines name the values in decimal from the first visit on
             self.named_permutation([str(v) for v in self._ident])
@@ -329,10 +372,12 @@ class ChordalRun:
 
     def _sweep_count(self):
         """The comparisons of the current block's sweep once it has
-        begun, else 0; no swap moves them inside a block."""
+        begun, else 0; no swap moves them inside a block, and a tail
+        block has none."""
         block = self._block
         last = self._last
-        if block is None or block.__length_hint__() == len(last.kept):
+        if (block is None or last is None
+                or block.__length_hint__() == len(last.kept)):
             return 0
         return last.count
 
@@ -358,6 +403,14 @@ class ChordalRun:
         block = self._block
         if block is None:
             return self._mask
+        if self._last is None:
+            # a tail block: x steps into a pass the tail has flipped the
+            # levels set in the Gray code x ^ x >> 1, and at its end the
+            # first tail vertex alone
+            lo, hi, half, top = self._halves
+            x = len(self._moves) - block.__length_hint__()
+            y = x ^ x >> 1 ^ top
+            return self._mask ^ lo[y & len(lo) - 1] ^ hi[y >> half]
         pre = self._pre
         if self._left:
             return self._mask ^ pre[block.__length_hint__()]
@@ -379,7 +432,17 @@ class ChordalRun:
         copy."""
         pi = self._pi
         block = self._block
-        if pi is not None and block is not None:
+        if pi is not None and block is not None and self._last is None:
+            # a tail block: replay its places up to the steps made
+            moves = self._moves
+            made = len(moves) - block.__length_hint__()
+            done = self._done
+            for p, q in moves[done:made]:
+                pi.insert(q, pi.pop(p))
+            for p, q in reversed(moves[made:done]):
+                pi.insert(p, pi.pop(q))
+            self._done = made
+        elif pi is not None and block is not None:
             undone = block.__length_hint__()
             if undone != self._undone:
                 # the last vertex goes where the last step made puts it,
@@ -407,6 +470,8 @@ class ChordalRun:
                 perm = range(1, self.graph.n + 1)
             if pi is None and self._top:
                 self._lp = perm.index(self._top)
+                if block is not None and self._last is None:
+                    self._done = len(self._moves) - block.__length_hint__()
             self._pi = pi = [labels[v] for v in perm]
             self._labels = labels
         return pi
@@ -451,6 +516,65 @@ class ChordalRun:
         self._undone = 0
         return lines
 
+    def _tail_lines(self, moves, join):
+        """The perm lines of a tail block: the tracked permutation's, then
+        one per pop and insert of the pass; the tracked permutation is
+        left where the pass ends."""
+        pi = self._pi
+        lines = [join(pi) + "\n"]
+        for p, q in moves:
+            pi.insert(q, pi.pop(p))
+            lines.append(join(pi) + "\n")
+        self._done = len(moves)
+        return lines
+
+    def _tail_passes(self):
+        """The two passes of the binary tail, by the first tail vertex's
+        direction at the start, left and then right: per pass a block
+        with a free head slot and the 2^k - 1 arcs (or names) in step
+        order, and each step's (pop, insert) places, one tuple per
+        distinct pair.  The last tail vertex steps at every other step,
+        the one before it at every fourth, and so on; a vertex places by
+        the larger sources as in ``_iterate``, so no place depends on
+        anything below the tail.  Sets ``_halves`` for ``mask()``: the
+        edge bits of each subset of the last k // 2 tail vertices and of
+        the others, indexed by levels (0 for the last vertex)."""
+        recs = self._recs
+        tail = self._tail
+        k = len(tail)
+        bits = [1 << recs[j][0][1] for j in reversed(tail)]
+        half = k // 2
+        lo = [0]
+        for b in bits[:half]:
+            lo += [x ^ b for x in lo]
+        hi = [0]
+        for b in bits[half:]:
+            hi += [x ^ b for x in hi]
+        self._halves = (lo, hi, half, 1 << k - 1)
+        shared = {}
+        passes = []
+        for first_left in (True, False):
+            left = dict.fromkeys(tail, True)
+            left[tail[0]] = first_left
+            src = 0 if first_left else 1 << tail[0]
+            block = [None]
+            moves = []
+            for x in range(1, 1 << k):
+                j = tail[k - (x & -x).bit_length()]
+                _, _, leftarc, rightarc = recs[j][0]
+                front = (src >> j + 1).bit_count()
+                if left[j]:
+                    block.append(leftarc)
+                    move = (front + j - 1, front)
+                else:
+                    block.append(rightarc)
+                    move = (front, front + j - 1)
+                moves.append(shared.setdefault(move, move))
+                left[j] = not left[j]
+                src ^= 1 << j
+            passes.append((block, moves))
+        return passes
+
     def _iterate(self):
         n = self.graph.n
         recs = self._recs
@@ -473,7 +597,8 @@ class ChordalRun:
         left = [True] * (n + 1)
         s = list(range(n + 1))
         lorder = orders[last]
-        if not lorder:
+        tail = self._tail
+        if not lorder and not tail:
             self._visits = 1
             yield join(self._pi) + "\n" if lines else None
             if last == 0:
@@ -483,7 +608,19 @@ class ChordalRun:
         ldeg = deg[last]
         lpre = prevm[last]
         ltop = 1 << last
-        if lorder:
+        if tail:
+            # the tail sweeps as the last vertex does: between two steps
+            # of the vertex below it, one pass, which flips the first tail
+            # vertex once and every other one an even number of times, so
+            # the passes alternate between two fixed blocks
+            first = tail[0]
+            lpre = prevm[first]
+            ltop = 1 << first
+            lall = 1 << recs[first][0][1]
+            size = 1 << len(tail)
+            passes = self._tail_passes()
+            head = None  # the first visit
+        elif lorder:
             # the last vertex's order, swapped here rather than by
             # _Order.swap; per direction a block led by the step before
             # the sweep, then the arcs of the sweep, a sweep left walking
@@ -507,7 +644,24 @@ class ChordalRun:
             lbit = 1 << k
         ll = True
         while True:
-            if lorder:
+            if tail:
+                # one block: the step before the pass, then the pass
+                block, moves = passes[not ll]
+                self._moves = moves
+                if lines:
+                    block = self._tail_lines(moves, join)
+                else:
+                    block[0] = head
+                    self._done = 0
+                mask ^= lall
+                self._mask = mask
+                self._visits += size
+                self._block = it = iter(block)
+                yield it
+                if self._pi is not None:
+                    self.named_permutation(self._labels)
+                self._block = None
+            elif lorder:
                 # one block: the step before the sweep, then the sweep,
                 # committed at its start and read off the iterator's
                 # length hint until it ends
@@ -623,7 +777,7 @@ class ChordalRun:
                 s[pj] = pj
             else:
                 t[j] = tj
-            if lorder:
+            if lorder or tail:
                 # the head of the next block
                 head = leftarc if lj else rightarc
             else:

@@ -940,6 +940,28 @@ def test_line_run_steps_like_reference(sep, perm_from, names_from):
         assert_steps_like_reference(g, perm_from, names_from, sep=sep)
 
 
+def tail_corpus():
+    """(graph, order) pairs whose last movable vertices have one member
+    each: P_2..P_14 under their own order and under ``find_peo``,
+    ``one_member_graph()`` (a binary tail of 2), ``tail_graph()`` (3)
+    and ``spread_tree_graph()`` (5 of 11, under 2^k <= n + m)."""
+    paths = [path_graph(n) for n in range(2, 15)]
+    return ([(g, range(1, g.n + 1)) for g in paths]
+            + [(g, None) for g in paths + [one_member_graph(), tail_graph(),
+                                           spread_tree_graph()]])
+
+
+@pytest.mark.parametrize("sep", [None, "", " "],
+                         ids=["steps", "joined", "spaced"])
+@pytest.mark.parametrize("perm_from, names_from", [(1, 1), (37, 37)],
+                         ids=["read-from-1", "first-read-at-37"])
+def test_binary_tail_steps_like_reference(sep, perm_from, names_from):
+    # a binary tail hands out whole passes as blocks, and mask, visits,
+    # the counters and both permutation reads stay right inside them
+    for g, order in tail_corpus():
+        assert_steps_like_reference(g, perm_from, names_from, order, sep)
+
+
 class CountingList(list):
     """A list that counts the lookups of ``value`` by ``index``, or of
     any value when ``value`` is None."""
@@ -1137,15 +1159,26 @@ def test_block_heads_read_like_reference(sep):
 
 def test_blocks_hold_whole_sweeps():
     # K_8: one block per sweep of 8, the step before it and its 7 steps;
-    # with one member the run is the generator, one yield per visit
+    # a binary tail of k vertices: one block per pass, the step before
+    # it and its 2^k - 1 steps (2 of one_member_graph's 10 movable
+    # vertices, P_12's last 4 of 11 under 2^k <= n + m); a last vertex
+    # of one member alone: the run is the generator, one yield per visit
     run = ChordalRun(complete_graph(8), range(1, 9))
     sizes = [len(list(block)) for block in run._gen]
     assert len(sizes) == 5040 and set(sizes) == {8}
     assert run.visits == 40320
     g = one_member_graph()
-    run = ChordalRun(g, find_peo(g))
+    for g, order, size, visits in (
+            (g, find_peo(g), 4, 20736),
+            (path_graph(12), range(1, 13), 16, 2048)):
+        run = ChordalRun(g, order)
+        sizes = [len(list(block)) for block in run._gen]
+        assert set(sizes) == {size} and len(sizes) == visits // size
+        assert run.visits == visits
+    pendant = Graph(5, list(complete_graph(4).edges) + [(1, 5)])
+    run = ChordalRun(pendant, range(1, 6))
     assert iter(run) is run._gen
-    assert sum(1 for _ in run._gen) == run.visits == 20736
+    assert sum(1 for _ in run._gen) == run.visits == 48
 
 
 def test_counters_are_read_only():
