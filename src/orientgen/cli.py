@@ -200,6 +200,13 @@ def _cmd_ao_graph(args, out):
     names = lines = sep = None
     if args.count_only:
         pass  # the run yields its bare steps
+    elif args.output == "perm" and args.certify:
+        # the certifier follows the run's bare steps, and each line joins
+        # the tracked permutation
+        label = [str(v) for v in range(g.n + 1)]
+        join = _perm_sep(g.n).join
+        lines = lambda steps: (join(run.named_permutation(label)) + "\n"
+                               for _ in steps)
     elif args.output == "perm":
         # the run yields each visit's line
         sep = _perm_sep(g.n)
@@ -226,7 +233,7 @@ def _cmd_ao_graph(args, out):
             [names[d][1] for d in run.digraph().arcs]) + "\n")
     run = chordal.generate(g, order, names, sep)
     cert = ArcListingCertifier(g) if args.certify else None
-    steps = run if cert is None else cert.certified(run, run.mask)
+    steps = run if cert is None else cert.certified(run, run.mask, names)
     _stream(out, steps, lines, args.count_only, lambda: run.visits)
     if cert is not None:
         out.write("certified %d orientations\n" % cert.finish())

@@ -575,7 +575,7 @@ class ArcListingCertifier:
     """
 
     __slots__ = ("graph", "expected", "_edges", "_bound", "_base", "_steps",
-                 "_flips", "_marks", "_prev", "_rank", "_adj")
+                 "_flips", "_arcs", "_marks", "_prev", "_rank", "_adj")
 
     def __init__(self, g):
         self.graph = g
@@ -613,12 +613,17 @@ class ArcListingCertifier:
         # from the bit clear (a->b reversed), so that a step from prev to
         # mask reads its flip at index mask > prev: (i, j) for the arc
         # i->j reversed, the bits of j and of i in i's and in j's ints,
-        # and the rank's step
+        # the rank's step, the edge bit, and the bit as it is before the
+        # flip; and the same flips by the arc j->i each one makes
         shift = g.n + 1
         both = [1 << v | 1 << v + shift for v in range(shift)]
-        self._flips = {1 << k: ((b, a, both[a], both[b], -step),
-                                (a, b, both[b], both[a], step))
-                       for k, ((a, b), step) in enumerate(zip(g.edges, steps))}
+        self._flips = flips = {}
+        self._arcs = arcs = {}
+        for k, ((a, b), step) in enumerate(zip(g.edges, steps)):
+            bit = 1 << k
+            flips[bit] = pair = ((b, a, both[a], both[b], -step, bit, bit),
+                                 (a, b, both[b], both[a], step, bit, 0))
+            arcs[a, b], arcs[b, a] = pair
         self._marks = bytearray(self.expected)
         # the last visit accepted: its mask, its rank and its digraph,
         # the digraph None before the first visit
@@ -658,38 +663,61 @@ class ArcListingCertifier:
         for _ in self.certified((None,), lambda: mask):
             pass
 
-    def certified(self, steps, snapshot):
-        """Yield each item of ``steps`` once the orientation mask that
-        ``snapshot()`` reads after it is accepted as the listing's next
-        visit.  The state of the check lives in locals while the
-        generator runs and goes back to the certifier when it ends."""
+    def certified(self, steps, snapshot, names=None):
+        """Yield each item of ``steps`` once the visit it reaches is
+        accepted as the listing's next.  An item that names an arc u->w,
+        through ``names`` (which holds every arc either way round, each
+        name distinct) or as the tuple (u, w) itself, is the step that
+        reverses w->u: the arc must be in the current digraph, and the
+        certifier flips its own copy of the mask.  Any other item (the
+        first visit's None, or any item of a listing given as masks) is
+        checked through the orientation mask that ``snapshot()`` reads
+        after it, so a run's mask is read at its first visit only.  The
+        state of the check lives in locals while the generator runs and
+        goes back to the certifier when it ends."""
         marks = self._marks
         shift = self.graph.n + 1
         prev = self._prev
         rank = self._rank
         adj = self._adj
-        # before the first visit no mask is one flip away
-        flip = {}.get if adj is None else self._flips.get
+        arcs = self._arcs
+        if names is not None:
+            arcs = {names[arc]: f for arc, f in arcs.items()}
+        # before the first visit no mask is one flip away, and no item
+        # names a step
+        flip = named = {}.get
+        if adj is not None:
+            flip = self._flips.get
+            named = arcs.get
         try:
             for step in steps:
-                mask = snapshot()
-                pair = flip(mask ^ prev)
-                if pair is None:
-                    adj, rank = self._not_one_flip(mask, prev, adj)
-                    flip = self._flips.get
-                else:
-                    i, j, bj, bi, d = pair[mask > prev]
-                    if adj[i] & adj[j] >> shift:
-                        raise InputError("flipped arc %d->%d is transitive "
-                                         "in its predecessor" % (i, j))
-                    r = rank + d
-                    if marks[r]:
-                        raise InputError("orientation %#x repeats" % mask)
-                    marks[r] = 1
-                    rank = r
-                    adj[i] ^= bj
-                    adj[j] ^= bi
-                prev = mask
+                f = named(step)
+                if f is None:
+                    mask = snapshot()
+                    pair = flip(mask ^ prev)
+                    if pair is None:
+                        adj, rank = self._not_one_flip(mask, prev, adj)
+                        flip = self._flips.get
+                        named = arcs.get
+                        prev = mask
+                        yield step
+                        continue
+                    f = pair[mask > prev]
+                i, j, bj, bi, d, bit, was = f
+                if prev & bit != was:
+                    raise InputError("named arc %d->%d does not reverse an "
+                                     "arc of the current digraph" % (j, i))
+                if adj[i] & adj[j] >> shift:
+                    raise InputError("flipped arc %d->%d is transitive "
+                                     "in its predecessor" % (i, j))
+                r = rank + d
+                if marks[r]:
+                    raise InputError("orientation %#x repeats" % (prev ^ bit))
+                marks[r] = 1
+                rank = r
+                adj[i] ^= bj
+                adj[j] ^= bi
+                prev ^= bit
                 yield step
         finally:
             self._prev = prev

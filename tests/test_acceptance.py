@@ -119,7 +119,7 @@ def test_criterion_01_verdict_survives_optimize(corrupt):
 
 
 # criterion 02's certified count on K_5, optionally with the third visit
-# reported as the first one again
+# reported as the first one again: its step reverses the second's arc
 _OPTIMIZED_CHORDAL = """
 import os, sys, tempfile
 from orientgen import oracle, selftest
@@ -128,12 +128,13 @@ from orientgen.graphs import complete_graph
 print("debug", __debug__)
 if sys.argv[1] == "repeat":
     certified = oracle.ArcListingCertifier.certified
-    def repeated(self, steps, snapshot):
-        seen = []
+    def repeated(self, steps, snapshot, names=None):
         def again():
-            seen.append(snapshot())
-            return seen[0] if len(seen) == 3 else seen[-1]
-        return certified(self, steps, again)
+            seen = []
+            for step in steps:
+                seen.append(step)
+                yield seen[1][::-1] if len(seen) == 3 else step
+        return certified(self, again(), snapshot, names)
     oracle.ArcListingCertifier.certified = repeated
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "k5.g")
@@ -158,7 +159,8 @@ def test_criterion_02_verdict_survives_optimize(repeat):
 
 # a certified count on K_5 whose third visit flips, instead of the run's
 # step, the first arc of the second visit that is transitive there, or
-# the second visit's first two edges
+# names the second visit's arc again, or is read as a mask, the second
+# visit's with its first two edges flipped
 _OPTIMIZED_STEP = """
 import os, sys, tempfile
 from orientgen import oracle, selftest
@@ -167,18 +169,28 @@ from orientgen.graphs import complete_graph, is_acyclic_mask
 print("debug", __debug__)
 g = complete_graph(5)
 certified = oracle.ArcListingCertifier.certified
-def corrupted(self, steps, snapshot):
-    seen = []
-    def read():
-        seen.append(snapshot())
-        if len(seen) != 3:
-            return seen[-1]
-        if sys.argv[1] == "two-edges":
-            return seen[1] ^ 0b11
-        # reversing an arc closes a cycle iff it is transitive
-        return next(seen[1] ^ 1 << k for k in range(len(g.edges))
-                    if not is_acyclic_mask(g, seen[1] ^ 1 << k))
-    return certified(self, steps, read)
+def corrupted(self, steps, snapshot, names=None):
+    masks = []
+    def items():
+        for k, step in enumerate(steps):
+            masks.append(snapshot())
+            if k == 2:
+                second = masks[1]
+                if sys.argv[1] == "two-edges":
+                    # an item that names no arc is checked by its mask
+                    masks[2] = second ^ 0b11
+                    step = None
+                elif sys.argv[1] == "named-again":
+                    step = seen
+                else:
+                    # reversing an arc closes a cycle iff it is transitive
+                    e = next(e for e in range(len(g.edges))
+                             if not is_acyclic_mask(g, second ^ 1 << e))
+                    a, b = g.edges[e]
+                    step = (a, b) if second >> e & 1 else (b, a)
+            seen = step
+            yield step
+    return certified(self, items(), lambda: masks[-1], names)
 oracle.ArcListingCertifier.certified = corrupted
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "k5.g")
@@ -195,6 +207,14 @@ def test_transitive_flip_verdict_survives_optimize():
     assert proc.stdout.splitlines() == ["debug False", "exit 1"]
     assert re.fullmatch(r"error: flipped arc \d+->\d+ is transitive in "
                         r"its predecessor\n", proc.stderr), proc.stderr
+
+
+def test_step_named_again_verdict_survives_optimize():
+    proc = _run_optimized(_OPTIMIZED_STEP, "named-again")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["debug False", "exit 1"]
+    assert re.fullmatch(r"error: named arc \d+->\d+ does not reverse an arc "
+                        r"of the current digraph\n", proc.stderr), proc.stderr
 
 
 def test_two_edge_step_verdict_survives_optimize():

@@ -12,13 +12,14 @@ from orientgen import chordal
 from orientgen.corpus import PREFIX_CHAIN, chordal_graphs, random_chordal
 from orientgen.errors import CapExceeded, InputError, effective_cap
 from orientgen.graphs import (Graph, complete_graph, is_acyclic_mask,
-                              orientation_mask, path_graph)
+                              orient, orientation_mask, path_graph)
 from orientgen.hypergraphs import Hypergraph
 from orientgen.oracle import (
     ArcListingCertifier,
     PairListingCertifier,
     _reaches,
     acyclic_masks,
+    certify_arc_listing,
     count_ao_graph,
     enumerate_ao_graph,
     enumerate_ao_hyper,
@@ -455,6 +456,135 @@ def test_certified_rejects_where_visit_does():
     for text in ("out of range", "is cyclic", "repeats", "is transitive",
                  "differ in 2 edges", "differ in 3 edges", "listing visited"):
         assert any(text in m for m in messages if m), text
+
+
+def test_visit_and_certify_arc_listing_judge_masks_as_before():
+    # a listing given as masks, one visit() per mask or through
+    # certify_arc_listing, is accepted or rejected at the visit and with
+    # the message of the set-based certifier that keeps every mask
+    for g, listing in parity_listings():
+        want = rejection(SetArcCertifier(g), listing)
+        assert rejection(ArcListingCertifier(g), listing) == want
+        try:
+            got = certify_arc_listing(g, listing)
+        except InputError as exc:
+            assert str(exc) == want[1]
+        else:
+            assert want == (None, None) and got == len(listing)
+
+
+def run_steps(g, names=None):
+    """The masks of a run of g at every visit and the items it yields:
+    None, then each arc it makes, or its name."""
+    run = chordal.generate(g, names=names)
+    masks = []
+    steps = []
+    for step in run:
+        masks.append(run.mask())
+        steps.append(step)
+    return masks, steps
+
+
+def named_rejection(cert, first, steps, names=None):
+    """``rejection`` of a listing given as its first mask and its named
+    steps, through one run of ``cert.certified``."""
+    accepted = []
+    try:
+        accepted.extend(cert.certified(steps, lambda: first, names))
+    except InputError as exc:
+        return len(accepted), str(exc)
+    try:
+        cert.finish()
+    except InputError as exc:
+        return len(steps), str(exc)
+    return None, None
+
+
+def arc_names(g):
+    return {arc: "%d %d" % arc for e in g.edges for arc in (e, e[::-1])}
+
+
+def named_graphs():
+    """Complete graphs, a path under its own order, whose last four
+    vertices pass as a binary tail, and seeded random chordal graphs."""
+    rng = random.Random(37)
+    return ([complete_graph(n) for n in (2, 3, 4)] + [path_graph(6)]
+            + [random_chordal(rng.randint(4, 7), rng) for _ in range(6)])
+
+
+def test_named_steps_are_certified_like_their_masks():
+    # a run's steps, bare or by name, are accepted, and a step changed to
+    # the arc back (a repeat) or to one that reverses a transitive arc is
+    # rejected at its visit with the message its mask listing gets
+    cases = {"repeats": 0, "is transitive": 0}
+    for g in named_graphs():
+        masks, steps = run_steps(g)
+        names = arc_names(g)
+        named = [None] + [names[step] for step in steps[1:]]
+        assert named_rejection(ArcListingCertifier(g), masks[0],
+                               steps) == (None, None)
+        assert named_rejection(ArcListingCertifier(g), masks[0], named,
+                               names) == (None, None)
+        for k in range(2, len(steps)):
+            prev = masks[k - 1]
+            bad = [(steps[k - 1][::-1], masks[k - 2])]
+            for e, (a, b) in enumerate(g.edges):
+                if not is_acyclic_mask(g, prev ^ 1 << e):
+                    bad.append(((a, b) if prev >> e & 1 else (b, a),
+                                prev ^ 1 << e))
+            for arc, mask in bad:
+                want = rejection(ArcListingCertifier(g),
+                                 masks[:k] + [mask] + masks[k + 1:])
+                assert want[0] == k
+                kind = "is transitive" if "is transitive" in want[1] \
+                    else "repeats"
+                assert kind in want[1]
+                cases[kind] += 1
+                for items, table in ((steps, None), (named, names)):
+                    step = arc if table is None else names[arc]
+                    got = named_rejection(
+                        ArcListingCertifier(g), masks[0],
+                        items[:k] + [step] + items[k + 1:], table)
+                    assert got == want, (g, k, arc)
+    assert cases["repeats"] > 100 and cases["is transitive"] > 100
+
+
+def test_a_step_that_names_a_present_arc_is_rejected():
+    # the step names the arc the last step made, or any arc already in
+    # the current digraph: the run's names or the bare arc
+    for g in named_graphs():
+        masks, steps = run_steps(g)
+        names = arc_names(g)
+        for k in range(2, len(steps), 3):
+            d = orient(g, masks[k - 1])
+            for arc in [steps[k - 1]] + list(d.arcs):
+                for table in (None, names):
+                    items = steps[:k] + [arc] + steps[k + 1:]
+                    if table is not None:
+                        items = [None] + [names[x] for x in items[1:]]
+                    got = named_rejection(ArcListingCertifier(g), masks[0],
+                                          items, table)
+                    assert got == (k, "named arc %d->%d does not reverse "
+                                   "an arc of the current digraph" % arc)
+
+
+def test_a_rejected_named_step_leaves_the_certifier_as_it_was():
+    # after a rejected step the certifier still takes the run's own
+    # steps, through a new generator, to the end
+    g = complete_graph(4)
+    masks, steps = run_steps(g)
+    cert = ArcListingCertifier(g)
+    rejected = 0
+    for k, step in enumerate(steps):
+        if k >= 2:
+            for bad in (step[::-1], steps[k - 1], steps[k - 1][::-1]):
+                if bad == step:
+                    continue
+                with pytest.raises(InputError):
+                    list(cert.certified([bad], None))
+                rejected += 1
+        assert list(cert.certified([step], lambda: masks[0])) == [step]
+    assert cert.finish() == 24 and rejected > 40
 
 
 def assert_rank_is_a_bijection(g):

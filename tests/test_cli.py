@@ -1254,8 +1254,8 @@ def test_benchmark_call_shapes_are_pinned(instance, flags, digest, tmp_path,
 
 def fail_at_visit(monkeypatch, certifier, k):
     """Make ``certifier`` reject the k-th visit it is given: the arc
-    certifier's ``certified`` generator as it reads the visit's mask,
-    the pair certifier's ``visit``."""
+    certifier's ``certified`` generator as it takes the visit's step
+    from the run, the pair certifier's ``visit``."""
     seen = []
 
     def reject():
@@ -1266,11 +1266,12 @@ def fail_at_visit(monkeypatch, certifier, k):
     if certifier is oracle.ArcListingCertifier:
         real = certifier.certified
 
-        def certified(self, steps, snapshot):
-            def read():
-                reject()
-                return snapshot()
-            return real(self, steps, read)
+        def certified(self, steps, *args):
+            def taken():
+                for step in steps:
+                    reject()
+                    yield step
+            return real(self, taken(), *args)
 
         monkeypatch.setattr(certifier, "certified", certified)
     else:
