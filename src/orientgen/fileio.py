@@ -3,10 +3,11 @@
 Graph and digraph files start with a line ``n m`` followed by m lines
 ``i j``; hypergraph files use ``k v1 ... vk`` per hyperedge.  Tokens may
 be split across lines arbitrarily, and ``#`` starts a comment running to
-the end of its line.
+the end of its line.  A vertex count above the size cap is rejected
+before anything is built per vertex.
 """
 
-from .errors import InputError
+from .errors import InputError, effective_cap
 from .graphs import Digraph, Graph
 from .hypergraphs import Hypergraph
 
@@ -43,6 +44,14 @@ class _Reader:
                 self.what, desc, "positive" if least else "nonnegative"))
         return value
 
+    def take_vertex_count(self):
+        n = self.take_int("vertex count")
+        cap = effective_cap()
+        if n > cap:
+            raise InputError("%s file: vertex count %d exceeds the cap %d "
+                             "(set by ORIENTGEN_CAP)" % (self.what, n, cap))
+        return n
+
     def done(self):
         if self.pos != len(self.toks):
             raise InputError("%s file has %d trailing tokens"
@@ -51,7 +60,7 @@ class _Reader:
 
 def parse_graph(text):
     r = _Reader(text, "graph")
-    n = r.take_int("vertex count")
+    n = r.take_vertex_count()
     m = r.take_int("edge count", 0)
     edges = [(r.take_int("edge endpoint"), r.take_int("edge endpoint"))
              for _ in range(m)]
@@ -61,7 +70,7 @@ def parse_graph(text):
 
 def parse_digraph(text):
     r = _Reader(text, "digraph")
-    n = r.take_int("vertex count")
+    n = r.take_vertex_count()
     m = r.take_int("arc count", 0)
     arcs = [(r.take_int("arc tail"), r.take_int("arc head")) for _ in range(m)]
     r.done()
@@ -70,7 +79,7 @@ def parse_digraph(text):
 
 def parse_hypergraph(text):
     r = _Reader(text, "hypergraph")
-    n = r.take_int("vertex count")
+    n = r.take_vertex_count()
     m = r.take_int("hyperedge count", 0)
     edges = []
     for _ in range(m):

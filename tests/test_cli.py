@@ -796,6 +796,43 @@ def test_quotient_cap_exceeded(tmp_path, capsys, monkeypatch):
     assert rc == 2 and "cap" in err
 
 
+# every subcommand that reads an instance file, with the kind of file
+FILE_COMMANDS = [
+    (["ao-graph"], "graph"), (["ao-graph", "--count-only"], "graph"),
+    (["peo"], "graph"), (["elim-trees"], "graph"),
+    (["building-set"], "graph"), (["flipgraph"], "graph"),
+    (["ao-hyper"], "hypergraph"), (["heo"], "hypergraph"),
+    (["flipgraph", "--hyper"], "hypergraph"),
+    (["classify"], "digraph"), (["quotient"], "digraph"),
+]
+
+
+@pytest.mark.parametrize("command, kind", FILE_COMMANDS,
+                         ids=[" ".join(c) for c, _ in FILE_COMMANDS])
+def test_a_vertex_count_over_the_cap_fails_at_once(command, kind, tmp_path,
+                                                   capsys):
+    # 12 bytes would otherwise ask for 10^8 empty sets or lists
+    path = put(tmp_path, "huge.txt", "100000000 0\n")
+    assert os.path.getsize(path) == 12
+    start = time.perf_counter()
+    rc, out, err = run(capsys, command[0], path, *command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "")
+    assert err == ("error: %s file: vertex count 100000000 exceeds the cap "
+                   "%d (set by ORIENTGEN_CAP)\n" % (kind, 1 << 20))
+
+
+def test_the_vertex_count_bound_follows_the_cap(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setenv("ORIENTGEN_CAP", "5")
+    five = put(tmp_path, "p5.txt", format_graph(path_graph(5)))
+    six = put(tmp_path, "p6.txt", format_graph(path_graph(6)))
+    assert run(capsys, "peo", five) == (0, "1 2 3 4 5\n", "")
+    assert run(capsys, "peo", six) == (
+        1, "", "error: graph file: vertex count 6 exceeds the cap 5 (set by "
+        "ORIENTGEN_CAP)\n")
+
+
 # ------------------------------------------------- classify, peo, heo
 
 
