@@ -658,7 +658,7 @@ class ChordalRun:
                 self._visits += size
                 self._block = it = iter(block)
                 yield it
-                if self._pi is not None:
+                if self._pi is not None and self._done != size - 1:
                     self.named_permutation(self._labels)
                 self._block = None
             elif lorder:
@@ -681,7 +681,8 @@ class ChordalRun:
                 if c > self._max_step:
                     self._max_step = c
                 if self._pi is not None:
-                    self.named_permutation(self._labels)
+                    if self._undone:  # a read left the vertex mid-sweep
+                        self.named_permutation(self._labels)
                     self._undone = ldeg
                 self._block = None
             else:
