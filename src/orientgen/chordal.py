@@ -532,16 +532,25 @@ class ChordalRun:
         """The two passes of the binary tail, by the first tail vertex's
         direction at the start, left and then right: per pass a block
         with a free head slot and the 2^k - 1 arcs (or names) in step
-        order, and each step's (pop, insert) places, one tuple per
-        distinct pair.  The last tail vertex steps at every other step,
-        the one before it at every fourth, and so on; a vertex places by
-        the larger sources as in ``_iterate``, so no place depends on
-        anything below the tail.  Sets ``_halves`` for ``mask()``: the
-        edge bits of each subset of the last k // 2 tail vertices and of
-        the others, indexed by levels (0 for the last vertex)."""
+        order, and each step's (pop, insert) places.  At step x the
+        vertex at level b steps, b the number of trailing zeros of x (0
+        for the last tail vertex, k - 1 for the first), left on its even
+        steps of the pass, and the levels below b read 10...0: of the
+        larger vertices only the one at level b - 1 is a source, so the
+        vertex moves between the place behind it (front one, or none for
+        the last vertex) and j - 1 places on.  The right pass differs
+        only at the first tail vertex's one step, in the middle.  Sets
+        ``_halves`` for ``mask()``: the edge bits of each subset of the
+        last k // 2 tail vertices and of the others, indexed by level."""
         recs = self._recs
         tail = self._tail
         k = len(tail)
+        steps = []  # per level, the left step and the right step
+        for b, j in enumerate(reversed(tail)):
+            _, _, leftarc, rightarc = recs[j][0]
+            front = 1 if b else 0
+            steps.append(((leftarc, (front + j - 1, front)),
+                          (rightarc, (front, front + j - 1))))
         bits = [1 << recs[j][0][1] for j in reversed(tail)]
         half = k // 2
         lo = [0]
@@ -551,29 +560,18 @@ class ChordalRun:
         for b in bits[half:]:
             hi += [x ^ b for x in hi]
         self._halves = (lo, hi, half, 1 << k - 1)
-        shared = {}
-        passes = []
-        for first_left in (True, False):
-            left = dict.fromkeys(tail, True)
-            left[tail[0]] = first_left
-            src = 0 if first_left else 1 << tail[0]
-            block = [None]
-            moves = []
-            for x in range(1, 1 << k):
-                j = tail[k - (x & -x).bit_length()]
-                _, _, leftarc, rightarc = recs[j][0]
-                front = (src >> j + 1).bit_count()
-                if left[j]:
-                    block.append(leftarc)
-                    move = (front + j - 1, front)
-                else:
-                    block.append(rightarc)
-                    move = (front, front + j - 1)
-                moves.append(shared.setdefault(move, move))
-                left[j] = not left[j]
-                src ^= 1 << j
-            passes.append((block, moves))
-        return passes
+        block = [None]
+        moves = []
+        for x in range(1, 1 << k):
+            b = (x & -x).bit_length() - 1
+            item, move = steps[b][x >> b + 1 & 1]
+            block.append(item)
+            moves.append(move)
+        mid = 1 << k - 1
+        rblock = block[:]
+        rmoves = moves[:]
+        rblock[mid], rmoves[mid - 1] = steps[-1][1]
+        return [(block, moves), (rblock, rmoves)]
 
     def _iterate(self):
         n = self.graph.n

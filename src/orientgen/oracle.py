@@ -617,13 +617,13 @@ class ArcListingCertifier:
         # flip; and the same flips by the arc j->i each one makes
         shift = g.n + 1
         both = [1 << v | 1 << v + shift for v in range(shift)]
-        self._flips = flips = {}
-        self._arcs = arcs = {}
-        for k, ((a, b), step) in enumerate(zip(g.edges, steps)):
-            bit = 1 << k
-            flips[bit] = pair = ((b, a, both[a], both[b], -step, bit, bit),
-                                 (a, b, both[b], both[a], step, bit, 0))
-            arcs[a, b], arcs[b, a] = pair
+        self._flips = {bit: ((b, a, both[a], both[b], -step, bit, bit),
+                             (a, b, both[b], both[a], step, bit, 0))
+                       for bit, (a, b), step in zip(
+                           (1 << k for k in range(len(steps))), g.edges,
+                           steps)}
+        self._arcs = {(f[1], f[0]): f for pair in self._flips.values()
+                      for f in pair}
         self._marks = bytearray(self.expected)
         # the last visit accepted: its mask, its rank and its digraph,
         # the digraph None before the first visit
