@@ -18,9 +18,9 @@ the generator hands ``itertools.chain`` one block, a list of the step
 before a sweep and the sweep's arcs, or their perm lines in a run that
 makes them, and snapshots read the block's progress.  When it has one
 member, a binary tail of k >= 2 trailing vertices of one member each
-(2^k <= n + m) sweeps as data the same way: one block per pass of its
-binary reflected Gray code, the passes alternating between two lists
-built at set-up.
+(2^k <= n + m) sweeps as data the same way in a run that yields steps:
+one block per pass of its binary reflected Gray code, the passes
+alternating between two lists built at set-up.
 ``comparisons`` counts what a sort of each sweep's clique would make,
 derived from insertion ranks kept with the order.  Snapshots are read
 off that state rather than rebuilt, and no table grows faster than
@@ -225,10 +225,11 @@ class ChordalRun:
     for the subsets of each half of the tail, 2^(k/2) each, not per
     step.  ``visits`` costs one length hint, and a tail adds no
     comparisons.  A permutation read replays the places from the last
-    one it applied, and a run that makes perm lines makes a block's
-    lines from them in one pass.  A tail of one vertex steps as the
-    others do, and the run is the bare generator: a block of two items
-    costs more than two steps.
+    one it applied.  A run that makes perm lines keeps the general path
+    there: a block of its lines would hold 2^k lines of n values, made
+    before they are read (on P_n under its own order about n^2 values).
+    A tail of one vertex steps as the others do, and the run is the bare
+    generator: a block of two items costs more than two steps.
 
     When another vertex j steps, each larger movable vertex is a source
     or a sink, so 1..j form one group behind the larger sources: a sweep
@@ -315,9 +316,11 @@ class ChordalRun:
         self._lup = lup
         # the binary tail: with one member at the top, the longest run of
         # trailing movable vertices of one member each, ascending, cut to
-        # the last k with 2^k <= n + m; None unless k >= 2
+        # the last k with 2^k <= n + m; None unless k >= 2, and in a run
+        # that makes perm lines, whose blocks would hold 2^k lines of n
+        # values each
         tail = []
-        if top and not orders[top]:
+        if top and not orders[top] and sep is None:
             cap = (n + len(g.edges)).bit_length() - 1
             for j in range(top, 0, -1):
                 if len(tail) == cap or len(recs[j]) > 1:
@@ -436,11 +439,8 @@ class ChordalRun:
             # a tail block: replay its places up to the steps made
             moves = self._moves
             made = len(moves) - block.__length_hint__()
-            done = self._done
-            for p, q in moves[done:made]:
+            for p, q in moves[self._done:made]:
                 pi.insert(q, pi.pop(p))
-            for p, q in reversed(moves[made:done]):
-                pi.insert(p, pi.pop(q))
             self._done = made
         elif pi is not None and block is not None:
             undone = block.__length_hint__()
@@ -514,18 +514,6 @@ class ChordalRun:
         pi.insert(q, v)
         self._lp = q
         self._undone = 0
-        return lines
-
-    def _tail_lines(self, moves, join):
-        """The perm lines of a tail block: the tracked permutation's, then
-        one per pop and insert of the pass; the tracked permutation is
-        left where the pass ends."""
-        pi = self._pi
-        lines = [join(pi) + "\n"]
-        for p, q in moves:
-            pi.insert(q, pi.pop(p))
-            lines.append(join(pi) + "\n")
-        self._done = len(moves)
         return lines
 
     def _tail_passes(self):
@@ -645,12 +633,9 @@ class ChordalRun:
             if tail:
                 # one block: the step before the pass, then the pass
                 block, moves = passes[not ll]
+                block[0] = head
                 self._moves = moves
-                if lines:
-                    block = self._tail_lines(moves, join)
-                else:
-                    block[0] = head
-                    self._done = 0
+                self._done = 0
                 mask ^= lall
                 self._mask = mask
                 self._visits += size

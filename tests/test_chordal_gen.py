@@ -321,12 +321,13 @@ def test_permutation_first_read_mid_run():
             assert run.permutation() == encode(relabel_digraph(d, run.order))
 
 
-def path_run_peak(n):
-    """Peak traced bytes of a run over the first 1,001 visits of P_n."""
+def path_run_peak(n, sep=None):
+    """Peak traced bytes of a run over the first 1,001 visits of P_n,
+    making perm lines joined by ``sep`` unless it is None."""
     g = path_graph(n)
     tracemalloc.start()
     try:
-        run = ChordalRun(g, tuple(range(1, n + 1)))
+        run = ChordalRun(g, tuple(range(1, n + 1)), sep=sep)
         for _ in islice(run, 1001):
             pass
         peak = tracemalloc.get_traced_memory()[1]
@@ -339,6 +340,12 @@ def path_run_peak(n):
 def test_memory_is_linear():
     # an (n+1)^2 table on this path would alone take 16 MB
     assert path_run_peak(4000) < 4 * 2 ** 20
+
+
+def test_a_line_run_makes_no_lines_ahead_on_a_path():
+    # a block of P_4000's binary tail of 12 would hold 4,096 lines of
+    # about 19 KB each
+    assert path_run_peak(4000, " ") < 4 * 2 ** 20
 
 
 def test_memory_is_linear_on_a_long_path():
@@ -957,7 +964,8 @@ def tail_corpus():
                          ids=["read-from-1", "first-read-at-37"])
 def test_binary_tail_steps_like_reference(sep, perm_from, names_from):
     # a binary tail hands out whole passes as blocks, and mask, visits,
-    # the counters and both permutation reads stay right inside them
+    # the counters and both permutation reads stay right inside them; a
+    # run that makes perm lines steps it as the general path does
     for g, order in tail_corpus():
         assert_steps_like_reference(g, perm_from, names_from, order, sep)
 
