@@ -584,7 +584,8 @@ class ChordalRun:
         s = list(range(n + 1))
         lorder = orders[last]
         tail = self._tail
-        if not lorder and not tail:
+        blocks = lorder is not None or tail is not None
+        if not blocks:
             self._visits = 1
             yield join(self._pi) + "\n" if lines else None
             if last == 0:
@@ -630,7 +631,20 @@ class ChordalRun:
             lbit = 1 << k
         ll = True
         while True:
-            if tail:
+            if not blocks:
+                mask ^= lbit
+                self._mask = mask
+                pi = self._pi
+                if pi is not None:
+                    q = 0 if ll else last - 1
+                    pi.insert(q, pi.pop(self._lp))
+                    self._lp = q
+                self._visits += 1
+                if lines:
+                    yield join(pi) + "\n"
+                else:
+                    yield lleft if ll else lright
+            elif tail:
                 # one block: the step before the pass, then the pass
                 block, moves = passes[not ll]
                 block[0] = head
@@ -644,7 +658,7 @@ class ChordalRun:
                 if self._pi is not None and self._done != size - 1:
                     self.named_permutation(self._labels)
                 self._block = None
-            elif lorder:
+            else:
                 # one block: the step before the sweep, then the sweep,
                 # committed at its start and read off the iterator's
                 # length hint until it ends
@@ -668,19 +682,6 @@ class ChordalRun:
                         self.named_permutation(self._labels)
                     self._undone = ldeg
                 self._block = None
-            else:
-                mask ^= lbit
-                self._mask = mask
-                pi = self._pi
-                if pi is not None:
-                    q = 0 if ll else last - 1
-                    pi.insert(q, pi.pop(self._lp))
-                    self._lp = q
-                self._visits += 1
-                if lines:
-                    yield join(pi) + "\n"
-                else:
-                    yield lleft if ll else lright
             src ^= ltop
             ll = not ll
             j = s[lpre]
@@ -761,7 +762,7 @@ class ChordalRun:
                 s[pj] = pj
             else:
                 t[j] = tj
-            if lorder or tail:
+            if blocks:
                 # the head of the next block
                 head = leftarc if lj else rightarc
             else:
