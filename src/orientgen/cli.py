@@ -200,13 +200,6 @@ def _cmd_ao_graph(args, out):
     names = lines = sep = None
     if args.count_only:
         pass  # the run yields its bare steps
-    elif args.output == "perm" and args.certify:
-        # the certifier follows the run's bare steps, and each line joins
-        # the tracked permutation
-        label = [str(v) for v in range(g.n + 1)]
-        join = _perm_sep(g.n).join
-        lines = lambda steps: (join(run.named_permutation(label)) + "\n"
-                               for _ in steps)
     elif args.output == "perm":
         # the run yields each visit's line
         sep = _perm_sep(g.n)

@@ -529,7 +529,9 @@ class ArcListingCertifier:
 
     Feed one orientation bitmask per visit (bit k set iff edge k points
     from its larger endpoint to its smaller one), by ``visit(mask)`` or
-    by running ``certified(steps, snapshot)`` over a listing.  Every
+    by running ``certified(steps, snapshot)`` over a listing, or after
+    the first visit the arc each step makes, named as the run names it
+    (``certified(steps, snapshot, names)``).  Every
     orientation must be acyclic, never repeat, and differ from its
     predecessor by reversing exactly one arc of the predecessor's
     transitive reduction.  The certifier keeps the current digraph as one
@@ -562,8 +564,10 @@ class ArcListingCertifier:
     its mask is acyclic and its rank is marked.  Each edge's two flips,
     the arc i->j reversed, the bits of j and of i that the reversal
     toggles in i's and j's ints, and the rank's step, are tabled at
-    construction by the edge's bit, so an accepted flip costs one lookup
-    of ``mask ^ prev``, one AND, a rank mark and two XORs.  finish()
+    construction by the edge's bit and by the arc each flip makes, so an
+    accepted flip costs one lookup of the named arc (and a test that it
+    reverses an arc of the current digraph) or of ``mask ^ prev``, one
+    AND, a rank mark and two XORs.  finish()
     matches the marked ranks, one per accepted visit, against
     ``expected``.
 
@@ -613,17 +617,15 @@ class ArcListingCertifier:
         # from the bit clear (a->b reversed), so that a step from prev to
         # mask reads its flip at index mask > prev: (i, j) for the arc
         # i->j reversed, the bits of j and of i in i's and in j's ints,
-        # the rank's step, the edge bit, and the bit as it is before the
-        # flip; and the same flips by the arc j->i each one makes
+        # and the rank's step; and per arc j->i the flip that makes it,
+        # with the edge bit
         shift = g.n + 1
         both = [1 << v | 1 << v + shift for v in range(shift)]
-        self._flips = {bit: ((b, a, both[a], both[b], -step, bit, bit),
-                             (a, b, both[b], both[a], step, bit, 0))
-                       for bit, (a, b), step in zip(
-                           (1 << k for k in range(len(steps))), g.edges,
-                           steps)}
-        self._arcs = {(f[1], f[0]): f for pair in self._flips.values()
-                      for f in pair}
+        self._flips = {1 << k: ((b, a, both[a], both[b], -step),
+                                (a, b, both[b], both[a], step))
+                       for k, ((a, b), step) in enumerate(zip(g.edges, steps))}
+        self._arcs = {arc: f + (bit,) for bit, pair in self._flips.items()
+                      for f in pair for arc in [(f[1], f[0])]}
         self._marks = bytearray(self.expected)
         # the last visit accepted: its mask, its rank and its digraph,
         # the digraph None before the first visit
@@ -702,22 +704,25 @@ class ArcListingCertifier:
                         prev = mask
                         yield step
                         continue
-                    f = pair[mask > prev]
-                i, j, bj, bi, d, bit, was = f
-                if prev & bit != was:
-                    raise InputError("named arc %d->%d does not reverse an "
-                                     "arc of the current digraph" % (j, i))
+                    i, j, bj, bi, d = pair[mask > prev]
+                else:
+                    i, j, bj, bi, d, bit = f
+                    if not adj[i] >> j & 1:
+                        raise InputError("named arc %d->%d does not reverse "
+                                         "an arc of the current digraph"
+                                         % (j, i))
+                    mask = prev ^ bit
                 if adj[i] & adj[j] >> shift:
                     raise InputError("flipped arc %d->%d is transitive "
                                      "in its predecessor" % (i, j))
                 r = rank + d
                 if marks[r]:
-                    raise InputError("orientation %#x repeats" % (prev ^ bit))
+                    raise InputError("orientation %#x repeats" % mask)
                 marks[r] = 1
                 rank = r
                 adj[i] ^= bj
                 adj[j] ^= bi
-                prev ^= bit
+                prev = mask
                 yield step
         finally:
             self._prev = prev
