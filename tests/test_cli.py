@@ -239,6 +239,15 @@ def test_ao_graph_cap_exceeded(tmp_path, capsys, monkeypatch):
     assert rc == 2 and "cap" in err
     rc, _, _ = run(capsys, "ao-graph", path, "--count-only")
     assert rc == 0  # plain generation never materializes the listing
+    # but every input's vertex count is bounded by the cap: P_12 has
+    # only 2,048 orientations, and its 12 vertices exceed the cap of 10
+    path = put(tmp_path, "p12.txt", format_graph(path_graph(12)))
+    rc, out, err = run(capsys, "ao-graph", path, "--count-only")
+    assert rc == 1 and out == ""
+    assert "vertex count 12 exceeds the cap 10" in err
+    monkeypatch.setenv("ORIENTGEN_CAP", "12")
+    rc, out, _ = run(capsys, "ao-graph", path, "--count-only")
+    assert rc == 0 and out == "2048\n"
 
 
 @pytest.mark.parametrize("command", [["ao-graph", "--output", "dot"],
