@@ -18,9 +18,10 @@ the generator hands ``itertools.chain`` one block, a list of the step
 before a sweep and the sweep's arcs, or their perm lines in a run that
 makes them, and snapshots read the block's progress.  When it has one
 member, a binary tail of k >= 2 trailing vertices of one member each
-(2^k <= n + m) sweeps as data the same way in a run that yields steps:
-one block per pass of its binary reflected Gray code, the passes
-alternating between two lists built at set-up.
+(2^k <= n + m) sweeps as data the same way: one block per pass of its
+binary reflected Gray code, the passes alternating between two lists
+built at set-up, and in a run that makes perm lines a generator that
+makes each pass's lines from the list's places as they are read.
 ``comparisons`` counts what a sort of each sweep's clique would make,
 derived from insertion ranks kept with the order.  Snapshots are read
 off that state rather than rebuilt, and no table grows faster than
@@ -225,10 +226,12 @@ class ChordalRun:
     for the subsets of each half of the tail, 2^(k/2) each, not per
     step.  ``visits`` costs one length hint, and a tail adds no
     comparisons.  A permutation read replays the places from the last
-    one it applied.  A run that makes perm lines keeps the general path
-    there: a block of its lines would hold 2^k lines of n values, made
-    before they are read (on P_n under its own order about n^2 values).
-    A tail of one vertex steps as the others do, and the run is the bare
+    one it applied.  A run that makes perm lines hands out each pass as
+    a generator over the list's places, which makes a line as it is read
+    and keeps the tracked permutation where the pass is: a list of the
+    pass's lines would hold 2^k lines of n values made before they are
+    read, about n^2 values on P_n under its own order.  A tail of one
+    vertex steps as the others do, and the run is the bare
     generator: a block of two items costs more than two steps.
 
     When another vertex j steps, each larger movable vertex is a source
@@ -316,11 +319,9 @@ class ChordalRun:
         self._lup = lup
         # the binary tail: with one member at the top, the longest run of
         # trailing movable vertices of one member each, ascending, cut to
-        # the last k with 2^k <= n + m; None unless k >= 2, and in a run
-        # that makes perm lines, whose blocks would hold 2^k lines of n
-        # values each
+        # the last k with 2^k <= n + m; None unless k >= 2
         tail = []
-        if top and not orders[top] and sep is None:
+        if top and not orders[top]:
             cap = (n + len(g.edges)).bit_length() - 1
             for j in range(top, 0, -1):
                 if len(tail) == cap or len(recs[j]) > 1:
@@ -436,12 +437,14 @@ class ChordalRun:
         pi = self._pi
         block = self._block
         if pi is not None and block is not None and self._last is None:
-            # a tail block: replay its places up to the steps made
-            moves = self._moves
-            made = len(moves) - block.__length_hint__()
-            for p, q in moves[self._done:made]:
-                pi.insert(q, pi.pop(p))
-            self._done = made
+            # a tail block: replay its places up to the steps made, which
+            # a pass of perm lines has made as it went
+            if self._sep is None:
+                moves = self._moves
+                made = len(moves) - block.__length_hint__()
+                for p, q in moves[self._done:made]:
+                    pi.insert(q, pi.pop(p))
+                self._done = made
         elif pi is not None and block is not None:
             undone = block.__length_hint__()
             if undone != self._undone:
@@ -647,16 +650,20 @@ class ChordalRun:
             elif tail:
                 # one block: the step before the pass, then the pass
                 block, moves = passes[not ll]
-                block[0] = head
                 self._moves = moves
-                self._done = 0
                 mask ^= lall
                 self._mask = mask
                 self._visits += size
-                self._block = it = iter(block)
-                yield it
-                if self._pi is not None and self._done != size - 1:
-                    self.named_permutation(self._labels)
+                if lines:
+                    self._block = it = iter(moves)
+                    yield _pass_lines(self._pi, it, join)
+                else:
+                    block[0] = head
+                    self._done = 0
+                    self._block = it = iter(block)
+                    yield it
+                    if self._pi is not None and self._done != size - 1:
+                        self.named_permutation(self._labels)
                 self._block = None
             else:
                 # one block: the step before the sweep, then the sweep,
@@ -772,6 +779,16 @@ class ChordalRun:
                     yield join(pi) + "\n"
                 else:
                     yield leftarc if lj else rightarc
+
+
+def _pass_lines(pi, moves, join):
+    """The perm lines of a tail block, made as they are read: the tracked
+    permutation's, then one per (pop, insert) place taken from the list
+    iterator ``moves``, whose length hint tells how far the pass is."""
+    yield join(pi) + "\n"
+    for p, q in moves:
+        pi.insert(q, pi.pop(p))
+        yield join(pi) + "\n"
 
 
 def generate(g, order=None, names=None, sep=None):

@@ -1170,7 +1170,8 @@ def test_blocks_hold_whole_sweeps():
     # a binary tail of k vertices: one block per pass, the step before
     # it and its 2^k - 1 steps (2 of one_member_graph's 10 movable
     # vertices, P_12's last 4 of 11 under 2^k <= n + m); a last vertex
-    # of one member alone: the run is the generator, one yield per visit
+    # of one member alone: the run is the generator, one yield per visit;
+    # a run that makes perm lines hands out the same blocks
     run = ChordalRun(complete_graph(8), range(1, 9))
     sizes = [len(list(block)) for block in run._gen]
     assert len(sizes) == 5040 and set(sizes) == {8}
@@ -1179,10 +1180,11 @@ def test_blocks_hold_whole_sweeps():
     for g, order, size, visits in (
             (g, find_peo(g), 4, 20736),
             (path_graph(12), range(1, 13), 16, 2048)):
-        run = ChordalRun(g, order)
-        sizes = [len(list(block)) for block in run._gen]
-        assert set(sizes) == {size} and len(sizes) == visits // size
-        assert run.visits == visits
+        for sep in (None, " "):
+            run = ChordalRun(g, order, sep=sep)
+            sizes = [len(list(block)) for block in run._gen]
+            assert set(sizes) == {size} and len(sizes) == visits // size
+            assert run.visits == visits
     pendant = Graph(5, list(complete_graph(4).edges) + [(1, 5)])
     run = ChordalRun(pendant, range(1, 6))
     assert iter(run) is run._gen
