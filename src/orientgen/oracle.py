@@ -686,7 +686,7 @@ class ArcListingCertifier:
         if names is not None:
             arcs = {names[arc]: f for arc, f in arcs.items()}
         # before the first visit no mask is one flip away, and no item
-        # names a step
+        # names a step; a miss is any false value
         flip = named = {}.get
         if adj is not None:
             flip = self._flips.get
@@ -694,35 +694,42 @@ class ArcListingCertifier:
         try:
             for step in steps:
                 f = named(step)
-                if f is None:
+                if f:
+                    i, j, bj, bi, d, bit = f
+                    ai = adj[i]
+                    if not ai >> j & 1:
+                        raise InputError("named arc %d->%d does not reverse "
+                                         "an arc of the current digraph"
+                                         % (j, i))
+                else:
                     mask = snapshot()
-                    pair = flip(mask ^ prev)
+                    bit = mask ^ prev
+                    pair = flip(bit)
                     if pair is None:
                         adj, rank = self._not_one_flip(mask, prev, adj)
                         flip = self._flips.get
-                        named = arcs.get
+                        # without names only tuples name arcs: a listing
+                        # led by a perm line names none, and its lines
+                        # skip the table without being hashed
+                        named = (().__contains__ if names is None
+                                 and type(step) is str else arcs.get)
                         prev = mask
                         yield step
                         continue
                     i, j, bj, bi, d = pair[mask > prev]
-                else:
-                    i, j, bj, bi, d, bit = f
-                    if not adj[i] >> j & 1:
-                        raise InputError("named arc %d->%d does not reverse "
-                                         "an arc of the current digraph"
-                                         % (j, i))
-                    mask = prev ^ bit
-                if adj[i] & adj[j] >> shift:
+                    ai = adj[i]
+                aj = adj[j]
+                if ai & aj >> shift:
                     raise InputError("flipped arc %d->%d is transitive "
                                      "in its predecessor" % (i, j))
                 r = rank + d
                 if marks[r]:
-                    raise InputError("orientation %#x repeats" % mask)
+                    raise InputError("orientation %#x repeats" % (prev ^ bit))
                 marks[r] = 1
                 rank = r
-                adj[i] ^= bj
-                adj[j] ^= bi
-                prev = mask
+                adj[i] = ai ^ bj
+                adj[j] = aj ^ bi
+                prev ^= bit
                 yield step
         finally:
             self._prev = prev
