@@ -407,7 +407,8 @@ class ChordalRun:
         block = self._block
         if block is None:
             return self._mask
-        if self._last is None:
+        pre = self._pre
+        if pre is None:
             # a tail block: x steps into a pass the tail has flipped the
             # levels set in the Gray code x ^ x >> 1, and at its end the
             # first tail vertex alone
@@ -415,7 +416,6 @@ class ChordalRun:
             x = len(self._moves) - block.__length_hint__()
             y = x ^ x >> 1 ^ top
             return self._mask ^ lo[y & len(lo) - 1] ^ hi[y >> half]
-        pre = self._pre
         if self._left:
             return self._mask ^ pre[block.__length_hint__()]
         return self._mask ^ pre[-1] ^ pre[-1 - block.__length_hint__()]

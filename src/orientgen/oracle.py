@@ -672,9 +672,11 @@ class ArcListingCertifier:
         name distinct) or as the tuple (u, w) itself, is the step that
         reverses w->u: the arc must be in the current digraph, and the
         certifier flips its own copy of the mask.  Any other item (the
-        first visit's None, or any item of a listing given as masks) is
-        checked through the orientation mask that ``snapshot()`` reads
-        after it, so a run's mask is read at its first visit only.  The
+        first visit's None, any item of a listing given as masks, or a
+        perm line) is checked through the orientation mask that
+        ``snapshot()`` reads after it, so a run's mask is read at its
+        first visit only.  Without ``names`` a listing whose first item
+        is a str names no arc, and its items are not looked up.  The
         state of the check lives in locals while the generator runs and
         goes back to the certifier when it ends."""
         marks = self._marks
@@ -686,14 +688,15 @@ class ArcListingCertifier:
         if names is not None:
             arcs = {names[arc]: f for arc, f in arcs.items()}
         # before the first visit no mask is one flip away, and no item
-        # names a step; a miss is any false value
-        flip = named = {}.get
-        if adj is not None:
+        # names a step
+        flip = {}.get
+        named = arcs.get
+        follow = adj is not None
+        if follow:
             flip = self._flips.get
-            named = arcs.get
         try:
             for step in steps:
-                f = named(step)
+                f = named(step) if follow else None
                 if f:
                     i, j, bj, bi, d, bit = f
                     ai = adj[i]
@@ -708,11 +711,10 @@ class ArcListingCertifier:
                     if pair is None:
                         adj, rank = self._not_one_flip(mask, prev, adj)
                         flip = self._flips.get
-                        # without names only tuples name arcs: a listing
-                        # led by a perm line names none, and its lines
-                        # skip the table without being hashed
-                        named = (().__contains__ if names is None
-                                 and type(step) is str else arcs.get)
+                        # without names only a tuple names an arc, so a
+                        # listing led by a perm line names none, and its
+                        # lines are not looked up
+                        follow = names is not None or type(step) is not str
                         prev = mask
                         yield step
                         continue
