@@ -655,6 +655,8 @@ class ChordalRun:
                 self._mask = mask
                 self._visits += size
                 if lines:
+                    # its lines are made as they are read, and the
+                    # places' iterator tells snapshots how far it is
                     self._block = it = iter(moves)
                     yield _pass_lines(self._pi, it, join)
                 else:
