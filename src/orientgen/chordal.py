@@ -18,10 +18,10 @@ the generator hands ``itertools.chain`` one block, a list of the step
 before a sweep and the sweep's arcs, or their perm lines in a run that
 makes them, and snapshots read the block's progress.  When it has one
 member, a binary tail of k >= 2 trailing vertices of one member each
-(2^k <= n + m) sweeps as data the same way: one block per pass of its
-binary reflected Gray code, the passes alternating between two lists
-built at set-up, and in a run that makes perm lines a generator that
-makes each pass's lines from the list's places as they are read.
+(2^k <= n + m, k <= 12) sweeps as data the same way: one block per pass
+of its binary reflected Gray code, the passes alternating between two
+lists built at set-up, and in a run that makes perm lines a generator
+that makes each pass's lines from the list's places as they are read.
 ``comparisons`` counts what a sort of each sweep's clique would make,
 derived from insertion ranks kept with the order.  Snapshots are read
 off that state rather than rebuilt, and no table grows faster than
@@ -69,6 +69,10 @@ def _halvings(size):
 # shared by every run whose cliques have at most 64 members, which
 # covers every listing that can finish; a larger clique builds its own
 _HALVINGS = _halvings(64)
+
+# the most vertices a binary tail takes: a pass is then at most 4,096
+# steps, and ``mask()``'s tables hold at most 128 edge masks of m bits
+_TAIL_LEVELS = 12
 
 
 class _Order:
@@ -211,28 +215,28 @@ class ChordalRun:
     sweep's from the places of the members crossed; every other step
     yields the join of the tracked permutation.
 
-    With one member the last vertex is a binary digit.  The binary tail
-    is the longest run of trailing movable vertices of one member each,
-    cut to its last k with 2^k <= n + m, so that every table stays
-    within O(n + m).  When k >= 2 it sweeps as data: no step touches the
-    records of its vertices, so between two steps of the vertex below it
-    the tail runs the binary reflected Gray code over its k edges.  A
-    pass flips the first tail vertex once and every other one an even
-    number of times, so the blocks alternate between two lists built
-    once at set-up, each the step before the pass and 2^k - 1 arcs, with
-    each step's fixed (pop, insert) places in the permutation.  Inside a
-    tail block ``mask()`` costs one Gray code of the steps made and two
-    table reads, O(1): the edge masks, ints of up to m bits, are tabled
-    for the subsets of each half of the tail, 2^(k/2) each, not per
-    step.  ``visits`` costs one length hint, and a tail adds no
-    comparisons.  A permutation read replays the places from the last
-    one it applied.  A run that makes perm lines hands out each pass as
-    a generator over the list's places, which makes a line as it is read
-    and keeps the tracked permutation where the pass is: a list of the
-    pass's lines would hold 2^k lines of n values made before they are
-    read, about n^2 values on P_n under its own order.  A tail of one
-    vertex steps as the others do, and the run is the bare
-    generator: a block of two items costs more than two steps.
+    With one member the last vertex is a binary digit.  The binary tail is
+    the longest run of trailing movable vertices of one member each, cut to
+    its last k with 2^k <= n + m and k <= 12, so that a pass is at most
+    4,096 steps and every table, the edge masks below included, stays within
+    O(n + m).  When k >= 2 it sweeps as data: no step touches the records of
+    its vertices, so between two steps of the vertex below it the tail runs
+    the binary reflected Gray code over its k edges.  A pass flips the first
+    tail vertex once and every other one an even number of times, so the
+    blocks alternate between two lists built once at set-up, each the step
+    before the pass and 2^k - 1 arcs, with each step's fixed (pop, insert)
+    places in the permutation.  Inside a tail block ``mask()`` costs one
+    Gray code of the steps made and two table reads, O(1): the edge masks,
+    ints of up to m bits, are tabled for the subsets of each half of the
+    tail, 2^(k/2) each, not per step.  ``visits`` costs one length hint, and
+    a tail adds no comparisons.  A permutation read replays the places from
+    the last one it applied.  A run that makes perm lines hands out each
+    pass as a generator over the list's places, which makes a line as it is
+    read and keeps the tracked permutation where the pass is: a list of the
+    pass's lines would hold 2^k lines of n values made before they are read,
+    about n^2 values on P_n under its own order.  A tail of one vertex steps
+    as the others do, and the run is the bare generator: a block of two
+    items costs more than two steps.
 
     When another vertex j steps, each larger movable vertex is a source
     or a sink, so 1..j form one group behind the larger sources: a sweep
@@ -319,10 +323,11 @@ class ChordalRun:
         self._lup = lup
         # the binary tail: with one member at the top, the longest run of
         # trailing movable vertices of one member each, ascending, cut to
-        # the last k with 2^k <= n + m; None unless k >= 2
+        # the last k with 2^k <= n + m and k <= _TAIL_LEVELS; None unless
+        # k >= 2
         tail = []
         if top and not orders[top]:
-            cap = (n + len(g.edges)).bit_length() - 1
+            cap = min((n + len(g.edges)).bit_length() - 1, _TAIL_LEVELS)
             for j in range(top, 0, -1):
                 if len(tail) == cap or len(recs[j]) > 1:
                     break

@@ -12,12 +12,12 @@ perm listing has it yield each visit's line, so no CLI code runs per
 visit of a flips or perm listing or of a count, and an arcs line is the
 last one with one slot rewritten.  With ``--certify``, an ``ao-graph``
 listing pulls the run through ``ArcListingCertifier.certified`` and an
-``ao-hyper`` listing through ``_certified``: each yields a step once the
-certifier has accepted the visit it reaches, an ``ao-hyper`` step also
-once its permutation is the next of the jump listing made before the
-run, so a rejected visit ends the listing after the lines before it.
-Exit codes: 0 success, 1 invalid input or failed certification, 2 size
-cap exceeded.
+``ao-hyper`` listing through ``PairListingCertifier.certified``: each
+yields a step once the certifier has accepted the visit it reaches, an
+``ao-hyper`` step also once its permutation is the next of the jump
+listing made before the run's first step, so a rejected visit ends the
+listing after the lines before it.  Exit codes: 0 success, 1 invalid
+input or failed certification, 2 size cap exceeded or memory exhausted.
 """
 
 import argparse
@@ -29,10 +29,8 @@ from . import chordal, hypergen
 from .errors import CapExceeded, InputError
 from .fileio import (format_hypergraph, parse_congruence, parse_digraph,
                      parse_graph, parse_hypergraph, parse_seed_pairs)
-from .graphs import find_peo, is_acyclic, label_map, relabel_digraph
-from .hypergraphs import (find_heo, graphical_building_set, is_heo,
-                          permutation_from_orientation, relabel_hypergraph)
-from .jumps import LanguageOracle, algorithm_J
+from .graphs import find_peo, is_acyclic, relabel_digraph
+from .hypergraphs import find_heo, graphical_building_set
 from .oracle import (ArcListingCertifier, FlipGraph, PairListingCertifier,
                      acyclic_masks, certify_hamilton_path,
                      check_ao_graph_cap, count_ao_graph, enumerate_ao_hyper,
@@ -75,14 +73,6 @@ def _listing(out, lines):
     finally:
         if block:
             out.write("".join(block))
-
-
-def _certified(run, visit, snapshot):
-    """The steps of ``run``, each yielded once ``visit`` has accepted
-    the ``snapshot()`` of the visit it reaches."""
-    for step in run:
-        visit(snapshot())
-        yield step
 
 
 def _stream(out, visits, lines, count_only, total):
@@ -238,24 +228,6 @@ def _cmd_ao_graph(args, out):
     return 0
 
 
-def _jump_listing(cert, order):
-    """Algorithm J's listing of the encodings of the acyclic orientations
-    that the certifier enumerated, relabeled by the run's elimination
-    order, which is checked once.  The certifier's search found each one
-    acyclic, each head in its hyperedge, so they are encoded unchecked.
-    Each encoding is a permutation of 1..n by construction, and there is
-    at least one orientation, so the language skips ``from_set``'s
-    checks."""
-    h = cert.hypergraph
-    if not is_heo(h, order):
-        raise InputError("hypergraph is not in hyperfect elimination order")
-    edges = relabel_hypergraph(h, order).edges
-    newlab = label_map(h.n, order)
-    lang = {permutation_from_orientation(h.n, edges, [newlab[v] for v in o])
-            for o in cert.orientations}
-    return algorithm_J(LanguageOracle(h.n, lang.__contains__))
-
-
 def _cmd_ao_hyper(args, out):
     _no_dot_combo(args, "count-only", "certify")
     h = parse_hypergraph(_read(args.file))
@@ -265,20 +237,7 @@ def _cmd_ao_hyper(args, out):
         return 0
     run = hypergen.generate(h, order)
     cert = PairListingCertifier(h) if args.certify else None
-    steps = run
-    if cert is not None:
-        jumps = iter(_jump_listing(cert, run.order))
-
-        def follows(pi):
-            # pi is the listing's next permutation, None past its end
-            if pi != next(jumps, None):
-                raise InputError(
-                    "permutation trace differs from the jump listing")
-
-        def visit(heads):
-            cert.visit(heads)
-            follows(run.permutation())
-        steps = _certified(run, visit, run.heads)
+    steps = run if cert is None else cert.certified(run)
     if args.output == "heads":
         heads_line = _label_lines(h.n)
         lines = lambda steps: (heads_line(run.heads()) for _ in steps)
@@ -290,9 +249,7 @@ def _cmd_ao_hyper(args, out):
         lines = lambda steps: map("%d %d\n".__mod__, islice(steps, 1, None))
     _stream(out, steps, lines, args.count_only, lambda: run.visits)
     if cert is not None:
-        count = cert.finish()
-        follows(None)
-        out.write("certified %d orientations\n" % count)
+        out.write("certified %d orientations\n" % cert.finish())
     return 0
 
 
@@ -579,6 +536,9 @@ def main(argv=None):
         return 1
     except CapExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

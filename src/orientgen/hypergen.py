@@ -5,31 +5,17 @@ forests of chordal graphs.
 The engine mirrors the chordal one: vertices are swept largest first, and
 the swept vertex walks down its restriction poset from maximal to minimal
 and back, one cover at a time.  Each step is realized as a single pair
-flip of heads, and in permutation terms as a minimal jump.  ``encode``
-checks an orientation and reads it off the heads by the rule of
-``hypergraphs.permutation_from_orientation``, which ``ao-hyper
---certify`` applies to the oracle's orientations unchecked.
+flip of heads, and in permutation terms as a minimal jump.  In
+elimination coordinates the run's permutation is the one that
+``hypergraphs.permutation_from_orientation`` reads off its heads, the
+rule ``oracle.PairListingCertifier`` applies to the oracle's own
+orientations to make the jump listing it holds a certified run to.
 """
 
 from .errors import InputError
 from .graphs import find_peo, relabel_graph
-from .hypergraphs import (check_orientation, find_heo, graphical_building_set,
-                          is_acyclic_orientation, is_heo,
-                          permutation_from_orientation, relabel_hypergraph)
-
-
-def encode(h, o):
-    """Canonical permutation of an acyclic orientation of a hypergraph in
-    hyperfect elimination order (identity labeling), placed by
-    ``permutation_from_orientation``: a linear extension of the
-    orientation's poset, which heading every hyperedge at its member
-    furthest right inverts."""
-    if not is_heo(h, tuple(range(1, h.n + 1))):
-        raise InputError("hypergraph is not in hyperfect elimination order")
-    o = check_orientation(h, o)
-    if not is_acyclic_orientation(h, o):
-        raise InputError("orientation is cyclic")
-    return permutation_from_orientation(h.n, h.edges, o)
+from .hypergraphs import (find_heo, graphical_building_set, is_heo,
+                          relabel_hypergraph)
 
 
 class HyperRun:

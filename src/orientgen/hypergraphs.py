@@ -5,17 +5,16 @@ An orientation assigns each hyperedge a head vertex inside it; it is
 represented as a plain tuple of heads indexed like the hyperedge list.
 An orientation is acyclic when the digraph of arcs v -> head (for every
 non-head member v of every hyperedge) has no directed cycle; singleton
-hyperedges never contribute arcs.  The acyclicity test and the
-orientation poset run ``graphs.topological_order`` and
-``graphs.reach_masks`` on that digraph.  ``permutation_from_orientation``
-is the one permutation encoding, of graphs too, read off the heads alone.
+hyperedges never contribute arcs.  The orientation poset runs
+``graphs.reach_masks`` on that digraph, and rejects a cyclic one.
+``permutation_from_orientation`` is the one permutation encoding, of
+graphs too, read off the heads alone.
 """
 
 from itertools import combinations
 
 from .errors import CapExceeded, InputError, effective_cap
-from .graphs import (greedy_elimination, label_map, reach_masks,
-                     topological_order)
+from .graphs import greedy_elimination, label_map, reach_masks
 
 
 def _bits(mask):
@@ -105,12 +104,6 @@ def arc_out(h, heads):
             if v != head:
                 out[v].add(head)
     return out
-
-
-def is_acyclic_orientation(h, heads):
-    """True iff the arc digraph of the orientation has no directed cycle."""
-    heads = check_orientation(h, heads)
-    return topological_order(h.n, arc_out(h, heads)) is not None
 
 
 class OrientationPoset:

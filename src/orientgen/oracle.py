@@ -1,16 +1,23 @@
 """Brute-force ground truth: exhaustive enumeration, flip graphs,
-Hamilton-path certification, and flip-distance checks.
+Hamilton-path certification, flip-distance checks, and the streaming
+certifiers of the arc-flip and pair-flip listings.
 
 Everything here favors obviousness over speed; the generation engines are
-validated against these functions, never the other way around.
+validated against these functions, never the other way around.  The one
+engine the oracle runs is the generic Algorithm J of ``jumps``: the pair
+certifier holds a run's permutations to J's listing of a language built
+from the oracle's own enumeration, never from the run.
 """
 
 import heapq
 from collections import deque
 
 from .errors import CapExceeded, InputError, effective_cap
-from .graphs import orient
-from .hypergraphs import check_orientation, poset_of, restrict
+from .graphs import label_map, orient
+from .hypergraphs import (check_orientation, is_heo,
+                          permutation_from_orientation, poset_of,
+                          relabel_hypergraph, restrict)
+from .jumps import LanguageOracle, algorithm_J
 
 
 def check_ao_graph_cap(g):
@@ -766,28 +773,23 @@ class ArcListingCertifier:
         return self.expected
 
 
-def certify_arc_listing(g, masks):
-    """Run ArcListingCertifier over an iterable of orientation bitmasks
-    and return the certified count."""
-    cert = ArcListingCertifier(g)
-    for mask in masks:
-        cert.visit(mask)
-    return cert.finish()
-
-
 class PairListingCertifier:
     """Streaming validity check for a claimed pair-flip Gray listing of
     all acyclic orientations of a hypergraph.
 
-    Feed one head tuple per visit.  Every tuple must be one of the
+    Feed one head tuple per visit, by ``visit(heads)`` or by running
+    ``certified(run)`` over a run.  Every tuple must be one of the
     acyclic orientations that construction enumerates by brute force,
     kept as the frozenset ``orientations``; it must never repeat and be a
-    single pair flip away from its predecessor.  finish() matches the
-    total against that enumeration.  Violations raise InputError.
+    single pair flip away from its predecessor.  ``certified`` also
+    holds the run's permutation at every visit to the next of Algorithm
+    J's listing of the orientations' encodings.  finish() matches the
+    total against that enumeration, and then rejects a jump listing that
+    the run did not reach the end of.  Violations raise InputError.
     """
 
     __slots__ = ("hypergraph", "orientations", "expected", "_rel", "_seen",
-                 "_prev")
+                 "_prev", "_jumps")
 
     def __init__(self, h):
         self.hypergraph = h
@@ -796,6 +798,7 @@ class PairListingCertifier:
         self._rel = pair_flip_relation(h)
         self._seen = set()
         self._prev = None
+        self._jumps = None  # the jump listing left, once certified runs
 
     def visit(self, heads):
         heads = tuple(heads)
@@ -810,9 +813,47 @@ class PairListingCertifier:
         self._seen.add(heads)
         self._prev = heads
 
+    def _jump_listing(self, order):
+        """Algorithm J's listing of the encodings of the orientations
+        enumerated at construction, relabeled by the elimination order
+        ``order``, which is checked once.  The search found each one
+        acyclic, each head in its hyperedge, so they are encoded
+        unchecked.  Each encoding is a permutation of 1..n by
+        construction, and there is at least one orientation, so the
+        language skips ``from_set``'s checks."""
+        h = self.hypergraph
+        if not is_heo(h, order):
+            raise InputError(
+                "hypergraph is not in hyperfect elimination order")
+        edges = relabel_hypergraph(h, order).edges
+        newlab = label_map(h.n, order)
+        lang = {permutation_from_orientation(h.n, edges,
+                                             [newlab[v] for v in o])
+                for o in self.orientations}
+        return algorithm_J(LanguageOracle(h.n, lang.__contains__))
+
+    def certified(self, run):
+        """Yield each step of the hypergraph run ``run`` once the visit
+        it reaches is accepted: its ``heads()`` by ``visit``, and its
+        ``permutation()`` as the next entry of the jump listing for
+        ``run.order``, made before the first step."""
+        self._jumps = jumps = iter(self._jump_listing(run.order))
+        visit = self.visit
+        heads = run.heads
+        permutation = run.permutation
+        for step in run:
+            visit(heads())
+            if permutation() != next(jumps, None):
+                raise InputError(
+                    "permutation trace differs from the jump listing")
+            yield step
+
     def finish(self):
         if len(self._seen) != self.expected:
             raise InputError(
                 "listing visited %d orientations, expected %d"
                 % (len(self._seen), self.expected))
+        if self._jumps is not None and next(self._jumps, None) is not None:
+            raise InputError(
+                "permutation trace differs from the jump listing")
         return self.expected

@@ -251,9 +251,9 @@ def test_criterion_07_verdict_survives_optimize():
 # the first visit rejects the listing
 _OPTIMIZED_HYPER = """
 import sys
-from orientgen import cli, selftest
+from orientgen import oracle, selftest
 print("debug", __debug__)
-cli._jump_listing = lambda cert, order: []
+oracle.PairListingCertifier._jump_listing = lambda cert, order: []
 selftest.CRITERIA = [c for c in selftest.CRITERIA
                      if c[0] == "hyper-certified"]
 sys.exit(selftest.run_selftest(quick=True, out=sys.stdout))
@@ -357,16 +357,20 @@ _OPTIMIZED_ARC_CERT = """
 from orientgen.chordal import generate
 from orientgen.errors import InputError
 from orientgen.graphs import complete_graph
-from orientgen.oracle import certify_arc_listing
+from orientgen.oracle import ArcListingCertifier
 print("debug", __debug__)
 g = complete_graph(4)
 run = generate(g)
 listing = [run.mask() for _ in run]
-print("certified", certify_arc_listing(g, listing))
+cert = ArcListingCertifier(g)
+for mask in listing:
+    cert.visit(mask)
+print("certified", cert.finish())
 # every edge starts toward its larger end, so 1->3 is transitive via 2
-bad = listing[:1] + [listing[0] ^ 1 << g.edges.index((1, 3))]
+cert = ArcListingCertifier(g)
 try:
-    certify_arc_listing(g, bad)
+    for mask in listing[:1] + [listing[0] ^ 1 << g.edges.index((1, 3))]:
+        cert.visit(mask)
 except InputError as e:
     print("rejected", e)
 """

@@ -19,7 +19,6 @@ from orientgen.oracle import (
     PairListingCertifier,
     _reaches,
     acyclic_masks,
-    certify_arc_listing,
     count_ao_graph,
     enumerate_ao_graph,
     enumerate_ao_hyper,
@@ -27,6 +26,15 @@ from orientgen.oracle import (
 )
 
 from test_graphs import cycle_graph, transitive_reduction
+
+
+def certify_arc_listing(g, masks):
+    """Run ArcListingCertifier over an iterable of orientation bitmasks
+    and return the certified count."""
+    cert = ArcListingCertifier(g)
+    for mask in masks:
+        cert.visit(mask)
+    return cert.finish()
 
 
 class SetArcCertifier:
@@ -676,6 +684,27 @@ def pair_listing(h):
     from orientgen import hypergen
     run = hypergen.generate(h)
     return [run.heads() for _ in run]
+
+
+def test_pair_certified_follows_a_run_and_its_jump_listing(monkeypatch):
+    # the run's heads and permutation at every visit, the elimination
+    # forests of P_6, and the same run with its permutation reversed at
+    # one visit, which ends the steps before it
+    from orientgen import hypergen
+    run, _ = hypergen.elim_run(path_graph(6))
+    cert = PairListingCertifier(run.hypergraph)
+    assert sum(1 for _ in cert.certified(run)) == 132
+    assert cert.finish() == 132
+    real = hypergen.HyperRun.permutation
+    monkeypatch.setattr(hypergen.HyperRun, "permutation", lambda run: (
+        real(run)[::-1] if run.visits == 17 else real(run)))
+    run, _ = hypergen.elim_run(path_graph(6))
+    cert = PairListingCertifier(run.hypergraph)
+    taken = []
+    with pytest.raises(InputError) as exc:
+        taken.extend(cert.certified(run))
+    assert str(exc.value) == "permutation trace differs from the jump listing"
+    assert len(taken) == 16 and run.visits == 17
 
 
 def test_pair_accepts_the_generated_listing():

@@ -374,7 +374,10 @@ def reference_sort(arcs, items):
 
 def reference_sorted_path(run, items):
     """``reference_sort`` on the run's current orientation, read from
-    its Digraph snapshot."""
+    its Digraph snapshot; a clique of one member is sorted without a
+    comparison, so its snapshot is not read."""
+    if len(items) < 2:
+        return list(items), 0
     return reference_sort(elimination_arcs(run.digraph(), run.order), items)
 
 
@@ -968,6 +971,26 @@ def test_binary_tail_steps_like_reference(sep, perm_from, names_from):
     # run that makes perm lines steps it as the general path does
     for g, order in tail_corpus():
         assert_steps_like_reference(g, perm_from, names_from, order, sep)
+
+
+def test_a_long_path_cuts_its_binary_tail_at_12_vertices():
+    # 2^13 <= n + m on P_5000 under its own order, but a tail of 13 would
+    # table 8,192 steps a pass: the tail takes the last 12 vertices, and
+    # the run steps like the reference through about five passes, with
+    # the permutation read mid-pass
+    g = path_graph(5000)
+    order = range(1, 5001)
+    run = ChordalRun(g, order)
+    assert run._tail == list(range(4989, 5001))
+    ref = ReferenceStepRun(g, order)
+    visit = 0
+    for step, ref_step in zip(islice(run, 20000), ref):
+        visit += 1
+        assert step == ref_step
+        assert engine_state(run) == engine_state(ref)
+        if visit in (5000, 20000):
+            assert run.permutation() == ref.permutation()
+    assert visit == 20000
 
 
 class CountingList(list):

@@ -17,19 +17,15 @@ from orientgen.graphs import (
     path_graph,
     relabel_graph,
 )
-from orientgen.hypergen import (
-    HyperRun,
-    encode,
-    generate,
-    generate_elim_forests,
-)
+from orientgen.hypergen import HyperRun, generate, generate_elim_forests
 from orientgen.hypergraphs import (
     Hypergraph,
+    check_orientation,
     find_heo,
     graphical_building_set,
-    is_acyclic_orientation,
     is_heo,
     orientation_to_elim_forest,
+    permutation_from_orientation,
     poset_of,
     relabel_hypergraph,
     restrict,
@@ -44,10 +40,25 @@ from orientgen.oracle import (
 from orientgen.quotients import build_ar_poset, sylvester_congruence
 
 from test_graphs import built_digraphs, cycle_graph
-from test_hypergraphs import orientation_from_permutation, pair_flip
+from test_hypergraphs import (is_acyclic_orientation,
+                              orientation_from_permutation, pair_flip)
 from test_jumps import is_zigzag_language
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
+
+
+def encode(h, o):
+    """Canonical permutation of an acyclic orientation of a hypergraph in
+    hyperfect elimination order (identity labeling), placed by
+    ``permutation_from_orientation``: a linear extension of the
+    orientation's poset, which heading every hyperedge at its member
+    furthest right inverts."""
+    if not is_heo(h, tuple(range(1, h.n + 1))):
+        raise InputError("hypergraph is not in hyperfect elimination order")
+    o = check_orientation(h, o)
+    if not is_acyclic_orientation(h, o):
+        raise InputError("orientation is cyclic")
+    return permutation_from_orientation(h.n, h.edges, o)
 
 
 def stanley_pitman(n):

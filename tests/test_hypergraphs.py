@@ -7,13 +7,13 @@ import pytest
 from orientgen import corpus
 from orientgen.errors import CapExceeded, InputError
 from orientgen.graphs import (Digraph, Graph, complete_graph, find_peo,
-                              label_map, path_graph)
+                              label_map, path_graph, topological_order)
 from orientgen.hypergraphs import (
     Hypergraph,
+    arc_out,
     find_heo,
     check_orientation,
     graphical_building_set,
-    is_acyclic_orientation,
     is_building_set,
     is_heo,
     orientation_to_elim_forest,
@@ -27,6 +27,12 @@ from orientgen.oracle import check_unique_parent_child, enumerate_ao_hyper
 from test_graphs import cycle_graph
 
 PREFIX_H = Hypergraph(4, [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
+
+
+def is_acyclic_orientation(h, heads):
+    """True iff the arc digraph of the orientation has no directed cycle."""
+    heads = check_orientation(h, heads)
+    return topological_order(h.n, arc_out(h, heads)) is not None
 
 
 def stanley_pitman(n):

@@ -24,7 +24,6 @@ from orientgen.graphs import (
 from orientgen.hypergraphs import Hypergraph
 from orientgen.oracle import (
     build_flip_graph,
-    certify_arc_listing,
     certify_hamilton_path,
     check_flip_distance,
     count_ao_graph,
@@ -35,6 +34,7 @@ from orientgen.oracle import (
     pair_flip_relation,
 )
 
+from test_certifiers import certify_arc_listing
 from test_graphs import cycle_graph, transitive_reduction
 from test_hypergraphs import orientation_from_permutation
 
@@ -73,8 +73,8 @@ def test_the_cap_has_one_setting(monkeypatch):
     # ORIENTGEN_CAP is read in one place; no entry point takes a cap
     for fn in (oracle.check_ao_graph_cap, oracle.enumerate_ao_graph,
                oracle.enumerate_ao_hyper,
-               oracle.ArcListingCertifier, oracle.certify_arc_listing,
-               oracle.PairListingCertifier, quotients.build_ar_poset,
+               oracle.ArcListingCertifier, oracle.PairListingCertifier,
+               quotients.build_ar_poset,
                hypergraphs.graphical_building_set, effective_cap):
         assert "cap" not in inspect.signature(fn).parameters, fn
     monkeypatch.setenv("ORIENTGEN_CAP", "5")
