@@ -11,9 +11,11 @@ neighbors whenever a smaller vertex steps across an edge inside the
 clique.  A step costs what it changes: one bit of the orientation mask,
 one swap in the order of each larger clique that holds both ends of the
 flipped edge (the last movable vertex's swapped inline by the step
-itself), and, once the canonical permutation has been read, one delete
-and one insert of the swept vertex in it.  When its clique has two or
-more members, the last movable vertex sweeps as data: each resume of
+itself), and, in a run that makes perm lines, one delete and one insert
+of the swept vertex in the canonical permutation it tracks for them;
+any other run builds the permutation from the mask when it is read.
+When its clique has two or more members, the last movable vertex
+sweeps as data: each resume of
 the generator hands ``itertools.chain`` one block, a list of the step
 before a sweep and the sweep's arcs, or their perm lines in a run that
 makes them, and snapshots read the block's progress.  When it has one
@@ -163,22 +165,16 @@ class ChordalRun:
     oriented u -> w; given ``names``, it yields ``names[(u, w)]``, each
     looked up once at set-up.  Given ``sep``, it yields at every visit
     its perm line instead: the canonical permutation's values in
-    decimal, joined by ``sep``, and a newline, made where the
-    permutation moves.  Snapshots of the current orientation are valid
-    only until the next step:
+    decimal, joined by ``sep``, and a newline.  Only such a run tracks
+    the permutation, as one list of those decimals that each step moves
+    where the permutation moves.  Snapshots of the current orientation
+    are valid only until the next step:
 
     - mask(): the orientation bitmask, read in O(1);
-    - named_permutation(labels): the canonical permutation (``encode``
-      of the orientation in elimination coordinates) as the run's one
-      list of ``labels[v]``.  A first read after the first flip pays one
-      ``encode``; from then on each flip moves the swept vertex by one
-      pop and one insert, and a read with other labels renames it (a
-      run that makes perm lines keeps their labels and gives a renamed
-      copy);
-    - permutation(): the same read through the identity labels, a copy
-      of n entries;
     - digraph(): a Digraph built from the mask in O(n + m), for callers at
-      the API edge.
+      the API edge;
+    - permutation(): the canonical permutation, ``encode`` of that
+      Digraph in elimination coordinates, built on each call.
 
     A sweep crosses the vertex's clique (its smaller neighbors) source
     first or sink first.  Every vertex whose clique has two or more
@@ -205,15 +201,13 @@ class ChordalRun:
     and in the XOR of the edge bits per prefix.  A block is committed
     at its start, and snapshots undo the steps still left in it, read
     off the list iterator's length hint; the sweep's comparisons count
-    from its first step on and are committed at its end.  A permutation
-    read moves the vertex where the last step made puts it: before the
-    member crossed (left) or next (right), at the end to the front or
-    just before the isolated values above it, and at the head to where
-    the sweep starts.  No other jump crosses it, so its place is looked
-    up once per run.  A run that makes perm lines makes a block's lines
-    in one pass when it starts, the tracked permutation's and then the
-    sweep's from the places of the members crossed; every other step
-    yields the join of the tracked permutation.
+    from its first step on and are committed at its end.  A run that
+    makes perm lines makes a block's lines in one pass when it starts,
+    the tracked permutation's and then the sweep's from the places of
+    the members crossed; every other step yields the join of the
+    tracked permutation.  No other jump crosses the last vertex, so it
+    is always at the front or just before the isolated values above it
+    when a sweep starts, and its place is never looked up.
 
     With one member the last vertex is a binary digit.  The binary tail is
     the longest run of trailing movable vertices of one member each, cut to
@@ -229,8 +223,7 @@ class ChordalRun:
     Gray code of the steps made and two table reads, O(1): the edge masks,
     ints of up to m bits, are tabled for the subsets of each half of the
     tail, 2^(k/2) each, not per step.  ``visits`` costs one length hint, and
-    a tail adds no comparisons.  A permutation read replays the places from
-    the last one it applied.  A run that makes perm lines hands out each
+    a tail adds no comparisons.  A run that makes perm lines hands out each
     pass as a generator over the list's places, which makes a line as it is
     read and keeps the tracked permutation where the pass is: a list of the
     pass's lines would hold 2^k lines of n values made before they are read,
@@ -241,8 +234,8 @@ class ChordalRun:
     When another vertex j steps, each larger movable vertex is a source
     or a sink, so 1..j form one group behind the larger sources: a sweep
     starts at the end of it where j's last sweep left it, a new source
-    goes first and a new sink last.  Only inside a sweep does
-    ``list.index`` find j, and its place directly before its first
+    goes first and a new sink last.  Only inside a sweep does a line
+    run's ``list.index`` find j, and its place directly before its first
     out-neighbor.
 
     Counters `visits`, `flips`, `comparisons` and
@@ -264,8 +257,7 @@ class ChordalRun:
     __slots__ = ("graph", "order", "_comparisons", "_max_step",
                  "_mask", "_visits", "_recs", "_orders", "_ups", "_lup",
                  "_top", "_last", "_tail", "_pre", "_block", "_left",
-                 "_undone", "_moves", "_done", "_halves", "_lp", "_pi",
-                 "_labels", "_sep", "_ident", "_gen", "_it")
+                 "_halves", "_pi", "_sep", "_gen", "_it")
 
     def __init__(self, g, order, names=None, sep=None):
         order = tuple(order)
@@ -338,19 +330,11 @@ class ChordalRun:
         self._block = None
         self._last = orders[top]  # the _Order of the last movable vertex
         self._pre = None  # its edge bits XORed per prefix, from the start
-        # the sweep's steps left at the last vertex's last move; a move
-        # is where the last step made puts it, so a repeat changes nothing
-        self._undone = len(recs[top])
-        self._lp = None  # the last movable vertex's place in it
-        # a tail block's (pop, insert) places, and how many of them the
-        # tracked permutation has made
-        self._moves = None
-        self._done = 0
         self._halves = None  # the tail's edge masks for mask(), by halves
-        self._pi = None  # labels[v] per place, from the first read on
-        self._labels = None
+        # a run that makes perm lines tracks the canonical permutation,
+        # each value in decimal, from the first visit's identity on
+        self._pi = None if sep is None else [str(v) for v in range(1, n + 1)]
         self._sep = sep
-        self._ident = range(n + 1)  # the labels permutation() reads
         self._visits = 0
         self._comparisons = 0
         self._max_step = 0
@@ -359,9 +343,6 @@ class ChordalRun:
         # out blocks
         self._it = (chain.from_iterable(gen) if self._last or self._tail
                     else gen)
-        if sep is not None:
-            # the lines name the values in decimal from the first visit on
-            self.named_permutation([str(v) for v in self._ident])
 
     def __iter__(self):
         # a for loop steps the chain, or the generator, directly;
@@ -416,9 +397,9 @@ class ChordalRun:
         if pre is None:
             # a tail block: x steps into a pass the tail has flipped the
             # levels set in the Gray code x ^ x >> 1, and at its end the
-            # first tail vertex alone
+            # first tail vertex alone; a pass is 2^k - 1 = 2 * top - 1 steps
             lo, hi, half, top = self._halves
-            x = len(self._moves) - block.__length_hint__()
+            x = (top << 1) - 1 - block.__length_hint__()
             y = x ^ x >> 1 ^ top
             return self._mask ^ lo[y & len(lo) - 1] ^ hi[y >> half]
         if self._left:
@@ -426,102 +407,46 @@ class ChordalRun:
         return self._mask ^ pre[-1] ^ pre[-1 - block.__length_hint__()]
 
     def permutation(self):
-        """Current canonical permutation, in elimination coordinates."""
-        return tuple(self.named_permutation(self._ident))
-
-    def named_permutation(self, labels):
-        """The current canonical permutation with each value v replaced
-        by ``labels[v]``; the labels must be distinct.  The list returned
-        is the run's one tracked permutation: read it before the next
-        step and do not change it.  The first read names it from
-        ``encode`` of the orientation, and a read with other labels than
-        the last one names its vertices anew; ``permutation()`` reads it
-        through the identity labels.  A run that makes perm lines keeps
-        the lines' labels, and a read with other labels gets a renamed
-        copy."""
-        pi = self._pi
-        block = self._block
-        if pi is not None and block is not None and self._last is None:
-            # a tail block: replay its places up to the steps made, which
-            # a pass of perm lines has made as it went
-            if self._sep is None:
-                moves = self._moves
-                made = len(moves) - block.__length_hint__()
-                for p, q in moves[self._done:made]:
-                    pi.insert(q, pi.pop(p))
-                self._done = made
-        elif pi is not None and block is not None:
-            undone = block.__length_hint__()
-            if undone != self._undone:
-                # the last vertex goes where the last step made puts it,
-                # at the sweep's start when only the head was read
-                self._undone = undone
-                v = pi.pop(self._lp)
-                kept = self._last.kept
-                if 0 < undone < len(kept):
-                    q = pi.index(self._labels[kept[undone][0] if self._left
-                                             else kept[-undone][0]])
-                elif (undone == 0) == self._left:
-                    q = 0
-                else:
-                    q = self._top - 1
-                pi.insert(q, v)
-                self._lp = q
-        if labels is not self._labels:
-            if pi is not None:  # the vertices behind the last labels
-                perm = map(dict(zip(self._labels, self._ident)).get, pi)
-                if self._sep is not None:
-                    return [labels[v] for v in perm]
-            elif self.flips:
-                perm = encode(relabel_digraph(self.digraph(), self.order))
-            else:
-                perm = range(1, self.graph.n + 1)
-            if pi is None and self._top:
-                self._lp = perm.index(self._top)
-                if block is not None and self._last is None:
-                    self._done = len(self._moves) - block.__length_hint__()
-            self._pi = pi = [labels[v] for v in perm]
-            self._labels = labels
-        return pi
+        """Current canonical permutation, in elimination coordinates:
+        ``encode`` of the orientation, built from the mask on each call
+        as ``digraph()`` is."""
+        return encode(relabel_digraph(self.digraph(), self.order))
 
     def digraph(self):
         """Digraph snapshot of the current orientation, original labels,
         arc k corresponding to edge k."""
         return orient(self.graph, self.mask())
 
-    def _sweep_lines(self, left, join):
+    def _sweep_lines(self, left, join, names):
         """The perm lines of a block: the tracked permutation's, then the
         last movable vertex's coming sweep's, one per step, from the
         places the sweep puts it at; the tracked permutation is left where
-        the sweep ends.  The vertex goes before the member crossed (left)
-        or next (right), and at the end to the front or just before the
-        isolated values above it.  The members keep kept order among the
-        other values, so their places are found once, and not at all when
-        they are every smaller value."""
+        the sweep ends.  The vertex starts at the other end: just before
+        the isolated values above it (left) or at the front (right).  It
+        goes before the member crossed (left) or next (right), and at the
+        end to the front or just before the isolated values.  The members
+        keep kept order among the other values, so their places are found
+        once, and not at all when they are every smaller value."""
         pi = self._pi
         kept = self._last.kept
         d = len(kept)
+        back = self._top - 1
         lines = [join(pi) + "\n"]
-        v = pi.pop(self._lp)
-        if d == self._top - 1:
+        v = pi.pop(back if left else 0)
+        if d == back:
             places = range(d - 1, -1, -1) if left else range(1, d + 1)
         else:
-            labels = self._labels
             found = []
             p = 0
             for rec in kept:
-                p = pi.index(labels[rec[0]], p)
+                p = pi.index(names[rec[0]], p)
                 found.append(p)
-            places = (found[:0:-1] + [0] if left
-                      else found[1:] + [self._top - 1])
+            places = found[:0:-1] + [0] if left else found[1:] + [back]
         for p in places:
             pi.insert(p, v)
             lines.append(join(pi) + "\n")
             del pi[p]
-        q = places[-1]
-        pi.insert(q, v)
-        self._lp = q
-        self._undone = 0
+        pi.insert(places[-1], v)
         return lines
 
     def _tail_passes(self):
@@ -577,7 +502,10 @@ class ChordalRun:
         lup = self._lup
         sep = self._sep
         lines = sep is not None
-        join = sep.join if lines else None
+        if lines:
+            join = sep.join
+            pi = self._pi
+            names = [str(v) for v in range(n + 1)]
         deg = [len(r) for r in recs]
         movable = [j for j in range(1, n + 1) if deg[j]]
         prevm = [0] * (n + 1)
@@ -595,7 +523,7 @@ class ChordalRun:
         blocks = lorder is not None or tail is not None
         if not blocks:
             self._visits = 1
-            yield join(self._pi) + "\n" if lines else None
+            yield join(pi) + "\n" if lines else None
             if last == 0:
                 return
         mask = self._mask
@@ -642,20 +570,20 @@ class ChordalRun:
             if not blocks:
                 mask ^= lbit
                 self._mask = mask
-                pi = self._pi
-                if pi is not None:
-                    q = 0 if ll else last - 1
-                    pi.insert(q, pi.pop(self._lp))
-                    self._lp = q
                 self._visits += 1
                 if lines:
+                    # a source at the front, a sink just before the
+                    # isolated values above it
+                    if ll:
+                        pi.insert(0, pi.pop(last - 1))
+                    else:
+                        pi.insert(last - 1, pi.pop(0))
                     yield join(pi) + "\n"
                 else:
                     yield lleft if ll else lright
             elif tail:
                 # one block: the step before the pass, then the pass
                 block, moves = passes[not ll]
-                self._moves = moves
                 mask ^= lall
                 self._mask = mask
                 self._visits += size
@@ -663,14 +591,11 @@ class ChordalRun:
                     # its lines are made as they are read, and the
                     # places' iterator tells snapshots how far it is
                     self._block = it = iter(moves)
-                    yield _pass_lines(self._pi, it, join)
+                    yield _pass_lines(pi, it, join)
                 else:
                     block[0] = head
-                    self._done = 0
                     self._block = it = iter(block)
                     yield it
-                    if self._pi is not None and self._done != size - 1:
-                        self.named_permutation(self._labels)
                 self._block = None
             else:
                 # one block: the step before the sweep, then the sweep,
@@ -679,7 +604,7 @@ class ChordalRun:
                 c = lorder.count
                 self._left = ll
                 if lines:
-                    block = self._sweep_lines(ll, join)
+                    block = self._sweep_lines(ll, join, names)
                 else:
                     block = lblock if ll else rblock
                     block[0] = head
@@ -691,10 +616,6 @@ class ChordalRun:
                 self._comparisons += c
                 if c > self._max_step:
                     self._max_step = c
-                if self._pi is not None:
-                    if self._undone:  # a read left the vertex mid-sweep
-                        self.named_permutation(self._labels)
-                    self._undone = ldeg
                 self._block = None
             src ^= ltop
             ll = not ll
@@ -751,21 +672,19 @@ class ChordalRun:
                 if x is not None:
                     o.swap(x, y)
             ended = tj == dj
-            pi = self._pi
-            if pi is not None:
+            if lines:
                 # the group of 1..j follows the larger sources; a sweep
                 # starts at the end of it where j's last sweep ended
-                labels = self._labels
                 front = (src >> j + 1).bit_count()
                 p = (front + (j - 1 if lj else 0) if tj == 1
-                     else pi.index(labels[j]))
+                     else pi.index(names[j]))
                 if ended:
                     q = front + (0 if lj else j - 1)
                 else:
                     # directly before j's first out-neighbor: i after a
                     # jump left, the next one in line after a jump right
-                    q = (pi.index(labels[i]) if lj
-                         else pi.index(labels[Tj[tj][0]], p) - 1)
+                    q = (pi.index(names[i]) if lj
+                         else pi.index(names[Tj[tj][0]], p) - 1)
                 pi.insert(q, pi.pop(p))
             if ended:
                 src ^= 1 << j

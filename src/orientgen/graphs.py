@@ -69,9 +69,6 @@ class Graph:
             return False
         return v in self.adj[u]
 
-    def degree(self, v):
-        return len(self.adj[v])
-
 
 class Digraph:
     """Directed graph on 1..n with no loops, parallel, or antiparallel arcs.

@@ -10,13 +10,6 @@ reaches an unvisited member of the language.
 from .errors import InputError
 
 
-def _check_permutation(pi):
-    pi = tuple(pi)
-    if sorted(pi) != list(range(1, len(pi) + 1)):
-        raise InputError("not a permutation of 1..%d: %r" % (len(pi), pi))
-    return pi
-
-
 class LanguageOracle:
     """A language of permutations of 1..n given by a membership predicate."""
 
@@ -25,17 +18,6 @@ class LanguageOracle:
     def __init__(self, n, member):
         self.n = n
         self.member = member
-
-    @classmethod
-    def from_set(cls, perms):
-        """Oracle for an explicit collection of equal-length permutations."""
-        perms = {_check_permutation(p) for p in perms}
-        if not perms:
-            raise InputError("empty language")
-        n = len(next(iter(perms)))
-        if any(len(p) != n for p in perms):
-            raise InputError("mixed permutation lengths")
-        return cls(n, perms.__contains__)
 
 
 def _minimal_jump(member, pi, value, direction):

@@ -248,9 +248,6 @@ class FlipGraph:
     def edges(self):
         return sorted(self.annotations)
 
-    def degree(self, node):
-        return len(self.adj[self.index[node]])
-
     def __repr__(self):
         return "FlipGraph(%d nodes, %d edges)" % (
             len(self.nodes), len(self.annotations))
@@ -820,7 +817,7 @@ class PairListingCertifier:
         acyclic, each head in its hyperedge, so they are encoded
         unchecked.  Each encoding is a permutation of 1..n by
         construction, and there is at least one orientation, so the
-        language skips ``from_set``'s checks."""
+        language is the set of encodings itself, checked no further."""
         h = self.hypergraph
         if not is_heo(h, order):
             raise InputError(

@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 import tracemalloc
 from bisect import bisect_left
 from functools import cmp_to_key
@@ -288,13 +287,14 @@ def reference_arcs_line(run):
 
 
 def test_snapshots_match_references():
-    # every visit: the kept permutation and mask against encode and
-    # orientation_mask of the Digraph snapshot
+    # every visit: the perm line, made from the tracked permutation, and
+    # the mask against encode and orientation_mask of the Digraph snapshot
     for g in snapshot_corpus():
-        run = generate(g)
-        for _ in run:
+        run = generate(g, sep=" ")
+        for line in run:
             d = run.digraph()
-            assert run.permutation() == encode(relabel_digraph(d, run.order))
+            pi = encode(relabel_digraph(d, run.order))
+            assert line == " ".join(map(str, pi)) + "\n"
             assert run.mask() == orientation_mask(g, d)
 
 
@@ -313,12 +313,9 @@ def test_permutation_first_read_mid_run():
     rng = random.Random(53)
     for g in [complete_graph(5)] + [corpus.random_chordal(9, rng)
                                     for _ in range(4)]:
-        run = generate(g)
-        for _ in islice(run, 37):
-            pass
-        for _ in run:
-            d = run.digraph()
-            assert run.permutation() == encode(relabel_digraph(d, run.order))
+        # the first reads after 37 steps, or at a shorter run's last visit
+        first = min(38, count_ao_graph(g))
+        assert_first_reads_like_reference(g, find_peo(g), first)
 
 
 def path_run_peak(n, sep=None):
@@ -791,46 +788,46 @@ def engine_state(run):
             run.max_step_comparisons)
 
 
-def assert_steps_like_reference(g, perm_from, names_from, order=None,
-                                sep=None):
+def reads_at(visit, first):
+    """Whether a test reads a run's permutation, built from the mask it
+    compares at every visit, at ``visit``: the 40 visits from ``first``
+    on (None: never), then every 97th."""
+    return first is not None and visit >= first and (
+        visit < first + 40 or (visit - first) % 97 == 0)
+
+
+def assert_steps_like_reference(g, perm_from, order=None, sep=None):
     """The run and the reference agree on the step and the counters at
     every visit.  Given ``sep``, the run makes perm lines, and each step
     it yields is ``sep.join`` of the reference's permutation and a
-    newline.  The run's permutation is read from visit ``perm_from`` on
-    and its named permutation from ``names_from`` on (None: never); the
-    reference's permutation is read at every visit.  ``order`` is
+    newline.  The run's permutation is read where ``reads_at`` says from
+    ``perm_from`` on, and after the run ends.  ``order`` is
     ``find_peo``'s unless given.  Returns the reference."""
     order = find_peo(g) if order is None else tuple(order)
     run = ChordalRun(g, order, sep=sep)
     ref = ReferenceStepRun(g, order)
-    names = ["v%d" % v for v in range(g.n + 1)]
     end = object()
     visit = 0
     for step, ref_step in zip_longest(run, ref, fillvalue=end):
         visit += 1
-        expect = ref.permutation()
         if sep is not None and ref_step is not end:
-            ref_step = sep.join(map(str, expect)) + "\n"
+            ref_step = sep.join(map(str, ref.permutation())) + "\n"
         assert step == ref_step
         assert engine_state(run) == engine_state(ref)
-        if perm_from is not None and visit >= perm_from:
-            assert run.permutation() == expect
-        if names_from is not None and visit >= names_from:
-            assert run.named_permutation(names) == [names[v] for v in expect]
+        if reads_at(visit, perm_from):
+            assert run.permutation() == ref.permutation(), visit
     assert visit == count_ao_graph(g)
     assert run.permutation() == ref.permutation()
     return ref
 
 
-@pytest.mark.parametrize("perm_from, names_from",
-                         [(None, None), (1, 1), (37, 37), (1, 37)],
-                         ids=["unread", "read-from-1", "first-read-at-37",
-                              "named-first-at-37"])
-def test_engine_steps_like_reference(perm_from, names_from):
+@pytest.mark.parametrize("perm_from", [None, 1, 37],
+                         ids=["unread", "read-from-1", "first-read-at-37"])
+def test_engine_steps_like_reference(perm_from):
     for n in range(1, 9):
-        assert_steps_like_reference(complete_graph(n), perm_from, names_from)
+        assert_steps_like_reference(complete_graph(n), perm_from)
     for g in snapshot_corpus():
-        assert_steps_like_reference(g, perm_from, names_from)
+        assert_steps_like_reference(g, perm_from)
 
 
 def long_jump_graph():
@@ -887,14 +884,14 @@ def spread_tree_graph():
 
 
 def test_engine_steps_like_reference_on_long_jumps():
-    ref = assert_steps_like_reference(long_jump_graph(), 1, 37)
+    ref = assert_steps_like_reference(long_jump_graph(), 1)
     assert ref.longest_jump >= 11
 
 
 def test_engine_steps_like_reference_past_isolated_larger_vertices():
     # K_5 on 1..5 with 6 and 7 isolated: a new sink's scan stops at 6
     g = Graph(7, [(a, b) for a in range(1, 6) for b in range(a + 1, 6)])
-    ref = assert_steps_like_reference(g, 1, 37, range(1, 8))
+    ref = assert_steps_like_reference(g, 1, range(1, 8))
     assert ref.larger_stops > 0
 
 
@@ -909,17 +906,14 @@ def with_isolated(g, spread, extra):
     return Graph(n, [(where[a], where[b]) for a, b in g.edges])
 
 
-@pytest.mark.parametrize("perm_from, names_from",
-                         [(None, None), (1, 1), (37, 37), (1, 37)],
-                         ids=["unread", "read-from-1", "first-read-at-37",
-                              "named-first-at-37"])
-def test_last_vertex_end_steps_like_reference(perm_from, names_from):
+@pytest.mark.parametrize("perm_from", [None, 1, 37],
+                         ids=["unread", "read-from-1", "first-read-at-37"])
+def test_last_vertex_end_steps_like_reference(perm_from):
     # the last movable vertex's end steps place it without a scan, with
     # or without isolated vertices above it or between the others
     for h in isolated_corpus():
-        assert_steps_like_reference(h, perm_from, names_from)
-        assert_steps_like_reference(h, perm_from, names_from,
-                                    range(1, h.n + 1))
+        assert_steps_like_reference(h, perm_from)
+        assert_steps_like_reference(h, perm_from, range(1, h.n + 1))
 
 
 def isolated_corpus():
@@ -936,18 +930,17 @@ def isolated_corpus():
 
 
 @pytest.mark.parametrize("sep", ["", " "], ids=["joined", "spaced"])
-@pytest.mark.parametrize("perm_from, names_from", [(None, None), (1, 1),
-                                                   (37, 37)],
+@pytest.mark.parametrize("perm_from", [None, 1, 37],
                          ids=["unread", "read-from-1", "first-read-at-37"])
-def test_line_run_steps_like_reference(sep, perm_from, names_from):
+def test_line_run_steps_like_reference(sep, perm_from):
     # a run that makes perm lines yields the reference's permutation,
-    # joined, at every visit, with mask, visits, the counters and both
-    # permutation reads right mid-sweep; K_n sweeps its last vertex
+    # joined, at every visit, with mask, visits, the counters and the
+    # permutation read right mid-sweep; K_n sweeps its last vertex
     # across every smaller value, the others across some of them
     graphs = [complete_graph(n) for n in range(1, 9)] + snapshot_corpus()
     graphs += [long_jump_graph()] + isolated_corpus()
     for g in graphs:
-        assert_steps_like_reference(g, perm_from, names_from, sep=sep)
+        assert_steps_like_reference(g, perm_from, sep=sep)
 
 
 def tail_corpus():
@@ -963,14 +956,13 @@ def tail_corpus():
 
 @pytest.mark.parametrize("sep", [None, "", " "],
                          ids=["steps", "joined", "spaced"])
-@pytest.mark.parametrize("perm_from, names_from", [(1, 1), (37, 37)],
+@pytest.mark.parametrize("perm_from", [1, 37],
                          ids=["read-from-1", "first-read-at-37"])
-def test_binary_tail_steps_like_reference(sep, perm_from, names_from):
+def test_binary_tail_steps_like_reference(sep, perm_from):
     # a binary tail hands out whole passes as blocks, and mask, visits,
-    # the counters and both permutation reads stay right inside them; a
-    # run that makes perm lines steps it as the general path does
+    # the counters and the permutation read stay right inside them
     for g, order in tail_corpus():
-        assert_steps_like_reference(g, perm_from, names_from, order, sep)
+        assert_steps_like_reference(g, perm_from, order, sep)
 
 
 def test_a_long_path_cuts_its_binary_tail_at_12_vertices():
@@ -1008,27 +1000,21 @@ class CountingList(list):
 
 
 def test_last_vertex_looks_up_its_position_once_per_run():
-    # the first read looks the vertex's place up; no later step or read
-    # does, since no other vertex's jump crosses it
+    # a line run never looks the last vertex up: no other vertex's jump
+    # crosses it, so a sweep starts at the front or the back
     for n in range(2, 8):
-        for every_visit in (False, True):
-            run = ChordalRun(complete_graph(n), range(1, n + 1))
-            run.permutation()
-            pi = run._pi = CountingList(run._pi, n)
-            for _ in run:
-                if every_visit:
-                    run.permutation()
-            assert pi.lookups == 0
-            assert run.permutation() == encode(run.digraph())
+        run = ChordalRun(complete_graph(n), range(1, n + 1), sep=" ")
+        pi = run._pi = CountingList(run._pi, str(n))
+        for line in run:
+            pass
+        assert pi.lookups == 0
+        assert line == " ".join(map(str, encode(run.digraph()))) + "\n"
 
 
 def index_lookups(g, order, sep):
     """The ``list.index`` calls on the tracked permutation over a whole
-    run that makes perm lines joined by ``sep``, or, with None, over a
-    run that tracks it from the first visit on."""
+    run that makes perm lines joined by ``sep``."""
     run = ChordalRun(g, order, sep=sep)
-    if sep is None:
-        run.permutation()
     pi = run._pi = CountingList(run._pi, None)
     for _ in run:
         pass
@@ -1037,17 +1023,16 @@ def index_lookups(g, order, sep):
 
 def test_line_run_finds_the_last_vertex_places_once_per_sweep():
     # on K_n the members a sweep crosses fill the places before the last
-    # vertex, so its lines look nothing up and the line run makes the
-    # tracked run's lookups, all by smaller vertices; with 5 joined to
-    # 1, 2 and 4 of K_4 each of 5's 24 sweeps looks up its 3 members
+    # vertex, so its lines look nothing up, and every lookup is a smaller
+    # vertex's inside its own sweep, pinned; with 5 joined to 1, 2 and 4
+    # of K_4, each of 5's 24 sweeps looks up its 3 members on top of the
+    # smaller vertices' 28
+    smaller = {2: 0, 3: 0, 4: 4, 5: 28, 6: 172, 7: 1132}
     for n in range(2, 8):
-        g = complete_graph(n)
-        order = range(1, n + 1)
-        assert index_lookups(g, order, "") == index_lookups(g, order, None)
+        assert index_lookups(complete_graph(n), range(1, n + 1),
+                             "") == smaller[n]
     g = Graph(5, list(complete_graph(4).edges) + [(1, 5), (2, 5), (4, 5)])
-    order = range(1, 6)
-    assert index_lookups(g, order, " ") == (index_lookups(g, order, None)
-                                            + 3 * 24)
+    assert index_lookups(g, range(1, 6), " ") == 28 + 3 * 24
 
 
 def test_visit_37_of_k8_falls_mid_sweep():
@@ -1056,6 +1041,29 @@ def test_visit_37_of_k8_falls_mid_sweep():
     order = find_peo(g)
     steps = list(islice(ChordalRun(g, order), 36, 38))
     assert all(order[-1] in step for step in steps)
+
+
+@pytest.mark.parametrize("sep", [None, " "], ids=["steps", "lines"])
+def test_permutation_is_built_from_the_mask(sep):
+    # at the first visit, at visit 37 with three steps of its block left
+    # (mid-sweep on K_8, mid-pass in tail_graph()'s binary tail of three)
+    # and after the run ends; a run without perm lines tracks nothing,
+    # however often its permutation is read
+    for g in (complete_graph(8), tail_graph()):
+        order = find_peo(g)
+        run = ChordalRun(g, order, sep=sep)
+        ref = ReferenceStepRun(g, order)
+        visit = 0
+        for _ in zip_longest(run, ref):
+            visit += 1
+            if visit in (1, 37):
+                for _ in range(2):
+                    assert run.permutation() == ref.permutation(), visit
+            if visit == 37:
+                assert run._block.__length_hint__() == 3
+        assert visit == count_ao_graph(g)
+        assert run.permutation() == ref.permutation()
+        assert (run._pi is None) == (sep is None)
 
 
 def last_sweep_visits(g, order, sweeps):
@@ -1080,7 +1088,6 @@ def assert_first_reads_like_reference(g, order, first):
     every visit."""
     run = ChordalRun(g, order)
     ref = ReferenceStepRun(g, order)
-    names = ["v%d" % v for v in range(g.n + 1)]
     end = object()
     visit = 0
     for step, ref_step in zip_longest(run, ref, fillvalue=end):
@@ -1088,9 +1095,7 @@ def assert_first_reads_like_reference(g, order, first):
         assert step == ref_step
         if visit >= first:
             assert engine_state(run) == engine_state(ref), visit
-            expect = ref.permutation()
-            assert run.permutation() == expect, visit
-            assert run.named_permutation(names) == [names[v] for v in expect]
+            assert run.permutation() == ref.permutation(), visit
     assert visit == count_ao_graph(g) and first <= visit
 
 
@@ -1125,25 +1130,24 @@ def block_graphs():
     ]
 
 
-def assert_reads_like_reference(run, ref, names, visit):
+def assert_reads_like_reference(run, ref, visit, ended=False):
     assert engine_state(run) == engine_state(ref), visit
-    expect = ref.permutation()
-    assert run.permutation() == expect, visit
-    assert run.named_permutation(names) == [names[v] for v in expect], visit
+    if ended or reads_at(visit, 1):
+        assert run.permutation() == ref.permutation(), visit
 
 
 def assert_head_reads_like_reference(g, members, cap, sep):
     """Reads at the head of each block only (the first visit, or one
     right after a smaller vertex's step), for the first ``cap`` visits;
     after every third head ``next(run)`` inside the for loop takes the
-    next visit, read too.  Then the rest of the run is drained unread,
+    next visit, read too; the permutation is read where ``reads_at``
+    says from visit 1 on.  Then the rest of the run is drained unread,
     and the reads after it is exhausted agree as well."""
     order = find_peo(g)
     run = ChordalRun(g, order, sep=sep)
     ref = ReferenceStepRun(g, order)
     assert (len(run._last.kept) if run._last else 1) == members
     top = order[run._top - 1]
-    names = ["v%d" % v for v in range(g.n + 1)]
     end = object()
 
     def agree(step, ref_step):
@@ -1158,7 +1162,7 @@ def assert_head_reads_like_reference(g, members, cap, sep):
         visit += 1
         if ref_step is None or top not in ref_step:
             heads += 1
-            assert_reads_like_reference(run, ref, names, visit)
+            assert_reads_like_reference(run, ref, visit)
             if heads % 3 == 0:
                 step = next(run, end)
                 ref_step = next(ref, end)
@@ -1167,7 +1171,7 @@ def assert_head_reads_like_reference(g, members, cap, sep):
                     break
                 agree(step, ref_step)
                 visit += 1
-                assert_reads_like_reference(run, ref, names, visit)
+                assert_reads_like_reference(run, ref, visit)
         if visit == cap:
             break
     rest = sum(1 for _ in run)
@@ -1176,7 +1180,7 @@ def assert_head_reads_like_reference(g, members, cap, sep):
     assert visit == count_ao_graph(g) and heads > 1
     assert next(run, end) is end
     for _ in range(2):
-        assert_reads_like_reference(run, ref, names, visit)
+        assert_reads_like_reference(run, ref, visit, True)
 
 
 @pytest.mark.parametrize("sep", [None, ""], ids=["steps", "lines"])
@@ -1223,23 +1227,16 @@ def test_counters_are_read_only():
 
 
 def test_tracked_path_places_sources_and_sinks_without_a_scan():
-    # P_4000 under the identity order: every step starts and ends its
-    # vertex's sweep, found and placed by a count of the larger sources
+    # the P_4000 line run under the identity order: every step starts
+    # and ends its vertex's sweep, found and placed by a count of the
+    # larger sources, or takes a binary tail pass's fixed places
     n = 4000
-    run = ChordalRun(path_graph(n), range(1, n + 1))
-    names = [str(v) for v in range(n + 1)]
-    steps = islice(run, 5000)
-    start = time.perf_counter()
-    next(steps)
-    run.named_permutation(names)
+    run = ChordalRun(path_graph(n), range(1, n + 1), sep=" ")
     pi = run._pi = CountingList(run._pi, None)
-    for _ in steps:
-        assert run.named_permutation(names) is pi
-    elapsed = time.perf_counter() - start
+    for line in islice(run, 5000):
+        pass
     assert pi.lookups == 0
-    assert run.named_permutation(names) == [str(v) for v in
-                                            encode(run.digraph())]
-    assert elapsed < 0.3
+    assert line == " ".join(map(str, encode(run.digraph()))) + "\n"
 
 
 def test_named_run_yields_the_name_of_each_arc():
@@ -1258,17 +1255,3 @@ def test_named_run_yields_the_name_of_each_arc():
                 assert named is None
             else:
                 assert named is names[step]
-
-
-def test_named_permutation_is_named_once_per_labels():
-    run = generate(complete_graph(4))
-    names = [str(v) for v in range(5)]
-    other = ["x%d" % v for v in range(5)]
-    for _ in islice(run, 5):
-        pass
-    assert run.named_permutation(names) is run.named_permutation(names)
-    assert run.named_permutation(other) == ["x%d" % v
-                                            for v in run.permutation()]
-    for _ in run:
-        assert run.named_permutation(other) == ["x%d" % v
-                                                for v in run.permutation()]

@@ -175,7 +175,7 @@ def test_graph_validation():
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
     assert not g.has_edge(1, 2)
     assert edge_index(g, 4, 2) == 1
-    assert g.degree(3) == 1
+    assert len(g.adj[3]) == 1
 
 
 def test_digraph_validation():

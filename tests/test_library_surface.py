@@ -1,7 +1,9 @@
 """The library's public surface: every public top-level function or
 class of ``src/orientgen`` has a caller outside the tests, in the
 package itself (its ``__init__`` included, where a re-export counts) or
-in ``perfbench/``.  A helper only the tests use belongs in the tests."""
+in ``perfbench/``, and every public method or property of a public class
+is read there as an attribute.  A helper only the tests use belongs in
+the tests."""
 
 import ast
 import os
@@ -26,6 +28,24 @@ def public_names(modules):
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")}
+
+
+def public_methods(modules):
+    """(class, name) of every public method or property of a public
+    class; dunder methods are not public."""
+    return {(node.name, item.name) for tree in modules.values()
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")}
+
+
+def attributes_read(trees):
+    """The name of every attribute read in the syntax trees."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
 
 
 def references(mod, tree, package):
@@ -83,6 +103,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = sorted("%s.%s" % name for name in public_names(package)
                     if name not in called)
     assert unused == []
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    package = dict(parsed(PACKAGE))
+    read = attributes_read(list(package.values())
+                           + [tree for _, tree in parsed(BENCH)])
+    unused = sorted("%s.%s" % name for name in public_methods(package)
+                    if name[1] not in read)
+    assert unused == []
+
+
+def test_the_method_scan_finds_an_unread_method():
+    # a call or a property read counts, a write does not, and private
+    # and dunder methods and the methods of private classes are skipped
+    tree = ast.parse("class A:\n    def f(self):\n        pass\n"
+                     "    @property\n    def g(self):\n        pass\n"
+                     "    def h(self):\n        pass\n"
+                     "    def _i(self):\n        pass\n"
+                     "    def __len__(self):\n        pass\n"
+                     "class _B:\n    def j(self):\n        pass\n")
+    assert public_methods({"m": tree}) == {("A", "f"), ("A", "g"),
+                                           ("A", "h")}
+    use = ast.parse("a.f()\nx = a.g\na.h = 1\n")
+    assert attributes_read([use]) == {"f", "g"}
 
 
 def test_the_scan_finds_an_unused_name_and_its_callers():

@@ -384,7 +384,8 @@ def test_flip_degree_equals_transitive_reduction():
     for g in graphs:
         fg = build_flip_graph(enumerate_ao_graph(g), one_arc_flip)
         for d in fg.nodes:
-            assert fg.degree(d) == len(transitive_reduction(d))
+            assert (len(fg.adj[fg.index[d]])
+                    == len(transitive_reduction(d)))
 
 
 def two_color(fg):
